@@ -3,6 +3,8 @@
 Two characters lie in the same p-block exactly when their partitions share a
 p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
+Membership is decided by comparing p-abacus runner counts with those of
+that core, without building the core.
 The prime-to-p subsets of those blocks are what the conjecture checks
 compare.
 """
@@ -40,15 +42,24 @@ def principal_core(n: int, p: int) -> Partition:
     return Partition((b,)) if b else EMPTY
 
 
+def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
+    """p-abacus runner counts of the principal core's beta-set of ``length``."""
+    return principal_core(n, p).abacus(p, length=length)[0]
+
+
 def principal_block_contains(lam: Partition, p: int) -> bool:
-    return lam.p_core(p) == principal_core(lam.size, p)
+    """Is the p-core of ``lam`` the principal one?
+
+    Beta-sets of equal length have the same p-core exactly when their
+    runner counts agree, so no core is built.
+    """
+    return lam.abacus(p)[0] == principal_runner_counts(lam.size, p, len(lam.parts))
 
 
 @lru_cache(maxsize=None)
 def principal_block_members(n: int, p: int) -> frozenset[Partition]:
     """All partitions of n in the principal p-block."""
-    target = principal_core(n, p)
-    return frozenset(lam for lam in partitions_of(n) if lam.p_core(p) == target)
+    return frozenset(lam for lam in partitions_of(n) if principal_block_contains(lam, p))
 
 
 @lru_cache(maxsize=None)

@@ -196,16 +196,13 @@ def _cmd_scan(args) -> int:
                     f" agree={agree}{oracle_field}"
                 )
                 continue
+            deferral = derive_case_parameters(n, p, q).deferral
+            if deferral is not None:
+                deferred += 1
+                print(f"result n={n} p={p} q={q} case=deferred-{deferral} partition=- agree=na")
+                continue
             try:
                 found = witness.construct_witness(n, p, q)
-            except witness.SmallN:
-                deferred += 1
-                print(f"result n={n} p={p} q={q} case=deferred-small-n partition=- agree=na")
-                continue
-            except witness.AbelianSylowDeferred:
-                deferred += 1
-                print(f"result n={n} p={p} q={q} case=deferred-abelian-sylow partition=- agree=na")
-                continue
             except witness.CaseTreeFalsified as exc:
                 falsified += 1
                 print(f"internal-error: {exc}")

@@ -3,7 +3,9 @@
 The degree attached to a partition of n is n! divided by the product of all
 hook lengths of its diagram.  The quotient is taken exactly in factored
 arithmetic and must come out integral; a failed division here is an internal
-bug, never a data condition.  The module also computes the six recurring
+bug, never a data condition.  The exponent of a single prime in a degree
+is read from abacus weights instead, without forming the hook product
+(:func:`degree_valuation`).  The module also computes the six recurring
 degree factors Y, Y', Z, Z', X, X' attached to a parameter record, used by
 the candidate construction's bookkeeping and its invariant checks.
 """
@@ -17,7 +19,6 @@ from .factored import (
     factor,
     factorial_factored,
     factorial_valuation,
-    padic_valuation,
     product,
 )
 from .parameters import CaseParameters
@@ -35,10 +36,29 @@ def degree(lam: Partition) -> FactoredNatural:
 
 
 def degree_valuation(lam: Partition, p: int) -> int:
-    """Exponent of p in the degree, without forming the whole factorization."""
-    total = factorial_valuation(lam.size, p)
-    for h in lam.hook_lengths():
-        total -= padic_valuation(h, p)
+    """Exponent of p in the degree, from abacus weights instead of hooks.
+
+    The number of hooks with length divisible by ``e`` is the ``e``-weight
+    w_e of the partition, so the exponent of p in the hook product is the
+    sum of w_{p^k} over k >= 1 and
+
+        nu_p(degree) = nu_p(|lam|!) - sum_{k >= 1} w_{p^k}(lam).
+    """
+    return valuation_from_weight(lam, p, lam.abacus(p)[1])
+
+
+def valuation_from_weight(lam: Partition, p: int, p_weight: int) -> int:
+    """:func:`degree_valuation` given the p-weight from an abacus pass already made.
+
+    Adds one abacus pass per higher power of p, up to the largest hook
+    length; no power above it divides any hook.
+    """
+    total = factorial_valuation(lam.size, p) - p_weight
+    largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
+    e = p * p
+    while e <= largest_hook:
+        total -= lam.abacus(e)[1]
+        e *= p
     return total
 
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import witness as witness_engine
-from .blocks import irr_p_prime_principal
-from .degrees import degree_valuation
+from .blocks import irr_p_prime_principal, principal_runner_counts
+from .degrees import valuation_from_weight
 from .factored import primes_up_to
+from .parameters import derive_case_parameters
 from .partitions import Partition, partitions_of
 
 GROUP_KINDS = ("sn", "an")
@@ -39,12 +40,18 @@ def _scan(n: int) -> tuple[tuple[Partition, bool], ...]:
 
 @lru_cache(maxsize=None)
 def _prime_view(n: int, p: int) -> tuple[tuple[bool, int], ...]:
-    # (principal-block membership, degree valuation) aligned with _scan(n)
-    b = n % p
-    target = (b,) if b else ()
+    # (principal-block membership, degree valuation) aligned with _scan(n);
+    # one p-abacus pass per partition gives both the membership bit and the
+    # p-weight the valuation starts from
+    principal: dict[int, list[int]] = {}
     out = []
     for lam, _ in _scan(n):
-        out.append((lam.p_core(p).parts == target, degree_valuation(lam, p)))
+        counts, weight = lam.abacus(p)
+        length = len(lam.parts)
+        target = principal.get(length)
+        if target is None:
+            target = principal[length] = principal_runner_counts(n, p, length)
+        out.append((counts == target, valuation_from_weight(lam, p, weight)))
     return tuple(out)
 
 
@@ -181,12 +188,10 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     """
     side_p, side_q = witness_sets(n, p, q, "sn")
     condition = bool(side_p or side_q)
-    try:
-        found = witness_engine.construct_witness(n, p, q)
-    except witness_engine.SmallN:
-        return CrossValidation(n, p, q, None, None, "small-n", None, condition)
-    except witness_engine.AbelianSylowDeferred:
-        return CrossValidation(n, p, q, None, None, "abelian-sylow", None, condition)
+    deferral = derive_case_parameters(n, p, q).deferral
+    if deferral is not None:
+        return CrossValidation(n, p, q, None, None, deferral, None, condition)
+    found = witness_engine.construct_witness(n, p, q)
     matching = side_p if found.candidate.host_prime == p else side_q
     return CrossValidation(
         n=n,

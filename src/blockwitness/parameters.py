@@ -97,6 +97,20 @@ class CaseParameters:
         return self.p_adic[0][1]
 
     @property
+    def deferral(self) -> str | None:
+        """The regime that takes the triple out of the construction, if any.
+
+        ``"small-n"`` for n < 9 (covered by table data) and
+        ``"abelian-sylow"`` for n // p <= 1 (abelian Sylow p-subgroup);
+        ``None`` inside the construction's regime.
+        """
+        if self.n < 9:
+            return "small-n"
+        if self.m <= 1:
+            return "abelian-sylow"
+        return None
+
+    @property
     def low_q_part(self) -> int:
         """Lowest base-q summand a1 * q**t1 of m*p."""
         return self.a1 * self.q**self.t1

@@ -1,23 +1,39 @@
-"""Partitions, hooks, beta-sets, and the abacus for cores and quotients.
+"""Partitions, hooks, beta-sets, and the abacus for cores, weights and quotients.
 
 Partitions are kept in one canonical form: a weakly decreasing tuple of
 positive parts.  The ascending block notation used to write down candidate
 partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
 :class:`AscendingSpec` boundary and is normalized on conversion.
 
-Core extraction uses the abacus model: the beta-set of a partition is laid
-out on ``p`` runners, beads slide down their runner as far as gravity allows
-(each slide removes one rim hook of length ``p``), and the packed
-configuration is read back as a partition.  The result is independent of the
-chosen beta-set length; the companion quotient uses a length divisible by
-``p`` so the runner order is well defined.
+Everything about ``e``-hooks is read off one abacus kernel,
+:meth:`Partition.abacus`.  The beta-set is laid out on ``e`` runners, bead
+``beta`` at level ``beta // e`` of runner ``beta % e``; that reduction is
+made in :func:`_bead_positions` alone, which feeds the kernel and the
+quotient.  One kernel pass yields two facts (James and Kerber, *The
+Representation Theory of the Symmetric Group*, 1981, section 2.7):
+
+* The runner counts ``c_0 .. c_{e-1}`` decide the ``e``-core.  Removing a
+  rim hook of length ``e`` moves one bead from level ``l`` to a free level
+  ``l - 1`` of its runner, so the core is the configuration with each
+  runner's ``c_i`` beads packed onto levels ``0 .. c_i - 1``.  Two
+  beta-sets of equal length therefore have the same ``e``-core exactly when
+  their runner counts agree.
+* The ``e``-weight, the number of ``e``-hooks removed on the way to the
+  core, is the number of level steps that packing takes: the sum of all
+  bead levels minus ``sum(c_i * (c_i - 1) / 2)``.  It also equals the
+  number of hooks of the diagram whose length is divisible by ``e``.
+
+The core itself is independent of the chosen beta-set length; the quotient
+uses a length divisible by ``p`` so the runner order is well defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from itertools import repeat
+from operator import add
+from typing import Iterable, Iterator
 
 
 class NonMonotoneSpec(ValueError):
@@ -90,12 +106,31 @@ class Partition:
                 f"beta-set length {length} < {len(self.parts)} parts"
             )
         padded = self.parts + (0,) * (length - len(self.parts))
-        return tuple(padded[i] + (length - 1 - i) for i in range(length))
+        return tuple(map(add, padded, range(length - 1, -1, -1)))
+
+    def abacus(self, e: int, *, length: int | None = None) -> tuple[list[int], int]:
+        """Runner counts and ``e``-weight of the beta-set on an ``e``-runner abacus.
+
+        One pass over the beads of the beta-set of ``length`` (default: the
+        number of parts).  The counts depend on ``length``; the weight does
+        not.
+        """
+        if e < 1:
+            raise ValueError(f"abacus requires e >= 1, got {e}")
+        counts = [0] * e
+        weight = 0
+        beads = self.beta_set(len(self.parts) if length is None else length)
+        for level, runner in _bead_positions(beads, e):
+            # the beads already on a runner add up to sum(c * (c - 1) / 2)
+            weight += level - counts[runner]
+            counts[runner] += 1
+        return counts, weight
 
     def p_core(self, p: int, *, length: int | None = None) -> "Partition":
         """Partition left after removing every rim hook of length ``p``.
 
-        Computed by sliding abacus beads down their runners until packed.
+        Rebuilt from the abacus runner counts, each runner's beads packed
+        onto its lowest levels.
         Any ``length`` >= number of parts gives the same core; the default is
         the smallest multiple of ``p`` that fits.
         """
@@ -103,10 +138,7 @@ class Partition:
             raise ValueError(f"core requires p >= 2, got {p}")
         if length is None:
             length = -(-len(self.parts) // p) * p
-        beads = self.beta_set(length)
-        runners = [0] * p
-        for beta in beads:
-            runners[beta % p] += 1
+        runners, _ = self.abacus(p, length=length)
         packed = sorted(
             (i + p * j for i, count in enumerate(runners) for j in range(count)),
             reverse=True,
@@ -127,8 +159,8 @@ class Partition:
         length = -(-len(self.parts) // p) * p
         beads = self.beta_set(length)
         rows: list[list[int]] = [[] for _ in range(p)]
-        for beta in beads:
-            rows[beta % p].append(beta // p)
+        for level, runner in _bead_positions(beads, p):
+            rows[runner].append(level)
         components = []
         for runner in rows:
             runner.sort(reverse=True)
@@ -152,6 +184,11 @@ class Partition:
         if not inner:
             return cls(())
         return cls(tuple(int(tok) for tok in inner.split(",")))
+
+
+def _bead_positions(beads: Iterable[int], e: int) -> Iterator[tuple[int, int]]:
+    # (level, runner) of each bead on an e-runner abacus
+    return map(divmod, beads, repeat(e))
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:

@@ -147,9 +147,10 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
     Raises :class:`SmallN` for n < 9 and :class:`AbelianSylowDeferred` for
     m <= 1; both regimes are covered by other means and carry no candidates.
     """
-    if params.n < 9:
+    regime = params.deferral
+    if regime == "small-n":
         raise SmallN(f"n={params.n} < 9 is deferred to table data")
-    if params.m <= 1:
+    if regime == "abelian-sylow":
         raise AbelianSylowDeferred(
             f"m={params.m} <= 1 for n={params.n}, p={params.p}"
         )
