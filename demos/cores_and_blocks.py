@@ -6,12 +6,9 @@ is the p-core, and the per-runner bead patterns form the p-quotient.  The
 principal p-block of S_n collects the partitions whose p-core is (n mod p).
 """
 
-from blockwitness.blocks import (
-    irr_p_prime_principal,
-    principal_block_members,
-    principal_core,
-)
-from blockwitness.partitions import Partition
+from blockwitness.blocks import principal_block_contains, principal_core
+from blockwitness.oracle import check_conjC
+from blockwitness.partitions import Partition, partitions_of
 
 
 def show_abacus(lam: Partition, p: int) -> None:
@@ -38,8 +35,9 @@ def main():
     n, p = 9, 3
     print(f"\n== principal {p}-block of S_{n} ==")
     print(f"  block core: {principal_core(n, p).to_literal()}")
-    members = sorted(principal_block_members(n, p), key=lambda x: x.parts, reverse=True)
-    coprime = irr_p_prime_principal(n, p)
+    members = [lam for lam in partitions_of(n) if principal_block_contains(lam, p)]
+    # the prime-to-p principal set is part of the exhaustive conjecture report
+    coprime = check_conjC(n, p, 2).set_B_p
     for lam in members:
         mark = "degree coprime to 3" if lam in coprime else ""
         print(f"  {lam.to_literal():>22} {mark}")

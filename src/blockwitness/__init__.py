@@ -22,27 +22,12 @@ from .partitions import (
     NonMonotoneSpec,
     LengthTooSmall,
     Partition,
-    from_ascending_spec,
     partition_count,
     partitions_of,
 )
 from .parameters import CaseParameters, NotPrime, PrimeExceedsN, derive_case_parameters
-from .degrees import (
-    CaseQuantities,
-    DegreeFacts,
-    UndefinedQuantity,
-    case_quantities,
-    degree,
-    degree_facts,
-    degree_valuation,
-)
-from .blocks import (
-    BlockLabel,
-    block_label,
-    irr_p_prime_principal,
-    principal_block_contains,
-    principal_block_members,
-)
+from .degrees import degree, degree_valuation
+from .blocks import principal_block_contains
 from .witness import (
     AbelianSylowDeferred,
     CaseTreeFalsified,
@@ -58,7 +43,6 @@ from .witness import (
 from .oracle import (
     ConjectureReport,
     CrossValidation,
-    check_conjB,
     check_conjC,
     cross_validate,
     prime_pairs,
@@ -80,15 +64,12 @@ __all__ = [
     "AbelianSylowDeferred",
     "AscendingSpec",
     "AuditFinding",
-    "BlockLabel",
     "CaseParameters",
-    "CaseQuantities",
     "CaseTreeFalsified",
     "CharacterRow",
     "CharacterTableSummary",
     "ConjectureReport",
     "CrossValidation",
-    "DegreeFacts",
     "FactoredNatural",
     "LengthTooSmall",
     "NonMonotoneSpec",
@@ -99,28 +80,21 @@ __all__ = [
     "PrimeExceedsN",
     "SmallN",
     "SpecSumMismatch",
-    "UndefinedQuantity",
     "VerificationFailure",
     "Witness",
     "WitnessCandidate",
     "audit",
-    "block_label",
     "build_sn_summary",
     "candidate_list",
-    "case_quantities",
-    "check_conjB",
     "check_conjC",
     "construct_witness",
     "cross_validate",
     "degree",
-    "degree_facts",
     "degree_valuation",
     "derive_case_parameters",
     "export_sn_table",
     "factor",
     "factorial_factored",
-    "from_ascending_spec",
-    "irr_p_prime_principal",
     "is_prime",
     "parse_table",
     "partition_count",
@@ -128,7 +102,6 @@ __all__ = [
     "prime_pairs",
     "primes_up_to",
     "principal_block_contains",
-    "principal_block_members",
     "serialize_table",
     "verify_candidate",
     "witness_sets",

@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import oracle, tables, witness
-from .factored import NotDivisible
+from .factored import NotDivisible, parse_decimal, primes_up_to
 from .parameters import NotPrime, PrimeExceedsN, derive_case_parameters
 from .partitions import Partition, parse_partition_text, partitions_of
 from .degrees import degree
@@ -26,6 +26,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
+
+_DEFERRAL_MESSAGES = {
+    "small-n": "small-n: deferred to table methods",
+    "abelian-sylow": "abelian-sylow: deferred (Sylow subgroup is abelian)",
+}
 
 
 class _UsageError(Exception):
@@ -42,33 +47,33 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     w = sub.add_parser("witness", help="construct and verify one witness")
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--p", type=int, required=True)
-    w.add_argument("--q", type=int, required=True)
+    w.add_argument("--n", type=parse_decimal, required=True)
+    w.add_argument("--p", type=parse_decimal, required=True)
+    w.add_argument("--q", type=parse_decimal, required=True)
     w.add_argument("--json", action="store_true")
     w.set_defaults(handler=_cmd_witness)
 
     c = sub.add_parser("verify-c", help="exhaustive cross-divisibility check")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--q", type=int, required=True)
+    c.add_argument("--n", type=parse_decimal, required=True)
+    c.add_argument("--p", type=parse_decimal, required=True)
+    c.add_argument("--q", type=parse_decimal, required=True)
     c.add_argument("--group", choices=("sn", "an"), default="sn")
     c.set_defaults(handler=_cmd_verify_c)
 
     b = sub.add_parser("verify-b", help="compare prime-to-p principal sets")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--p", type=int, required=True)
-    b.add_argument("--q", type=int, required=True)
+    b.add_argument("--n", type=parse_decimal, required=True)
+    b.add_argument("--p", type=parse_decimal, required=True)
+    b.add_argument("--q", type=parse_decimal, required=True)
     b.set_defaults(handler=_cmd_verify_b)
 
     s = sub.add_parser("scan", help="grid of witnesses over all prime pairs")
-    s.add_argument("--n-min", type=int, required=True)
-    s.add_argument("--n-max", type=int, required=True)
+    s.add_argument("--n-min", type=parse_decimal, required=True)
+    s.add_argument("--n-max", type=parse_decimal, required=True)
     s.add_argument("--cross-validate", action="store_true")
     s.set_defaults(handler=_cmd_scan)
 
     d = sub.add_parser("degrees", help="hook-length degrees")
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=parse_decimal, required=True)
     d.add_argument("--partition", type=str, default=None)
     d.set_defaults(handler=_cmd_degrees)
 
@@ -78,7 +83,7 @@ def _build_parser() -> _Parser:
     t.set_defaults(handler=_cmd_check_table)
 
     e = sub.add_parser("export-table", help="emit a symmetric-group table")
-    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--n", type=parse_decimal, required=True)
     e.add_argument("--primes", type=str, default=None,
                    help="comma-separated; defaults to all primes <= n")
     e.set_defaults(handler=_cmd_export_table)
@@ -97,14 +102,11 @@ def _first_or_dash(partitions: frozenset[Partition]) -> str:
 
 
 def _cmd_witness(args) -> int:
-    try:
-        found = witness.construct_witness(args.n, args.p, args.q)
-    except witness.SmallN:
-        print("small-n: deferred to table methods")
+    deferral = derive_case_parameters(args.n, args.p, args.q).deferral
+    if deferral is not None:
+        print(_DEFERRAL_MESSAGES[deferral])
         return EXIT_CONDITION_FAILED
-    except witness.AbelianSylowDeferred:
-        print("abelian-sylow: deferred (Sylow subgroup is abelian)")
-        return EXIT_CONDITION_FAILED
+    found = witness.construct_witness(args.n, args.p, args.q)
     facts = {
         "case": found.candidate.case_id,
         "partition": list(found.partition.parts),
@@ -132,7 +134,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify_c(args) -> int:
-    derive_case_parameters(args.n, args.p, args.q)
     report = oracle.check_conjC(args.n, args.p, args.q, args.group)
     print(
         f"conjecture-c n={args.n} p={args.p} q={args.q} group={report.group_kind}"
@@ -146,8 +147,7 @@ def _cmd_verify_c(args) -> int:
 
 
 def _cmd_verify_b(args) -> int:
-    derive_case_parameters(args.n, args.p, args.q)
-    report = oracle.check_conjB(args.n, args.p, args.q)
+    report = oracle.check_conjC(args.n, args.p, args.q, "sn")
     violation = report.violates_equality_check
     print(
         f"conjecture-b n={args.n} p={args.p} q={args.q}"
@@ -163,54 +163,43 @@ def _cmd_scan(args) -> int:
     n_min, n_max = args.n_min, args.n_max
     cap = os.environ.get(SCAN_MAX_ENV)
     if cap is not None:
-        n_max = min(n_max, int(cap))
+        try:
+            n_max = min(n_max, parse_decimal(cap))
+        except ValueError as exc:
+            raise _UsageError(f"{SCAN_MAX_ENV}: {exc}") from None
     if n_min < 1 or n_max < n_min:
         raise _UsageError(f"empty scan range [{n_min}, {n_max}]")
     tuples = witnesses = deferred = disagreements = falsified = 0
     for n in range(n_min, n_max + 1):
         for p, q in oracle.prime_pairs(n):
             tuples += 1
-            if args.cross_validate:
-                try:
-                    cv = oracle.cross_validate(n, p, q)
-                except witness.CaseTreeFalsified as exc:
-                    falsified += 1
-                    print(f"internal-error: {exc}")
-                    continue
-                oracle_field = f" oracle={'true' if cv.oracle_condition_holds else 'false'}"
-                if cv.deferral is not None:
-                    deferred += 1
-                    print(
-                        f"result n={n} p={p} q={q} case=deferred-{cv.deferral}"
-                        f" partition=- agree=na{oracle_field}"
-                    )
-                    continue
-                witnesses += 1
-                assert cv.witness is not None
-                agree = "true" if cv.oracle_agrees else "false"
-                if not cv.oracle_agrees:
-                    disagreements += 1
-                print(
-                    f"result n={n} p={p} q={q} case={cv.case_id}"
-                    f" partition={cv.witness.partition.to_literal()}"
-                    f" agree={agree}{oracle_field}"
-                )
-                continue
-            deferral = derive_case_parameters(n, p, q).deferral
-            if deferral is not None:
-                deferred += 1
-                print(f"result n={n} p={p} q={q} case=deferred-{deferral} partition=- agree=na")
-                continue
+            # the per-tuple record; only --cross-validate fills agrees and holds
+            agrees = holds = None
             try:
-                found = witness.construct_witness(n, p, q)
+                if args.cross_validate:
+                    cv = oracle.cross_validate(n, p, q)
+                    deferral, found = cv.deferral, cv.witness
+                    agrees, holds = cv.oracle_agrees, cv.oracle_condition_holds
+                else:
+                    deferral = derive_case_parameters(n, p, q).deferral
+                    found = None if deferral else witness.construct_witness(n, p, q)
             except witness.CaseTreeFalsified as exc:
                 falsified += 1
                 print(f"internal-error: {exc}")
                 continue
-            witnesses += 1
+            if deferral is not None:
+                deferred += 1
+                case, literal = f"deferred-{deferral}", "-"
+            else:
+                witnesses += 1
+                case, literal = found.candidate.case_id, found.partition.to_literal()
+            if agrees is False:
+                disagreements += 1
+            agree = "na" if agrees is None else ("true" if agrees else "false")
+            oracle_field = "" if holds is None else f" oracle={'true' if holds else 'false'}"
             print(
-                f"result n={n} p={p} q={q} case={found.candidate.case_id}"
-                f" partition={found.partition.to_literal()} agree=na"
+                f"result n={n} p={p} q={q} case={case} partition={literal}"
+                f" agree={agree}{oracle_field}"
             )
     print(
         f"scan-summary tuples={tuples} witnesses={witnesses} deferred={deferred}"
@@ -224,19 +213,16 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    if args.partition is not None:
+    if args.partition is None:
+        shapes = partitions_of(args.n)
+    else:
         lam = parse_partition_text(args.partition)
         if lam.size != args.n:
             raise _UsageError(
                 f"partition {lam.to_literal()} has size {lam.size}, expected {args.n}"
             )
-        deg = degree(lam)
-        print(
-            f"degree partition={lam.to_literal()}"
-            f" decimal={deg.to_decimal()} factored={deg.factored_str()}"
-        )
-        return EXIT_OK
-    for lam in partitions_of(args.n):
+        shapes = [lam]
+    for lam in shapes:
         deg = degree(lam)
         print(
             f"degree partition={lam.to_literal()}"
@@ -266,13 +252,11 @@ def _cmd_check_table(args) -> int:
 
 def _cmd_export_table(args) -> int:
     if args.primes is None:
-        from .factored import primes_up_to
-
         primes = tuple(primes_up_to(args.n))
     elif args.primes.strip() == "":
         primes = ()
     else:
-        primes = tuple(int(tok) for tok in args.primes.split(","))
+        primes = tuple(parse_decimal(tok.strip()) for tok in args.primes.split(","))
     sys.stdout.write(tables.export_sn_table(args.n, primes).decode("utf-8"))
     return EXIT_OK
 

@@ -46,15 +46,16 @@ def primes_up_to(k: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def padic_valuation(x: int, p: int) -> int:
-    """Exponent of the prime p in the integer x >= 1."""
-    if x < 1:
-        raise ValueError(f"valuation is defined for positive integers, got {x}")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+def parse_decimal(text: str) -> int:
+    """Non-negative integer written with ASCII digits ``[0-9]+`` and nothing else.
+
+    ``int`` also takes signs, underscores, surrounding whitespace and
+    non-ASCII digits, so text from outside the program is read through here
+    and anything else raises ``ValueError``.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
 
 
 def factorial_valuation(k: int, p: int) -> int:
@@ -150,9 +151,6 @@ class FactoredNatural:
         if not self.factors:
             return "1"
         return "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors)
-
-
-ONE = FactoredNatural()
 
 
 @lru_cache(maxsize=None)

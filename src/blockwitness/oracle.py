@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import witness as witness_engine
-from .blocks import irr_p_prime_principal, principal_runner_counts
+from .blocks import principal_runner_counts
 from .degrees import valuation_from_weight
 from .factored import primes_up_to
 from .parameters import derive_case_parameters
@@ -107,11 +107,14 @@ class ConjectureReport:
 
 
 def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureReport:
-    """Does some principal-block character of one prime carry the other?
+    """Exhaustive check of conjectures B and C for (n, p, q) in one report.
 
-    The condition holds when either exhaustive witness set is nonempty.
+    C holds when either exhaustive witness set is nonempty.  B forbids equal
+    prime-to-p and prime-to-q principal sets (``sets_equal``) for p != q.
+    The arguments are validated by :func:`derive_case_parameters`.
     """
     kind = _normalize_group(group_kind)
+    derive_case_parameters(n, p, q)
     side_p, side_q = witness_sets(n, p, q, kind)
     set_p = _p_prime_set(n, p, kind)
     set_q = _p_prime_set(n, q, kind)
@@ -130,38 +133,12 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 
 
 def _p_prime_set(n: int, p: int, kind: str) -> frozenset[Partition]:
+    # principal p-block members of degree prime to p, read off the prime view
     view = _prime_view(n, p)
     return frozenset(
         lam
         for i, (lam, self_conj) in enumerate(_scan(n))
         if view[i][0] and view[i][1] == 0 and not (kind == "an" and self_conj)
-    )
-
-
-def check_conjB(n: int, p: int, q: int) -> ConjectureReport:
-    """Compare the prime-to-p and prime-to-q principal sets as label sets.
-
-    The sets come from :func:`blockwitness.blocks.irr_p_prime_principal`;
-    equality with p != q is the forbidden configuration.
-    """
-    if p == q:
-        raise ValueError("primes must be distinct")
-    if not (p <= n and q <= n):
-        raise ValueError("both primes must be at most n")
-    set_p = irr_p_prime_principal(n, p)
-    set_q = irr_p_prime_principal(n, q)
-    side_p, side_q = witness_sets(n, p, q, "sn")
-    return ConjectureReport(
-        group_kind="sn",
-        n=n,
-        p=p,
-        q=q,
-        condition_holds=bool(side_p or side_q),
-        witnesses_p_block=side_p,
-        witnesses_q_block=side_q,
-        set_B_p=set_p,
-        set_B_q=set_q,
-        sets_equal=set_p == set_q,
     )
 
 

@@ -35,6 +35,8 @@ from itertools import repeat
 from operator import add
 from typing import Iterable, Iterator
 
+from .factored import parse_decimal
+
 
 class NonMonotoneSpec(ValueError):
     """An ascending block spec is malformed (decreasing values, bad counts)."""
@@ -183,7 +185,7 @@ class Partition:
         inner = body[1:-1].strip()
         if not inner:
             return cls(())
-        return cls(tuple(int(tok) for tok in inner.split(",")))
+        return cls(tuple(parse_decimal(tok.strip()) for tok in inner.split(",")))
 
 
 def _bead_positions(beads: Iterable[int], e: int) -> Iterator[tuple[int, int]]:
@@ -238,6 +240,7 @@ class AscendingSpec:
         return sum(v * m for v, m in self.blocks)
 
     def to_partition(self) -> Partition:
+        """Canonical descending partition with the spec's multiset of parts."""
         expanded: list[int] = []
         for value, mult in self.blocks:
             expanded.extend([value] * mult)
@@ -263,15 +266,12 @@ class AscendingSpec:
             token = token.strip()
             if "^" in token:
                 value_text, mult_text = token.split("^", 1)
-                blocks.append((int(value_text), int(mult_text)))
+                blocks.append(
+                    (parse_decimal(value_text.strip()), parse_decimal(mult_text.strip()))
+                )
             else:
-                blocks.append((int(token), 1))
+                blocks.append((parse_decimal(token), 1))
         return cls(tuple(blocks))
-
-
-def from_ascending_spec(spec: AscendingSpec) -> Partition:
-    """Canonical descending partition with the spec's multiset of parts."""
-    return spec.to_partition()
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -334,15 +334,3 @@ def parse_partition_text(text: str) -> Partition:
     if stripped.startswith("("):
         return AscendingSpec.parse(stripped).to_partition()
     return Partition.from_literal(stripped)
-
-
-def random_partition(rng, n: int) -> Partition:
-    """A partition of n sampled by cutting random chunks; test utility."""
-    remaining = n
-    parts = []
-    while remaining > 0:
-        piece = rng.randint(1, remaining)
-        parts.append(piece)
-        remaining -= piece
-    parts.sort(reverse=True)
-    return Partition(tuple(parts))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .blocks import principal_block_contains
 from .degrees import degree
 from .parameters import NotPrime, PrimeExceedsN
-from .factored import is_prime
+from .factored import is_prime, parse_decimal
 from .partitions import partitions_of
 
 VERDICTS = ("consistent", "hypothesis_holds", "violation", "indeterminate")
@@ -118,7 +118,7 @@ def _parse_bool(line_no: int, token: str) -> bool:
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
     try:
-        return int(token)
+        return parse_decimal(token)
     except ValueError:
         raise ParseError(line_no, f"malformed integer for {what}", token) from None
 

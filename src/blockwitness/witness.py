@@ -98,7 +98,10 @@ class CaseTreeFalsified(RuntimeError):
     def __init__(self, params: CaseParameters, failures: list["VerificationFailure"]):
         self.params = params
         self.failures = failures
-        attempted = ", ".join(f.candidate.case_id for f in failures)
+        attempted = "; ".join(
+            f"{f.candidate.case_id} {f.partition.to_literal()}: {f.reason}"
+            for f in failures
+        )
         super().__init__(
             f"no candidate verified for n={params.n} p={params.p} q={params.q}"
             f" (tried: {attempted})"

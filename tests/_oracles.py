@@ -123,3 +123,26 @@ def multipartition_count(components: int, total: int) -> int:
                 nxt[a + b] += current[a] * base[b]
         current = nxt
     return current[total]
+
+
+def padic_valuation(x: int, p: int) -> int:
+    """Exponent of the prime p in the integer x >= 1, by repeated division."""
+    if x < 1:
+        raise ValueError(f"valuation is defined for positive integers, got {x}")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def random_partition(rng, n: int) -> Parts:
+    """Parts of a partition of n sampled by cutting random chunks."""
+    remaining = n
+    parts = []
+    while remaining > 0:
+        piece = rng.randint(1, remaining)
+        parts.append(piece)
+        remaining -= piece
+    parts.sort(reverse=True)
+    return tuple(parts)

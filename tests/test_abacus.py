@@ -10,7 +10,7 @@ import pytest
 import _oracles as oracle
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree_valuation
-from blockwitness.factored import factorial_valuation, padic_valuation, primes_up_to
+from blockwitness.factored import factorial_valuation, primes_up_to
 from blockwitness.partitions import EMPTY, LengthTooSmall, Partition, partitions_of
 
 
@@ -37,7 +37,7 @@ def test_weight_valuation_matches_hook_formula():
         for lam in partitions_of(n):
             hooks = oracle.hooks(lam.parts)
             for p in primes_up_to(n):
-                expected = factorial_valuation(n, p) - sum(padic_valuation(h, p) for h in hooks)
+                expected = factorial_valuation(n, p) - sum(oracle.padic_valuation(h, p) for h in hooks)
                 assert degree_valuation(lam, p) == expected
 
 

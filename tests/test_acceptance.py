@@ -10,11 +10,11 @@ import os
 import random
 
 import _oracles as oracle_helpers
-from blockwitness.blocks import principal_block_contains, principal_block_members
+from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree, degree_valuation
 from blockwitness.factored import factor, primes_up_to
-from blockwitness.oracle import check_conjB, cross_validate, prime_pairs, witness_sets
-from blockwitness.partitions import Partition, partitions_of, random_partition
+from blockwitness.oracle import check_conjC, cross_validate, prime_pairs, witness_sets
+from blockwitness.partitions import Partition, partitions_of
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness
 
@@ -90,7 +90,7 @@ def test_criterion_4_conjecture_b_non_violation():
     for n in range(2, 25):
         for p, q in prime_pairs(n):
             pairs += 1
-            report = check_conjB(n, p, q)
+            report = check_conjC(n, p, q, "sn")
             if report.violates_equality_check:
                 violations.append((n, p, q))
     _report(
@@ -139,7 +139,8 @@ def test_criterion_6_representation_identities():
         for p in primes_up_to(n):
             weight = (n - n % p) // p
             expected = oracle_helpers.multipartition_count(p, weight)
-            if len(principal_block_members(n, p)) != expected:
+            members = sum(1 for lam in partitions_of(n) if principal_block_contains(lam, p))
+            if members != expected:
                 bad_block_counts.append((n, p))
 
     bad_cores = []
@@ -179,7 +180,7 @@ def test_criterion_7_table_audit():
             if (finding.verdict == "consistent") != oracle_holds:
                 audit_mismatches.append((n, finding.p, finding.q, "C"))
         for finding in audit(summary, "B"):
-            report = check_conjB(n, finding.p, finding.q)
+            report = check_conjC(n, finding.p, finding.q, "sn")
             if (finding.verdict == "violation") != report.violates_equality_check:
                 audit_mismatches.append((n, finding.p, finding.q, "B"))
             if finding.verdict == "violation":
@@ -213,19 +214,19 @@ def test_criterion_8_property_suites():
     failures = []
 
     for _ in range(CASES):
-        lam = random_partition(rng, rng.randint(0, 40))
+        lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         if lam.conjugate().conjugate() != lam:
             failures.append(("conjugation-involution", lam.parts))
             break
 
     for _ in range(CASES):
-        lam = random_partition(rng, rng.randint(0, 40))
+        lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         if sorted(lam.hook_lengths()) != sorted(lam.conjugate().hook_lengths()):
             failures.append(("hook-multiset-invariance", lam.parts))
             break
 
     for _ in range(CASES):
-        lam = random_partition(rng, rng.randint(0, 40))
+        lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         p = rng.choice((2, 3, 5, 7, 11))
         core = lam.p_core(p)
         if core.p_core(p) != core or any(h % p == 0 for h in core.hook_lengths()):

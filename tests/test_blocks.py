@@ -1,15 +1,7 @@
-import pytest
-
 import _oracles as oracle
-from blockwitness.blocks import (
-    BlockLabel,
-    block_label,
-    irr_p_prime_principal,
-    principal_block_contains,
-    principal_block_members,
-    principal_core,
-)
+from blockwitness.blocks import principal_block_contains, principal_core
 from blockwitness.degrees import degree
+from blockwitness.oracle import _p_prime_set
 from blockwitness.partitions import Partition, partitions_of
 
 
@@ -17,15 +9,8 @@ def P(*parts):
     return Partition(tuple(parts))
 
 
-def test_block_label_examples():
-    assert block_label(P(4), 3).core == P(1)
-    assert block_label(P(2, 1), 3).core == P()
-    assert block_label(P(2, 1, 1, 1, 1, 1, 1, 1), 3).core == P()
-
-
-def test_block_label_rejects_non_core():
-    with pytest.raises(ValueError):
-        BlockLabel(core=P(4), prime=3)
+def members(n, p):
+    return frozenset(lam for lam in partitions_of(n) if principal_block_contains(lam, p))
 
 
 def test_principal_core():
@@ -42,18 +27,18 @@ def test_principal_block_contains_examples():
 
 
 def test_members_examples():
-    assert principal_block_members(4, 2) == frozenset(partitions_of(4))
-    assert principal_block_members(4, 5) == frozenset({P(4)})
-    nine = principal_block_members(9, 3)
+    assert members(4, 2) == frozenset(partitions_of(4))
+    assert members(4, 5) == frozenset({P(4)})
+    nine = members(9, 3)
     assert P(9) in nine and P(2, 1, 1, 1, 1, 1, 1, 1) in nine
 
 
 def test_irr_examples():
-    assert irr_p_prime_principal(4, 2) == frozenset(
+    assert _p_prime_set(4, 2, "sn") == frozenset(
         {P(4), P(3, 1), P(2, 1, 1), P(1, 1, 1, 1)}
     )
-    assert irr_p_prime_principal(4, 5) == frozenset({P(4)})
-    assert P(2, 1, 1, 1, 1, 1, 1, 1) in irr_p_prime_principal(9, 3)
+    assert _p_prime_set(4, 5, "sn") == frozenset({P(4)})
+    assert P(2, 1, 1, 1, 1, 1, 1, 1) in _p_prime_set(9, 3, "sn")
 
 
 def test_degrees_of_s4():
@@ -67,7 +52,7 @@ def test_cardinality_law_small():
 
         for p in primes_up_to(n):
             weight = (n - n % p) // p
-            assert len(principal_block_members(n, p)) == oracle.multipartition_count(p, weight)
+            assert len(members(n, p)) == oracle.multipartition_count(p, weight)
 
 
 def test_trivial_and_column_membership():
@@ -86,7 +71,6 @@ def test_trivial_and_column_membership():
 def test_core_determines_membership():
     for lam in partitions_of(8):
         for p in (2, 3, 5, 7):
-            label = block_label(lam, p)
             assert principal_block_contains(lam, p) == (
-                label.core == principal_core(8, p)
+                lam.p_core(p) == principal_core(8, p)
             )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from blockwitness.cli import run
 
 
@@ -55,6 +57,40 @@ def test_usage_errors(capsys):
     assert code == 2 and "distinct" in err
     code, _, err = invoke(capsys, "witness", "--n", "9", "--p", "4", "--q", "3")
     assert code == 2 and "not prime" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["witness", "--n", "1_0", "--p", "5", "--q", "2"], None),
+        (["witness", "--n", "10", "--p", "+5", "--q", "2"], None),
+        (["verify-c", "--n", "１０", "--p", "5", "--q", "2"], None),
+        (["verify-b", "--n", " 10", "--p", "5", "--q", "2"], None),
+        (["scan", "--n-min", "9", "--n-max", "1_0"], None),
+        (["scan", "--n-min", "9", "--n-max", "40"], "1_0"),
+        (["scan", "--n-min", "9", "--n-max", "40"], "-1"),
+        (["degrees", "--n", "4", "--partition", "[３,+1]"], None),
+        (["degrees", "--n", "4", "--partition", "(1^+1,3)"], None),
+        (["export-table", "--n", "9", "--primes", "２, 3"], None),
+        (["export-table", "--n", "9", "--primes", "2,+3"], None),
+        (["export-table", "--n", "1_0"], None),
+    ],
+    ids=[
+        "underscore-n", "plus-sign-p", "fullwidth-n", "leading-space-n",
+        "scan-underscore-n-max", "env-cap-underscore", "env-cap-negative",
+        "partition-literal", "ascending-spec", "primes-fullwidth",
+        "primes-plus-sign", "export-underscore-n",
+    ],
+)
+def test_lax_integers_are_usage_errors(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
+    else:
+        monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", env)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage-error" in err
 
 
 def test_verify_c(capsys):

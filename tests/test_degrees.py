@@ -3,15 +3,7 @@ import math
 import pytest
 
 import _oracles as oracle
-from blockwitness.degrees import (
-    UndefinedQuantity,
-    case_quantities,
-    degree,
-    degree_facts,
-    degree_valuation,
-)
-from blockwitness.factored import factor
-from blockwitness.parameters import derive_case_parameters
+from blockwitness.degrees import degree, degree_valuation
 from blockwitness.partitions import Partition, partitions_of
 
 
@@ -41,6 +33,9 @@ def test_degree_valuation_examples():
     hook_partition = P(2, 1, 1, 1, 1, 1, 1, 1)
     assert degree_valuation(hook_partition, 3) == 0
     assert degree_valuation(hook_partition, 2) == 3
+    for p in (0, 1):
+        with pytest.raises(ValueError):
+            degree_valuation(hook_partition, p)
 
 
 def test_degree_valuation_agrees_with_full_degree():
@@ -59,95 +54,7 @@ def test_degree_conjugation_invariant():
             assert degree(lam) == degree(lam.conjugate())
 
 
-def test_degree_facts():
-    facts = degree_facts(P(2, 1, 1, 1, 1, 1, 1, 1), 3, 2)
-    assert facts.valuation_p == 0
-    assert facts.valuation_q == 3
-    assert facts.degree.to_decimal() == "8"
-    assert facts.prime_pair == (3, 2)
-
-
 def test_sum_of_squares_identity_small():
     for n in range(0, 15):
         total = sum(degree(lam).to_int() ** 2 for lam in partitions_of(n))
         assert total == math.factorial(n)
-
-
-def test_case_quantities_spot_values():
-    params = derive_case_parameters(9, 3, 2)
-    assert (params.m, params.b, params.w, params.r) == (3, 0, 4, 1)
-    qs = case_quantities(params)
-    # direct product oracle: z' = (mp-1)/1! = 8, y empty product
-    assert qs.z_prime == factor(8)
-    assert qs.y.to_decimal() == "1"
-    assert qs.z == factor(10)
-
-    params10 = derive_case_parameters(10, 5, 2)
-    qs10 = case_quantities(params10)
-    # direct product oracle: x = (9*8)/(1*2)
-    assert qs10.x == factor(36)
-
-
-def test_case_quantities_empty_products():
-    for n, p, q in ((9, 3, 2), (25, 5, 3), (14, 7, 2)):
-        params = derive_case_parameters(n, p, q)
-        if params.b == 0:
-            assert case_quantities(params).y.to_decimal() == "1"
-
-
-def test_undefined_quantities():
-    params = derive_case_parameters(9, 3, 2)  # b = 0, and mp = 9 = 3^2 = B1
-    qs = case_quantities(params)
-    assert not qs.y_prime_defined
-    with pytest.raises(UndefinedQuantity):
-        qs.y_prime
-    assert params.mp == params.low_p_part
-    assert not qs.x_prime_defined
-    with pytest.raises(UndefinedQuantity):
-        qs.x_prime
-
-
-def test_quantities_by_direct_products():
-    # every defined quantity equals its plain-integer product formula
-    for n, p, q in ((22, 3, 2), (23, 11, 3), (26, 5, 3), (30, 7, 5), (28, 13, 2)):
-        params = derive_case_parameters(n, p, q)
-        mp, b, r = params.mp, params.b, params.r
-        qs = case_quantities(params)
-        assert qs.y.to_int() == math.prod(range(mp + 1, mp + b + 1)) // math.factorial(b)
-        assert qs.z.to_int() == math.prod(range(mp + 1, mp + r + 1)) // math.factorial(r)
-        assert qs.z_prime.to_int() == math.prod(range(mp - r, mp)) // math.factorial(r)
-        a1q = params.low_q_part
-        assert qs.x.to_int() == math.prod(range(mp - a1q, mp)) // math.factorial(a1q)
-        if qs.y_prime_defined:
-            assert qs.y_prime.to_int() == math.prod(range(mp + 1, mp + b)) // math.factorial(b - 1)
-        if qs.x_prime_defined:
-            b1p = params.low_p_part
-            assert qs.x_prime.to_int() == math.prod(range(mp - b1p, mp)) // math.factorial(b1p)
-
-
-def test_quantity_valuations_follow_the_case_split():
-    # y, y', z, z' are coprime to p always; x is coprime to p with
-    # val_q = t2 - t1 when A1 < B1; x' is coprime to q with val_p = s2 - s1
-    # when B1 < A1.
-    for n in range(9, 31):
-        from blockwitness.oracle import prime_pairs
-
-        for p, q in prime_pairs(n):
-            if n // p <= 1:
-                continue
-            params = derive_case_parameters(n, p, q)
-            qs = case_quantities(params)
-            for value in (qs.y, qs.z, qs.z_prime):
-                assert value.valuation(p) == 0
-            if qs.y_prime_defined:
-                assert qs.y_prime.valuation(p) == 0
-            a1q, b1p = params.low_q_part, params.low_p_part
-            if a1q < b1p:
-                assert qs.x.valuation(p) == 0
-                t2 = params.t2
-                assert t2 is not None
-                assert qs.x.valuation(q) == t2 - params.t1
-            elif b1p < a1q and qs.x_prime_defined:
-                assert qs.x_prime.valuation(q) == 0
-                s2 = params.p_adic[1][1]
-                assert qs.x_prime.valuation(p) == s2 - params.s1

@@ -1,15 +1,16 @@
 import pytest
 
-from blockwitness.blocks import irr_p_prime_principal
+from blockwitness.blocks import principal_block_contains
+from blockwitness.degrees import degree_valuation
 from blockwitness.oracle import (
     _p_prime_set,
-    check_conjB,
     check_conjC,
     cross_validate,
     prime_pairs,
     witness_sets,
 )
-from blockwitness.partitions import Partition
+from blockwitness.parameters import NotPrime, PrimeExceedsN
+from blockwitness.partitions import Partition, partitions_of
 
 
 def P(*parts):
@@ -36,9 +37,6 @@ def test_witness_sets_an_excludes_self_conjugate():
 
 def test_witness_set_members_verify():
     side_p, side_q = witness_sets(12, 3, 2, "sn")
-    from blockwitness.blocks import principal_block_contains
-    from blockwitness.degrees import degree_valuation
-
     for lam in side_p:
         assert principal_block_contains(lam, 3)
         assert degree_valuation(lam, 3) == 0
@@ -54,6 +52,8 @@ def test_group_kind_validation():
         witness_sets(9, 3, 2, "gl")
     with pytest.raises(ValueError):
         witness_sets(9, 3, 3, "sn")
+    with pytest.raises(ValueError):
+        witness_sets(10, 1, 3, "sn")  # once looped forever in the valuation
 
 
 def test_check_conjC_examples():
@@ -62,15 +62,22 @@ def test_check_conjC_examples():
     assert check_conjC(30, 7, 5, "sn").condition_holds
 
 
-def test_check_conjB_examples():
-    report = check_conjB(9, 3, 2)
+def test_check_conjC_validation_and_sets():
+    report = check_conjC(9, 3, 2, "sn")
     assert not report.sets_equal
     assert not report.violates_equality_check
-    assert not check_conjB(12, 3, 2).sets_equal
+    assert not check_conjC(12, 3, 2, "sn").sets_equal
     with pytest.raises(ValueError):
-        check_conjB(9, 3, 3)
-    with pytest.raises(ValueError):
-        check_conjB(9, 11, 2)
+        check_conjC(9, 3, 3, "sn")
+    with pytest.raises(PrimeExceedsN):
+        check_conjC(9, 11, 2, "sn")
+    with pytest.raises(PrimeExceedsN):
+        check_conjC(10, 2, 11, "an")
+    for group in ("sn", "an"):
+        with pytest.raises(NotPrime):
+            check_conjC(10, 4, 3, group)
+        with pytest.raises(NotPrime):
+            check_conjC(10, 3, 1, group)
 
 
 def test_report_set_consistency():
@@ -81,10 +88,19 @@ def test_report_set_consistency():
 
 
 def test_oracle_and_blocks_agree_on_sets():
-    # two routes to the same prime-to-p principal sets
+    # the oracle's prime view against membership and valuation taken one
+    # partition at a time
     for n in (4, 9, 13):
         for p in (2, 3):
-            assert _p_prime_set(n, p, "sn") == irr_p_prime_principal(n, p)
+            expected = frozenset(
+                lam
+                for lam in partitions_of(n)
+                if principal_block_contains(lam, p) and degree_valuation(lam, p) == 0
+            )
+            assert _p_prime_set(n, p, "sn") == expected
+            assert _p_prime_set(n, p, "an") == frozenset(
+                lam for lam in expected if not lam.is_self_conjugate()
+            )
 
 
 def test_cross_validate_examples():
@@ -110,4 +126,4 @@ def test_conjB_no_violation_through_28():
     # extends the acceptance range (n <= 24) to the oracle's scan ceiling
     for n in range(25, 29):
         for p, q in prime_pairs(n):
-            assert not check_conjB(n, p, q).violates_equality_check
+            assert not check_conjC(n, p, q, "sn").violates_equality_check

@@ -9,11 +9,9 @@ from blockwitness.partitions import (
     LengthTooSmall,
     NonMonotoneSpec,
     Partition,
-    from_ascending_spec,
     parse_partition_text,
     partition_count,
     partitions_of,
-    random_partition,
 )
 
 
@@ -62,11 +60,11 @@ def test_generator_count_spot_60():
 
 
 def test_from_ascending_spec_examples():
-    assert from_ascending_spec(AscendingSpec(((1, 7), (2, 1)))).parts == (
+    assert AscendingSpec(((1, 7), (2, 1))).to_partition().parts == (
         2, 1, 1, 1, 1, 1, 1, 1,
     )
-    assert from_ascending_spec(AscendingSpec(((1, 2), (3, 1), (4, 1)))).parts == (4, 3, 1, 1)
-    assert from_ascending_spec(AscendingSpec(((1, 0), (5, 1)))).parts == (5,)
+    assert AscendingSpec(((1, 2), (3, 1), (4, 1))).to_partition().parts == (4, 3, 1, 1)
+    assert AscendingSpec(((1, 0), (5, 1))).to_partition().parts == (5,)
 
 
 def test_ascending_spec_rejections():
@@ -140,7 +138,7 @@ def test_beta_set_examples():
 def test_beta_set_strictly_decreasing():
     rng = random.Random(5)
     for _ in range(200):
-        lam = random_partition(rng, rng.randint(0, 25))
+        lam = Partition(oracle.random_partition(rng, rng.randint(0, 25)))
         length = len(lam.parts) + rng.randint(0, 5)
         beta = lam.beta_set(length)
         assert all(a > b for a, b in zip(beta, beta[1:]))
@@ -166,7 +164,7 @@ def test_p_core_matches_exhaustive_stripping():
 def test_p_core_properties():
     rng = random.Random(7)
     for _ in range(400):
-        lam = random_partition(rng, rng.randint(0, 35))
+        lam = Partition(oracle.random_partition(rng, rng.randint(0, 35)))
         p = rng.choice((2, 3, 5, 7, 11))
         core = lam.p_core(p)
         assert core.p_core(p) == core
@@ -177,7 +175,7 @@ def test_p_core_properties():
 def test_p_core_length_independence():
     rng = random.Random(9)
     for _ in range(200):
-        lam = random_partition(rng, rng.randint(0, 30))
+        lam = Partition(oracle.random_partition(rng, rng.randint(0, 30)))
         p = rng.choice((2, 3, 5))
         default = lam.p_core(p)
         for extra in (0, 1, 2, p, 2 * p + 1):
@@ -195,7 +193,7 @@ def test_p_quotient_examples():
 def test_core_quotient_size_identity():
     rng = random.Random(3)
     for _ in range(300):
-        lam = random_partition(rng, rng.randint(0, 30))
+        lam = Partition(oracle.random_partition(rng, rng.randint(0, 30)))
         p = rng.choice((2, 3, 5, 7))
         comps = lam.p_quotient(p)
         assert len(comps) == p
@@ -210,4 +208,15 @@ def test_literals():
     with pytest.raises(ValueError):
         Partition.from_literal("2,1")
     assert parse_partition_text("[3,1]") == P(3, 1)
+    assert parse_partition_text("[3, 1]") == P(3, 1)
     assert parse_partition_text("(1^2,3)") == P(3, 1, 1)
+    assert parse_partition_text("(1 ^ 2, 3)") == P(3, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[３,1]", "[3,+1]", "[1_0]", "[-1]", "[3,]", "(1^+2,3)", "(1^2,３)", "(1_0)", "(1^-1,2)"],
+)
+def test_partition_text_rejects_lax_integers(text):
+    with pytest.raises(ValueError):
+        parse_partition_text(text)

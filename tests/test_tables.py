@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from blockwitness.oracle import check_conjB, check_conjC
+from blockwitness.oracle import check_conjC
 from blockwitness.parameters import NotPrime, PrimeExceedsN
 from blockwitness.tables import (
     CharacterRow,
@@ -62,6 +62,12 @@ def test_missing_order_is_end_of_header_error():
         (lambda t: t.replace("2:0 3:1", "2:0 3:1 5:1"), "not in header primes"),
         (lambda t: t.replace("2:0 3:1", "2:0 3:x"), "flag value"),
         (lambda t: t.replace("char r 2", "char r two"), "malformed integer"),
+        (lambda t: t.replace("order 6", "order 0_6"), "malformed integer for order"),
+        (lambda t: t.replace("char e 1 ", "char e +1 "), "malformed integer for degree"),
+        (lambda t: t.replace("char r 2", "char r ２"), "line 9: malformed integer"),
+        (lambda t: t.replace("primes 2 3", "primes ２ 3"), "malformed integer for prime"),
+        (lambda t: t.replace("2:0 3:1", "2:0 ３:1"), "malformed integer for flag prime"),
+        (lambda t: t.replace("sylow_commute 2 3", "sylow_commute 2 +3"), "malformed integer for sylow prime"),
         (lambda t: t.replace("primes 2 3", "primes 2 3 2"), "duplicate prime"),
         (lambda t: t.replace("primes 2 3", "primes 2 4"), "not prime"),
         (lambda t: t.replace("order 6", "order 5"), "does not divide order"),
@@ -171,7 +177,7 @@ def test_audit_agrees_with_oracle():
             # exported fact is always false, so consistency means a witness exists
             assert report.condition_holds
         for finding in audit(summary, "B"):
-            report = check_conjB(n, finding.p, finding.q)
+            report = check_conjC(n, finding.p, finding.q, "sn")
             assert (finding.verdict == "violation") == report.violates_equality_check
 
 

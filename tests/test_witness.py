@@ -8,6 +8,7 @@ from blockwitness.partitions import AscendingSpec
 from blockwitness.witness import (
     CASE_IDS,
     AbelianSylowDeferred,
+    CaseTreeFalsified,
     SmallN,
     SpecSumMismatch,
     VerificationFailure,
@@ -175,3 +176,17 @@ def test_alt_branches_regressions():
     assert w3.candidate.case_id == "III.b-alt1"
     w4 = construct_witness(109, 5, 3)
     assert w4.candidate.case_id == "III.b-alt2"
+
+
+def test_falsification_message_lists_each_failure():
+    params = derive_case_parameters(9, 3, 2)
+    candidate = candidate_list(params)[0]
+    failure = VerificationFailure(
+        candidate, candidate.spec.to_partition(), "degree not divisible by 2"
+    )
+    exc = CaseTreeFalsified(params, [failure])
+    assert exc.failures == [failure]
+    assert str(exc) == (
+        "no candidate verified for n=9 p=3 q=2"
+        " (tried: I.a [2,1,1,1,1,1,1,1]: degree not divisible by 2)"
+    )
