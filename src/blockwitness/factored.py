@@ -20,16 +20,45 @@ class NotDivisible(ArithmeticError):
     """Exact division failed for some prime exponent."""
 
 
+# The first 13 primes: trial divisors for small k, then Miller-Rabin bases.
+# With these bases the test is exact below _MR_LIMIT (the least strong
+# pseudoprime to all of them; Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(k: int) -> bool:
-    """Trial-division primality test; operands here stay at desk scale."""
+    """Exact primality test for k below 3,317,044,064,679,887,385,961,981.
+
+    Trial division by the primes 2..41 settles every k below 43**2 and
+    every k with a factor among them; the rest get deterministic
+    Miller-Rabin with those primes as bases, which has no strong
+    pseudoprime below the bound.  At or above the bound the answer would
+    not be certain, so ``ValueError`` is raised instead.
+    """
     if k < 2:
         return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    for d in range(3, isqrt(k) + 1, 2):
-        if k % d == 0:
+    for b in _MR_BASES:
+        if k % b == 0:
+            return k == b
+        if b * b > k:
+            return True
+    if k >= _MR_LIMIT:
+        raise ValueError(f"{k} is too large for an exact primality test")
+    d = k - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
     return True
 
@@ -79,11 +108,11 @@ class FactoredNatural:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "factors", tuple((int(p), int(e)) for p, e in self.factors)
-        )
+        object.__setattr__(self, "factors", tuple(map(tuple, self.factors)))
         previous = 1
         for p, e in self.factors:
+            if type(p) is not int or type(e) is not int:
+                raise TypeError(f"factors must be int pairs, got {(p, e)!r}")
             if p <= previous:
                 raise ValueError(f"factor keys must be strictly increasing, got {p}")
             if e < 1:

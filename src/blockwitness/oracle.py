@@ -19,7 +19,7 @@ from . import witness as witness_engine
 from .blocks import principal_runner_counts
 from .degrees import valuation_from_weight
 from .factored import primes_up_to
-from .parameters import derive_case_parameters
+from .parameters import check_primes, derive_case_parameters
 from .partitions import Partition, partitions_of
 
 GROUP_KINDS = ("sn", "an")
@@ -32,17 +32,19 @@ def _normalize_group(group_kind: str) -> str:
     return kind
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _scan(n: int) -> tuple[tuple[Partition, bool], ...]:
-    # partition and self-conjugacy, enumerated once per n
+    # partition and self-conjugacy, enumerated once per n; a scan visits
+    # each n once, so only the latest n is kept
     return tuple((lam, lam.is_self_conjugate()) for lam in partitions_of(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _prime_view(n: int, p: int) -> tuple[tuple[bool, int], ...]:
     # (principal-block membership, degree valuation) aligned with _scan(n);
     # one p-abacus pass per partition gives both the membership bit and the
-    # p-weight the valuation starts from
+    # p-weight the valuation starts from; 32 entries hold every prime <= n
+    # for any n small enough to enumerate
     principal: dict[int, list[int]] = {}
     out = []
     for lam, _ in _scan(n):
@@ -63,11 +65,10 @@ def witness_sets(
     The p-block side collects partitions in the principal p-block whose
     degree is coprime to p and divisible by q; the q-block side is the
     mirror image.  In alternating-group mode self-conjugate partitions are
-    excluded up front.
+    excluded up front.  The arguments are validated by :func:`check_primes`.
     """
     kind = _normalize_group(group_kind)
-    if p == q:
-        raise ValueError("primes must be distinct")
+    check_primes(n, (p, q))
     data = _scan(n)
     view_p = _prime_view(n, p)
     view_q = _prime_view(n, q)
@@ -111,10 +112,9 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 
     C holds when either exhaustive witness set is nonempty.  B forbids equal
     prime-to-p and prime-to-q principal sets (``sets_equal``) for p != q.
-    The arguments are validated by :func:`derive_case_parameters`.
+    The arguments are validated by :func:`witness_sets`.
     """
     kind = _normalize_group(group_kind)
-    derive_case_parameters(n, p, q)
     side_p, side_q = witness_sets(n, p, q, kind)
     set_p = _p_prime_set(n, p, kind)
     set_q = _p_prime_set(n, q, kind)

@@ -121,19 +121,28 @@ class CaseParameters:
         return self.b1 * self.p**self.s1
 
 
-def derive_case_parameters(n: int, p: int, q: int) -> CaseParameters:
-    """Validate (n, p, q), normalize to q < p, and derive the full record."""
+def check_primes(n: int, primes: tuple[int, ...]) -> None:
+    """Validate distinct primes of n!, one fault class at a time.
+
+    Checks, in this order: n >= 1 (``ValueError``), every value prime
+    (:class:`NotPrime`), the values distinct (``ValueError``), every prime
+    at most n (:class:`PrimeExceedsN`).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    for value in (p, q):
-        if not is_prime(value):
-            raise NotPrime(f"{value} is not prime")
-    if p == q:
-        raise ValueError(f"primes must be distinct, got p = q = {p}")
-    if p > n:
-        raise PrimeExceedsN(f"prime {p} exceeds n = {n}")
-    if q > n:
-        raise PrimeExceedsN(f"prime {q} exceeds n = {n}")
+    for p in primes:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"primes must be distinct, got {primes}")
+    for p in primes:
+        if p > n:
+            raise PrimeExceedsN(f"prime {p} exceeds n = {n}")
+
+
+def derive_case_parameters(n: int, p: int, q: int) -> CaseParameters:
+    """Validate (n, p, q), normalize to q < p, and derive the full record."""
+    check_primes(n, (p, q))
     if q > p:
         p, q = q, p
     m, b = divmod(n, p)

@@ -53,9 +53,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
         previous = None
         for a in self.parts:
+            if type(a) is not int:
+                raise TypeError(f"parts must be int, got {a!r}")
             if a < 1:
                 raise ValueError(f"parts must be positive, got {a}")
             if previous is not None and a > previous:
@@ -216,13 +218,13 @@ class AscendingSpec:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple((int(v), int(m)) for v, m in self.blocks)
-        )
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         if not self.blocks:
             raise NonMonotoneSpec("spec needs at least one block")
         previous = None
         for index, (value, mult) in enumerate(self.blocks):
+            if type(value) is not int or type(mult) is not int:
+                raise TypeError(f"block values must be int, got {(value, mult)!r}")
             if value < 1:
                 raise NonMonotoneSpec(f"block value must be >= 1, got {value}")
             if mult < 0 or (mult == 0 and not (index == 0 and value == 1)):

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from .blocks import principal_block_contains
 from .degrees import degree
-from .parameters import NotPrime, PrimeExceedsN
 from .factored import is_prime, parse_decimal
+from .parameters import check_primes
 from .partitions import partitions_of
 
 VERDICTS = ("consistent", "hypothesis_holds", "violation", "indeterminate")
@@ -106,14 +106,21 @@ class AuditFinding:
 
 
 _HEADER_DIRECTIVES = ("group", "order", "primes", "trivial", "complete")
+_RawSylow = list[tuple[int, list[str]]]  # (line, tokens after the directive)
+
+# the header directives that take exactly one token, with their arity error
+_SINGLE_TOKEN = {
+    "group": "group needs exactly one name token",
+    "order": "order needs exactly one integer",
+    "trivial": "trivial needs exactly one id token",
+    "complete": "complete needs true or false",
+}
 
 
 def _parse_bool(line_no: int, token: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ParseError(line_no, "expected 'true' or 'false'", token)
+    if token not in ("true", "false"):
+        raise ParseError(line_no, "expected 'true' or 'false'", token)
+    return token == "true"
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
@@ -123,90 +130,94 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
         raise ParseError(line_no, f"malformed integer for {what}", token) from None
 
 
-def parse_table(data: bytes | str) -> CharacterTableSummary:
-    """Parse and fully validate a table file."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    header: dict[str, object] = {}
-    header_lines: dict[str, int] = {}
-    sylow_raw: list[tuple[int, list[str]]] = []
-    rows: list[CharacterRow] = []
-    seen_ids: set[str] = set()
-    header_closed = False
-    last_line = 0
+def _close_header(
+    line_no: int, lines: dict[str, int], order: int, primes: tuple[int, ...], sylow_raw: _RawSylow
+) -> tuple[tuple[int, int, bool], ...]:
+    """Check the finished header; return its sylow_commute facts, sorted."""
+    for directive in _HEADER_DIRECTIVES:
+        if directive not in lines:
+            raise ParseError(line_no, f"missing '{directive}' directive in header")
+    for p in primes:
+        if order % p != 0:
+            raise ParseError(lines["primes"], f"prime {p} does not divide order {order}")
+    facts: dict[tuple[int, int], bool] = {}
+    for sline, tokens in sylow_raw:
+        p = _parse_int(sline, tokens[0], "sylow prime")
+        q = _parse_int(sline, tokens[1], "sylow prime")
+        value = _parse_bool(sline, tokens[2])
+        if p == q:
+            raise ParseError(sline, "sylow_commute primes must be distinct")
+        if p not in primes or q not in primes:
+            raise ParseError(sline, f"sylow_commute prime pair ({p}, {q}) not in header primes")
+        key = (min(p, q), max(p, q))
+        if key in facts:
+            raise ParseError(sline, f"duplicate sylow_commute pair {key}")
+        facts[key] = value
+    return tuple(sorted((p, q, value) for (p, q), value in facts.items()))
 
-    def close_header(line_no: int) -> None:
-        nonlocal header_closed
-        for directive in _HEADER_DIRECTIVES:
-            if directive not in header:
-                raise ParseError(line_no, f"missing '{directive}' directive in header")
-        primes = header["primes"]
-        order = header["order"]
-        assert isinstance(primes, tuple) and isinstance(order, int)
-        for p in primes:
-            if order % p != 0:
-                raise ParseError(
-                    header_lines["primes"], f"prime {p} does not divide order {order}"
-                )
-        pairs_seen = set()
-        facts = []
-        for sline, tokens in sylow_raw:
-            p = _parse_int(sline, tokens[0], "sylow prime")
-            q = _parse_int(sline, tokens[1], "sylow prime")
-            value = _parse_bool(sline, tokens[2])
-            if p == q:
-                raise ParseError(sline, "sylow_commute primes must be distinct")
-            if p not in primes or q not in primes:
-                raise ParseError(sline, f"sylow_commute prime pair ({p}, {q}) not in header primes")
-            key = (min(p, q), max(p, q))
-            if key in pairs_seen:
-                raise ParseError(sline, f"duplicate sylow_commute pair {key}")
-            pairs_seen.add(key)
-            facts.append((key[0], key[1], value))
-        header["sylow"] = tuple(sorted(facts))
-        header_closed = True
+
+def _add_row(
+    line_no: int, tokens: list[str], primes: tuple[int, ...], rows: dict[str, CharacterRow]
+) -> None:
+    """Parse one ``char`` line and add its row to ``rows``, keyed by id."""
+    if len(tokens) < 3:
+        raise ParseError(line_no, "char row needs an id and a degree")
+    row_id = tokens[1]
+    if row_id in rows:
+        raise ParseError(line_no, "duplicate character id", row_id)
+    degree_value = _parse_int(line_no, tokens[2], "degree")
+    if degree_value < 1:
+        raise ParseError(line_no, f"degree must be positive, got {degree_value}")
+    flag_map: dict[int, bool] = {}
+    for token in tokens[3:]:
+        if ":" not in token:
+            raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
+        prime_text, bit_text = token.split(":", 1)
+        p = _parse_int(line_no, prime_text, "flag prime")
+        if p not in primes:
+            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
+        if p in flag_map:
+            raise ParseError(line_no, f"duplicate flag for prime {p}", token)
+        if bit_text not in ("0", "1"):
+            raise ParseError(line_no, "flag value must be 0 or 1", token)
+        flag_map[p] = bit_text == "1"
+    missing = [p for p in primes if p not in flag_map]
+    if missing:
+        raise ParseError(line_no, f"row is missing flags for primes {missing}")
+    rows[row_id] = CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
+
+
+def parse_table(data: bytes | str) -> CharacterTableSummary:
+    """Parse and fully validate a table file; bytes must be UTF-8."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        # number the bad byte's line as splitlines() below would
+        prefix = exc.object[: exc.start].decode("utf-8")
+        line_no = len((prefix + "x").splitlines())
+        raise ParseError(line_no, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+    group = trivial = ""
+    order = 0
+    primes: tuple[int, ...] = ()
+    complete = False
+    lines: dict[str, int] = {}
+    sylow_raw: _RawSylow = []
+    sylow: tuple[tuple[int, int, bool], ...] | None = None  # set when the header closes
+    rows: dict[str, CharacterRow] = {}
+    last_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line = line_no
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         directive = tokens[0]
         if directive == "char":
-            if not header_closed:
-                close_header(line_no)
-            if len(tokens) < 3:
-                raise ParseError(line_no, "char row needs an id and a degree")
-            row_id = tokens[1]
-            if row_id in seen_ids:
-                raise ParseError(line_no, "duplicate character id", row_id)
-            seen_ids.add(row_id)
-            degree_value = _parse_int(line_no, tokens[2], "degree")
-            if degree_value < 1:
-                raise ParseError(line_no, f"degree must be positive, got {degree_value}")
-            primes = header["primes"]
-            assert isinstance(primes, tuple)
-            flag_map: dict[int, bool] = {}
-            for token in tokens[3:]:
-                if ":" not in token:
-                    raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
-                prime_text, bit_text = token.split(":", 1)
-                p = _parse_int(line_no, prime_text, "flag prime")
-                if p not in primes:
-                    raise ParseError(line_no, f"flag prime {p} not in header primes", token)
-                if p in flag_map:
-                    raise ParseError(line_no, f"duplicate flag for prime {p}", token)
-                if bit_text not in ("0", "1"):
-                    raise ParseError(line_no, "flag value must be 0 or 1", token)
-                flag_map[p] = bit_text == "1"
-            missing = [p for p in primes if p not in flag_map]
-            if missing:
-                raise ParseError(line_no, f"row is missing flags for primes {missing}")
-            rows.append(
-                CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
-            )
+            if sylow is None:
+                sylow = _close_header(line_no, lines, order, primes, sylow_raw)
+            _add_row(line_no, tokens, primes, rows)
             continue
-        if header_closed:
+        if sylow is not None:
             raise ParseError(line_no, f"directive '{directive}' after char rows")
         if directive == "sylow_commute":
             if len(tokens) != 4:
@@ -215,74 +226,57 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
             continue
         if directive not in _HEADER_DIRECTIVES:
             raise ParseError(line_no, "unknown directive", directive)
-        if directive in header:
+        if directive in lines:
             raise ParseError(line_no, f"duplicate '{directive}' directive")
-        header_lines[directive] = line_no
-        if directive == "group":
-            if len(tokens) != 2:
-                raise ParseError(line_no, "group needs exactly one name token")
-            header["group"] = tokens[1]
-        elif directive == "order":
-            if len(tokens) != 2:
-                raise ParseError(line_no, "order needs exactly one integer")
-            value = _parse_int(line_no, tokens[1], "order")
-            if value < 1:
-                raise ParseError(line_no, f"order must be positive, got {value}")
-            header["order"] = value
-        elif directive == "primes":
-            primes = []
+        lines[directive] = line_no
+        if directive == "primes":
             for token in tokens[1:]:
                 p = _parse_int(line_no, token, "prime")
-                if not is_prime(p):
+                try:
+                    prime = is_prime(p)
+                except ValueError:  # beyond the range the test is exact in
+                    message = "too large for an exact primality test"
+                    raise ParseError(line_no, message, token) from None
+                if not prime:
                     raise ParseError(line_no, f"{p} is not prime", token)
                 if p in primes:
                     raise ParseError(line_no, f"duplicate prime {p}", token)
-                primes.append(p)
-            header["primes"] = tuple(primes)
+                primes += (p,)
+            continue
+        if len(tokens) != 2:
+            raise ParseError(line_no, _SINGLE_TOKEN[directive])
+        token = tokens[1]
+        if directive == "group":
+            group = token
+        elif directive == "order":
+            order = _parse_int(line_no, token, "order")
+            if order < 1:
+                raise ParseError(line_no, f"order must be positive, got {order}")
         elif directive == "trivial":
-            if len(tokens) != 2:
-                raise ParseError(line_no, "trivial needs exactly one id token")
-            header["trivial"] = tokens[1]
-        elif directive == "complete":
-            if len(tokens) != 2:
-                raise ParseError(line_no, "complete needs true or false")
-            header["complete"] = _parse_bool(line_no, tokens[1])
+            trivial = token
+        else:
+            complete = _parse_bool(line_no, token)
 
-    if not header_closed:
-        close_header(last_line + 1)
+    end = last_line + 1
+    if sylow is None:
+        sylow = _close_header(end, lines, order, primes, sylow_raw)
     if not rows:
-        raise ParseError(last_line + 1, "table has no char rows")
-
-    trivial_id = header["trivial"]
-    assert isinstance(trivial_id, str)
-    trivial_rows = [row for row in rows if row.id == trivial_id]
-    if not trivial_rows:
-        raise ParseError(last_line + 1, f"trivial id {trivial_id!r} has no char row")
-    trivial_row = trivial_rows[0]
+        raise ParseError(end, "table has no char rows")
+    trivial_row = rows.get(trivial)
+    if trivial_row is None:
+        raise ParseError(end, f"trivial id {trivial!r} has no char row")
     if trivial_row.degree != 1:
-        raise ParseError(last_line + 1, f"trivial character must have degree 1, got {trivial_row.degree}")
+        raise ParseError(end, f"trivial character must have degree 1, got {trivial_row.degree}")
     if not all(trivial_row.flags):
-        raise ParseError(last_line + 1, "trivial character must lie in every principal block")
-
-    order = header["order"]
-    complete = header["complete"]
-    assert isinstance(order, int) and isinstance(complete, bool)
+        raise ParseError(end, "trivial character must lie in every principal block")
     if complete:
-        square_sum = sum(row.degree**2 for row in rows)
+        square_sum = sum(row.degree**2 for row in rows.values())
         if square_sum != order:
             raise ParseError(
-                header_lines["complete"],
-                f"degree squares sum to {square_sum}, order is {order}",
+                lines["complete"], f"degree squares sum to {square_sum}, order is {order}"
             )
-
     return CharacterTableSummary(
-        group_name=header["group"],  # type: ignore[arg-type]
-        order=order,
-        primes=header["primes"],  # type: ignore[arg-type]
-        trivial_id=trivial_id,
-        complete=complete,
-        sylow_commute=header["sylow"],  # type: ignore[arg-type]
-        rows=tuple(rows),
+        group, order, primes, trivial, complete, sylow, tuple(rows.values())
     )
 
 
@@ -313,16 +307,8 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     symmetric or alternating groups never commute Sylow-wise, so a false
     fact is recorded for every pair.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     primes = tuple(primes)
-    for p in primes:
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if p > n:
-            raise PrimeExceedsN(f"prime {p} exceeds n = {n}")
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
+    check_primes(n, primes)
     rows = []
     for lam in partitions_of(n):
         rows.append(
@@ -332,13 +318,7 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
                 flags=tuple(principal_block_contains(lam, p) for p in primes),
             )
         )
-    facts = tuple(
-        sorted(
-            (min(p, q), max(p, q), False)
-            for i, p in enumerate(primes)
-            for q in primes[i + 1 :]
-        )
-    )
+    facts = tuple((p, q, False) for p, q in _pairs(primes))
     return CharacterTableSummary(
         group_name=f"S{n}",
         order=math.factorial(n),
@@ -365,93 +345,55 @@ def audit(summary: CharacterTableSummary, which: str) -> tuple[AuditFinding, ...
     conjecture = which.upper()
     if conjecture not in CONJECTURES:
         raise ValueError(f"audit must be one of {CONJECTURES}, got {which!r}")
+    sets = {p: summary.principal_p_prime_ids(p) for p in summary.primes}
     findings = []
     for p, q in _pairs(summary.primes):
-        s_p = summary.principal_p_prime_ids(p)
-        s_q = summary.principal_p_prime_ids(q)
-        fact = summary.sylow_fact(p, q)
-        if conjecture == "A":
-            findings.append(_audit_a(summary, p, q, s_p, s_q, fact))
-        elif conjecture == "B":
-            findings.append(_audit_b(summary, p, q, s_p, s_q))
-        else:
-            findings.append(_audit_c(summary, p, q, s_p, s_q, fact))
+        verdict, detail = _AUDITS[conjecture](summary, p, q, sets[p], sets[q])
+        findings.append(AuditFinding(conjecture, p, q, verdict, detail))
     return tuple(findings)
 
 
-def _audit_a(summary, p, q, s_p, s_q, fact) -> AuditFinding:
+# Each audit maps (summary, p, q, prime-to-p set, prime-to-q set) to the
+# (verdict, detail) pair of the unordered prime pair {p, q}.
+def _audit_a(summary, p, q, s_p, s_q) -> tuple[str, str]:
     intersection = s_p & s_q
-    hypothesis = intersection == {summary.trivial_id}
-    if not hypothesis:
-        detail = f"intersection has {len(intersection)} ids; implication is vacuous"
-        return AuditFinding("A", p, q, "consistent", detail)
+    if intersection != {summary.trivial_id}:
+        return "consistent", f"intersection has {len(intersection)} ids; implication is vacuous"
     if not summary.complete:
-        return AuditFinding(
-            "A", p, q, "indeterminate", "trivial intersection on an incomplete table"
-        )
+        return "indeterminate", "trivial intersection on an incomplete table"
+    fact = summary.sylow_fact(p, q)
     if fact is None:
-        return AuditFinding(
-            "A", p, q, "hypothesis_holds", "trivial intersection; no commuting-Sylow fact supplied"
-        )
+        return "hypothesis_holds", "trivial intersection; no commuting-Sylow fact supplied"
     if fact:
-        return AuditFinding(
-            "A", p, q, "consistent", "trivial intersection and a commuting Sylow pair"
-        )
-    return AuditFinding(
-        "A", p, q, "violation", "trivial intersection but Sylow subgroups never commute"
-    )
+        return "consistent", "trivial intersection and a commuting Sylow pair"
+    return "violation", "trivial intersection but Sylow subgroups never commute"
 
 
-def _audit_b(summary, p, q, s_p, s_q) -> AuditFinding:
+def _audit_b(summary, p, q, s_p, s_q) -> tuple[str, str]:
     if s_p != s_q:
         only_p = len(s_p - s_q)
         only_q = len(s_q - s_p)
-        detail = f"sets differ ({only_p} ids only at {p}, {only_q} only at {q})"
-        return AuditFinding("B", p, q, "consistent", detail)
+        return "consistent", f"sets differ ({only_p} ids only at {p}, {only_q} only at {q})"
     if not summary.complete:
-        return AuditFinding(
-            "B", p, q, "indeterminate", "sets agree on an incomplete table"
-        )
-    return AuditFinding(
-        "B", p, q, "violation", f"prime-to-{p} and prime-to-{q} principal sets coincide"
-    )
+        return "indeterminate", "sets agree on an incomplete table"
+    return "violation", f"prime-to-{p} and prime-to-{q} principal sets coincide"
 
 
-def _audit_c(summary, p, q, s_p, s_q, fact) -> AuditFinding:
-    def _cross_witness() -> str | None:
-        for row in summary.rows:
-            if row.id in s_p and row.degree % q == 0:
-                return row.id
-            if row.id in s_q and row.degree % p == 0:
-                return row.id
-        return None
-
-    witness_id = _cross_witness()
-    condition = witness_id is None
+def _audit_c(summary, p, q, s_p, s_q) -> tuple[str, str]:
+    fact = summary.sylow_fact(p, q)
     if fact is None:
-        return AuditFinding(
-            "C", p, q, "indeterminate", "no commuting-Sylow fact supplied"
-        )
-    if not condition:
-        if fact:
-            return AuditFinding(
-                "C",
-                p,
-                q,
-                "violation",
-                f"cross-divisible degree at id {witness_id} despite a commuting Sylow pair",
-            )
-        return AuditFinding(
-            "C", p, q, "consistent", f"cross-divisible degree at id {witness_id}; no commuting Sylow pair"
-        )
+        return "indeterminate", "no commuting-Sylow fact supplied"
+    for row in summary.rows:
+        if (row.id in s_p and row.degree % q == 0) or (row.id in s_q and row.degree % p == 0):
+            witness = f"cross-divisible degree at id {row.id}"
+            if fact:
+                return "violation", f"{witness} despite a commuting Sylow pair"
+            return "consistent", f"{witness}; no commuting Sylow pair"
     if not summary.complete:
-        return AuditFinding(
-            "C", p, q, "indeterminate", "no cross-divisible degree listed, but table is incomplete"
-        )
+        return "indeterminate", "no cross-divisible degree listed, but table is incomplete"
     if fact:
-        return AuditFinding(
-            "C", p, q, "consistent", "no cross-divisible degrees and a commuting Sylow pair"
-        )
-    return AuditFinding(
-        "C", p, q, "violation", "no cross-divisible degrees although Sylow subgroups never commute"
-    )
+        return "consistent", "no cross-divisible degrees and a commuting Sylow pair"
+    return "violation", "no cross-divisible degrees although Sylow subgroups never commute"
+
+
+_AUDITS = {"A": _audit_a, "B": _audit_b, "C": _audit_c}

@@ -87,6 +87,22 @@ def test_validation():
         FactoredNatural(((3, 1), (2, 1)))  # out of order
     with pytest.raises(ValueError):
         fn({2: -1})
+    for bad in ((("2", True),), ((2, True),), ((2.0, 1),), ((True, 1),)):
+        with pytest.raises(TypeError):
+            FactoredNatural(bad)
+
+
+def test_is_prime_beyond_trial_division():
+    assert is_prime(2**61 - 1)
+    assert is_prime(1000000000039) and is_prime(100000000000031)
+    # strong pseudoprimes to bases 2..7 and to bases 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(1000000000039 * 1000003)
+    sieve = set(primes_up_to(5000))
+    assert [k for k in range(-2, 5000) if is_prime(k)] == sorted(sieve)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)  # least strong pseudoprime to bases 2..41
 
 
 def test_equality_is_map_equality():

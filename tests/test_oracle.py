@@ -54,6 +54,11 @@ def test_group_kind_validation():
         witness_sets(9, 3, 3, "sn")
     with pytest.raises(ValueError):
         witness_sets(10, 1, 3, "sn")  # once looped forever in the valuation
+    for group in ("sn", "an"):
+        with pytest.raises(NotPrime):
+            witness_sets(10, 4, 3, group)  # once reported witnesses for 4
+    with pytest.raises(PrimeExceedsN):
+        witness_sets(9, 11, 2, "sn")
 
 
 def test_check_conjC_examples():
@@ -78,6 +83,8 @@ def test_check_conjC_validation_and_sets():
             check_conjC(10, 4, 3, group)
         with pytest.raises(NotPrime):
             check_conjC(10, 3, 1, group)
+    with pytest.raises(NotPrime):
+        cross_validate(10, 4, 3)
 
 
 def test_report_set_consistency():

@@ -29,6 +29,9 @@ def test_partition_validation():
         P(1, 2)
     with pytest.raises(ValueError):
         P(3, 0)
+    for bad in (("1_0", True), (3, True), (3.0,), ("２",)):
+        with pytest.raises(TypeError):
+            Partition(bad)
     assert P().size == 0
     assert P(3, 1).size == 4
 
@@ -78,6 +81,9 @@ def test_ascending_spec_rejections():
         AscendingSpec(((0, 1),))
     with pytest.raises(NonMonotoneSpec):
         AscendingSpec(())
+    for bad in ((("２", "+3"),), ((1, True),), ((2.0, 1),)):
+        with pytest.raises(TypeError):
+            AscendingSpec(bad)
 
 
 def test_ascending_spec_parse_and_str():

@@ -1,6 +1,8 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockwitness.oracle import check_conjC
 from blockwitness.parameters import NotPrime, PrimeExceedsN
@@ -87,12 +89,64 @@ def test_missing_order_is_end_of_header_error():
         (lambda t: t.replace("trivial e", "trivial ee"), "no char row"),
         (lambda t: t.replace("group", "grouppp"), "unknown directive"),
         (lambda t: t + "group toy2\n", "after char rows"),
+        (lambda t: t.encode("utf-8").replace(b"toy\n", b"to\xff\n"), "line 2: invalid UTF-8"),
+        (lambda t: t.encode("utf-8").replace(b"2:0 3:1", b"2:0 3:1\xc3"), "line 9: invalid UTF-8"),
+        (
+            lambda t: t.encode("utf-8").replace(b"toy\n", b"toy\r").replace(b"6", b"6\x80"),
+            "line 3: invalid UTF-8",
+        ),
+        (
+            lambda t: t.replace("primes 2 3", "primes 2 3 3317044064679887385961981"),
+            "line 4: too large for an exact primality test",
+        ),
     ],
 )
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ParseError) as err:
         parse_table(mutation(MINIMAL))
     assert fragment in str(err.value)
+
+
+def test_large_header_prime_parses_quickly():
+    prime = 2**61 - 1
+    text = (
+        MINIMAL.replace("order 6", f"order {6 * prime}")
+        .replace("primes 2 3", f"primes 2 3 {prime}")
+        .replace("2:1 3:1", f"2:1 3:1 {prime}:1")
+        .replace("2:0 3:1", f"2:0 3:1 {prime}:0")
+    )
+    started = time.perf_counter()
+    summary = parse_table(text)
+    assert time.perf_counter() - started < 1.0
+    assert summary.primes == (2, 3, prime)
+
+
+@st.composite
+def mutated_minimal(draw):
+    data = bytearray(MINIMAL.encode("utf-8"))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        position = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        byte = draw(st.integers(min_value=0, max_value=255))
+        if edit == "insert":
+            data.insert(position, byte)
+        elif edit == "delete":
+            del data[position]
+        else:
+            data[position] = byte
+    return bytes(data)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.one_of(st.binary(max_size=200), mutated_minimal()))
+def test_parser_fuzz(data):
+    # arbitrary bytes either parse or raise ParseError, and what parses
+    # survives a serialize/parse round trip unchanged
+    try:
+        summary = parse_table(data)
+    except ParseError:
+        return
+    assert parse_table(serialize_table(summary)) == summary
 
 
 def test_parse_error_carries_line_number():
