@@ -11,7 +11,7 @@ compares, are taken in :mod:`blockwitness.oracle`.
 
 from __future__ import annotations
 
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, LengthTooSmall, Partition
 
 
 def principal_core(n: int, p: int) -> Partition:
@@ -21,8 +21,22 @@ def principal_core(n: int, p: int) -> Partition:
 
 
 def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
-    """p-abacus runner counts of the principal core's beta-set of ``length``."""
-    return principal_core(n, p).abacus(p, length=length)[0]
+    """p-abacus runner counts of the principal core's beta-set of ``length``.
+
+    The beta-set of the core (b), b = n mod p, is {0, .., length - 2} together
+    with b + length - 1, so the counts follow without building the core.
+    """
+    b = n % p
+    core_parts = 1 if b else 0
+    if length < core_parts:
+        raise LengthTooSmall(f"beta-set length {length} < {core_parts} parts")
+    if length == 0:
+        return [0] * p
+    # beads 0 .. length - 2 fill every runner to `level`, the first `extra` once more
+    level, extra = divmod(length - 1, p)
+    counts = [level + 1] * extra + [level] * (p - extra)
+    counts[(b + length - 1) % p] += 1
+    return counts
 
 
 def principal_block_contains(lam: Partition, p: int) -> bool:

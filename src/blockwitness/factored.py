@@ -148,7 +148,7 @@ class FactoredNatural:
         merged = dict(self.factors)
         for p, e in other.factors:
             merged[p] = merged.get(p, 0) + e
-        return FactoredNatural(tuple(sorted(merged.items())))
+        return _trusted(tuple(sorted(merged.items())))
 
     def div(self, other: "FactoredNatural") -> "FactoredNatural":
         """Exact quotient; raises NotDivisible when any exponent underflows."""
@@ -163,7 +163,7 @@ class FactoredNatural:
                 merged.pop(p)
             else:
                 merged[p] = remaining
-        return FactoredNatural(tuple(sorted(merged.items())))
+        return _trusted(tuple(sorted(merged.items())))
 
     def to_int(self) -> int:
         value = 1
@@ -200,7 +200,7 @@ def factor(k: int) -> FactoredNatural:
         d += 1 if d == 2 else 2
     if remaining > 1:
         pairs.append((remaining, 1))
-    return FactoredNatural(tuple(pairs))
+    return _trusted(tuple(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -208,8 +208,8 @@ def factorial_factored(k: int) -> FactoredNatural:
     """Factorization of k!, one floor-sum per prime <= k."""
     if k < 0:
         raise ValueError(f"factorial of negative {k}")
-    pairs = tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k))
-    return FactoredNatural(tuple((p, e) for p, e in pairs if e > 0))
+    # every prime p <= k divides k!, so no exponent is zero
+    return _trusted(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))
 
 
 def product(values: Iterable[FactoredNatural]) -> FactoredNatural:
@@ -218,4 +218,12 @@ def product(values: Iterable[FactoredNatural]) -> FactoredNatural:
     for value in values:
         for p, e in value.factors:
             merged[p] = merged.get(p, 0) + e
-    return FactoredNatural(tuple(sorted(merged.items())))
+    return _trusted(tuple(sorted(merged.items())))
+
+
+def _trusted(factors: tuple[tuple[int, int], ...]) -> FactoredNatural:
+    # Fast path for results built here from factors already known canonical:
+    # sorted prime keys with positive int exponents, so no key is re-tested.
+    obj = object.__new__(FactoredNatural)
+    object.__setattr__(obj, "factors", factors)
+    return obj

@@ -69,6 +69,13 @@ def witness_sets(
     """
     kind = _normalize_group(group_kind)
     check_primes(n, (p, q))
+    return _witness_sets(n, p, q, kind)
+
+
+def _witness_sets(
+    n: int, p: int, q: int, kind: str
+) -> tuple[frozenset[Partition], frozenset[Partition]]:
+    # witness_sets for arguments already validated and a normalized kind
     data = _scan(n)
     view_p = _prime_view(n, p)
     view_q = _prime_view(n, q)
@@ -161,14 +168,15 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
 
     Deferred regimes (n < 9, abelian Sylow) carry no constructed witness;
     the exhaustive verdict is attached so the caller still learns whether a
-    witness exists at all.
+    witness exists at all.  The arguments are validated once, by
+    :func:`derive_case_parameters`.
     """
-    side_p, side_q = witness_sets(n, p, q, "sn")
+    params = derive_case_parameters(n, p, q)
+    side_p, side_q = _witness_sets(n, p, q, "sn")
     condition = bool(side_p or side_q)
-    deferral = derive_case_parameters(n, p, q).deferral
-    if deferral is not None:
-        return CrossValidation(n, p, q, None, None, deferral, None, condition)
-    found = witness_engine.construct_witness(n, p, q)
+    if params.deferral is not None:
+        return CrossValidation(n, p, q, None, None, params.deferral, None, condition)
+    found = witness_engine._construct(params)
     matching = side_p if found.candidate.host_prime == p else side_q
     return CrossValidation(
         n=n,

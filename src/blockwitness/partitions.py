@@ -242,12 +242,16 @@ class AscendingSpec:
         return sum(v * m for v, m in self.blocks)
 
     def to_partition(self) -> Partition:
-        """Canonical descending partition with the spec's multiset of parts."""
+        """Canonical descending partition with the spec's multiset of parts.
+
+        The blocks were checked on construction (int values >= 1, weakly
+        increasing), so the reversed expansion is canonical as it stands.
+        """
         expanded: list[int] = []
         for value, mult in self.blocks:
             expanded.extend([value] * mult)
         expanded.reverse()
-        return Partition(tuple(expanded))
+        return _trusted(tuple(expanded))
 
     def __str__(self) -> str:
         rendered = []

@@ -270,10 +270,14 @@ def construct_witness(n: int, p: int, q: int) -> Witness:
     construction's regime, and :class:`CaseTreeFalsified` if every candidate
     fails verification, which must never happen.
     """
-    params = derive_case_parameters(n, p, q)
+    return _construct(derive_case_parameters(n, p, q))
+
+
+def _construct(params: CaseParameters) -> Witness:
+    # construct_witness for a record already derived (and so validated)
     failures: list[VerificationFailure] = []
     for index, candidate in enumerate(candidate_list(params)):
-        outcome = verify_candidate(candidate, n, index=index)
+        outcome = verify_candidate(candidate, params.n, index=index)
         if isinstance(outcome, Witness):
             return outcome
         failures.append(outcome)

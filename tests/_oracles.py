@@ -9,6 +9,7 @@ they check.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 Parts = tuple[int, ...]
 
@@ -75,6 +76,18 @@ def hooks(parts: Parts) -> list[int]:
         for i, row in enumerate(parts)
         for j in range(row)
     ]
+
+
+def hook_product_degree(parts: Parts) -> int:
+    """n! divided by the product of all hook lengths, in plain integers."""
+    n = sum(parts)
+    product = 1
+    for h in hooks(parts):
+        product *= h
+    quotient, remainder = divmod(factorial(n), product)
+    if remainder:
+        raise ArithmeticError(f"hook product of {parts} does not divide {n}!")
+    return quotient
 
 
 def remove_rim_hook(parts: Parts, i: int, j: int) -> Parts:

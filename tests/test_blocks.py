@@ -1,8 +1,14 @@
+import pytest
+
 import _oracles as oracle
-from blockwitness.blocks import principal_block_contains, principal_core
+from blockwitness.blocks import (
+    principal_block_contains,
+    principal_core,
+    principal_runner_counts,
+)
 from blockwitness.degrees import degree
 from blockwitness.oracle import _p_prime_set
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import LengthTooSmall, Partition, partitions_of
 
 
 def P(*parts):
@@ -17,6 +23,20 @@ def test_principal_core():
     assert principal_core(9, 3) == P()
     assert principal_core(10, 3) == P(1)
     assert principal_core(4, 7) == P(4)
+
+
+def test_principal_runner_counts_closed_form():
+    # against an abacus pass over the principal core's beta-set
+    for n in range(0, 41):
+        for e in range(2, n + 3):
+            core = principal_core(n, e)
+            for length in range(len(core.parts), n + 4):
+                expected = core.abacus(e, length=length)[0]
+                assert principal_runner_counts(n, e, length) == expected, (n, e, length)
+    with pytest.raises(LengthTooSmall):
+        principal_runner_counts(10, 3, 0)
+    with pytest.raises(LengthTooSmall):
+        principal_runner_counts(9, 3, -1)
 
 
 def test_principal_block_contains_examples():

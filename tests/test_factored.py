@@ -105,6 +105,17 @@ def test_is_prime_beyond_trial_division():
         is_prime(3317044064679887385961981)  # least strong pseudoprime to bases 2..41
 
 
+def test_internal_results_are_canonical():
+    # results built without re-validation must pass the public constructor
+    values = [factor(k) for k in range(1, 400)]
+    values += [factorial_factored(k) for k in range(0, 60)]
+    values += [factor(12) * factor(35), factor(5040).div(factor(70)), factor(8).div(factor(8))]
+    values.append(product(factor(k) for k in range(1, 30)))
+    for value in values:
+        assert FactoredNatural(value.factors) == value
+    assert factor(8).div(factor(8)) == FactoredNatural()
+
+
 def test_equality_is_map_equality():
     assert factor(12) == fn({2: 2, 3: 1})
     assert factor(12) != factor(18)

@@ -110,6 +110,28 @@ def test_oracle_and_blocks_agree_on_sets():
             )
 
 
+def test_cross_validate_validates_once(monkeypatch):
+    import blockwitness.oracle as oracle_module
+    import blockwitness.parameters as parameters_module
+
+    calls = []
+    check = parameters_module.check_primes
+
+    def counting(n, primes):
+        calls.append((n, primes))
+        check(n, primes)
+
+    monkeypatch.setattr(parameters_module, "check_primes", counting)
+    monkeypatch.setattr(oracle_module, "check_primes", counting)
+    for n, p, q in ((12, 3, 2), (11, 7, 5)):
+        calls.clear()
+        cross_validate(n, p, q)
+        assert calls == [(n, (p, q))]
+    calls.clear()
+    witness_sets(12, 3, 2)
+    assert calls == [(12, (3, 2))]
+
+
 def test_cross_validate_examples():
     cv = cross_validate(9, 3, 2)
     assert cv.oracle_agrees and cv.case_id == "I.a"

@@ -68,6 +68,10 @@ def test_from_ascending_spec_examples():
     )
     assert AscendingSpec(((1, 2), (3, 1), (4, 1))).to_partition().parts == (4, 3, 1, 1)
     assert AscendingSpec(((1, 0), (5, 1))).to_partition().parts == (5,)
+    # built without re-validation, so it must already be canonical
+    for blocks in (((1, 0), (2, 3)), ((1, 3), (1, 2), (4, 2)), ((2, 1), (2, 1), (7, 3))):
+        lam = AscendingSpec(blocks).to_partition()
+        assert Partition(lam.parts) == lam
 
 
 def test_ascending_spec_rejections():
