@@ -10,7 +10,7 @@ off instantly.
 import math
 
 from blockwitness.degrees import degree
-from blockwitness.factored import factor, factorial_factored
+from blockwitness.factored import factorial_factored
 from blockwitness.partitions import Partition, partitions_of
 
 
@@ -18,8 +18,7 @@ def main():
     print("== degrees of S_6, by hook lengths ==")
     for lam in partitions_of(6):
         deg = degree(lam)
-        hooks = sorted(lam.hook_lengths(), reverse=True)
-        print(f"  {lam.to_literal():>15}  hooks {hooks}  degree {deg.to_decimal()}")
+        print(f"  {lam.to_literal():>15}  degree {deg.to_decimal():>2} = {deg.factored_str()}")
 
     n = 12
     total = sum(degree(lam).to_int() ** 2 for lam in partitions_of(n))
@@ -27,11 +26,11 @@ def main():
     print(f"  sum = {total}")
     print(f"  {n}! = {math.factorial(n)}  (equal: {total == math.factorial(n)})")
 
-    print("\n== factored arithmetic never leaves factored form ==")
-    a, b = factor(5040), factor(70)
-    print(f"  5040 = {a.factored_str()}")
-    print(f"  70   = {b.factored_str()}")
-    print(f"  5040 / 70 = {a.div(b).factored_str()} = {a.div(b).to_decimal()}")
+    print("\n== the one exact quotient, n! / hooks, never leaves factored form ==")
+    lam = Partition((4, 2, 1))  # hooks 6,4,2,1 / 3,1 / 1, product 144
+    print(f"  7!   = {factorial_factored(7).factored_str()}")
+    print(f"  7! / 144 = {degree(lam).factored_str()} = {degree(lam).to_decimal()}"
+          f"  (degree of {lam.to_literal()})")
     print(f"  12!  = {factorial_factored(12).factored_str()}")
 
     staircase = Partition(tuple(range(13, 0, -1)))  # (13,12,...,1), n = 91

@@ -22,7 +22,6 @@ from .partitions import (
     NonMonotoneSpec,
     LengthTooSmall,
     Partition,
-    partition_count,
     partitions_of,
 )
 from .parameters import CaseParameters, NotPrime, PrimeExceedsN, derive_case_parameters
@@ -97,7 +96,6 @@ __all__ = [
     "factorial_factored",
     "is_prime",
     "parse_table",
-    "partition_count",
     "partitions_of",
     "prime_pairs",
     "primes_up_to",

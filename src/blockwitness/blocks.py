@@ -11,13 +11,7 @@ compares, are taken in :mod:`blockwitness.oracle`.
 
 from __future__ import annotations
 
-from .partitions import EMPTY, LengthTooSmall, Partition
-
-
-def principal_core(n: int, p: int) -> Partition:
-    """Core labelling the principal p-block: the one-row partition (n mod p)."""
-    b = n % p
-    return Partition((b,)) if b else EMPTY
+from .partitions import LengthTooSmall, Partition
 
 
 def principal_runner_counts(n: int, p: int, length: int) -> list[int]:

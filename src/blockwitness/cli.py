@@ -102,11 +102,11 @@ def _first_or_dash(partitions: frozenset[Partition]) -> str:
 
 
 def _cmd_witness(args) -> int:
-    deferral = derive_case_parameters(args.n, args.p, args.q).deferral
-    if deferral is not None:
-        print(_DEFERRAL_MESSAGES[deferral])
+    params = derive_case_parameters(args.n, args.p, args.q)
+    if params.deferral is not None:
+        print(_DEFERRAL_MESSAGES[params.deferral])
         return EXIT_CONDITION_FAILED
-    found = witness.construct_witness(args.n, args.p, args.q)
+    found = witness._construct(params)
     facts = {
         "case": found.candidate.case_id,
         "partition": list(found.partition.parts),
@@ -181,8 +181,9 @@ def _cmd_scan(args) -> int:
                     deferral, found = cv.deferral, cv.witness
                     agrees, holds = cv.oracle_agrees, cv.oracle_condition_holds
                 else:
-                    deferral = derive_case_parameters(n, p, q).deferral
-                    found = None if deferral else witness.construct_witness(n, p, q)
+                    params = derive_case_parameters(n, p, q)
+                    deferral = params.deferral
+                    found = None if deferral else witness._construct(params)
             except witness.CaseTreeFalsified as exc:
                 falsified += 1
                 print(f"internal-error: {exc}")

@@ -3,9 +3,11 @@
 Character degrees of symmetric groups outgrow machine words long before the
 interesting range starts, and every question asked of them here is about
 prime parts.  Values therefore live as maps prime -> exponent; conversion to
-decimal happens only at output boundaries.  Division by a non-divisor is a
-hard error: every quotient taken in this package is asserted integral, and a
-non-integral one means a transcription bug that must surface loudly.
+decimal happens only at output boundaries.  The one exact quotient taken
+in this package is a degree, n! over the hook product
+(:func:`blockwitness.degrees.degree`); it is asserted integral, and a
+non-integral one means a transcription bug that must surface loudly as
+:class:`NotDivisible`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Mapping
 
 
 class NotDivisible(ArithmeticError):
@@ -121,20 +122,6 @@ class FactoredNatural:
                 raise ValueError(f"factor key {p} is not prime")
             previous = p
 
-    @classmethod
-    def from_factors(cls, mapping: Mapping[int, int]) -> "FactoredNatural":
-        """Build from a prime -> exponent map; zero exponents are dropped."""
-        items = []
-        for p, e in sorted(mapping.items()):
-            if e < 0:
-                raise ValueError(f"negative exponent for {p}")
-            if e > 0:
-                items.append((p, e))
-        return cls(tuple(items))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     def valuation(self, p: int) -> int:
         """Exponent of p, zero when p is absent."""
         for prime, e in self.factors:
@@ -143,27 +130,6 @@ class FactoredNatural:
             if prime > p:
                 break
         return 0
-
-    def __mul__(self, other: "FactoredNatural") -> "FactoredNatural":
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return _trusted(tuple(sorted(merged.items())))
-
-    def div(self, other: "FactoredNatural") -> "FactoredNatural":
-        """Exact quotient; raises NotDivisible when any exponent underflows."""
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            remaining = merged.get(p, 0) - e
-            if remaining < 0:
-                raise NotDivisible(
-                    f"prime {p} has exponent {merged.get(p, 0)} < {e} in the dividend"
-                )
-            if remaining == 0:
-                merged.pop(p)
-            else:
-                merged[p] = remaining
-        return _trusted(tuple(sorted(merged.items())))
 
     def to_int(self) -> int:
         value = 1
@@ -182,7 +148,8 @@ class FactoredNatural:
         return "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors)
 
 
-@lru_cache(maxsize=None)
+# Unused inside the package; kept, cached, because perfbench/tracing.py reads its cache_info.
+@lru_cache(maxsize=1024)
 def factor(k: int) -> FactoredNatural:
     """Factor a positive integer by trial division."""
     if k < 1:
@@ -210,15 +177,6 @@ def factorial_factored(k: int) -> FactoredNatural:
         raise ValueError(f"factorial of negative {k}")
     # every prime p <= k divides k!, so no exponent is zero
     return _trusted(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))
-
-
-def product(values: Iterable[FactoredNatural]) -> FactoredNatural:
-    """Product of factored values, accumulated in one exponent map."""
-    merged: dict[int, int] = {}
-    for value in values:
-        for p, e in value.factors:
-            merged[p] = merged.get(p, 0) + e
-    return _trusted(tuple(sorted(merged.items())))
 
 
 def _trusted(factors: tuple[tuple[int, int], ...]) -> FactoredNatural:

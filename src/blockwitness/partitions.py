@@ -1,4 +1,4 @@
-"""Partitions, hooks, beta-sets, and the abacus for cores, weights and quotients.
+"""Partitions, beta-sets, and the abacus for runner counts, weights and quotients.
 
 Partitions are kept in one canonical form: a weakly decreasing tuple of
 positive parts.  The ascending block notation used to write down candidate
@@ -23,8 +23,11 @@ Representation Theory of the Symmetric Group*, 1981, section 2.7):
   bead levels minus ``sum(c_i * (c_i - 1) / 2)``.  It also equals the
   number of hooks of the diagram whose length is divisible by ``e``.
 
-The core itself is independent of the chosen beta-set length; the quotient
-uses a length divisible by ``p`` so the runner order is well defined.
+No core is built.  The kernel always lays out the beta-set whose length is
+the number of parts, so a partition is compared with a core through that
+core's runner counts at the partition's length (see
+:func:`blockwitness.blocks.principal_runner_counts`).  The quotient uses a
+length divisible by ``p`` so the runner order is well defined.
 """
 
 from __future__ import annotations
@@ -88,16 +91,10 @@ class Partition:
         return _trusted(tuple(out))
 
     def is_self_conjugate(self) -> bool:
+        # the first column has len(parts) cells and the first row parts[0]
+        if self.parts and len(self.parts) != self.parts[0]:
+            return False
         return self.parts == self.conjugate().parts
-
-    def hook_lengths(self) -> list[int]:
-        """Hook length of every cell (arm + leg + 1), row-major."""
-        conj = self.conjugate().parts
-        hooks = []
-        for i, row in enumerate(self.parts):
-            for j in range(row):
-                hooks.append(row - j + conj[j] - i - 1)
-        return hooks
 
     def beta_set(self, length: int) -> tuple[int, ...]:
         """First-column hook lengths of the partition padded to ``length`` rows.
@@ -112,45 +109,22 @@ class Partition:
         padded = self.parts + (0,) * (length - len(self.parts))
         return tuple(map(add, padded, range(length - 1, -1, -1)))
 
-    def abacus(self, e: int, *, length: int | None = None) -> tuple[list[int], int]:
+    def abacus(self, e: int) -> tuple[list[int], int]:
         """Runner counts and ``e``-weight of the beta-set on an ``e``-runner abacus.
 
-        One pass over the beads of the beta-set of ``length`` (default: the
-        number of parts).  The counts depend on ``length``; the weight does
-        not.
+        One pass over the beads of the beta-set whose length is the number of
+        parts.
         """
         if e < 1:
             raise ValueError(f"abacus requires e >= 1, got {e}")
         counts = [0] * e
         weight = 0
-        beads = self.beta_set(len(self.parts) if length is None else length)
+        beads = self.beta_set(len(self.parts))
         for level, runner in _bead_positions(beads, e):
             # the beads already on a runner add up to sum(c * (c - 1) / 2)
             weight += level - counts[runner]
             counts[runner] += 1
         return counts, weight
-
-    def p_core(self, p: int, *, length: int | None = None) -> "Partition":
-        """Partition left after removing every rim hook of length ``p``.
-
-        Rebuilt from the abacus runner counts, each runner's beads packed
-        onto its lowest levels.
-        Any ``length`` >= number of parts gives the same core; the default is
-        the smallest multiple of ``p`` that fits.
-        """
-        if p < 2:
-            raise ValueError(f"core requires p >= 2, got {p}")
-        if length is None:
-            length = -(-len(self.parts) // p) * p
-        runners, _ = self.abacus(p, length=length)
-        packed = sorted(
-            (i + p * j for i, count in enumerate(runners) for j in range(count)),
-            reverse=True,
-        )
-        parts = tuple(
-            beta - (length - 1 - i) for i, beta in enumerate(packed)
-        )
-        return _trusted(tuple(a for a in parts if a > 0))
 
     def p_quotient(self, p: int) -> tuple["Partition", ...]:
         """The ``p`` runner partitions encoding the removed ``p``-hooks.
@@ -201,8 +175,6 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     object.__setattr__(obj, "parts", parts)
     return obj
 
-
-EMPTY = Partition(())
 
 
 @dataclass(frozen=True)
@@ -307,31 +279,6 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
             current = current + (chunk,)
             freed -= chunk
         yield current
-
-
-def partition_count(n: int) -> int:
-    """Number of partitions of n by the pentagonal-number recurrence."""
-    return partition_counts(n)[n]
-
-
-def partition_counts(limit: int) -> list[int]:
-    """p(0..limit) via the pentagonal-number recurrence."""
-    counts = [1] + [0] * limit
-    for m in range(1, limit + 1):
-        total = 0
-        k = 1
-        while True:
-            pent1 = k * (3 * k - 1) // 2
-            pent2 = k * (3 * k + 1) // 2
-            if pent1 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * counts[m - pent1]
-            if pent2 <= m:
-                total += sign * counts[m - pent2]
-            k += 1
-        counts[m] = total
-    return counts
 
 
 def parse_partition_text(text: str) -> Partition:

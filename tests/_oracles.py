@@ -123,6 +123,11 @@ def exhaustive_cores(parts: Parts, p: int) -> frozenset[Parts]:
     return frozenset(result)
 
 
+def residue_counts(beads, e: int) -> list[int]:
+    """How many beads fall in each residue class mod e, one class at a time."""
+    return [sum(1 for b in beads if b % e == r) for r in range(e)]
+
+
 def multipartition_count(components: int, total: int) -> int:
     """Number of `components`-tuples of partitions with sizes summing to total."""
     base = [partition_count_oracle(k) for k in range(total + 1)]

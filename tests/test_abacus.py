@@ -11,7 +11,7 @@ import _oracles as oracle
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree_valuation
 from blockwitness.factored import factorial_valuation, primes_up_to
-from blockwitness.partitions import EMPTY, LengthTooSmall, Partition, partitions_of
+from blockwitness.partitions import Partition, partitions_of
 
 
 def test_weight_counts_hooks_divisible_by_e():
@@ -42,12 +42,12 @@ def test_weight_valuation_matches_hook_formula():
 
 
 def test_empty_partition():
+    empty = Partition(())
     for e in (1, 2, 3, 7):
-        assert EMPTY.abacus(e) == ([0] * e, 0)
-        assert EMPTY.abacus(e, length=4)[1] == 0
+        assert empty.abacus(e) == ([0] * e, 0)
     for p in (2, 3, 5):
-        assert principal_block_contains(EMPTY, p)
-        assert degree_valuation(EMPTY, p) == 0
+        assert principal_block_contains(empty, p)
+        assert degree_valuation(empty, p) == 0
 
 
 def test_prime_above_n():
@@ -72,12 +72,9 @@ def test_one_column_partition():
             assert principal_block_contains(column, p) == (n % p <= 1)
 
 
-def test_counts_follow_length_weight_does_not():
-    # beads 6, 3, 1 at length 3 and 7, 4, 2, 0 at length 4; hooks 6 and 3
+def test_abacus_example():
+    # beads 6, 3, 1; hooks 6 and 3
     lam = Partition((4, 2, 1))
     assert lam.abacus(3) == ([2, 1, 0], 2)
-    assert lam.abacus(3, length=4) == ([1, 2, 1], 2)
-    with pytest.raises(LengthTooSmall):
-        lam.abacus(3, length=2)
     with pytest.raises(ValueError):
         lam.abacus(0)

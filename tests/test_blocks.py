@@ -1,11 +1,7 @@
 import pytest
 
 import _oracles as oracle
-from blockwitness.blocks import (
-    principal_block_contains,
-    principal_core,
-    principal_runner_counts,
-)
+from blockwitness.blocks import principal_block_contains, principal_runner_counts
 from blockwitness.degrees import degree
 from blockwitness.oracle import _p_prime_set
 from blockwitness.partitions import LengthTooSmall, Partition, partitions_of
@@ -19,19 +15,13 @@ def members(n, p):
     return frozenset(lam for lam in partitions_of(n) if principal_block_contains(lam, p))
 
 
-def test_principal_core():
-    assert principal_core(9, 3) == P()
-    assert principal_core(10, 3) == P(1)
-    assert principal_core(4, 7) == P(4)
-
-
 def test_principal_runner_counts_closed_form():
-    # against an abacus pass over the principal core's beta-set
+    # against the residues mod e of the principal core's beta-set
     for n in range(0, 41):
         for e in range(2, n + 3):
-            core = principal_core(n, e)
+            core = P(n % e) if n % e else P()
             for length in range(len(core.parts), n + 4):
-                expected = core.abacus(e, length=length)[0]
+                expected = oracle.residue_counts(core.beta_set(length), e)
                 assert principal_runner_counts(n, e, length) == expected, (n, e, length)
     with pytest.raises(LengthTooSmall):
         principal_runner_counts(10, 3, 0)
@@ -84,13 +74,12 @@ def test_trivial_and_column_membership():
             column = Partition((1,) * n)
             cores = oracle.exhaustive_cores(column.parts, p)
             assert len(cores) == 1
-            expected = next(iter(cores)) == principal_core(n, p).parts
+            expected = next(iter(cores)) == ((n % p,) if n % p else ())
             assert principal_block_contains(column, p) == expected
 
 
 def test_core_determines_membership():
     for lam in partitions_of(8):
         for p in (2, 3, 5, 7):
-            assert principal_block_contains(lam, p) == (
-                lam.p_core(p) == principal_core(8, p)
-            )
+            (core,) = oracle.exhaustive_cores(lam.parts, p)
+            assert principal_block_contains(lam, p) == (core == ((8 % p,) if 8 % p else ()))

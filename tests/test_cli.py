@@ -220,13 +220,12 @@ def test_outputs_are_reproducible(capsys):
 
 def test_internal_failure_exits_3(capsys, monkeypatch):
     import blockwitness.cli as cli_module
-    from blockwitness.parameters import derive_case_parameters
     from blockwitness.witness import CaseTreeFalsified
 
-    def falsify(n, p, q):
-        raise CaseTreeFalsified(derive_case_parameters(n, p, q), [])
+    def falsify(params):
+        raise CaseTreeFalsified(params, [])
 
-    monkeypatch.setattr(cli_module.witness, "construct_witness", falsify)
+    monkeypatch.setattr(cli_module.witness, "_construct", falsify)
     code, out, _ = invoke(capsys, "witness", "--n", "9", "--p", "3", "--q", "2")
     assert code == 3
     assert out.startswith("internal-error: CaseTreeFalsified")
@@ -235,17 +234,37 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
 
 def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):
     import blockwitness.cli as cli_module
-    from blockwitness.parameters import derive_case_parameters
     from blockwitness.witness import CaseTreeFalsified
 
-    def falsify(n, p, q):
-        raise CaseTreeFalsified(derive_case_parameters(n, p, q), [])
+    def falsify(params):
+        raise CaseTreeFalsified(params, [])
 
-    monkeypatch.setattr(cli_module.witness, "construct_witness", falsify)
+    monkeypatch.setattr(cli_module.witness, "_construct", falsify)
     code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "9")
     assert code == 3
     assert "internal-error:" in out
     assert "falsified=1" in out.splitlines()[-1]
+
+
+def test_witness_and_scan_validate_once(capsys, monkeypatch):
+    import blockwitness.parameters as parameters_module
+    from blockwitness.oracle import prime_pairs
+
+    calls = []
+    check = parameters_module.check_primes
+
+    def counting(n, primes):
+        calls.append((n, primes))
+        check(n, primes)
+
+    monkeypatch.setattr(parameters_module, "check_primes", counting)
+    code, _, _ = invoke(capsys, "witness", "--n", "12", "--p", "3", "--q", "2")
+    assert code == 0
+    assert calls == [(12, (3, 2))]
+    calls.clear()
+    code, _, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "14")
+    assert code == 0
+    assert calls == [(n, pair) for n in range(9, 15) for pair in prime_pairs(n)]
 
 
 def test_module_entry_point():

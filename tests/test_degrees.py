@@ -18,11 +18,11 @@ def P(*parts):
 def test_degree_examples():
     for n in (1, 4, 12):
         assert degree(Partition((n,))).to_decimal() == "1"
-    assert degree(P(2, 1)).as_dict() == {2: 1}
+    assert degree(P(2, 1)).factors == ((2, 1),)
     hook_partition = P(2, 1, 1, 1, 1, 1, 1, 1)
     # standard-tableau counting oracle for the n = 9 hook shape
     assert oracle.syt_count(hook_partition.parts) == 8
-    assert degree(hook_partition).as_dict() == {2: 3}
+    assert degree(hook_partition).factors == ((2, 3),)
 
 
 def test_degree_matches_tableau_count_small():
@@ -101,4 +101,4 @@ def test_degree_edge_shapes():
         square = (k,) * k
         assert degree(Partition(square)).to_int() == oracle.hook_product_degree(square)
     # the 3 x 3 square: 9! / (5 * 4^2 * 3^3 * 2^2 * 1) = 42
-    assert degree(P(3, 3, 3)).as_dict() == {2: 1, 3: 1, 7: 1}
+    assert degree(P(3, 3, 3)).factors == ((2, 1), (3, 1), (7, 1))

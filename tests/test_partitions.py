@@ -10,7 +10,6 @@ from blockwitness.partitions import (
     NonMonotoneSpec,
     Partition,
     parse_partition_text,
-    partition_count,
     partitions_of,
 )
 
@@ -53,13 +52,8 @@ def test_partitions_of_order_and_counts():
         assert all(sum(parts) == n for parts in seen)
 
 
-def test_partition_count_matches_recurrence():
-    for n in range(0, 61):
-        assert partition_count(n) == oracle.partition_count_oracle(n)
-
-
 def test_generator_count_spot_60():
-    assert sum(1 for _ in partitions_of(60)) == partition_count(60)
+    assert sum(1 for _ in partitions_of(60)) == oracle.partition_count_oracle(60)
 
 
 def test_from_ascending_spec_examples():
@@ -122,19 +116,17 @@ def test_conjugate_involution_exhaustive():
         for lam in partitions_of(n):
             assert lam.conjugate().conjugate() == lam
             assert lam.conjugate().parts == oracle.conjugate(lam.parts)
-
-
-def test_hook_lengths_examples():
-    assert sorted(P(2, 1).hook_lengths()) == [1, 1, 3]
-    assert sorted(P(2, 2).hook_lengths()) == [1, 2, 2, 3]
-    for n in (1, 5, 9):
-        assert sorted(Partition((n,)).hook_lengths()) == list(range(1, n + 1))
+            assert lam.is_self_conjugate() == (lam.parts == oracle.conjugate(lam.parts))
 
 
 @settings(max_examples=300, derandomize=True)
 @given(partitions_strategy)
 def test_hook_multiset_conjugation_invariant(lam):
-    assert sorted(lam.hook_lengths()) == sorted(lam.conjugate().hook_lengths())
+    # the e-weights, hooks divisible by e for every e >= 1, fix the hook
+    # multiset (Moebius inversion over multiples)
+    conj = lam.conjugate()
+    for e in range(1, lam.size + 1):
+        assert lam.abacus(e)[1] == conj.abacus(e)[1]
 
 
 def test_beta_set_examples():
@@ -155,11 +147,11 @@ def test_beta_set_strictly_decreasing():
 
 
 def test_p_core_examples():
-    assert P(4).p_core(3).parts == (1,)
-    assert P(2, 1).p_core(3).parts == ()
-    assert P(2, 1, 1, 1, 1, 1, 1, 1).p_core(3).parts == ()
-    cores = oracle.exhaustive_cores((2, 1, 1, 1, 1, 1, 1, 1), 3)
-    assert cores == frozenset({()})
+    # a core is fixed by its runner counts at the partition's own length
+    for parts, p, core in (((4,), 3, (1,)), ((2, 1), 3, ()), ((2, 1, 1, 1, 1, 1, 1, 1), 3, ())):
+        assert oracle.exhaustive_cores(parts, p) == frozenset({core})
+        lam = Partition(parts)
+        assert lam.abacus(p)[0] == oracle.residue_counts(Partition(core).beta_set(len(parts)), p)
 
 
 def test_p_core_matches_exhaustive_stripping():
@@ -168,35 +160,30 @@ def test_p_core_matches_exhaustive_stripping():
             for p in (2, 3, 5, 7):
                 cores = oracle.exhaustive_cores(lam.parts, p)
                 assert len(cores) == 1, f"order-dependent core for {lam.parts}, p={p}"
-                assert lam.p_core(p).parts == next(iter(cores))
+                core = Partition(next(iter(cores)))
+                expected = oracle.residue_counts(core.beta_set(len(lam.parts)), p)
+                assert lam.abacus(p)[0] == expected
 
 
 def test_p_core_properties():
+    # the exhaustive core has no p-hook, and the p-weight counts the p-hooks removed
     rng = random.Random(7)
     for _ in range(400):
         lam = Partition(oracle.random_partition(rng, rng.randint(0, 35)))
         p = rng.choice((2, 3, 5, 7, 11))
-        core = lam.p_core(p)
-        assert core.p_core(p) == core
-        assert all(h % p != 0 for h in core.hook_lengths())
-        assert (lam.size - core.size) % p == 0
-
-
-def test_p_core_length_independence():
-    rng = random.Random(9)
-    for _ in range(200):
-        lam = Partition(oracle.random_partition(rng, rng.randint(0, 30)))
-        p = rng.choice((2, 3, 5))
-        default = lam.p_core(p)
-        for extra in (0, 1, 2, p, 2 * p + 1):
-            assert lam.p_core(p, length=len(lam.parts) + extra) == default
+        (core,) = oracle.exhaustive_cores(lam.parts, p)
+        core = Partition(core)
+        counts, weight = lam.abacus(p)
+        assert core.abacus(p) == (oracle.residue_counts(core.beta_set(len(core.parts)), p), 0)
+        assert counts == oracle.residue_counts(core.beta_set(len(lam.parts)), p)
+        assert lam.size == core.size + p * weight
 
 
 def test_p_quotient_examples():
     comps = P(4).p_quotient(3)
     assert sum(c.size for c in comps) == 1
-    core = P(4).p_core(3)
-    assert all(c.size == 0 for c in core.p_quotient(3))
+    # (1) is the 3-core of (4)
+    assert all(c.size == 0 for c in P(1).p_quotient(3))
     assert sum(c.size for c in P(2, 1).p_quotient(3)) == 1
 
 
@@ -207,7 +194,8 @@ def test_core_quotient_size_identity():
         p = rng.choice((2, 3, 5, 7))
         comps = lam.p_quotient(p)
         assert len(comps) == p
-        assert lam.size == lam.p_core(p).size + p * sum(c.size for c in comps)
+        (core,) = oracle.exhaustive_cores(lam.parts, p)
+        assert lam.size == sum(core) + p * sum(c.size for c in comps)
 
 
 def test_literals():
