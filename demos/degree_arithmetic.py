@@ -2,9 +2,9 @@
 
 Every degree in this package is an exact prime factorization; decimals only
 appear when printing.  This script prints a full degree table for S_6,
-checks the regular-representation identity for S_12, and shows a degree of
-S_100 whose decimal form has over 100 digits but whose prime parts are read
-off instantly.
+checks the regular-representation identity for S_12, and shows the degree
+of the staircase partition of 91, whose decimal form has 68 digits but
+whose prime parts are read off instantly.
 """
 
 import math

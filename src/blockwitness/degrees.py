@@ -83,21 +83,15 @@ def degree_valuation(lam: Partition, p: int) -> int:
     sum of w_{p^k} over k >= 1 and
 
         nu_p(degree) = nu_p(|lam|!) - sum_{k >= 1} w_{p^k}(lam).
-    """
-    return valuation_from_weight(lam, p, lam.abacus(p)[1])
 
-
-def valuation_from_weight(lam: Partition, p: int, p_weight: int) -> int:
-    """:func:`degree_valuation` given the p-weight from an abacus pass already made.
-
-    Adds one abacus pass per higher power of p, up to the largest hook
-    length; no power above it divides any hook.
+    One abacus pass per power of p up to the largest hook length; no power
+    above it divides any hook.
     """
     if p < 2:
         raise ValueError(f"valuation requires p >= 2, got {p}")
-    total = factorial_valuation(lam.size, p) - p_weight
+    total = factorial_valuation(lam.size, p)
     largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
-    e = p * p
+    e = p
     while e <= largest_hook:
         total -= lam.abacus(e)[1]
         e *= p

@@ -170,7 +170,8 @@ def factor(k: int) -> FactoredNatural:
     return _trusted(tuple(pairs))
 
 
-@lru_cache(maxsize=None)
+# construct_grid revisits 120 distinct n and a scan visits each n once
+@lru_cache(maxsize=256)
 def factorial_factored(k: int) -> FactoredNatural:
     """Factorization of k!, one floor-sum per prime <= k."""
     if k < 0:

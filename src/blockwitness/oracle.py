@@ -1,13 +1,18 @@
 """Brute-force ground truth for the witness conditions.
 
-Everything here is computed by exhausting the partitions of n with cores
-and degree valuations taken directly from the combinatorics modules; the
-candidate construction in :mod:`blockwitness.witness` is never consulted,
-which is exactly what makes :func:`cross_validate` meaningful.
+For each prime p the oracle exhausts the partitions of n once and keeps two
+sets: Irr_p'(S_n), the partitions whose degree p does not divide (by
+:func:`degree_valuation`), and Irr_p'(B_0), those of them in the principal
+p-block.  Everything else is set difference: a p-block witness is a member of
+Irr_p'(B_0) outside Irr_q'(S_n), and conjecture B compares Irr_p'(B_0) with
+Irr_q'(B_0).  The candidate construction in :mod:`blockwitness.witness` is
+never consulted, which is exactly what makes :func:`cross_validate`
+meaningful.
 
-The alternating-group mode keeps only non-self-conjugate partitions, whose
-characters restrict irreducibly, so a symmetric-group witness survives
-restriction verbatim; no alternating-group block theory is computed.
+The alternating-group mode drops the self-conjugate partitions from those
+finished sets.  The remaining characters restrict irreducibly, so a
+symmetric-group witness survives restriction verbatim; no alternating-group
+block theory is computed.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import witness as witness_engine
-from .blocks import principal_runner_counts
-from .degrees import valuation_from_weight
+from .blocks import principal_block_contains
+from .degrees import degree_valuation
 from .factored import primes_up_to
 from .parameters import check_primes, derive_case_parameters
 from .partitions import Partition, partitions_of
@@ -33,28 +38,30 @@ def _normalize_group(group_kind: str) -> str:
 
 
 @lru_cache(maxsize=1)
-def _scan(n: int) -> tuple[tuple[Partition, bool], ...]:
-    # partition and self-conjugacy, enumerated once per n; a scan visits
-    # each n once, so only the latest n is kept
-    return tuple((lam, lam.is_self_conjugate()) for lam in partitions_of(n))
+def _scan(n: int) -> tuple[Partition, ...]:
+    # the partitions of n, enumerated once per n; a scan visits each n once,
+    # so only the latest n is kept
+    return tuple(partitions_of(n))
 
 
 @lru_cache(maxsize=32)
-def _prime_view(n: int, p: int) -> tuple[tuple[bool, int], ...]:
-    # (principal-block membership, degree valuation) aligned with _scan(n);
-    # one p-abacus pass per partition gives both the membership bit and the
-    # p-weight the valuation starts from; 32 entries hold every prime <= n
-    # for any n small enough to enumerate
-    principal: dict[int, list[int]] = {}
-    out = []
-    for lam, _ in _scan(n):
-        counts, weight = lam.abacus(p)
-        length = len(lam.parts)
-        target = principal.get(length)
-        if target is None:
-            target = principal[length] = principal_runner_counts(n, p, length)
-        out.append((counts == target, valuation_from_weight(lam, p, weight)))
-    return tuple(out)
+def _prime_view(n: int, p: int) -> tuple[frozenset[Partition], frozenset[Partition]]:
+    # (Irr_p'(S_n), Irr_p'(B_0)); block membership is tested only on the
+    # partitions of p'-degree, a small share of all; 32 entries hold every
+    # prime <= n for any n small enough to enumerate
+    p_prime = frozenset(lam for lam in _scan(n) if degree_valuation(lam, p) == 0)
+    return p_prime, frozenset(lam for lam in p_prime if principal_block_contains(lam, p))
+
+
+def _conjecture_sets(n: int, p: int, q: int, kind: str) -> tuple[frozenset[Partition], ...]:
+    # (B_p, B_q, B_p - Irr_q'(S_n), B_q - Irr_p'(S_n)) with B_r = Irr_r'(B_0),
+    # for arguments already validated and a normalized kind
+    p_prime, set_p = _prime_view(n, p)
+    q_prime, set_q = _prime_view(n, q)
+    sets = (set_p, set_q, set_p - q_prime, set_q - p_prime)
+    if kind == "an":
+        return tuple(frozenset(lam for lam in s if not lam.is_self_conjugate()) for s in sets)
+    return sets
 
 
 def witness_sets(
@@ -64,33 +71,13 @@ def witness_sets(
 
     The p-block side collects partitions in the principal p-block whose
     degree is coprime to p and divisible by q; the q-block side is the
-    mirror image.  In alternating-group mode self-conjugate partitions are
-    excluded up front.  The arguments are validated by :func:`check_primes`.
+    mirror image.  In alternating-group mode the self-conjugate partitions
+    are dropped from both sides.  The arguments are validated by
+    :func:`check_primes`.
     """
     kind = _normalize_group(group_kind)
     check_primes(n, (p, q))
-    return _witness_sets(n, p, q, kind)
-
-
-def _witness_sets(
-    n: int, p: int, q: int, kind: str
-) -> tuple[frozenset[Partition], frozenset[Partition]]:
-    # witness_sets for arguments already validated and a normalized kind
-    data = _scan(n)
-    view_p = _prime_view(n, p)
-    view_q = _prime_view(n, q)
-    side_p = []
-    side_q = []
-    for i, (lam, self_conj) in enumerate(data):
-        if kind == "an" and self_conj:
-            continue
-        principal_p, val_p = view_p[i]
-        principal_q, val_q = view_q[i]
-        if principal_p and val_p == 0 and val_q >= 1:
-            side_p.append(lam)
-        if principal_q and val_q == 0 and val_p >= 1:
-            side_q.append(lam)
-    return frozenset(side_p), frozenset(side_q)
+    return _conjecture_sets(n, p, q, kind)[2:]
 
 
 @dataclass(frozen=True)
@@ -119,12 +106,11 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 
     C holds when either exhaustive witness set is nonempty.  B forbids equal
     prime-to-p and prime-to-q principal sets (``sets_equal``) for p != q.
-    The arguments are validated by :func:`witness_sets`.
+    The arguments are validated by :func:`check_primes`.
     """
     kind = _normalize_group(group_kind)
-    side_p, side_q = witness_sets(n, p, q, kind)
-    set_p = _p_prime_set(n, p, kind)
-    set_q = _p_prime_set(n, q, kind)
+    check_primes(n, (p, q))
+    set_p, set_q, side_p, side_q = _conjecture_sets(n, p, q, kind)
     return ConjectureReport(
         group_kind=kind,
         n=n,
@@ -136,16 +122,6 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
         set_B_p=set_p,
         set_B_q=set_q,
         sets_equal=set_p == set_q,
-    )
-
-
-def _p_prime_set(n: int, p: int, kind: str) -> frozenset[Partition]:
-    # principal p-block members of degree prime to p, read off the prime view
-    view = _prime_view(n, p)
-    return frozenset(
-        lam
-        for i, (lam, self_conj) in enumerate(_scan(n))
-        if view[i][0] and view[i][1] == 0 and not (kind == "an" and self_conj)
     )
 
 
@@ -172,7 +148,7 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     :func:`derive_case_parameters`.
     """
     params = derive_case_parameters(n, p, q)
-    side_p, side_q = _witness_sets(n, p, q, "sn")
+    side_p, side_q = _conjecture_sets(n, p, q, "sn")[2:]
     condition = bool(side_p or side_q)
     if params.deferral is not None:
         return CrossValidation(n, p, q, None, None, params.deferral, None, condition)

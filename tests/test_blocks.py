@@ -3,7 +3,7 @@ import pytest
 import _oracles as oracle
 from blockwitness.blocks import principal_block_contains, principal_runner_counts
 from blockwitness.degrees import degree
-from blockwitness.oracle import _p_prime_set
+from blockwitness.oracle import _prime_view
 from blockwitness.partitions import LengthTooSmall, Partition, partitions_of
 
 
@@ -44,11 +44,16 @@ def test_members_examples():
 
 
 def test_irr_examples():
-    assert _p_prime_set(4, 2, "sn") == frozenset(
-        {P(4), P(3, 1), P(2, 1, 1), P(1, 1, 1, 1)}
-    )
-    assert _p_prime_set(4, 5, "sn") == frozenset({P(4)})
-    assert P(2, 1, 1, 1, 1, 1, 1, 1) in _p_prime_set(9, 3, "sn")
+    # the oracle's (Irr_p'(S_n), Irr_p'(B_0)) against literal sets; the S_4
+    # degrees are 1, 3, 2, 3, 1, and for p = 5 > n every degree is prime to
+    # p while only the trivial character keeps the core (4)
+    odd = frozenset({P(4), P(3, 1), P(2, 1, 1), P(1, 1, 1, 1)})
+    assert {s for s in oracle.enumerate_partitions(4) if oracle.hook_product_degree(s) % 2} == {
+        lam.parts for lam in odd
+    }
+    assert _prime_view(4, 2) == (odd, odd)
+    assert _prime_view(4, 5) == (frozenset(partitions_of(4)), frozenset({P(4)}))
+    assert P(2, 1, 1, 1, 1, 1, 1, 1) in _prime_view(9, 3)[1]
 
 
 def test_degrees_of_s4():

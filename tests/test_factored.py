@@ -125,6 +125,16 @@ def test_factorial_valuation_matches_factorization():
             assert factorial_valuation(k, p) == factorial_factored(k).valuation(p)
 
 
+def test_factorial_cache_is_bounded():
+    # a process that sees n = 1..400 keeps at most 256 factorials, and an
+    # evicted one comes back unchanged
+    first = factorial_factored(1).factors
+    for k in range(1, 401):
+        factorial_factored(k)
+    assert factorial_factored.cache_info().currsize <= 256
+    assert factorial_factored(1).factors == first
+
+
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

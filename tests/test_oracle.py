@@ -1,16 +1,17 @@
 import pytest
 
+import _oracles as ref
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree_valuation
+from blockwitness.factored import primes_up_to
 from blockwitness.oracle import (
-    _p_prime_set,
     check_conjC,
     cross_validate,
     prime_pairs,
     witness_sets,
 )
 from blockwitness.parameters import NotPrime, PrimeExceedsN
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import Partition
 
 
 def P(*parts):
@@ -95,19 +96,47 @@ def test_report_set_consistency():
 
 
 def test_oracle_and_blocks_agree_on_sets():
-    # the oracle's prime view against membership and valuation taken one
-    # partition at a time
-    for n in (4, 9, 13):
-        for p in (2, 3):
-            expected = frozenset(
-                lam
-                for lam in partitions_of(n)
-                if principal_block_contains(lam, p) and degree_valuation(lam, p) == 0
-            )
-            assert _p_prime_set(n, p, "sn") == expected
-            assert _p_prime_set(n, p, "an") == frozenset(
-                lam for lam in expected if not lam.is_self_conjugate()
-            )
+    # the four sets of every report against independent references: degree
+    # valuations of plain hook-product degrees, principal blocks by
+    # exhaustive rim-hook stripping, self-conjugacy by the plain transpose
+    for n in range(1, 14):
+        shapes = list(ref.enumerate_partitions(n))
+        primes = primes_up_to(n)
+        val = {
+            p: {s: ref.padic_valuation(ref.hook_product_degree(s), p) for s in shapes}
+            for p in primes
+        }
+        principal = {
+            p: {
+                s
+                for s in shapes
+                if val[p][s] == 0
+                and ref.exhaustive_cores(s, p) == {(n % p,) if n % p else ()}
+            }
+            for p in primes
+        }
+        for kind in ("sn", "an"):
+            for p in primes:
+                for q in primes:
+                    if p == q:
+                        continue
+                    expected = [
+                        principal[p],
+                        principal[q],
+                        {s for s in principal[p] if val[q][s] >= 1},
+                        {s for s in principal[q] if val[p][s] >= 1},
+                    ]
+                    if kind == "an":
+                        expected = [{s for s in e if ref.conjugate(s) != s} for e in expected]
+                    report = check_conjC(n, p, q, kind)
+                    got = [
+                        report.set_B_p,
+                        report.set_B_q,
+                        report.witnesses_p_block,
+                        report.witnesses_q_block,
+                    ]
+                    assert [{lam.parts for lam in s} for s in got] == expected, (n, p, q, kind)
+                    assert witness_sets(n, p, q, kind) == tuple(got[2:])
 
 
 def test_cross_validate_validates_once(monkeypatch):
