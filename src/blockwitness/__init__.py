@@ -28,13 +28,12 @@ from .parameters import CaseParameters, NotPrime, PrimeExceedsN, derive_case_par
 from .degrees import degree, degree_valuation
 from .blocks import principal_block_contains
 from .witness import (
-    AbelianSylowDeferred,
     CaseTreeFalsified,
-    SmallN,
     SpecSumMismatch,
     VerificationFailure,
     Witness,
     WitnessCandidate,
+    WitnessDeferred,
     candidate_list,
     construct_witness,
     verify_candidate,
@@ -60,7 +59,6 @@ from .tables import (
 )
 
 __all__ = [
-    "AbelianSylowDeferred",
     "AscendingSpec",
     "AuditFinding",
     "CaseParameters",
@@ -77,11 +75,11 @@ __all__ = [
     "ParseError",
     "Partition",
     "PrimeExceedsN",
-    "SmallN",
     "SpecSumMismatch",
     "VerificationFailure",
     "Witness",
     "WitnessCandidate",
+    "WitnessDeferred",
     "audit",
     "build_sn_summary",
     "candidate_list",

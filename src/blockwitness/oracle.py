@@ -10,9 +10,11 @@ never consulted, which is exactly what makes :func:`cross_validate`
 meaningful.
 
 The alternating-group mode drops the self-conjugate partitions from those
-finished sets.  The remaining characters restrict irreducibly, so a
-symmetric-group witness survives restriction verbatim; no alternating-group
-block theory is computed.
+finished sets.  What it proves is one-sided.  A nonempty ``an`` witness set is
+a real A_n witness: the restriction is irreducible, of the same degree, and in
+B_0(A_n).  An empty set, or ``sets_equal``, is no verdict on A_n: the split
+constituents of degree f/2 of a self-conjugate partition are not modelled, and
+a partition and its conjugate restrict to the same character.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def witness_sets(
     The p-block side collects partitions in the principal p-block whose
     degree is coprime to p and divisible by q; the q-block side is the
     mirror image.  In alternating-group mode the self-conjugate partitions
-    are dropped from both sides.  The arguments are validated by
-    :func:`check_primes`.
+    are dropped from both sides; a member is then an A_n witness, but an
+    empty side is no verdict on A_n (see the module docstring).  The
+    arguments are validated by :func:`check_primes`.
     """
     kind = _normalize_group(group_kind)
     check_primes(n, (p, q))
@@ -106,7 +109,9 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 
     C holds when either exhaustive witness set is nonempty.  B forbids equal
     prime-to-p and prime-to-q principal sets (``sets_equal``) for p != q.
-    The arguments are validated by :func:`check_primes`.
+    In ``an`` mode only a nonempty witness set is a verdict on A_n; a false
+    C or ``sets_equal`` is not (see the module docstring).  The arguments
+    are validated by :func:`check_primes`.
     """
     kind = _normalize_group(group_kind)
     check_primes(n, (p, q))

@@ -1,19 +1,25 @@
 """Normalized numeric parameters for a triple (n, p, q) of degree and primes.
 
-For distinct primes p, q <= n the record fixes the orientation q < p and
-carries every derived quantity the candidate construction needs:
+For distinct primes q < p <= n the record holds (n, p, q) and derives every
+quantity the candidate construction reads:
 
     n = m*p + b      with 0 <= b < p
     m*p = w*q + r    with 0 <= r < q
 
-together with the nonzero digits of m*p in base q and in base p.  Both digit
-lists are stored low position first as (digit, position) pairs; the lowest
-entries drive the case split downstream.
+and, writing m*p in base q and in base p with its nonzero summands lowest
+first,
+
+    m*p = a1*q^t1 + a2*q^t2 + ...    with 0 < a_i < q and t1 < t2 < ...
+    m*p = b1*p^s1 + ...              with 0 < b_i < p and 1 <= s1 < ...
+
+the lowest summands A1 = a1*q^t1 (``low_q_part``) and B1 = b1*p^s1
+(``low_p_part``) and the positions t1 and t2 (``None`` when A1 = m*p).  The
+case split downstream reads only these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .factored import is_prime
 
@@ -26,75 +32,59 @@ class PrimeExceedsN(ValueError):
     """A prime larger than n was supplied; it does not divide n!."""
 
 
-def _nonzero_digits(x: int, base: int) -> tuple[tuple[int, int], ...]:
-    digits = []
-    position = 0
-    while x > 0:
-        x, d = divmod(x, base)
-        if d:
-            digits.append((d, position))
-        position += 1
-    return tuple(digits)
+def _lowest_summand(x: int, base: int) -> tuple[int, int]:
+    # (d * base**t, t) for the lowest nonzero base-`base` digit d of x > 0
+    t = 0
+    while x % base == 0:
+        x, t = x // base, t + 1
+    return x % base * base**t, t
 
 
 @dataclass(frozen=True)
 class CaseParameters:
-    """Derived quantities for one (n, p, q) with the orientation q < p."""
+    """Derived quantities for one (n, p, q) with 2 <= q < p <= n."""
 
     n: int
     p: int
     q: int
-    m: int
-    b: int
-    w: int
-    r: int
-    q_adic: tuple[tuple[int, int], ...]
-    p_adic: tuple[tuple[int, int], ...]
+    m: int = field(init=False)
+    b: int = field(init=False)
+    w: int = field(init=False)
+    r: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.q < self.p):
-            raise ValueError("parameters must be oriented with q < p")
-        if not (0 <= self.b < self.p and self.n == self.m * self.p + self.b):
-            raise ValueError("n = m*p + b decomposition is inconsistent")
-        mp = self.m * self.p
-        if not (0 <= self.r < self.q and mp == self.w * self.q + self.r):
-            raise ValueError("m*p = w*q + r decomposition is inconsistent")
-        for digits, base in ((self.q_adic, self.q), (self.p_adic, self.p)):
-            value = 0
-            previous = -1
-            for d, t in digits:
-                if not (0 < d < base) or t <= previous:
-                    raise ValueError("digit expansion malformed")
-                value += d * base**t
-                previous = t
-            if value != mp:
-                raise ValueError("digit expansion does not reconstruct m*p")
-        if self.m >= 1 and self.p_adic[0][1] < 1:
-            raise ValueError("m*p must be divisible by p")
+        if not 2 <= self.q < self.p <= self.n:
+            raise ValueError(
+                f"parameters must satisfy 2 <= q < p <= n, got"
+                f" n={self.n} p={self.p} q={self.q}"
+            )
+        m, b = divmod(self.n, self.p)
+        w, r = divmod(m * self.p, self.q)
+        for name, value in (("m", m), ("b", b), ("w", w), ("r", r)):
+            object.__setattr__(self, name, value)
 
     @property
     def mp(self) -> int:
         return self.m * self.p
 
     @property
-    def a1(self) -> int:
-        return self.q_adic[0][0]
+    def low_q_part(self) -> int:
+        """Lowest base-q summand A1 = a1 * q**t1 of m*p."""
+        return _lowest_summand(self.mp, self.q)[0]
 
     @property
     def t1(self) -> int:
-        return self.q_adic[0][1]
+        return _lowest_summand(self.mp, self.q)[1]
 
     @property
     def t2(self) -> int | None:
-        return self.q_adic[1][1] if len(self.q_adic) > 1 else None
+        rest = self.mp - self.low_q_part
+        return _lowest_summand(rest, self.q)[1] if rest else None
 
     @property
-    def b1(self) -> int:
-        return self.p_adic[0][0]
-
-    @property
-    def s1(self) -> int:
-        return self.p_adic[0][1]
+    def low_p_part(self) -> int:
+        """Lowest base-p summand B1 = b1 * p**s1 of m*p."""
+        return _lowest_summand(self.mp, self.p)[0]
 
     @property
     def deferral(self) -> str | None:
@@ -109,16 +99,6 @@ class CaseParameters:
         if self.m <= 1:
             return "abelian-sylow"
         return None
-
-    @property
-    def low_q_part(self) -> int:
-        """Lowest base-q summand a1 * q**t1 of m*p."""
-        return self.a1 * self.q**self.t1
-
-    @property
-    def low_p_part(self) -> int:
-        """Lowest base-p summand b1 * p**s1 of m*p."""
-        return self.b1 * self.p**self.s1
 
 
 def check_primes(n: int, primes: tuple[int, ...]) -> None:
@@ -141,21 +121,6 @@ def check_primes(n: int, primes: tuple[int, ...]) -> None:
 
 
 def derive_case_parameters(n: int, p: int, q: int) -> CaseParameters:
-    """Validate (n, p, q), normalize to q < p, and derive the full record."""
+    """Validate (n, p, q) and build the record oriented with q < p."""
     check_primes(n, (p, q))
-    if q > p:
-        p, q = q, p
-    m, b = divmod(n, p)
-    mp = m * p
-    w, r = divmod(mp, q)
-    return CaseParameters(
-        n=n,
-        p=p,
-        q=q,
-        m=m,
-        b=b,
-        w=w,
-        r=r,
-        q_adic=_nonzero_digits(mp, q),
-        p_adic=_nonzero_digits(mp, p),
-    )
+    return CaseParameters(n, max(p, q), min(p, q))

@@ -73,23 +73,19 @@ CASE_IDS = (
 
 
 class WitnessDeferred(Exception):
-    """The construction does not apply; the verdict comes from elsewhere."""
+    """The construction does not apply; ``regime`` is the record's deferral."""
 
-
-class SmallN(WitnessDeferred):
-    """n < 9: handled by explicit character-table data, not construction."""
-
-
-class AbelianSylowDeferred(WitnessDeferred):
-    """n // p <= 1: the Sylow p-subgroup is abelian and out of scope here."""
-
-
-class SpecSumMismatch(ValueError):
-    """A candidate spec does not sum to n; a case branch is mistranscribed."""
+    def __init__(self, params: CaseParameters):
+        self.regime = params.deferral
+        super().__init__(f"{self.regime}: n={params.n} p={params.p} q={params.q} is deferred")
 
 
 class InternalInvariantError(RuntimeError):
     """A relation that must hold for every valid record failed."""
+
+
+class SpecSumMismatch(InternalInvariantError):
+    """A candidate spec does not sum to n; a case branch is mistranscribed."""
 
 
 class CaseTreeFalsified(RuntimeError):
@@ -147,48 +143,41 @@ def _ones_then(ones: int, *tail: int) -> AscendingSpec:
 def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
     """The ordered candidates for the record's active case.
 
-    Raises :class:`SmallN` for n < 9 and :class:`AbelianSylowDeferred` for
-    m <= 1; both regimes are covered by other means and carry no candidates.
+    Raises :class:`WitnessDeferred` for a record with a deferral (n < 9 or
+    m <= 1); those regimes are covered by other means and carry no candidates.
     """
-    regime = params.deferral
-    if regime == "small-n":
-        raise SmallN(f"n={params.n} < 9 is deferred to table data")
-    if regime == "abelian-sylow":
-        raise AbelianSylowDeferred(
-            f"m={params.m} <= 1 for n={params.n}, p={params.p}"
-        )
+    if params.deferral is not None:
+        raise WitnessDeferred(params)
     p, q = params.p, params.q
     n, mp, b, w, r = params.n, params.mp, params.b, params.w, params.r
-
-    def cand(case_id: str, spec: AscendingSpec, host: int, divisor: int) -> WitnessCandidate:
-        return WitnessCandidate(case_id, spec, host, divisor)
-
     out: list[WitnessCandidate] = []
     if r > 0:
         if b == 0:
-            out.append(cand("I.a", _ones_then(mp - r - 1, 1 + r), p, q))
+            out.append(WitnessCandidate("I.a", _ones_then(mp - r - 1, 1 + r), p, q))
         elif r != b:
             low, high = (r, b) if r < b else (b, r)
-            out.append(cand("I.b", _ones_then(mp - r - 1, 1 + low, high), p, q))
-            out.append(cand("I.b-fallback", _ones_then(mp, b), p, q))
+            out.append(WitnessCandidate("I.b", _ones_then(mp - r - 1, 1 + low, high), p, q))
+            out.append(WitnessCandidate("I.b-fallback", _ones_then(mp, b), p, q))
         else:
             # b = r > 0; r + 1 < wq holds whenever m > 1
             if not r + 1 < w * q:
                 raise InternalInvariantError(
                     f"r+1 >= wq at n={n}, p={p}, q={q} despite m > 1"
                 )
-            out.append(cand("I.c", _ones_then(r, r + 1, w * q - 1), p, q))
-            out.append(cand("I.c-fallback1", _ones_then(w * q - 2, 1 + r, 1 + r), p, q))
+            out.append(WitnessCandidate("I.c", _ones_then(r, r + 1, w * q - 1), p, q))
+            out.append(
+                WitnessCandidate("I.c-fallback1", _ones_then(w * q - 2, 1 + r, 1 + r), p, q)
+            )
             if q == 2:
-                out.append(cand("I.c-fallback2-q2", _ones_then(n - 2, 2), q, p))
+                out.append(WitnessCandidate("I.c-fallback2-q2", _ones_then(n - 2, 2), q, p))
             elif r == 1:
                 # (1^mp, r) degenerates to the all-ones shape at r = 1, and the
                 # two candidates above both lose their q-part there; the width-2
                 # hook has degree mp and q-core (2) = (n mod q) exactly when
                 # r = 1, so it hosts at q the same way the q = 2 branch does.
-                out.append(cand("I.c-fallback2-r1", _ones_then(n - 2, 2), q, p))
+                out.append(WitnessCandidate("I.c-fallback2-r1", _ones_then(n - 2, 2), q, p))
             else:
-                out.append(cand("I.c-fallback2-qodd", _ones_then(mp, r), p, q))
+                out.append(WitnessCandidate("I.c-fallback2-qodd", _ones_then(mp, r), p, q))
     else:
         a1q = params.low_q_part
         b1p = params.low_p_part
@@ -199,30 +188,30 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
             )
         if a1q < b1p:
             if b == 0:
-                out.append(cand("II.a", _ones_then(mp - a1q - 1, 1 + a1q), p, q))
+                out.append(WitnessCandidate("II.a", _ones_then(mp - a1q - 1, 1 + a1q), p, q))
             elif b != a1q:
                 low, high = (a1q, b) if a1q < b else (b, a1q)
-                out.append(cand("II.b", _ones_then(mp - a1q - 1, 1 + low, high), p, q))
-                out.append(cand("II.b-fallback", _ones_then(mp, b), p, q))
+                out.append(WitnessCandidate("II.b", _ones_then(mp - a1q - 1, 1 + low, high), p, q))
+                out.append(WitnessCandidate("II.b-fallback", _ones_then(mp, b), p, q))
             else:
-                out.append(cand("II.c", _ones_then(mp - b - 2, b + 1, b + 1), p, q))
+                out.append(WitnessCandidate("II.c", _ones_then(mp - b - 2, b + 1, b + 1), p, q))
                 if p == b + 1 and (params.m - 1) % p == 0:
                     if b1p != p:
                         raise InternalInvariantError(
                             f"p = b+1 and p | m-1 must force the lowest base-p"
                             f" summand to be p at n={n}, p={p}, q={q}"
                         )
-                    out.append(cand("II.c-alt", _ones_then(mp - p, b + p), p, q))
+                    out.append(WitnessCandidate("II.c-alt", _ones_then(mp - p, b + p), p, q))
                 if q == 2 and params.t2 == params.t1 + 1:
-                    out.append(cand("II.c-alt-q2", _ones_then(mp - 1, b + 1), q, p))
+                    out.append(WitnessCandidate("II.c-alt-q2", _ones_then(mp - 1, b + 1), q, p))
         else:
             if b == 0:
-                out.append(cand("III.a", _ones_then(mp - b1p - 1, 1 + b1p), q, p))
+                out.append(WitnessCandidate("III.a", _ones_then(mp - b1p - 1, 1 + b1p), q, p))
             else:
-                out.append(cand("III.b", _ones_then(mp - b1p - 1, b + 1, b1p), q, p))
-                out.append(cand("III.b-alt1", _ones_then(0, b + 1, mp - 1), p, q))
-                out.append(cand("III.b-alt2", _ones_then(mp, b), p, q))
-                out.append(cand("III.b-final", _ones_then(mp - 1, 1 + b), q, p))
+                out.append(WitnessCandidate("III.b", _ones_then(mp - b1p - 1, b + 1, b1p), q, p))
+                out.append(WitnessCandidate("III.b-alt1", _ones_then(0, b + 1, mp - 1), p, q))
+                out.append(WitnessCandidate("III.b-alt2", _ones_then(mp, b), p, q))
+                out.append(WitnessCandidate("III.b-final", _ones_then(mp - 1, 1 + b), q, p))
     return tuple(out)
 
 
@@ -266,9 +255,9 @@ def verify_candidate(
 def construct_witness(n: int, p: int, q: int) -> Witness:
     """First verifying candidate for (n, p, q); primes may come either way.
 
-    Raises :class:`SmallN` or :class:`AbelianSylowDeferred` outside the
-    construction's regime, and :class:`CaseTreeFalsified` if every candidate
-    fails verification, which must never happen.
+    Raises :class:`WitnessDeferred` outside the construction's regime and
+    :class:`CaseTreeFalsified` if every candidate fails verification, which
+    must never happen.
     """
     return _construct(derive_case_parameters(n, p, q))
 

@@ -220,7 +220,8 @@ def test_outputs_are_reproducible(capsys):
 
 def test_internal_failure_exits_3(capsys, monkeypatch):
     import blockwitness.cli as cli_module
-    from blockwitness.witness import CaseTreeFalsified
+    from blockwitness.partitions import AscendingSpec
+    from blockwitness.witness import CaseTreeFalsified, WitnessCandidate
 
     def falsify(params):
         raise CaseTreeFalsified(params, [])
@@ -230,6 +231,22 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out.startswith("internal-error: CaseTreeFalsified")
     assert "n=9 p=3 q=2" in out
+    monkeypatch.undo()
+
+    # a candidate summing to n + 1 stands for a mistranscribed case branch
+    def mistranscribed(params):
+        return (WitnessCandidate("I.a", AscendingSpec(((1, params.n - 1), (2, 1))), 3, 2),)
+
+    monkeypatch.setattr(cli_module.witness, "candidate_list", mistranscribed)
+    for argv in (
+        ("witness", "--n", "9", "--p", "3", "--q", "2"),
+        ("scan", "--n-min", "9", "--n-max", "9"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3, argv
+        assert "internal-error: SpecSumMismatch" in out, argv
+        assert "sums to 10, expected 9" in out, argv
+        assert err == "", argv
 
 
 def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):

@@ -1,11 +1,24 @@
 import pytest
 
+from blockwitness.oracle import prime_pairs
 from blockwitness.parameters import (
     CaseParameters,
     NotPrime,
     PrimeExceedsN,
     derive_case_parameters,
 )
+
+
+def _nonzero_digits(x, base):
+    # (digit, position) of every nonzero base-`base` digit of x, lowest first,
+    # by repeated divmod; independent of the library's lowest-summand search
+    digits, position = [], 0
+    while x:
+        x, d = divmod(x, base)
+        if d:
+            digits.append((d, position))
+        position += 1
+    return digits
 
 
 def test_spot_records():
@@ -21,25 +34,31 @@ def test_normalization_swap():
 def test_digit_expansions():
     params = derive_case_parameters(10, 5, 2)
     assert (params.m, params.b, params.w, params.r) == (2, 0, 5, 0)
-    assert params.q_adic == ((1, 1), (1, 3))
-    assert params.p_adic == ((2, 1),)
+    assert params.mp == 10
     assert params.low_q_part == 2
     assert params.low_p_part == 10
     assert params.t1 == 1 and params.t2 == 3
-    assert params.b1 == 2 and params.s1 == 1
+    assert params.deferral is None
 
 
 def test_expansions_reconstruct():
-    for n in range(4, 60):
-        from blockwitness.oracle import prime_pairs
-
+    for n in range(2, 301):
         for p, q in prime_pairs(n):
             params = derive_case_parameters(n, p, q)
-            assert sum(d * params.q**t for d, t in params.q_adic) == params.mp
-            assert sum(d * params.p**s for d, s in params.p_adic) == params.mp
-            assert all(0 < d < params.q for d, _ in params.q_adic)
-            assert all(0 < d < params.p for d, _ in params.p_adic)
-            assert params.s1 >= 1
+            m, b = n // p, n % p
+            mp = m * p
+            assert (params.m, params.b, params.mp) == (m, b, mp)
+            assert (params.w, params.r) == (mp // q, mp % q)
+            q_digits = _nonzero_digits(mp, q)
+            p_digits = _nonzero_digits(mp, p)
+            assert sum(d * q**t for d, t in q_digits) == mp
+            assert sum(d * p**s for d, s in p_digits) == mp
+            (a1, t1), (b1, s1) = q_digits[0], p_digits[0]
+            assert params.low_q_part == a1 * q**t1
+            assert params.t1 == t1
+            assert params.t2 == (q_digits[1][1] if len(q_digits) > 1 else None)
+            assert params.low_p_part == b1 * p**s1
+            assert params.low_p_part % p == 0
             assert (params.t1 >= 1) == (params.r == 0)
 
 
@@ -59,10 +78,8 @@ def test_error_cases():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        CaseParameters(n=9, p=2, q=3, m=3, b=0, w=4, r=1, q_adic=(), p_adic=())
-    with pytest.raises(ValueError):
-        CaseParameters(
-            n=9, p=3, q=2, m=2, b=0, w=4, r=1,
-            q_adic=((1, 1), (1, 2)), p_adic=((2, 1),),
-        )
+    # the record holds (n, p, q) only; anything outside 2 <= q < p <= n is
+    # refused before the digit search could loop on a base below 2 or m*p = 0
+    for n, p, q in ((9, 2, 3), (9, 3, 3), (3, 5, 2), (9, 3, 1)):
+        with pytest.raises(ValueError):
+            CaseParameters(n, p, q)

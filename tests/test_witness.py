@@ -7,13 +7,12 @@ from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import AscendingSpec
 from blockwitness.witness import (
     CASE_IDS,
-    AbelianSylowDeferred,
     CaseTreeFalsified,
-    SmallN,
     SpecSumMismatch,
     VerificationFailure,
     Witness,
     WitnessCandidate,
+    WitnessDeferred,
     candidate_list,
     construct_witness,
     verify_candidate,
@@ -34,12 +33,15 @@ def test_first_candidates():
 
 
 def test_guards():
-    with pytest.raises(AbelianSylowDeferred):
+    with pytest.raises(WitnessDeferred) as info:
         candidate_list(derive_case_parameters(11, 7, 5))
-    with pytest.raises(SmallN):
+    assert info.value.regime == "abelian-sylow"
+    with pytest.raises(WitnessDeferred) as info:
         candidate_list(derive_case_parameters(8, 3, 2))
-    with pytest.raises(SmallN):
+    assert info.value.regime == "small-n"
+    with pytest.raises(WitnessDeferred) as info:
         construct_witness(8, 3, 2)
+    assert info.value.regime == "small-n"
 
 
 def test_spot_witnesses():
