@@ -27,7 +27,7 @@ def walk(n: int, p: int, q: int) -> None:
     print(f"(n, p, q) = ({n}, {p}, {q})  ->  m={params.m} b={params.b} "
           f"w={params.w} r={params.r}  A1={params.low_q_part} B1={params.low_p_part}")
     for index, cand in enumerate(candidate_list(params)):
-        outcome = verify_candidate(cand, n, index=index)
+        outcome = verify_candidate(cand, n)
         if isinstance(outcome, Witness):
             print(f"  [{index}] {cand.case_id:20} {str(cand.spec):24} "
                   f"VERIFIED  degree {outcome.degree.to_decimal()} "

@@ -44,7 +44,6 @@ from .oracle import (
     check_conjC,
     cross_validate,
     prime_pairs,
-    witness_sets,
 )
 from .tables import (
     AuditFinding,
@@ -100,5 +99,4 @@ __all__ = [
     "principal_block_contains",
     "serialize_table",
     "verify_candidate",
-    "witness_sets",
 ]

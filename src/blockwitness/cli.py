@@ -1,9 +1,11 @@
 """Command-line surface over the library; deterministic output.
 
 Exit codes: 0 success / condition verified, 1 condition failed or violation
-found, 2 usage or parse error, 3 internal consistency failure (a falsified
-case tree or a non-integral degree quotient), in which case a bug-report
-payload is printed.
+found, 2 usage or parse error, 3 internal fault (a broken invariant such as a
+falsified case tree, or a non-integral degree quotient), printed on stdout as
+``internal-error: <Type>: <message>``.  A scan prints that line for each
+faulting tuple and goes on; its summary's ``falsified`` counts every tuple
+that ended in an internal fault.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from . import oracle, tables, witness
 from .factored import NotDivisible, parse_decimal, primes_up_to
-from .parameters import NotPrime, PrimeExceedsN, derive_case_parameters
+from .parameters import derive_case_parameters
 from .partitions import Partition, parse_partition_text, partitions_of
 from .degrees import degree
 
@@ -26,6 +28,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
+
+# faults of the program itself, never of its input
+_INTERNAL_FAULTS = (witness.InternalInvariantError, NotDivisible)
 
 _DEFERRAL_MESSAGES = {
     "small-n": "small-n: deferred to table methods",
@@ -120,16 +125,8 @@ def _cmd_witness(args) -> int:
     if args.json:
         print(json.dumps(facts, sort_keys=True))
     else:
-        print(
-            f"case={facts['case']}"
-            f" partition={found.partition.to_literal()}"
-            f" host={facts['host']}"
-            f" divisor={facts['divisor']}"
-            f" degree={facts['degree']}"
-            f" factored={facts['factored']}"
-            f" host_valuation={facts['host_valuation']}"
-            f" divisor_valuation={facts['divisor_valuation']}"
-        )
+        facts["partition"] = found.partition.to_literal()
+        print(" ".join(f"{key}={value}" for key, value in facts.items()))
     return EXIT_OK
 
 
@@ -148,15 +145,14 @@ def _cmd_verify_c(args) -> int:
 
 def _cmd_verify_b(args) -> int:
     report = oracle.check_conjC(args.n, args.p, args.q, "sn")
-    violation = report.violates_equality_check
+    equal = "true" if report.sets_equal else "false"
     print(
         f"conjecture-b n={args.n} p={args.p} q={args.q}"
-        f" sets_equal={'true' if report.sets_equal else 'false'}"
-        f" violation={'true' if violation else 'false'}"
+        f" sets_equal={equal} violation={equal}"
         f" size_p={len(report.set_B_p)}"
         f" size_q={len(report.set_B_q)}"
     )
-    return EXIT_CONDITION_FAILED if violation else EXIT_OK
+    return EXIT_CONDITION_FAILED if report.sets_equal else EXIT_OK
 
 
 def _cmd_scan(args) -> int:
@@ -184,9 +180,9 @@ def _cmd_scan(args) -> int:
                     params = derive_case_parameters(n, p, q)
                     deferral = params.deferral
                     found = None if deferral else witness._construct(params)
-            except witness.CaseTreeFalsified as exc:
+            except _INTERNAL_FAULTS as exc:
                 falsified += 1
-                print(f"internal-error: {exc}")
+                print(f"internal-error: {type(exc).__name__}: {exc}")
                 continue
             if deferral is not None:
                 deferred += 1
@@ -277,10 +273,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except tables.ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotPrime, PrimeExceedsN, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (witness.CaseTreeFalsified, witness.InternalInvariantError, NotDivisible) as exc:
+    except _INTERNAL_FAULTS as exc:
         print(f"internal-error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 

@@ -32,13 +32,6 @@ from .partitions import Partition, partitions_of
 GROUP_KINDS = ("sn", "an")
 
 
-def _normalize_group(group_kind: str) -> str:
-    kind = group_kind.lower()
-    if kind not in GROUP_KINDS:
-        raise ValueError(f"group kind must be one of {GROUP_KINDS}, got {group_kind!r}")
-    return kind
-
-
 @lru_cache(maxsize=1)
 def _scan(n: int) -> tuple[Partition, ...]:
     # the partitions of n, enumerated once per n; a scan visits each n once,
@@ -57,30 +50,13 @@ def _prime_view(n: int, p: int) -> tuple[frozenset[Partition], frozenset[Partiti
 
 def _conjecture_sets(n: int, p: int, q: int, kind: str) -> tuple[frozenset[Partition], ...]:
     # (B_p, B_q, B_p - Irr_q'(S_n), B_q - Irr_p'(S_n)) with B_r = Irr_r'(B_0),
-    # for arguments already validated and a normalized kind
+    # for arguments already validated
     p_prime, set_p = _prime_view(n, p)
     q_prime, set_q = _prime_view(n, q)
     sets = (set_p, set_q, set_p - q_prime, set_q - p_prime)
     if kind == "an":
         return tuple(frozenset(lam for lam in s if not lam.is_self_conjugate()) for s in sets)
     return sets
-
-
-def witness_sets(
-    n: int, p: int, q: int, group_kind: str = "sn"
-) -> tuple[frozenset[Partition], frozenset[Partition]]:
-    """Exhaustive witness sets (p-block side, q-block side).
-
-    The p-block side collects partitions in the principal p-block whose
-    degree is coprime to p and divisible by q; the q-block side is the
-    mirror image.  In alternating-group mode the self-conjugate partitions
-    are dropped from both sides; a member is then an A_n witness, but an
-    empty side is no verdict on A_n (see the module docstring).  The
-    arguments are validated by :func:`check_primes`.
-    """
-    kind = _normalize_group(group_kind)
-    check_primes(n, (p, q))
-    return _conjecture_sets(n, p, q, kind)[2:]
 
 
 @dataclass(frozen=True)
@@ -98,26 +74,25 @@ class ConjectureReport:
     set_B_q: frozenset[Partition]
     sets_equal: bool
 
-    @property
-    def violates_equality_check(self) -> bool:
-        """True when the two prime-to-p principal sets coincide for p != q."""
-        return self.sets_equal and self.p != self.q
-
 
 def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureReport:
     """Exhaustive check of conjectures B and C for (n, p, q) in one report.
 
-    C holds when either exhaustive witness set is nonempty.  B forbids equal
-    prime-to-p and prime-to-q principal sets (``sets_equal``) for p != q.
-    In ``an`` mode only a nonempty witness set is a verdict on A_n; a false
-    C or ``sets_equal`` is not (see the module docstring).  The arguments
-    are validated by :func:`check_primes`.
+    ``witnesses_p_block`` holds the partitions in the principal p-block
+    whose degree is coprime to p and divisible by q; ``witnesses_q_block`` is
+    the mirror image.  C holds when either is nonempty.  B forbids equal
+    prime-to-p and prime-to-q principal sets (``sets_equal``).  In ``an``
+    mode only a nonempty witness set is a verdict on A_n; a false C or
+    ``sets_equal`` is not (see the module docstring).  The primes are
+    validated by :func:`check_primes`, and ``group_kind`` must be exactly
+    one of :data:`GROUP_KINDS`.
     """
-    kind = _normalize_group(group_kind)
+    if group_kind not in GROUP_KINDS:
+        raise ValueError(f"group kind must be one of {GROUP_KINDS}, got {group_kind!r}")
     check_primes(n, (p, q))
-    set_p, set_q, side_p, side_q = _conjecture_sets(n, p, q, kind)
+    set_p, set_q, side_p, side_q = _conjecture_sets(n, p, q, group_kind)
     return ConjectureReport(
-        group_kind=kind,
+        group_kind=group_kind,
         n=n,
         p=p,
         q=q,

@@ -71,12 +71,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
         parts = self.parts

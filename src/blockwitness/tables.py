@@ -39,9 +39,6 @@ from .factored import is_prime, parse_decimal
 from .parameters import check_primes
 from .partitions import partitions_of
 
-VERDICTS = ("consistent", "hypothesis_holds", "violation", "indeterminate")
-CONJECTURES = ("A", "B", "C")
-
 
 class ParseError(ValueError):
     """Malformed table file; carries the offending line number."""
@@ -343,8 +340,8 @@ def _pairs(primes: tuple[int, ...]) -> list[tuple[int, int]]:
 def audit(summary: CharacterTableSummary, which: str) -> tuple[AuditFinding, ...]:
     """Evaluate one audit (A, B, or C) on every unordered prime pair."""
     conjecture = which.upper()
-    if conjecture not in CONJECTURES:
-        raise ValueError(f"audit must be one of {CONJECTURES}, got {which!r}")
+    if conjecture not in _AUDITS:
+        raise ValueError(f"audit must be one of {tuple(_AUDITS)}, got {which!r}")
     sets = {p: summary.principal_p_prime_ids(p) for p in summary.primes}
     findings = []
     for p, q in _pairs(summary.primes):

@@ -49,28 +49,6 @@ from .factored import FactoredNatural
 from .parameters import CaseParameters, derive_case_parameters
 from .partitions import AscendingSpec, Partition
 
-CASE_IDS = (
-    "I.a",
-    "I.b",
-    "I.b-fallback",
-    "I.c",
-    "I.c-fallback1",
-    "I.c-fallback2-qodd",
-    "I.c-fallback2-r1",
-    "I.c-fallback2-q2",
-    "II.a",
-    "II.b",
-    "II.b-fallback",
-    "II.c",
-    "II.c-alt",
-    "II.c-alt-q2",
-    "III.a",
-    "III.b",
-    "III.b-alt1",
-    "III.b-alt2",
-    "III.b-final",
-)
-
 
 class WitnessDeferred(Exception):
     """The construction does not apply; ``regime`` is the record's deferral."""
@@ -88,7 +66,7 @@ class SpecSumMismatch(InternalInvariantError):
     """A candidate spec does not sum to n; a case branch is mistranscribed."""
 
 
-class CaseTreeFalsified(RuntimeError):
+class CaseTreeFalsified(InternalInvariantError):
     """No candidate verified for a parameter record inside the case tree."""
 
     def __init__(self, params: CaseParameters, failures: list["VerificationFailure"]):
@@ -123,8 +101,6 @@ class Witness:
     degree: FactoredNatural
     host_valuation: int
     divisor_valuation: int
-    self_conjugate: bool
-    candidate_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -215,9 +191,7 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
     return tuple(out)
 
 
-def verify_candidate(
-    candidate: WitnessCandidate, n: int, *, index: int = 0
-) -> Witness | VerificationFailure:
+def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | VerificationFailure:
     """Build the candidate's partition and recheck all four witness facts."""
     if candidate.spec.total != n:
         raise SpecSumMismatch(
@@ -247,8 +221,6 @@ def verify_candidate(
         degree=deg,
         host_valuation=host_val,
         divisor_valuation=divisor_val,
-        self_conjugate=False,
-        candidate_index=index,
     )
 
 
@@ -265,8 +237,8 @@ def construct_witness(n: int, p: int, q: int) -> Witness:
 def _construct(params: CaseParameters) -> Witness:
     # construct_witness for a record already derived (and so validated)
     failures: list[VerificationFailure] = []
-    for index, candidate in enumerate(candidate_list(params)):
-        outcome = verify_candidate(candidate, params.n, index=index)
+    for candidate in candidate_list(params):
+        outcome = verify_candidate(candidate, params.n)
         if isinstance(outcome, Witness):
             return outcome
         failures.append(outcome)

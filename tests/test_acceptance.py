@@ -13,7 +13,7 @@ import _oracles as oracle_helpers
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree, degree_valuation
 from blockwitness.factored import factor, primes_up_to
-from blockwitness.oracle import check_conjC, cross_validate, prime_pairs, witness_sets
+from blockwitness.oracle import check_conjC, cross_validate, prime_pairs
 from blockwitness.partitions import Partition, partitions_of
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness
@@ -58,8 +58,7 @@ def test_criterion_2_oracle_existence():
         for p, q in prime_pairs(n):
             tuples += 1
             for group in ("sn", "an"):
-                side_p, side_q = witness_sets(n, p, q, group)
-                if not (side_p or side_q):
+                if not check_conjC(n, p, q, group).condition_holds:
                     missing.append((n, p, q, group))
     _report(
         "criterion-2 oracle-existence",
@@ -91,7 +90,7 @@ def test_criterion_4_conjecture_b_non_violation():
         for p, q in prime_pairs(n):
             pairs += 1
             report = check_conjC(n, p, q, "sn")
-            if report.violates_equality_check:
+            if report.sets_equal:
                 violations.append((n, p, q))
     _report(
         "criterion-4 conjecture-b-non-violation",
@@ -103,8 +102,8 @@ def test_criterion_4_conjecture_b_non_violation():
 def test_criterion_5_spot_values():
     w9 = construct_witness(9, 3, 2)
     w10 = construct_witness(10, 5, 2)
-    side_p_9, _ = witness_sets(9, 3, 2, "sn")
-    side_p_10, _ = witness_sets(10, 5, 2, "sn")
+    side_p_9 = check_conjC(9, 3, 2, "sn").witnesses_p_block
+    side_p_10 = check_conjC(10, 5, 2, "sn").witnesses_p_block
     expected_9 = Partition((2, 1, 1, 1, 1, 1, 1, 1))
     expected_10 = Partition((3, 1, 1, 1, 1, 1, 1, 1))
     ok = (
@@ -175,15 +174,14 @@ def test_criterion_7_table_audit():
         primes = tuple(primes_up_to(n))
         summary = build_sn_summary(n, primes)
         for finding in audit(summary, "C"):
-            side_p, side_q = witness_sets(n, finding.p, finding.q, "sn")
-            oracle_holds = bool(side_p or side_q)
+            oracle_holds = check_conjC(n, finding.p, finding.q, "sn").condition_holds
             # exported tables carry non-commuting facts, so the verdict is
             # consistent exactly when a cross-divisible witness exists
             if (finding.verdict == "consistent") != oracle_holds:
                 audit_mismatches.append((n, finding.p, finding.q, "C"))
         for finding in audit(summary, "B"):
             report = check_conjC(n, finding.p, finding.q, "sn")
-            if (finding.verdict == "violation") != report.violates_equality_check:
+            if (finding.verdict == "violation") != report.sets_equal:
                 audit_mismatches.append((n, finding.p, finding.q, "B"))
             if finding.verdict == "violation":
                 audit_mismatches.append((n, finding.p, finding.q, "B-violation"))

@@ -247,6 +247,18 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
         assert "internal-error: SpecSumMismatch" in out, argv
         assert "sums to 10, expected 9" in out, argv
         assert err == "", argv
+    # a scan reports each faulting tuple and goes on to the deferred ones
+    for extra in ((), ("--cross-validate",)):
+        code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "10", *extra)
+        lines = out.splitlines()
+        assert code == 3, extra
+        faults = [line for line in lines if line.startswith("internal-error: ")]
+        assert len(faults) == 4, extra
+        assert all(line.startswith("internal-error: SpecSumMismatch: ") for line in faults)
+        assert sum(line.startswith("result ") for line in lines) == 8, extra
+        assert lines[-1] == (
+            "scan-summary tuples=12 witnesses=0 deferred=8 disagreements=0 falsified=4"
+        ), extra
 
 
 def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):

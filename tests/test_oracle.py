@@ -8,7 +8,6 @@ from blockwitness.oracle import (
     check_conjC,
     cross_validate,
     prime_pairs,
-    witness_sets,
 )
 from blockwitness.parameters import NotPrime, PrimeExceedsN
 from blockwitness.partitions import Partition
@@ -19,25 +18,26 @@ def P(*parts):
 
 
 def test_witness_sets_examples():
-    side_p, side_q = witness_sets(9, 3, 2, "sn")
-    assert P(2, 1, 1, 1, 1, 1, 1, 1) in side_p
-    side_p_an, _ = witness_sets(9, 3, 2, "an")
-    assert P(2, 1, 1, 1, 1, 1, 1, 1) in side_p_an
+    assert P(2, 1, 1, 1, 1, 1, 1, 1) in check_conjC(9, 3, 2, "sn").witnesses_p_block
+    assert P(2, 1, 1, 1, 1, 1, 1, 1) in check_conjC(9, 3, 2, "an").witnesses_p_block
     # n < 9 computes without any existence claim
-    small_p, small_q = witness_sets(4, 3, 2, "sn")
-    assert isinstance(small_p, frozenset) and isinstance(small_q, frozenset)
+    small = check_conjC(4, 3, 2, "sn")
+    assert isinstance(small.witnesses_p_block, frozenset)
+    assert isinstance(small.witnesses_q_block, frozenset)
 
 
 def test_witness_sets_an_excludes_self_conjugate():
-    side_p, side_q = witness_sets(9, 3, 2, "sn")
-    side_p_an, side_q_an = witness_sets(9, 3, 2, "an")
+    sn, an = check_conjC(9, 3, 2, "sn"), check_conjC(9, 3, 2, "an")
+    side_p, side_q = sn.witnesses_p_block, sn.witnesses_q_block
+    side_p_an, side_q_an = an.witnesses_p_block, an.witnesses_q_block
     assert side_p_an <= side_p and side_q_an <= side_q
     for lam in (side_p - side_p_an) | (side_q - side_q_an):
         assert lam.is_self_conjugate()
 
 
 def test_witness_set_members_verify():
-    side_p, side_q = witness_sets(12, 3, 2, "sn")
+    report = check_conjC(12, 3, 2, "sn")
+    side_p, side_q = report.witnesses_p_block, report.witnesses_q_block
     for lam in side_p:
         assert principal_block_contains(lam, 3)
         assert degree_valuation(lam, 3) == 0
@@ -50,16 +50,18 @@ def test_witness_set_members_verify():
 
 def test_group_kind_validation():
     with pytest.raises(ValueError):
-        witness_sets(9, 3, 2, "gl")
+        check_conjC(9, 3, 2, "gl")
     with pytest.raises(ValueError):
-        witness_sets(9, 3, 3, "sn")
+        check_conjC(9, 3, 2, "SN")  # group kinds are not case-folded
     with pytest.raises(ValueError):
-        witness_sets(10, 1, 3, "sn")  # once looped forever in the valuation
+        check_conjC(9, 3, 3, "sn")
+    with pytest.raises(ValueError):
+        check_conjC(10, 1, 3, "sn")  # once looped forever in the valuation
     for group in ("sn", "an"):
         with pytest.raises(NotPrime):
-            witness_sets(10, 4, 3, group)  # once reported witnesses for 4
+            check_conjC(10, 4, 3, group)  # once reported witnesses for 4
     with pytest.raises(PrimeExceedsN):
-        witness_sets(9, 11, 2, "sn")
+        check_conjC(9, 11, 2, "sn")
 
 
 def test_check_conjC_examples():
@@ -71,7 +73,6 @@ def test_check_conjC_examples():
 def test_check_conjC_validation_and_sets():
     report = check_conjC(9, 3, 2, "sn")
     assert not report.sets_equal
-    assert not report.violates_equality_check
     assert not check_conjC(12, 3, 2, "sn").sets_equal
     with pytest.raises(ValueError):
         check_conjC(9, 3, 3, "sn")
@@ -136,7 +137,6 @@ def test_oracle_and_blocks_agree_on_sets():
                         report.witnesses_q_block,
                     ]
                     assert [{lam.parts for lam in s} for s in got] == expected, (n, p, q, kind)
-                    assert witness_sets(n, p, q, kind) == tuple(got[2:])
 
 
 def test_cross_validate_validates_once(monkeypatch):
@@ -157,7 +157,7 @@ def test_cross_validate_validates_once(monkeypatch):
         cross_validate(n, p, q)
         assert calls == [(n, (p, q))]
     calls.clear()
-    witness_sets(12, 3, 2)
+    check_conjC(12, 3, 2)
     assert calls == [(12, (3, 2))]
 
 
@@ -184,4 +184,4 @@ def test_conjB_no_violation_through_28():
     # extends the acceptance range (n <= 24) to the oracle's scan ceiling
     for n in range(25, 29):
         for p, q in prime_pairs(n):
-            assert not check_conjC(n, p, q, "sn").violates_equality_check
+            assert not check_conjC(n, p, q, "sn").sets_equal

@@ -232,7 +232,7 @@ def test_audit_agrees_with_oracle():
             assert report.condition_holds
         for finding in audit(summary, "B"):
             report = check_conjC(n, finding.p, finding.q, "sn")
-            assert (finding.verdict == "violation") == report.violates_equality_check
+            assert (finding.verdict == "violation") == report.sets_equal
 
 
 def test_audit_b_violation_fixture():
