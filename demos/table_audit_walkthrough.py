@@ -10,13 +10,14 @@ violation verdict.
 from blockwitness.tables import (
     ParseError,
     audit,
-    export_sn_table,
+    build_sn_summary,
     parse_table,
+    serialize_table,
 )
 
 
 def main():
-    data = export_sn_table(9, (2, 3))
+    data = serialize_table(build_sn_summary(9, (2, 3)))
     text = data.decode("utf-8")
     print("== exported table for S_9 (first lines) ==")
     for line in text.splitlines()[:10]:

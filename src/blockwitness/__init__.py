@@ -52,7 +52,6 @@ from .tables import (
     ParseError,
     audit,
     build_sn_summary,
-    export_sn_table,
     parse_table,
     serialize_table,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "degree",
     "degree_valuation",
     "derive_case_parameters",
-    "export_sn_table",
     "factor",
     "factorial_factored",
     "is_prime",

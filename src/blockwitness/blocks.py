@@ -24,8 +24,6 @@ def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
     core_parts = 1 if b else 0
     if length < core_parts:
         raise LengthTooSmall(f"beta-set length {length} < {core_parts} parts")
-    if length == 0:
-        return [0] * p
     # beads 0 .. length - 2 fill every runner to `level`, the first `extra` once more
     level, extra = divmod(length - 1, p)
     counts = [level + 1] * extra + [level] * (p - extra)

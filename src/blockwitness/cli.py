@@ -1,11 +1,11 @@
 """Command-line surface over the library; deterministic output.
 
 Exit codes: 0 success / condition verified, 1 condition failed or violation
-found, 2 usage or parse error, 3 internal fault (a broken invariant such as a
-falsified case tree, or a non-integral degree quotient), printed on stdout as
-``internal-error: <Type>: <message>``.  A scan prints that line for each
-faulting tuple and goes on; its summary's ``falsified`` counts every tuple
-that ended in an internal fault.
+found, 2 usage or parse error, 3 internal fault (an InternalInvariantError:
+a falsified case tree, a malformed candidate spec, a non-integral degree
+quotient), printed on stdout as ``internal-error: <Type>: <message>``.  A
+scan prints that line for each faulting tuple and goes on; its summary's
+``falsified`` counts every tuple that ended in an internal fault.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import oracle, tables, witness
-from .factored import NotDivisible, parse_decimal, primes_up_to
+from .factored import InternalInvariantError, parse_decimal, primes_up_to
 from .parameters import derive_case_parameters
 from .partitions import Partition, parse_partition_text, partitions_of
 from .degrees import degree
@@ -29,22 +29,15 @@ EXIT_INTERNAL = 3
 
 SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 
-# faults of the program itself, never of its input
-_INTERNAL_FAULTS = (witness.InternalInvariantError, NotDivisible)
-
 _DEFERRAL_MESSAGES = {
     "small-n": "small-n: deferred to table methods",
     "abelian-sylow": "abelian-sylow: deferred (Sylow subgroup is abelian)",
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -119,7 +112,7 @@ def _cmd_witness(args) -> int:
         "divisor": found.candidate.divisor_prime,
         "degree": found.degree.to_decimal(),
         "factored": found.degree.factored_str(),
-        "host_valuation": found.host_valuation,
+        "host_valuation": found.degree.valuation(found.candidate.host_prime),
         "divisor_valuation": found.divisor_valuation,
     }
     if args.json:
@@ -133,7 +126,7 @@ def _cmd_witness(args) -> int:
 def _cmd_verify_c(args) -> int:
     report = oracle.check_conjC(args.n, args.p, args.q, args.group)
     print(
-        f"conjecture-c n={args.n} p={args.p} q={args.q} group={report.group_kind}"
+        f"conjecture-c n={args.n} p={args.p} q={args.q} group={args.group}"
         f" holds={'true' if report.condition_holds else 'false'}"
         f" p_witnesses={len(report.witnesses_p_block)}"
         f" q_witnesses={len(report.witnesses_q_block)}"
@@ -162,9 +155,9 @@ def _cmd_scan(args) -> int:
         try:
             n_max = min(n_max, parse_decimal(cap))
         except ValueError as exc:
-            raise _UsageError(f"{SCAN_MAX_ENV}: {exc}") from None
+            raise ValueError(f"{SCAN_MAX_ENV}: {exc}") from None
     if n_min < 1 or n_max < n_min:
-        raise _UsageError(f"empty scan range [{n_min}, {n_max}]")
+        raise ValueError(f"empty scan range [{n_min}, {n_max}]")
     tuples = witnesses = deferred = disagreements = falsified = 0
     for n in range(n_min, n_max + 1):
         for p, q in oracle.prime_pairs(n):
@@ -180,7 +173,7 @@ def _cmd_scan(args) -> int:
                     params = derive_case_parameters(n, p, q)
                     deferral = params.deferral
                     found = None if deferral else witness._construct(params)
-            except _INTERNAL_FAULTS as exc:
+            except InternalInvariantError as exc:
                 falsified += 1
                 print(f"internal-error: {type(exc).__name__}: {exc}")
                 continue
@@ -215,7 +208,7 @@ def _cmd_degrees(args) -> int:
     else:
         lam = parse_partition_text(args.partition)
         if lam.size != args.n:
-            raise _UsageError(
+            raise ValueError(
                 f"partition {lam.to_literal()} has size {lam.size}, expected {args.n}"
             )
         shapes = [lam]
@@ -233,7 +226,7 @@ def _cmd_check_table(args) -> int:
         with open(args.file, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {args.file}: {exc}") from None
+        raise ValueError(f"cannot read {args.file}: {exc}") from None
     summary = tables.parse_table(data)
     findings = tables.audit(summary, args.conjecture)
     worst = EXIT_OK
@@ -254,29 +247,22 @@ def _cmd_export_table(args) -> int:
         primes = ()
     else:
         primes = tuple(parse_decimal(tok.strip()) for tok in args.primes.split(","))
-    sys.stdout.write(tables.export_sn_table(args.n, primes).decode("utf-8"))
+    summary = tables.build_sn_summary(args.n, primes)
+    sys.stdout.write(tables.serialize_table(summary).decode("utf-8"))
     return EXIT_OK
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage-error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"usage-error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except tables.ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _INTERNAL_FAULTS as exc:
+    except InternalInvariantError as exc:
         print(f"internal-error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 

@@ -7,7 +7,8 @@ decimal happens only at output boundaries.  The one exact quotient taken
 in this package is a degree, n! over the hook product
 (:func:`blockwitness.degrees.degree`); it is asserted integral, and a
 non-integral one means a transcription bug that must surface loudly as
-:class:`NotDivisible`.
+:class:`NotDivisible`.  That error, like every fault of the program itself
+rather than of its input, derives from :class:`InternalInvariantError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from functools import lru_cache
 from math import isqrt
 
 
-class NotDivisible(ArithmeticError):
+class InternalInvariantError(RuntimeError):
+    """A relation that must hold for every valid input failed: a program fault."""
+
+
+class NotDivisible(InternalInvariantError):
     """Exact division failed for some prime exponent."""
 
 

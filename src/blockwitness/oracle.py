@@ -63,10 +63,6 @@ def _conjecture_sets(n: int, p: int, q: int, kind: str) -> tuple[frozenset[Parti
 class ConjectureReport:
     """Outcome of one exhaustive check for a triple (n, p, q)."""
 
-    group_kind: str
-    n: int
-    p: int
-    q: int
     condition_holds: bool
     witnesses_p_block: frozenset[Partition]
     witnesses_q_block: frozenset[Partition]
@@ -92,10 +88,6 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
     check_primes(n, (p, q))
     set_p, set_q, side_p, side_q = _conjecture_sets(n, p, q, group_kind)
     return ConjectureReport(
-        group_kind=group_kind,
-        n=n,
-        p=p,
-        q=q,
         condition_holds=bool(side_p or side_q),
         witnesses_p_block=side_p,
         witnesses_q_block=side_q,
@@ -109,9 +101,6 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 class CrossValidation:
     """Constructor output for one triple, checked against the exhaustive scan."""
 
-    n: int
-    p: int
-    q: int
     witness: witness_engine.Witness | None
     case_id: str | None
     deferral: str | None
@@ -131,13 +120,10 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     side_p, side_q = _conjecture_sets(n, p, q, "sn")[2:]
     condition = bool(side_p or side_q)
     if params.deferral is not None:
-        return CrossValidation(n, p, q, None, None, params.deferral, None, condition)
+        return CrossValidation(None, None, params.deferral, None, condition)
     found = witness_engine._construct(params)
     matching = side_p if found.candidate.host_prime == p else side_q
     return CrossValidation(
-        n=n,
-        p=p,
-        q=q,
         witness=found,
         case_id=found.candidate.case_id,
         deferral=None,

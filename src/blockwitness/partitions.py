@@ -248,18 +248,13 @@ class AscendingSpec:
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, in lexicographically decreasing part order."""
-    for parts in _partition_tuples(n):
-        yield _trusted(parts)
-
-
-def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n == 0:
-        yield ()
+        yield _trusted(())
         return
     current = (n,)
-    yield current
+    yield _trusted(current)
     while True:
         i = len(current) - 1
         while i >= 0 and current[i] == 1:
@@ -272,7 +267,7 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
             chunk = min(current[-1], freed)
             current = current + (chunk,)
             freed -= chunk
-        yield current
+        yield _trusted(current)
 
 
 def parse_partition_text(text: str) -> Partition:

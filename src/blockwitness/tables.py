@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .blocks import principal_block_contains
 from .degrees import degree
@@ -45,7 +46,6 @@ class ParseError(ValueError):
 
     def __init__(self, line: int, message: str, token: str | None = None):
         self.line = line
-        self.token = token
         detail = f"line {line}: {message}"
         if token is not None:
             detail += f" (token {token!r})"
@@ -315,7 +315,7 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
                 flags=tuple(principal_block_contains(lam, p) for p in primes),
             )
         )
-    facts = tuple((p, q, False) for p, q in _pairs(primes))
+    facts = tuple((p, q, False) for p, q in combinations(sorted(primes), 2))
     return CharacterTableSummary(
         group_name=f"S{n}",
         order=math.factorial(n),
@@ -327,16 +327,6 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     )
 
 
-def export_sn_table(n: int, primes: tuple[int, ...] | list[int]) -> bytes:
-    """Table file for the symmetric group on n letters."""
-    return serialize_table(build_sn_summary(n, primes))
-
-
-def _pairs(primes: tuple[int, ...]) -> list[tuple[int, int]]:
-    ordered = sorted(primes)
-    return [(p, q) for i, p in enumerate(ordered) for q in ordered[i + 1 :]]
-
-
 def audit(summary: CharacterTableSummary, which: str) -> tuple[AuditFinding, ...]:
     """Evaluate one audit (A, B, or C) on every unordered prime pair."""
     conjecture = which.upper()
@@ -344,7 +334,7 @@ def audit(summary: CharacterTableSummary, which: str) -> tuple[AuditFinding, ...
         raise ValueError(f"audit must be one of {tuple(_AUDITS)}, got {which!r}")
     sets = {p: summary.principal_p_prime_ids(p) for p in summary.primes}
     findings = []
-    for p, q in _pairs(summary.primes):
+    for p, q in combinations(sorted(summary.primes), 2):
         verdict, detail = _AUDITS[conjecture](summary, p, q, sets[p], sets[q])
         findings.append(AuditFinding(conjecture, p, q, verdict, detail))
     return tuple(findings)

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 from .blocks import principal_block_contains
 from .degrees import degree
-from .factored import FactoredNatural
+from .factored import FactoredNatural, InternalInvariantError
 from .parameters import CaseParameters, derive_case_parameters
-from .partitions import AscendingSpec, Partition
+from .partitions import AscendingSpec, NonMonotoneSpec, Partition
 
 
 class WitnessDeferred(Exception):
@@ -56,10 +56,6 @@ class WitnessDeferred(Exception):
     def __init__(self, params: CaseParameters):
         self.regime = params.deferral
         super().__init__(f"{self.regime}: n={params.n} p={params.p} q={params.q} is deferred")
-
-
-class InternalInvariantError(RuntimeError):
-    """A relation that must hold for every valid record failed."""
 
 
 class SpecSumMismatch(InternalInvariantError):
@@ -99,7 +95,6 @@ class Witness:
     candidate: WitnessCandidate
     partition: Partition
     degree: FactoredNatural
-    host_valuation: int
     divisor_valuation: int
 
 
@@ -113,7 +108,11 @@ class VerificationFailure:
 
 
 def _ones_then(ones: int, *tail: int) -> AscendingSpec:
-    return AscendingSpec(((1, ones),) + tuple((value, 1) for value in tail))
+    # the case tree builds every spec, so a malformed one is a program fault
+    try:
+        return AscendingSpec(((1, ones),) + tuple((value, 1) for value in tail))
+    except NonMonotoneSpec as exc:
+        raise InternalInvariantError(f"malformed candidate spec: {exc}") from exc
 
 
 def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
@@ -207,8 +206,7 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
     if not principal_block_contains(lam, host):
         return failure(f"outside the principal {host}-block")
     deg = degree(lam)
-    host_val = deg.valuation(host)
-    if host_val != 0:
+    if deg.valuation(host) != 0:
         return failure(f"degree divisible by host prime {host}")
     divisor_val = deg.valuation(divisor)
     if divisor_val < 1:
@@ -219,7 +217,6 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
         candidate=candidate,
         partition=lam,
         degree=deg,
-        host_valuation=host_val,
         divisor_valuation=divisor_val,
     )
 

@@ -259,6 +259,53 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
         assert lines[-1] == (
             "scan-summary tuples=12 witnesses=0 deferred=8 disagreements=0 falsified=4"
         ), extra
+    monkeypatch.undo()
+
+    # a wrong mp stands for a mistranscribed branch that builds a malformed spec;
+    # the spec is the case tree's, not the user's, so it is an internal fault
+    from blockwitness.parameters import CaseParameters
+
+    monkeypatch.setattr(CaseParameters, "mp", property(lambda self: 1))
+    code, out, err = invoke(capsys, "witness", "--n", "9", "--p", "3", "--q", "2")
+    assert code == 3
+    assert out.startswith(
+        "internal-error: InternalInvariantError: malformed candidate spec: multiplicity -1 "
+    )
+    assert err == ""
+    code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "10")
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        "scan-summary tuples=12 witnesses=1 deferred=8 disagreements=0 falsified=3"
+    )
+    monkeypatch.undo()
+
+    # a factorial with every exponent 0 makes each degree quotient non-integral
+    import blockwitness.degrees as degrees_module
+    from blockwitness.factored import (
+        InternalInvariantError,
+        NotDivisible,
+        _trusted,
+        primes_up_to,
+    )
+
+    assert issubclass(NotDivisible, InternalInvariantError)
+    monkeypatch.setattr(
+        degrees_module,
+        "factorial_factored",
+        lambda k: _trusted(tuple((p, 0) for p in primes_up_to(k))),
+    )
+    code, out, err = invoke(capsys, "witness", "--n", "9", "--p", "3", "--q", "2")
+    assert code == 3
+    assert out == (
+        "internal-error: NotDivisible: prime 2 divides the hook product of"
+        " [2,1,1,1,1,1,1,1] more often than 9!\n"
+    )
+    assert err == ""
+    code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "10")
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        "scan-summary tuples=12 witnesses=0 deferred=8 disagreements=0 falsified=4"
+    )
 
 
 def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):

@@ -11,7 +11,6 @@ from blockwitness.tables import (
     ParseError,
     audit,
     build_sn_summary,
-    export_sn_table,
     parse_table,
     serialize_table,
 )
@@ -174,12 +173,12 @@ def test_export_s4():
     assert sum(d * d for d in degrees) == 24 == summary.order
     assert summary.trivial_id == "[4]"
     assert summary.sylow_commute == ((2, 3, False),)
-    parsed = parse_table(export_sn_table(4, (2, 3)))
+    parsed = parse_table(serialize_table(build_sn_summary(4, (2, 3))))
     assert parsed == summary
 
 
 def test_export_s1():
-    summary = parse_table(export_sn_table(1, ()))
+    summary = parse_table(serialize_table(build_sn_summary(1, ())))
     assert summary.order == 1
     assert summary.primes == ()
     assert summary.rows == (CharacterRow("[1]", 1, ()),)
@@ -196,11 +195,11 @@ def test_export_s9_row():
 
 def test_export_validates_primes():
     with pytest.raises(PrimeExceedsN):
-        export_sn_table(4, (2, 5))
+        build_sn_summary(4, (2, 5))
     with pytest.raises(NotPrime):
-        export_sn_table(6, (2, 4))
+        build_sn_summary(6, (2, 4))
     with pytest.raises(ValueError):
-        export_sn_table(6, (2, 2))
+        build_sn_summary(6, (2, 2))
 
 
 def test_round_trip_range():
@@ -347,7 +346,7 @@ def test_audit_rejects_unknown():
 
 
 def test_mutated_degree_fails_completeness():
-    data = export_sn_table(6, (2, 3)).decode("utf-8")
+    data = serialize_table(build_sn_summary(6, (2, 3))).decode("utf-8")
     target = None
     for line in data.splitlines():
         if line.startswith("char [5,1]"):
@@ -361,4 +360,4 @@ def test_mutated_degree_fails_completeness():
 
 def test_order_matches_factorial():
     for n in (1, 4, 7):
-        assert parse_table(export_sn_table(n, ())).order == math.factorial(n)
+        assert parse_table(serialize_table(build_sn_summary(n, ()))).order == math.factorial(n)

@@ -115,7 +115,7 @@ def test_witness_facts_recompute():
         assert principal_block_contains(lam, host)
         deg = degree(lam)
         assert deg == w.degree
-        assert deg.valuation(host) == 0 == w.host_valuation
+        assert deg.valuation(host) == 0
         assert deg.valuation(divisor) == w.divisor_valuation >= 1
         assert not lam.is_self_conjugate()
 
