@@ -40,38 +40,46 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _decimal(text: str) -> int:
+    # argparse replaces a ValueError's reason with "invalid <type> value"
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blockwitness", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     w = sub.add_parser("witness", help="construct and verify one witness")
-    w.add_argument("--n", type=parse_decimal, required=True)
-    w.add_argument("--p", type=parse_decimal, required=True)
-    w.add_argument("--q", type=parse_decimal, required=True)
+    w.add_argument("--n", type=_decimal, required=True)
+    w.add_argument("--p", type=_decimal, required=True)
+    w.add_argument("--q", type=_decimal, required=True)
     w.add_argument("--json", action="store_true")
     w.set_defaults(handler=_cmd_witness)
 
     c = sub.add_parser("verify-c", help="exhaustive cross-divisibility check")
-    c.add_argument("--n", type=parse_decimal, required=True)
-    c.add_argument("--p", type=parse_decimal, required=True)
-    c.add_argument("--q", type=parse_decimal, required=True)
+    c.add_argument("--n", type=_decimal, required=True)
+    c.add_argument("--p", type=_decimal, required=True)
+    c.add_argument("--q", type=_decimal, required=True)
     c.add_argument("--group", choices=("sn", "an"), default="sn")
     c.set_defaults(handler=_cmd_verify_c)
 
     b = sub.add_parser("verify-b", help="compare prime-to-p principal sets")
-    b.add_argument("--n", type=parse_decimal, required=True)
-    b.add_argument("--p", type=parse_decimal, required=True)
-    b.add_argument("--q", type=parse_decimal, required=True)
+    b.add_argument("--n", type=_decimal, required=True)
+    b.add_argument("--p", type=_decimal, required=True)
+    b.add_argument("--q", type=_decimal, required=True)
     b.set_defaults(handler=_cmd_verify_b)
 
     s = sub.add_parser("scan", help="grid of witnesses over all prime pairs")
-    s.add_argument("--n-min", type=parse_decimal, required=True)
-    s.add_argument("--n-max", type=parse_decimal, required=True)
+    s.add_argument("--n-min", type=_decimal, required=True)
+    s.add_argument("--n-max", type=_decimal, required=True)
     s.add_argument("--cross-validate", action="store_true")
     s.set_defaults(handler=_cmd_scan)
 
     d = sub.add_parser("degrees", help="hook-length degrees")
-    d.add_argument("--n", type=parse_decimal, required=True)
+    d.add_argument("--n", type=_decimal, required=True)
     d.add_argument("--partition", type=str, default=None)
     d.set_defaults(handler=_cmd_degrees)
 
@@ -81,7 +89,7 @@ def _build_parser() -> _Parser:
     t.set_defaults(handler=_cmd_check_table)
 
     e = sub.add_parser("export-table", help="emit a symmetric-group table")
-    e.add_argument("--n", type=parse_decimal, required=True)
+    e.add_argument("--n", type=_decimal, required=True)
     e.add_argument("--primes", type=str, default=None,
                    help="comma-separated; defaults to all primes <= n")
     e.set_defaults(handler=_cmd_export_table)

@@ -13,6 +13,7 @@ rather than of its input, derives from :class:`InternalInvariantError`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -81,16 +82,29 @@ def primes_up_to(k: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+class DigitLimitExceeded(ValueError):
+    """Decimal text longer than the interpreter's int/str digit limit."""
+
+
 def parse_decimal(text: str) -> int:
     """Non-negative integer written with ASCII digits ``[0-9]+`` and nothing else.
 
     ``int`` also takes signs, underscores, surrounding whitespace and
     non-ASCII digits, so text from outside the program is read through here
-    and anything else raises ``ValueError``.
+    and anything else raises ``ValueError``.  Text longer than the
+    interpreter's digit limit (4300 by default) raises
+    :class:`DigitLimitExceeded` before any conversion work is done.
     """
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII decimal digits, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        # ASCII digits fail only on the digit limit, which exists from 3.10.7 on
+        raise DigitLimitExceeded(
+            f"integer of {len(text)} digits exceeds the"
+            f" {sys.get_int_max_str_digits()}-digit limit"
+        ) from None
 
 
 def factorial_valuation(k: int, p: int) -> int:
@@ -143,8 +157,16 @@ class FactoredNatural:
         return value
 
     def to_decimal(self) -> str:
-        """Exact base-10 rendering of the represented integer."""
-        return str(self.to_int())
+        """Exact base-10 rendering of the represented integer, at any size.
+
+        ``str(int)`` refuses values over the interpreter's digit limit; the
+        ``Decimal`` conversion is exact and bound by no such limit.
+        """
+        # imported here: only output boundaries render, and importing decimal
+        # adds about 2 ms and 0.4 MB to every process start
+        from decimal import Decimal
+
+        return str(Decimal(self.to_int()))
 
     def factored_str(self) -> str:
         """Compact rendering such as '2^2*3'; '1' for the empty product."""

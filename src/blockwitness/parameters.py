@@ -9,12 +9,11 @@ quantity the candidate construction reads:
 and, writing m*p in base q and in base p with its nonzero summands lowest
 first,
 
-    m*p = a1*q^t1 + a2*q^t2 + ...    with 0 < a_i < q and t1 < t2 < ...
-    m*p = b1*p^s1 + ...              with 0 < b_i < p and 1 <= s1 < ...
+    m*p = a1*q^t + ...    with 0 < a1 < q
+    m*p = b1*p^s + ...    with 0 < b1 < p and s >= 1
 
-the lowest summands A1 = a1*q^t1 (``low_q_part``) and B1 = b1*p^s1
-(``low_p_part``) and the positions t1 and t2 (``None`` when A1 = m*p).  The
-case split downstream reads only these.
+the lowest summands A1 = a1*q^t (``low_q_part``) and B1 = b1*p^s
+(``low_p_part``).  The case split downstream reads only these.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ class PrimeExceedsN(ValueError):
     """A prime larger than n was supplied; it does not divide n!."""
 
 
-def _lowest_summand(x: int, base: int) -> tuple[int, int]:
-    # (d * base**t, t) for the lowest nonzero base-`base` digit d of x > 0
+def _lowest_summand(x: int, base: int) -> int:
+    # d * base**t for the lowest nonzero base-`base` digit d of x > 0
     t = 0
     while x % base == 0:
         x, t = x // base, t + 1
-    return x % base * base**t, t
+    return x % base * base**t
 
 
 @dataclass(frozen=True)
@@ -69,22 +68,13 @@ class CaseParameters:
 
     @property
     def low_q_part(self) -> int:
-        """Lowest base-q summand A1 = a1 * q**t1 of m*p."""
-        return _lowest_summand(self.mp, self.q)[0]
-
-    @property
-    def t1(self) -> int:
-        return _lowest_summand(self.mp, self.q)[1]
-
-    @property
-    def t2(self) -> int | None:
-        rest = self.mp - self.low_q_part
-        return _lowest_summand(rest, self.q)[1] if rest else None
+        """Lowest base-q summand A1 = a1 * q**t of m*p."""
+        return _lowest_summand(self.mp, self.q)
 
     @property
     def low_p_part(self) -> int:
-        """Lowest base-p summand B1 = b1 * p**s1 of m*p."""
-        return _lowest_summand(self.mp, self.p)[0]
+        """Lowest base-p summand B1 = b1 * p**s of m*p."""
+        return _lowest_summand(self.mp, self.p)
 
     @property
     def deferral(self) -> str | None:

@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .blocks import principal_block_contains
 from .degrees import degree
-from .factored import is_prime, parse_decimal
+from .factored import DigitLimitExceeded, is_prime, parse_decimal
 from .parameters import check_primes
 from .partitions import partitions_of
 
@@ -123,6 +123,8 @@ def _parse_bool(line_no: int, token: str) -> bool:
 def _parse_int(line_no: int, token: str, what: str) -> int:
     try:
         return parse_decimal(token)
+    except DigitLimitExceeded as exc:
+        raise ParseError(line_no, f"{what}: {exc}") from None
     except ValueError:
         raise ParseError(line_no, f"malformed integer for {what}", token) from None
 

@@ -6,37 +6,67 @@ the two primes (the host), has degree coprime to the host, degree divisible
 by the other prime (the divisor), and is not self-conjugate, so the same
 character witnesses the alternating group by restriction.
 
-The construction is a case split on the parameter record:
+The construction is a case split on the parameter record; a fallback row
+names a tuple (n, p, q) at which the tests see it win:
 
     case I    r > 0
-      I.a                b = 0:        (1^(mp-r-1), 1+r)            host p
-      I.b                0 < r != b:   (1^(mp-r-1), 1+min, max)     host p
-      I.b-fallback                      (1^mp, b)                   host p
-      I.c                b = r > 0:    (1^r, r+1, wq-1)             host p
-      I.c-fallback1                     (1^(wq-2), 1+r, 1+r)        host p
-      I.c-fallback2-qodd  q odd, r > 1: (1^mp, r)                   host p
-      I.c-fallback2-r1    q odd, r = 1: (1^(n-2), 2)                host q
-      I.c-fallback2-q2    q = 2:        (1^(n-2), 2)                host q
+      I.a               b = 0:        (1^(mp-r-1), 1+r)          host p
+      I.b               0 < r != b:   (1^(mp-r-1), 1+min, max)   host p
+      I.b-fallback                    (1^mp, b)                  host p
+      I.c               b = r > 0:    (1^r, r+1, wq-1)           host p
+      I.c-fallback1                   (1^(wq-2), 1+r, 1+r)       host p  (82, 5, 3)
+      I.c-fallback2-r1  q odd, r = 1: (1^(n-2), 2)               host q  (23, 11, 3)
+      I.c-fallback2-q2  q = 2:        (1^(n-2), 2)               host q  (22, 3, 2)
     case II   r = 0 and A1 < B1   (A1, B1 the lowest base-q / base-p
                                    summands of mp)
-      II.a               b = 0:        (1^(mp-A1-1), 1+A1)          host p
-      II.b               b != A1:      (1^(mp-A1-1), 1+min, max)    host p
-      II.b-fallback                     (1^mp, b)                   host p
-      II.c               b = A1:       (1^(mp-b-2), b+1, b+1)       host p
-      II.c-alt           p = b+1, p | m-1:  (1^(mp-p), b+p)         host p
-      II.c-alt-q2        q = 2, t2 = t1+1:  (1^(mp-1), b+1)         host q
+      II.a              b = 0:        (1^(mp-A1-1), 1+A1)        host p
+      II.b              b != A1:      (1^(mp-A1-1), 1+min, max)  host p
+      II.b-fallback                   (1^mp, b)                  host p
+      II.c              b = A1:       (1^(mp-b-2), b+1, b+1)     host p
+      II.c-alt          p = b+1, p | m-1:  (1^(mp-p), b+p)       host p  (68, 3, 2)
+      II.c-alt-q2       q = 2:        (1^(mp-1), b+1)            host q  (32, 3, 2)
     case III  r = 0 and A1 > B1
-      III.a              b = 0:        (1^(mp-B1-1), 1+B1)          host q
-      III.b              b > 0:        (1^(mp-B1-1), b+1, B1)       host q
-      III.b-alt1                        (b+1, mp-1)                 host p
-      III.b-alt2                        (1^mp, b)                   host p
-      III.b-final                       (1^(mp-1), 1+b)             host q
+      III.a             b = 0:        (1^(mp-B1-1), 1+B1)        host q
+      III.b             b > 0:        (1^(mp-B1-1), b+1, B1)     host q
+      III.b-alt1                      (b+1, mp-1)                host p  (108, 5, 3)
+      III.b-alt2                      (1^mp, b)                  host p  (109, 5, 3)
+      III.b-final                     (1^(mp-1), 1+b)            host q  (2925, 11, 5)
 
 Candidates are tried in this order and each one is verified from scratch:
 block membership, both degree valuations, and self-conjugacy are recomputed
 rather than predicted by side conditions.  A parameter record for which no
 candidate verifies raises :class:`CaseTreeFalsified`, which is the whole
 point of running the engine.
+
+Two proved facts keep the lists short.  By proof 1 the I.c list ends at
+I.c-fallback1 when r >= 2; by proof 2 II.c-alt-q2 needs no condition beyond
+q = 2, so every q = 2 record of case II.c ends in a verified candidate.
+
+Proof 1 (I.c with r >= 2: I.c-fallback1 verifies).  Take
+mu = (r+1, r+1, 1^(wq-2)), a partition of wq + 2r = n.
+
+- Block: mu's beta-set with wq beads is that of the principal core (b) = (r)
+  with bead 0 moved to r + wq = mp, a multiple of p, so mu is in B_0(p).
+- Hook product: mp * (mp-1) * (r+1)! * r! * (wq-2)!, so the degree is
+  (wq-1) wq ... n / (mp (mp-1) (r+1)! r!).
+- p-part 0: r+1 <= q < p, and mp is the only multiple of p in [wq-1, n]
+  (mp - p < wq - 1 = mp - r - 1, and the next multiple exceeds n = mp + b).
+- q-part >= 1: q | wq, and q divides neither wq+r nor wq+r-1 since
+  2 <= r < q.  When r = q-1 the factor q of (r+1)! is matched by the second
+  multiple (w+1)q <= wq + 2r = n.
+- Not self-conjugate: mu has wq parts, more than its first part r+1 <= q,
+  since m >= 2 gives wq = mp - r > 2p - q > q.
+
+Proof 2 (II.c with q = 2: II.c-alt-q2 verifies).  Here b = A1 = 2^t with
+t >= 1, the lowest set bit of mp; take the hook (b+1, 1^(mp-1)).
+
+- Block: the hook has even size n = mp + 2^t, so its 2-core is empty,
+  which is the principal core.
+- Host: the degree is C(n-1, b), odd by Lucas, because bit t of
+  n-1 = mp + (2^t - 1) is the lowest set bit of mp.
+- Divisor: p | C(n-1, b) by Lucas, because the last base-p digit of n-1 is
+  b-1 < b.
+- Not self-conjugate: b+1 is odd and mp is even, so arm and leg differ.
 """
 
 from __future__ import annotations
@@ -143,16 +173,13 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
             out.append(
                 WitnessCandidate("I.c-fallback1", _ones_then(w * q - 2, 1 + r, 1 + r), p, q)
             )
-            if q == 2:
-                out.append(WitnessCandidate("I.c-fallback2-q2", _ones_then(n - 2, 2), q, p))
-            elif r == 1:
-                # (1^mp, r) degenerates to the all-ones shape at r = 1, and the
-                # two candidates above both lose their q-part there; the width-2
-                # hook has degree mp and q-core (2) = (n mod q) exactly when
-                # r = 1, so it hosts at q the same way the q = 2 branch does.
-                out.append(WitnessCandidate("I.c-fallback2-r1", _ones_then(n - 2, 2), q, p))
-            else:
-                out.append(WitnessCandidate("I.c-fallback2-qodd", _ones_then(mp, r), p, q))
+            if r == 1:
+                # the two candidates above both lose their q-part at r = 1 (for
+                # r >= 2 the first fallback verifies, proof 1); the width-2 hook
+                # has degree n - 1 = mp and lies in the principal q-block of
+                # n = wq + 2, so it hosts at q.  q = 2 forces r = 1.
+                case_id = "I.c-fallback2-q2" if q == 2 else "I.c-fallback2-r1"
+                out.append(WitnessCandidate(case_id, _ones_then(n - 2, 2), q, p))
     else:
         a1q = params.low_q_part
         b1p = params.low_p_part
@@ -177,7 +204,7 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
                             f" summand to be p at n={n}, p={p}, q={q}"
                         )
                     out.append(WitnessCandidate("II.c-alt", _ones_then(mp - p, b + p), p, q))
-                if q == 2 and params.t2 == params.t1 + 1:
+                if q == 2:
                     out.append(WitnessCandidate("II.c-alt-q2", _ones_then(mp - 1, b + 1), q, p))
         else:
             if b == 0:

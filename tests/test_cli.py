@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,48 @@ def test_lax_integers_are_usage_errors(capsys, monkeypatch, argv, env):
     assert code == 2
     assert out == ""
     assert "usage-error" in err
+
+
+def _digits_value(digits):
+    # the integer a decimal string names, in chunks below the int/str limit
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_degrees_past_the_digit_limit(capsys):
+    # a verified I.b witness whose degree has 4,315 decimal digits
+    code, out, _ = invoke(capsys, "witness", "--n", "19976", "--p", "8017", "--q", "3")
+    assert code == 0
+    fields = dict(field.split("=", 1) for field in out.split())
+    assert fields["case"] == "I.b"
+    assert len(fields["degree"]) == 4315
+    expected = 1
+    for factor in fields["factored"].split("*"):
+        base, _, exponent = factor.partition("^")
+        expected *= int(base) ** int(exponent or 1)
+    assert _digits_value(fields["degree"]) == expected
+    code, out, _ = invoke(capsys, "degrees", "--n", "20000", "--partition", "(1^9999,10001)")
+    assert code == 0
+    decimal = out.split("decimal=")[1].split()[0]
+    assert _digits_value(decimal) == math.comb(19999, 9999)
+
+
+def test_over_long_integers_name_the_limit(capsys, tmp_path):
+    code, out, err = invoke(capsys, "witness", "--n", "1" * 5000, "--p", "3", "--q", "2")
+    assert (code, out) == (2, "")
+    assert err == "usage-error: argument --n: integer of 5000 digits exceeds the 4300-digit limit\n"
+    table = tmp_path / "long-order.table"
+    table.write_text(
+        "group toy\norder " + "6" * 5000 + "\nprimes 2 3\ntrivial e\ncomplete false\n"
+        "char e 1 2:1 3:1\n",
+        encoding="utf-8",
+    )
+    code, out, err = invoke(capsys, "check-table", str(table), "--conjecture", "a")
+    assert (code, out) == (2, "")
+    assert err == "parse-error: line 2: order: integer of 5000 digits exceeds the 4300-digit limit\n"
 
 
 def test_verify_c(capsys):

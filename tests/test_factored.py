@@ -54,6 +54,8 @@ def test_to_decimal_examples():
     assert fn({2: 2, 3: 1}).to_decimal() == "12"
     assert factorial_factored(12).to_decimal() == str(math.prod(range(1, 13)))
     assert factorial_factored(12).to_decimal() == "479001600"
+    # beyond the interpreter's 4300-digit int/str limit
+    assert fn({2: 5000, 5: 5000}).to_decimal() == "1" + "0" * 5000
 
 
 def test_factored_str():

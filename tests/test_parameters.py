@@ -37,7 +37,6 @@ def test_digit_expansions():
     assert params.mp == 10
     assert params.low_q_part == 2
     assert params.low_p_part == 10
-    assert params.t1 == 1 and params.t2 == 3
     assert params.deferral is None
 
 
@@ -55,11 +54,9 @@ def test_expansions_reconstruct():
             assert sum(d * p**s for d, s in p_digits) == mp
             (a1, t1), (b1, s1) = q_digits[0], p_digits[0]
             assert params.low_q_part == a1 * q**t1
-            assert params.t1 == t1
-            assert params.t2 == (q_digits[1][1] if len(q_digits) > 1 else None)
             assert params.low_p_part == b1 * p**s1
             assert params.low_p_part % p == 0
-            assert (params.t1 >= 1) == (params.r == 0)
+            assert (params.low_q_part % q == 0) == (params.r == 0)
 
 
 def test_error_cases():

@@ -64,6 +64,10 @@ def test_missing_order_is_end_of_header_error():
         (lambda t: t.replace("2:0 3:1", "2:0 3:x"), "flag value"),
         (lambda t: t.replace("char r 2", "char r two"), "malformed integer"),
         (lambda t: t.replace("order 6", "order 0_6"), "malformed integer for order"),
+        (
+            lambda t: t.replace("order 6", "order " + "6" * 5000),
+            "line 3: order: integer of 5000 digits exceeds the 4300-digit limit",
+        ),
         (lambda t: t.replace("char e 1 ", "char e +1 "), "malformed integer for degree"),
         (lambda t: t.replace("char r 2", "char r ２"), "line 9: malformed integer"),
         (lambda t: t.replace("primes 2 3", "primes ２ 3"), "malformed integer for prime"),

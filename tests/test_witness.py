@@ -24,7 +24,6 @@ CASE_IDS = (
     "I.b-fallback",
     "I.c",
     "I.c-fallback1",
-    "I.c-fallback2-qodd",
     "I.c-fallback2-r1",
     "I.c-fallback2-q2",
     "II.a",
@@ -169,11 +168,29 @@ def test_rare_branch_regressions():
     # doubly-exceptional I.c regime: the first fallback already verifies
     w82 = construct_witness(82, 5, 3)
     assert w82.candidate.case_id == "I.c-fallback1"
-    # the odd-q last resort verifies when probed directly
-    params82 = derive_case_parameters(82, 5, 3)
-    tail = [c for c in candidate_list(params82) if c.case_id == "I.c-fallback2-qodd"]
-    assert len(tail) == 1
-    assert isinstance(verify_candidate(tail[0], 82), Witness)
+
+
+def test_proved_candidates_verify_on_grid():
+    # the two proofs in the witness docstring, checked for n <= 300: with
+    # r >= 2 every I.c record's I.c-fallback1 verifies, and with q = 2 every
+    # II.c record's II.c-alt-q2 verifies
+    proved = {"I.c-fallback1": 0, "II.c-alt-q2": 0}
+    for n in range(9, 301):
+        for p, q in prime_pairs(n):
+            if n // p <= 1:
+                continue
+            params = derive_case_parameters(n, p, q)
+            candidates = candidate_list(params)
+            ids = [c.case_id for c in candidates]
+            if ids[0] == "I.c" and params.r >= 2:
+                assert ids == ["I.c", "I.c-fallback1"]
+            elif ids[0] == "II.c" and q == 2:
+                assert ids[-1] == "II.c-alt-q2"
+            else:
+                continue
+            assert isinstance(verify_candidate(candidates[-1], n), Witness), (n, p, q)
+            proved[ids[-1]] += 1
+    assert proved == {"I.c-fallback1": 1237, "II.c-alt-q2": 152}
 
 
 def test_deep_case_three_chain():
