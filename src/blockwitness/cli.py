@@ -109,19 +109,20 @@ def _first_or_dash(partitions: frozenset[Partition]) -> str:
 
 def _cmd_witness(args) -> int:
     params = derive_case_parameters(args.n, args.p, args.q)
-    if params.deferral is not None:
+    found = witness._construct(params)
+    if found is None:
         print(_DEFERRAL_MESSAGES[params.deferral])
         return EXIT_CONDITION_FAILED
-    found = witness._construct(params)
+    host, divisor = found.candidate.host_prime, found.candidate.divisor_prime
     facts = {
         "case": found.candidate.case_id,
         "partition": list(found.partition.parts),
-        "host": found.candidate.host_prime,
-        "divisor": found.candidate.divisor_prime,
+        "host": host,
+        "divisor": divisor,
         "degree": found.degree.to_decimal(),
         "factored": found.degree.factored_str(),
-        "host_valuation": found.degree.valuation(found.candidate.host_prime),
-        "divisor_valuation": found.divisor_valuation,
+        "host_valuation": found.degree.valuation(host),
+        "divisor_valuation": found.degree.valuation(divisor),
     }
     if args.json:
         print(json.dumps(facts, sort_keys=True))
@@ -180,7 +181,7 @@ def _cmd_scan(args) -> int:
                 else:
                     params = derive_case_parameters(n, p, q)
                     deferral = params.deferral
-                    found = None if deferral else witness._construct(params)
+                    found = witness._construct(params)
             except InternalInvariantError as exc:
                 falsified += 1
                 print(f"internal-error: {type(exc).__name__}: {exc}")
@@ -214,12 +215,7 @@ def _cmd_degrees(args) -> int:
     if args.partition is None:
         shapes = partitions_of(args.n)
     else:
-        lam = parse_partition_text(args.partition)
-        if lam.size != args.n:
-            raise ValueError(
-                f"partition {lam.to_literal()} has size {lam.size}, expected {args.n}"
-            )
-        shapes = [lam]
+        shapes = [parse_partition_text(args.partition, args.n)]
     for lam in shapes:
         deg = degree(lam)
         print(

@@ -111,24 +111,21 @@ class CrossValidation:
 def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     """Run the constructor and test its witness against the exhaustive sets.
 
-    Deferred regimes (n < 9, abelian Sylow) carry no constructed witness;
-    the exhaustive verdict is attached so the caller still learns whether a
-    witness exists at all.  The arguments are validated once, by
-    :func:`derive_case_parameters`.
+    In a deferred regime (n < 9, abelian Sylow) the constructor gives
+    ``None``, so ``witness``, ``case_id`` and ``oracle_agrees`` are ``None``
+    and ``deferral`` names the regime; the exhaustive verdict is attached so
+    the caller still learns whether a witness exists at all.  The arguments
+    are validated once, by :func:`derive_case_parameters`.
     """
     params = derive_case_parameters(n, p, q)
     side_p, side_q = _conjecture_sets(n, p, q, "sn")[2:]
     condition = bool(side_p or side_q)
-    if params.deferral is not None:
-        return CrossValidation(None, None, params.deferral, None, condition)
     found = witness_engine._construct(params)
+    if found is None:
+        return CrossValidation(None, None, params.deferral, None, condition)
     matching = side_p if found.candidate.host_prime == p else side_q
     return CrossValidation(
-        witness=found,
-        case_id=found.candidate.case_id,
-        deferral=None,
-        oracle_agrees=found.partition in matching,
-        oracle_condition_holds=condition,
+        found, found.candidate.case_id, None, found.partition in matching, condition
     )
 
 

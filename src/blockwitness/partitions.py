@@ -270,9 +270,20 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield _trusted(current)
 
 
-def parse_partition_text(text: str) -> Partition:
-    """Accepts '[3,1]' descending literals or '(1^2,3)' ascending specs."""
+def parse_partition_text(text: str, size: int) -> Partition:
+    """A partition of ``size`` from a '[3,1]' literal or a '(1^2,3)' spec.
+
+    A spec is sized before it is expanded, so a huge one costs no memory.
+    """
     stripped = text.strip()
     if stripped.startswith("("):
-        return AscendingSpec.parse(stripped).to_partition()
-    return Partition.from_literal(stripped)
+        spec = AscendingSpec.parse(stripped)
+        if spec.total == size:
+            return spec.to_partition()
+        shown, total = str(spec), spec.total
+    else:
+        lam = Partition.from_literal(stripped)
+        if lam.size == size:
+            return lam
+        shown, total = lam.to_literal(), lam.size
+    raise ValueError(f"partition {shown} has size {total}, expected {size}")

@@ -80,14 +80,6 @@ from .parameters import CaseParameters, derive_case_parameters
 from .partitions import AscendingSpec, NonMonotoneSpec, Partition
 
 
-class WitnessDeferred(Exception):
-    """The construction does not apply; ``regime`` is the record's deferral."""
-
-    def __init__(self, params: CaseParameters):
-        self.regime = params.deferral
-        super().__init__(f"{self.regime}: n={params.n} p={params.p} q={params.q} is deferred")
-
-
 class SpecSumMismatch(InternalInvariantError):
     """A candidate spec does not sum to n; a case branch is mistranscribed."""
 
@@ -125,7 +117,6 @@ class Witness:
     candidate: WitnessCandidate
     partition: Partition
     degree: FactoredNatural
-    divisor_valuation: int
 
 
 @dataclass(frozen=True)
@@ -148,11 +139,11 @@ def _ones_then(ones: int, *tail: int) -> AscendingSpec:
 def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
     """The ordered candidates for the record's active case.
 
-    Raises :class:`WitnessDeferred` for a record with a deferral (n < 9 or
-    m <= 1); those regimes are covered by other means and carry no candidates.
+    A record with a deferral (n < 9 or m <= 1) gives ``()``; those regimes
+    are covered by other means and carry no candidates.
     """
     if params.deferral is not None:
-        raise WitnessDeferred(params)
+        return ()
     p, q = params.p, params.q
     n, mp, b, w, r = params.n, params.mp, params.b, params.w, params.r
     out: list[WitnessCandidate] = []
@@ -235,31 +226,27 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
     deg = degree(lam)
     if deg.valuation(host) != 0:
         return failure(f"degree divisible by host prime {host}")
-    divisor_val = deg.valuation(divisor)
-    if divisor_val < 1:
+    if deg.valuation(divisor) < 1:
         return failure(f"degree not divisible by {divisor}")
     if lam.is_self_conjugate():
         return failure("self-conjugate")
-    return Witness(
-        candidate=candidate,
-        partition=lam,
-        degree=deg,
-        divisor_valuation=divisor_val,
-    )
+    return Witness(candidate=candidate, partition=lam, degree=deg)
 
 
-def construct_witness(n: int, p: int, q: int) -> Witness:
+def construct_witness(n: int, p: int, q: int) -> Witness | None:
     """First verifying candidate for (n, p, q); primes may come either way.
 
-    Raises :class:`WitnessDeferred` outside the construction's regime and
-    :class:`CaseTreeFalsified` if every candidate fails verification, which
-    must never happen.
+    Returns ``None`` outside the construction's regime (the record's
+    ``deferral`` says why) and raises :class:`CaseTreeFalsified` if every
+    candidate fails verification, which must never happen.
     """
     return _construct(derive_case_parameters(n, p, q))
 
 
-def _construct(params: CaseParameters) -> Witness:
+def _construct(params: CaseParameters) -> Witness | None:
     # construct_witness for a record already derived (and so validated)
+    if params.deferral is not None:
+        return None
     failures: list[VerificationFailure] = []
     for candidate in candidate_list(params):
         outcome = verify_candidate(candidate, params.n)

@@ -199,6 +199,13 @@ def test_degrees_table(capsys):
     ]
 
 
+def test_degrees_spec_is_sized_before_it_is_expanded(capsys):
+    # expanding this spec would build a tuple of 10^11 parts
+    code, out, err = invoke(capsys, "degrees", "--n", "5", "--partition", "(1^100000000000)")
+    assert (code, out) == (2, "")
+    assert err == "usage-error: partition (1^100000000000) has size 100000000000, expected 5\n"
+
+
 def test_degrees_single(capsys):
     code, out, _ = invoke(
         capsys, "degrees", "--n", "9", "--partition", "[2,1,1,1,1,1,1,1]"
@@ -353,16 +360,21 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
 
 def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):
     import blockwitness.cli as cli_module
-    from blockwitness.witness import CaseTreeFalsified
+    from blockwitness.partitions import AscendingSpec
+    from blockwitness.witness import WitnessCandidate
 
-    def falsify(params):
-        raise CaseTreeFalsified(params, [])
+    # the trivial character has degree 1, so every in-regime record falsifies
+    # the case tree; the five deferred tuples of n = 9 never reach the list
+    def trivial_only(params):
+        return (WitnessCandidate("I.a", AscendingSpec(((1, 0), (params.n, 1))), 3, 2),)
 
-    monkeypatch.setattr(cli_module.witness, "_construct", falsify)
+    monkeypatch.setattr(cli_module.witness, "candidate_list", trivial_only)
     code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "9")
     assert code == 3
-    assert "internal-error:" in out
-    assert "falsified=1" in out.splitlines()[-1]
+    assert "internal-error: CaseTreeFalsified: no candidate verified for n=9 p=3 q=2" in out
+    assert out.splitlines()[-1] == (
+        "scan-summary tuples=6 witnesses=0 deferred=5 disagreements=0 falsified=1"
+    )
 
 
 def test_witness_and_scan_validate_once(capsys, monkeypatch):

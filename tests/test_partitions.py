@@ -205,10 +205,14 @@ def test_literals():
     assert Partition.from_literal("[]") == P()
     with pytest.raises(ValueError):
         Partition.from_literal("2,1")
-    assert parse_partition_text("[3,1]") == P(3, 1)
-    assert parse_partition_text("[3, 1]") == P(3, 1)
-    assert parse_partition_text("(1^2,3)") == P(3, 1, 1)
-    assert parse_partition_text("(1 ^ 2, 3)") == P(3, 1, 1)
+    assert parse_partition_text("[3,1]", 4) == P(3, 1)
+    assert parse_partition_text("[3, 1]", 4) == P(3, 1)
+    assert parse_partition_text("(1^2,3)", 5) == P(3, 1, 1)
+    assert parse_partition_text("(1 ^ 2, 3)", 5) == P(3, 1, 1)
+    with pytest.raises(ValueError, match=r"partition \[3,1\] has size 4, expected 5"):
+        parse_partition_text("[3, 1]", 5)
+    with pytest.raises(ValueError, match=r"partition \(1\^2,3\) has size 5, expected 4"):
+        parse_partition_text("(1 ^ 2, 3)", 4)
 
 
 @pytest.mark.parametrize(
@@ -217,4 +221,4 @@ def test_literals():
 )
 def test_partition_text_rejects_lax_integers(text):
     with pytest.raises(ValueError):
-        parse_partition_text(text)
+        parse_partition_text(text, 4)

@@ -11,7 +11,6 @@ from blockwitness.witness import (
     VerificationFailure,
     Witness,
     WitnessCandidate,
-    WitnessDeferred,
     candidate_list,
     construct_witness,
     verify_candidate,
@@ -54,15 +53,26 @@ def test_first_candidates():
 
 
 def test_guards():
-    with pytest.raises(WitnessDeferred) as info:
-        candidate_list(derive_case_parameters(11, 7, 5))
-    assert info.value.regime == "abelian-sylow"
-    with pytest.raises(WitnessDeferred) as info:
-        candidate_list(derive_case_parameters(8, 3, 2))
-    assert info.value.regime == "small-n"
-    with pytest.raises(WitnessDeferred) as info:
-        construct_witness(8, 3, 2)
-    assert info.value.regime == "small-n"
+    # a deferral is data: no candidates and no witness, the record says why
+    for (n, p, q), regime in (((11, 7, 5), "abelian-sylow"), ((8, 3, 2), "small-n")):
+        params = derive_case_parameters(n, p, q)
+        assert params.deferral == regime
+        assert candidate_list(params) == ()
+        assert construct_witness(n, p, q) is None
+
+
+def test_every_candidate_failing_falsifies(monkeypatch):
+    import blockwitness.witness as witness_module
+
+    # the trivial character has degree 1, so it cannot carry the divisor prime
+    def trivial_only(params):
+        return (WitnessCandidate("I.a", AscendingSpec(((1, 0), (params.n, 1))), 3, 2),)
+
+    monkeypatch.setattr(witness_module, "candidate_list", trivial_only)
+    with pytest.raises(CaseTreeFalsified) as info:
+        construct_witness(9, 3, 2)
+    assert [f.reason for f in info.value.failures] == ["degree not divisible by 2"]
+    assert construct_witness(8, 3, 2) is None
 
 
 def test_spot_witnesses():
@@ -115,7 +125,7 @@ def test_witness_facts_recompute():
         deg = degree(lam)
         assert deg == w.degree
         assert deg.valuation(host) == 0
-        assert deg.valuation(divisor) == w.divisor_valuation >= 1
+        assert deg.valuation(divisor) >= 1
         assert not lam.is_self_conjugate()
 
 
