@@ -1,17 +1,35 @@
-"""Principal-block membership for symmetric groups.
+"""Principal blocks and p'-degree partitions of symmetric groups.
 
 Two characters lie in the same p-block exactly when their partitions share a
 p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
 Membership is decided by comparing p-abacus runner counts with those of
 that core, without building the core.
-The prime-to-p subsets of those blocks, which the conjecture check
-compares, are taken in :mod:`blockwitness.oracle`.
+
+The partitions of p'-degree are generated, not searched for, by
+Macdonald's theorem (I. G. Macdonald, "On the degrees of the irreducible
+representations of symmetric groups", Bull. London Math. Soc. 3, 1971).
+The p-core tower of a partition has the p-core at level 0, and level k + 1
+is made of level k of the towers of its p-quotient components.  With
+n = sum a_k p^k in base p, the degree is prime to p exactly when level k
+has total size a_k for every k.  Each a_k < p, so every partition of size
+at most a_k is a p-core and any spread of a_k boxes over the p^k places
+of level k is a tower level.  The prime-to-p subsets of the principal
+blocks, which the conjecture check compares, are taken from this
+generation in :mod:`blockwitness.oracle`.
 """
 
 from __future__ import annotations
 
-from .partitions import LengthTooSmall, Partition
+from itertools import product
+
+from .factored import InternalInvariantError
+from .partitions import (
+    LengthTooSmall,
+    Partition,
+    from_core_and_quotient,
+    partitions_of,
+)
 
 
 def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
@@ -38,3 +56,99 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
     runner counts agree, so no core is built.
     """
     return lam.abacus(p)[0] == principal_runner_counts(lam.size, p, len(lam.parts))
+
+
+def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:
+    """The partitions of n whose degree p does not divide, keyed by p-core.
+
+    Level 0 of the tower is any partition of a_0 = n mod p, and the
+    principal block's members are the entry of the core (a_0).  Every
+    level above it comes from :func:`tower_quotients`.  The count is
+    certified: with m(c, a) the number of c-tuples of partitions of total
+    size a, the principal block has prod_{k >= 1} m(p^k, a_k) members and
+    all cores together m(1, a_0) times as many, all distinct; anything
+    else is a program fault.
+    """
+    if p < 2:
+        raise ValueError(f"p-core towers require p >= 2, got {p}")
+    digits = []
+    while n:
+        n, a = divmod(n, p)
+        digits.append(a)
+    digits = digits or [0]
+    groups = _by_core(p, tuple(digits), {})
+    per_core = 1
+    for k, a in enumerate(digits[1:], start=1):
+        per_core *= _multipartition_count(p**k, a)
+    block = len(groups[Partition((digits[0],) if digits[0] else ())])
+    distinct = len({lam.parts for members in groups.values() for lam in members})
+    if block != per_core or distinct != per_core * _multipartition_count(1, digits[0]):
+        raise InternalInvariantError(
+            f"p-core towers for p={p}, digits {digits}: {block} principal and"
+            f" {distinct} partitions in all, expected {per_core} per core"
+        )
+    return groups
+
+
+def tower_quotients(
+    p: int, digits: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
+) -> list[tuple[Partition, ...]]:
+    """Every p-quotient whose components' towers have level sizes adding up to ``digits``.
+
+    Level k + 1 of a tower is the union of level k of the quotient
+    components' towers, so this spreads each ``digits[k]`` over the p
+    components.  ``digits = (w,)`` with w < p gives the quotients of a
+    block of weight w.  ``towers`` holds the sub-towers already built by
+    the caller's generation, keyed by their level sizes.
+    """
+    # spreads[left]: the components placed so far that leave `left` to place
+    spreads: dict[tuple[int, ...], list[tuple[Partition, ...]]] = {digits: [()]}
+    for _ in range(p - 1):
+        placed: dict[tuple[int, ...], list[tuple[Partition, ...]]] = {}
+        for left, heads in spreads.items():
+            for sizes in product(*(range(a + 1) for a in left)):
+                members = _tower(p, sizes, towers)
+                rest = tuple(a - b for a, b in zip(left, sizes))
+                placed.setdefault(rest, []).extend(
+                    head + (mu,) for head in heads for mu in members
+                )
+        spreads = placed
+    quotients = []
+    for left, heads in spreads.items():
+        last = _tower(p, left, towers)
+        quotients.extend(head + (mu,) for head in heads for mu in last)
+    return quotients
+
+
+def _by_core(
+    p: int, sizes: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
+) -> dict[Partition, list[Partition]]:
+    # the partitions whose p-core tower has level sizes `sizes`, keyed by level 0
+    quotients = tower_quotients(p, sizes[1:], towers)
+    return {
+        core: [from_core_and_quotient(core, quotient, p) for quotient in quotients]
+        for core in partitions_of(sizes[0])
+    }
+
+
+def _tower(
+    p: int, sizes: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
+) -> list[Partition]:
+    # every partition whose p-core tower has level sizes `sizes`, built once per call
+    while sizes and not sizes[-1]:
+        sizes = sizes[:-1]
+    if sizes not in towers:
+        groups = _by_core(p, sizes, towers).values() if sizes else [[Partition()]]
+        towers[sizes] = [lam for members in groups for lam in members]
+    return towers[sizes]
+
+
+def _multipartition_count(c: int, a: int) -> int:
+    # c-tuples of partitions of total size a: the x^a coefficient of
+    # prod_{j >= 1} (1 - x^j)^(-c), one factor 1 / (1 - x^j) at a time
+    coeffs = [1] + [0] * a
+    for j in range(1, a + 1):
+        for _ in range(c):
+            for i in range(j, a + 1):
+                coeffs[i] += coeffs[i - j]
+    return coeffs[a]

@@ -9,22 +9,14 @@ each rectangle adds a trapezoid to the count of hooks of each length, and
 the exponent of p in the hook product is the number of hooks divisible by
 p, plus the number divisible by p^2, and so on.  That exponent is taken
 from the exponent of p in n!; a negative difference here is an internal
-bug, never a data condition.  The exponent of a single prime in a degree
-is read from abacus weights instead, without counting every hook length
-(:func:`degree_valuation`).
+bug, never a data condition.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, groupby
 
-from .factored import (
-    FactoredNatural,
-    NotDivisible,
-    _trusted,
-    factorial_factored,
-    factorial_valuation,
-)
+from .factored import FactoredNatural, NotDivisible, _trusted, factorial_factored
 from .partitions import Partition
 
 
@@ -73,26 +65,3 @@ def degree(lam: Partition) -> FactoredNatural:
         if e:
             factors.append((p, e))
     return _trusted(tuple(factors))
-
-
-def degree_valuation(lam: Partition, p: int) -> int:
-    """Exponent of p in the degree, from abacus weights instead of hooks.
-
-    The number of hooks with length divisible by ``e`` is the ``e``-weight
-    w_e of the partition, so the exponent of p in the hook product is the
-    sum of w_{p^k} over k >= 1 and
-
-        nu_p(degree) = nu_p(|lam|!) - sum_{k >= 1} w_{p^k}(lam).
-
-    One abacus pass per power of p up to the largest hook length; no power
-    above it divides any hook.
-    """
-    if p < 2:
-        raise ValueError(f"valuation requires p >= 2, got {p}")
-    total = factorial_valuation(lam.size, p)
-    largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
-    e = p
-    while e <= largest_hook:
-        total -= lam.abacus(e)[1]
-        e *= p
-    return total

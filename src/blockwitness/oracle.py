@@ -1,9 +1,16 @@
-"""Brute-force ground truth for the witness conditions.
+"""Ground truth for the witness conditions, independent of the case tree.
 
-For each prime p the oracle exhausts the partitions of n once and keeps two
-sets: Irr_p'(S_n), the partitions whose degree p does not divide (by
-:func:`degree_valuation`), and Irr_p'(B_0), those of them in the principal
-p-block.  Everything else is set difference: a p-block witness is a member of
+For each prime p the oracle holds two sets: Irr_p'(S_n), the partitions of
+n whose degree p does not divide, and Irr_p'(B_0), those of them in the
+principal p-block.  Both are generated from p-core towers by Macdonald's
+theorem (I. G. Macdonald, "On the degrees of the irreducible
+representations of symmetric groups", Bull. London Math. Soc. 3, 1971; see
+:func:`blockwitness.blocks.p_prime_degree_partitions`): the degree is prime
+to p exactly when level k of the tower has total size a_k, the k-th base-p
+digit of n, and B_0 is the share whose level 0 is the core (n mod p).  No
+partition outside these sets is visited.  Each generated set is certified
+by its size, a product of multipartition counts; a mismatch is a program
+fault.  Everything else is set difference: a p-block witness is a member of
 Irr_p'(B_0) outside Irr_q'(S_n), and conjecture B compares Irr_p'(B_0) with
 Irr_q'(B_0).  The candidate construction in :mod:`blockwitness.witness` is
 never consulted, which is exactly what makes :func:`cross_validate`
@@ -23,29 +30,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import witness as witness_engine
-from .blocks import principal_block_contains
-from .degrees import degree_valuation
+from .blocks import p_prime_degree_partitions
 from .factored import primes_up_to
 from .parameters import check_primes, derive_case_parameters
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 GROUP_KINDS = ("sn", "an")
 
 
 @lru_cache(maxsize=1)
-def _scan(n: int) -> tuple[Partition, ...]:
-    # the partitions of n, enumerated once per n; a scan visits each n once,
-    # so only the latest n is kept
-    return tuple(partitions_of(n))
+def _scan(n: int) -> dict[tuple[int, ...], Partition]:
+    # one Partition per shape of n, shared by the prime views of n, so the
+    # set differences across primes match members by identity; a scan
+    # visits each n once, so only the latest n is kept
+    return {}
 
 
 @lru_cache(maxsize=32)
 def _prime_view(n: int, p: int) -> tuple[frozenset[Partition], frozenset[Partition]]:
-    # (Irr_p'(S_n), Irr_p'(B_0)); block membership is tested only on the
-    # partitions of p'-degree, a small share of all; 32 entries hold every
-    # prime <= n for any n small enough to enumerate
-    p_prime = frozenset(lam for lam in _scan(n) if degree_valuation(lam, p) == 0)
-    return p_prime, frozenset(lam for lam in p_prime if principal_block_contains(lam, p))
+    # (Irr_p'(S_n), Irr_p'(B_0)); 32 entries hold every prime <= n for n < 137
+    shapes = _scan(n)
+    view = {
+        core: frozenset(shapes.setdefault(lam.parts, lam) for lam in members)
+        for core, members in p_prime_degree_partitions(n, p).items()
+    }
+    return frozenset().union(*view.values()), view[Partition((n % p,) if n % p else ())]
 
 
 def _conjecture_sets(n: int, p: int, q: int, kind: str) -> tuple[frozenset[Partition], ...]:

@@ -27,7 +27,8 @@ No core is built.  The kernel always lays out the beta-set whose length is
 the number of parts, so a partition is compared with a core through that
 core's runner counts at the partition's length (see
 :func:`blockwitness.blocks.principal_runner_counts`).  The quotient uses a
-length divisible by ``p`` so the runner order is well defined.
+length divisible by ``p`` so the runner order is well defined, and
+:func:`from_core_and_quotient` inverts it on the same convention.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add
-from typing import Iterable, Iterator
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence
 
 from .factored import parse_decimal
 
@@ -161,6 +162,46 @@ class Partition:
 def _bead_positions(beads: Iterable[int], e: int) -> Iterator[tuple[int, int]]:
     # (level, runner) of each bead on an e-runner abacus
     return map(divmod, beads, repeat(e))
+
+
+def from_core_and_quotient(
+    core: Partition, quotient: Sequence[Partition], p: int
+) -> Partition:
+    """The partition with ``p``-core ``core`` and ``p``-quotient ``quotient``.
+
+    The inverse of :meth:`Partition.p_quotient`, on its convention: a
+    beta-set whose length is a multiple of ``p``.  Runner ``i`` of the
+    core's abacus holds c_i packed beads; the result lays the beta-set of
+    ``quotient[i]`` of length c_i on that runner instead, after adding
+    full rows of beads under the core until every c_i covers the parts of
+    its component.  A ``core`` with a ``p``-hook, or a quotient without
+    ``p`` components, raises ``ValueError``.
+    """
+    if p < 2:
+        raise ValueError(f"quotient requires p >= 2, got {p}")
+    if len(quotient) != p:
+        raise ValueError(f"a {p}-quotient has {p} components, got {len(quotient)}")
+    counts, weight = core.abacus(p)
+    if weight:
+        raise ValueError(f"{core.to_literal()} is not a {p}-core")
+    # padding the beta-set to a length divisible by p adds `shift` beads at
+    # the bottom, which moves runner j's beads to runner j + shift
+    shift = -len(core.parts) % p
+    placed = [
+        (runner, mu.parts, counts[runner - shift] + (runner < shift))
+        for runner, mu in enumerate(quotient)
+        if mu.parts
+    ]
+    lift = max([0] + [len(parts) - c for _, parts, c in placed])
+    beads = set(core.beta_set(len(core.parts) + shift + lift * p))
+    for runner, parts, c in placed:
+        # the top len(parts) of the runner's packed beads move up to the component's levels
+        top = c + lift - 1
+        beads.difference_update(range(runner + p * top, runner + p * (top - len(parts)), -p))
+        beads.update(runner + p * (a + top - i) for i, a in enumerate(parts))
+    ordered = sorted(beads, reverse=True)
+    parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
+    return _trusted(parts[: len(parts) - parts.count(0)])
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:

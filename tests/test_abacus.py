@@ -8,8 +8,8 @@ the hook-length formula.
 import pytest
 
 import _oracles as oracle
+from _all_partitions import degree_valuation
 from blockwitness.blocks import principal_block_contains
-from blockwitness.degrees import degree_valuation
 from blockwitness.factored import factorial_valuation, primes_up_to
 from blockwitness.partitions import Partition, partitions_of
 

@@ -10,8 +10,9 @@ import os
 import random
 
 import _oracles as oracle_helpers
+from _all_partitions import degree_valuation
 from blockwitness.blocks import principal_block_contains
-from blockwitness.degrees import degree, degree_valuation
+from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
 from blockwitness.oracle import check_conjC, cross_validate, prime_pairs
 from blockwitness.partitions import Partition, partitions_of

@@ -1,8 +1,15 @@
 import pytest
 
 import _oracles as oracle
-from blockwitness.blocks import principal_block_contains, principal_runner_counts
+import blockwitness.blocks as blocks
+from blockwitness.blocks import (
+    p_prime_degree_partitions,
+    principal_block_contains,
+    principal_runner_counts,
+    tower_quotients,
+)
 from blockwitness.degrees import degree
+from blockwitness.factored import InternalInvariantError, primes_up_to
 from blockwitness.oracle import _prime_view
 from blockwitness.partitions import LengthTooSmall, Partition, partitions_of
 
@@ -88,3 +95,60 @@ def test_core_determines_membership():
         for p in (2, 3, 5, 7):
             (core,) = oracle.exhaustive_cores(lam.parts, p)
             assert principal_block_contains(lam, p) == (core == ((8 % p,) if 8 % p else ()))
+
+
+def _base_digits(n, p):
+    digits = []
+    while n:
+        n, a = divmod(n, p)
+        digits.append(a)
+    return digits or [0]
+
+
+def test_tower_counts_certified_through_40():
+    # |Irr_p'(S_n)| = p(a_0) prod_{k >= 1} m(p^k, a_k) and |Irr_p'(B_0)| the
+    # product alone, m(c, a) counting c-tuples of partitions of total a
+    # (Macdonald), against the independent multipartition count
+    for n in range(1, 41):
+        for p in primes_up_to(n):
+            digits = _base_digits(n, p)
+            per_core = 1
+            for k, a in enumerate(digits[1:], start=1):
+                per_core *= oracle.multipartition_count(p**k, a)
+            groups = p_prime_degree_partitions(n, p)
+            block = groups[P(n % p) if n % p else P()]
+            shapes = {lam.parts for members in groups.values() for lam in members}
+            assert len(block) == per_core, (n, p)
+            assert len(shapes) == per_core * oracle.partition_count_oracle(digits[0]), (n, p)
+            assert all(sum(parts) == n for parts in shapes)
+
+
+def test_tower_generation_small_cases():
+    # for p > n every partition is its own p-core and has p'-degree
+    groups = p_prime_degree_partitions(4, 5)
+    assert set(groups) == set(partitions_of(4))
+    assert all(members == [core] for core, members in groups.items())
+    assert p_prime_degree_partitions(0, 3) == {P(): [P()]}
+    # the quotients of a weight-1 block: one box on one of the p runners
+    weight_one = tower_quotients(3, (1,), {})
+    assert len(weight_one) == 3
+    assert set(weight_one) == {(P(1), P(), P()), (P(), P(1), P()), (P(), P(), P(1))}
+    with pytest.raises(ValueError):
+        p_prime_degree_partitions(4, 1)
+
+
+def test_tower_count_mismatch_is_a_fault(monkeypatch):
+    count = blocks._multipartition_count
+    monkeypatch.setattr(blocks, "_multipartition_count", lambda c, a: count(c, a) + (c == 9))
+    with pytest.raises(InternalInvariantError, match="p=3"):
+        p_prime_degree_partitions(20, 3)  # 20 = 2*9 + 0*3 + 2
+    monkeypatch.setattr(blocks, "_multipartition_count", count)
+    # an assembler that merges shapes leaves too few distinct partitions
+    assemble = blocks.from_core_and_quotient
+    monkeypatch.setattr(
+        blocks,
+        "from_core_and_quotient",
+        lambda core, quotient, p: assemble(core, sorted(quotient, key=lambda mu: mu.parts), p),
+    )
+    with pytest.raises(InternalInvariantError, match="p=2"):
+        p_prime_degree_partitions(6, 2)

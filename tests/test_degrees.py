@@ -4,7 +4,8 @@ import random
 import pytest
 
 import _oracles as oracle
-from blockwitness.degrees import degree, degree_valuation
+from _all_partitions import degree_valuation
+from blockwitness.degrees import degree
 from blockwitness.factored import FactoredNatural, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of

@@ -1,10 +1,11 @@
 import pytest
 
 import _oracles as ref
+from _all_partitions import degree_valuation, prime_view as enumerated_prime_view
 from blockwitness.blocks import principal_block_contains
-from blockwitness.degrees import degree_valuation
 from blockwitness.factored import primes_up_to
 from blockwitness.oracle import (
+    _prime_view,
     check_conjC,
     cross_validate,
     prime_pairs,
@@ -185,3 +186,10 @@ def test_conjB_no_violation_through_28():
     for n in range(25, 29):
         for p, q in prime_pairs(n):
             assert not check_conjC(n, p, q, "sn").sets_equal
+
+
+def test_tower_prime_view_matches_all_partitions():
+    # the p-core-tower generation against the all-partitions reference
+    for n in range(1, 29):
+        for p in primes_up_to(n):
+            assert _prime_view(n, p) == enumerated_prime_view(n, p), (n, p)

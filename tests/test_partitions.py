@@ -9,6 +9,7 @@ from blockwitness.partitions import (
     LengthTooSmall,
     NonMonotoneSpec,
     Partition,
+    from_core_and_quotient,
     parse_partition_text,
     partitions_of,
 )
@@ -196,6 +197,50 @@ def test_core_quotient_size_identity():
         assert len(comps) == p
         (core,) = oracle.exhaustive_cores(lam.parts, p)
         assert lam.size == sum(core) + p * sum(c.size for c in comps)
+
+
+def _multipartitions(components, total):
+    # every `components`-tuple of partitions (as parts) of total size `total`
+    if components == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for first in oracle.enumerate_partitions(head):
+            for rest in _multipartitions(components - 1, total - head):
+                yield (first,) + rest
+
+
+def test_core_and_quotient_round_trip():
+    # p-cores of size <= 8 found by rim-hook stripping (no hook to strip),
+    # every p-quotient of weight <= 2: p_quotient inverts the assembler, which
+    # keeps the core's runner counts and adds |quotient| to the weight
+    cases = 0
+    for p in (2, 3, 5, 7):
+        cores = [
+            Partition(s)
+            for size in range(9)
+            for s in oracle.enumerate_partitions(size)
+            if oracle.exhaustive_cores(s, p) == {s}
+        ]
+        for weight in range(3):
+            for quotient in _multipartitions(p, weight):
+                components = tuple(Partition(mu) for mu in quotient)
+                for core in cores:
+                    lam = from_core_and_quotient(core, components, p)
+                    assert lam.p_quotient(p) == components, (core, quotient, p)
+                    counts, found = lam.abacus(p)
+                    assert counts == oracle.residue_counts(core.beta_set(len(lam.parts)), p)
+                    assert found == weight
+                    assert lam.size == core.size + p * weight
+                    cases += 1
+    assert cases == 3_273
+    with pytest.raises(ValueError, match="not a 2-core"):
+        from_core_and_quotient(P(2), (P(), P()), 2)
+    with pytest.raises(ValueError, match="has 3 components"):
+        from_core_and_quotient(P(1), (P(), P()), 3)
+    with pytest.raises(ValueError):
+        from_core_and_quotient(P(), (P(),), 1)
 
 
 def test_literals():
