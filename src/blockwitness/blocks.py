@@ -4,7 +4,9 @@ Two characters lie in the same p-block exactly when their partitions share a
 p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
 Membership is decided by comparing p-abacus runner counts with those of
-that core, without building the core.
+that core, without building the core.  A partition's counts are taken bead
+by bead; a shape given by its runs of equal parts, as a witness candidate
+is, gets them from the runs' bead intervals.
 
 The partitions of p'-degree are generated, not searched for, by
 Macdonald's theorem (I. G. Macdonald, "On the degrees of the irreducible
@@ -22,6 +24,7 @@ generation in :mod:`blockwitness.oracle`.
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
 from .factored import InternalInvariantError
 from .partitions import (
@@ -56,6 +59,33 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
     runner counts agree, so no core is built.
     """
     return lam.abacus(p)[0] == principal_runner_counts(lam.size, p, len(lam.parts))
+
+
+def runs_in_principal_block(runs: Sequence[tuple[int, int]], p: int) -> bool:
+    """:func:`principal_block_contains` for the partition with descending runs ``runs``.
+
+    In the beta-set of length L, the number of parts, the run of m parts
+    equal to v below the first ``above`` parts is the interval of beads
+    v + L - above - m .. v + L - above - 1.  An interval of m beads puts
+    m // p beads on every runner and one more on the m % p runners that
+    follow its lowest bead, so the counts take O(min(m, p)) steps per run
+    besides the final O(p) comparison.
+    """
+    length = sum(mult for _, mult in runs)
+    size = 0
+    rounds = 0
+    extra = [0] * p
+    above = 0
+    for value, mult in runs:
+        low = value + length - above - mult
+        full, rest = divmod(mult, p)
+        rounds += full
+        for bead in range(low, low + rest):
+            extra[bead % p] += 1
+        above += mult
+        size += value * mult
+    counts = [rounds + c for c in extra]
+    return counts == principal_runner_counts(size, p, length)
 
 
 def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:

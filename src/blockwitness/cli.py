@@ -29,6 +29,10 @@ EXIT_INTERNAL = 3
 
 SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 
+# largest n whose partitions `degrees` and `export-table` list one by one;
+# p(60) = 966,467
+ENUMERATION_MAX_N = 60
+
 _DEFERRAL_MESSAGES = {
     "small-n": "small-n: deferred to table methods",
     "abelian-sylow": "abelian-sylow: deferred (Sylow subgroup is abelian)",
@@ -211,9 +215,18 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _enumerable(command: str, n: int) -> int:
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"{command} --n {n} lists every partition of n; the limit is"
+            f" n <= {ENUMERATION_MAX_N}"
+        )
+    return n
+
+
 def _cmd_degrees(args) -> int:
     if args.partition is None:
-        shapes = partitions_of(args.n)
+        shapes = partitions_of(_enumerable("degrees", args.n))
     else:
         shapes = [parse_partition_text(args.partition, args.n)]
     for lam in shapes:
@@ -245,13 +258,14 @@ def _cmd_check_table(args) -> int:
 
 
 def _cmd_export_table(args) -> int:
+    n = _enumerable("export-table", args.n)
     if args.primes is None:
-        primes = tuple(primes_up_to(args.n))
+        primes = tuple(primes_up_to(n))
     elif args.primes.strip() == "":
         primes = ()
     else:
         primes = tuple(parse_decimal(tok.strip()) for tok in args.primes.split(","))
-    summary = tables.build_sn_summary(args.n, primes)
+    summary = tables.build_sn_summary(n, primes)
     sys.stdout.write(tables.serialize_table(summary).decode("utf-8"))
     return EXIT_OK
 

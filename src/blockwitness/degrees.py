@@ -15,31 +15,38 @@ bug, never a data condition.
 from __future__ import annotations
 
 from itertools import accumulate, groupby
+from operator import mul
+from typing import Sequence
 
 from .factored import FactoredNatural, NotDivisible, _trusted, factorial_factored
 from .partitions import Partition
 
 
 def degree(lam: Partition) -> FactoredNatural:
-    """Character degree of the partition: |lam|! / (product of hooks).
+    """Character degree of the partition: |lam|! / (product of hooks)."""
+    return runs_degree(tuple((v, len(list(run))) for v, run in groupby(lam.parts)))
 
-    Write the distinct parts as v_1 > ... > v_d with multiplicities
-    m_1 .. m_d, and M_a = m_1 + ... + m_a.  Row group a (the m_a rows of
-    length v_a) meets column group b >= a (the v_b - v_{b+1} columns of
-    length M_b, with v_{d+1} = 0) in a rectangle whose bottom-right hook is
-    v_a - v_b + M_b - M_a + 1, and the hook at s rows up and t columns left
-    of that corner is larger by s + t.  The number of hooks of each length
-    in one rectangle is therefore a trapezoid, four +-1 entries in a second
-    difference array over hook lengths; two running sums give ``count[h]``,
-    the number of hooks of length h.  The exponent of each prime p <= n is
-    then nu_p(n!) - sum_{k >= 1} #{hooks divisible by p^k}.  The keys are
-    the primes of n!, so the result skips the key checks of the public
+
+def runs_degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
+    """Character degree of the partition with descending runs ``runs``.
+
+    ``runs`` lists the distinct parts v_1 > ... > v_d with their
+    multiplicities m_1 .. m_d; write M_a = m_1 + ... + m_a.  Row group a
+    (the m_a rows of length v_a) meets column group b >= a (the
+    v_b - v_{b+1} columns of length M_b, with v_{d+1} = 0) in a rectangle
+    whose bottom-right hook is v_a - v_b + M_b - M_a + 1, and the hook at s
+    rows up and t columns left of that corner is larger by s + t.  The
+    number of hooks of each length in one rectangle is therefore a
+    trapezoid, four +-1 entries in a second difference array over hook
+    lengths; two running sums give ``count[h]``, the number of hooks of
+    length h.  The exponent of each prime p <= n is then
+    nu_p(n!) - sum_{k >= 1} #{hooks divisible by p^k}.  The keys are the
+    primes of n!, so the result skips the key checks of the public
     :class:`FactoredNatural` constructor.
     """
-    n = lam.size
-    runs = [(v, len(list(run))) for v, run in groupby(lam.parts)]
     values = [v for v, _ in runs]
     heights = [m for _, m in runs]
+    n = sum(map(mul, values, heights))
     depths = list(accumulate(heights))
     widths = [v - w for v, w in zip(values, values[1:] + [0])]
     diff = [0] * (n + 3)
@@ -58,8 +65,9 @@ def degree(lam: Partition) -> FactoredNatural:
             e -= sum(count[power::power])
             power *= p
         if e < 0:
+            literal = ",".join(str(v) for v, m in runs for _ in range(m))
             raise NotDivisible(
-                f"prime {p} divides the hook product of {lam.to_literal()} more"
+                f"prime {p} divides the hook product of [{literal}] more"
                 f" often than {n}!"
             )
         if e:

@@ -248,6 +248,21 @@ class AscendingSpec:
     def total(self) -> int:
         return sum(v * m for v, m in self.blocks)
 
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """Descending ``(value, multiplicity)`` runs of the partition's parts.
+
+        Equal values are merged and the empty leading 1-block is dropped, so
+        these are the runs of :meth:`to_partition` without building it.
+        """
+        runs: list[tuple[int, int]] = []
+        for value, mult in reversed(self.blocks):
+            if runs and runs[-1][0] == value:
+                runs[-1] = (value, runs[-1][1] + mult)
+            elif mult:
+                runs.append((value, mult))
+        return tuple(runs)
+
     def to_partition(self) -> Partition:
         """Canonical descending partition with the spec's multiset of parts.
 

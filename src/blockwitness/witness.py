@@ -32,11 +32,17 @@ names a tuple (n, p, q) at which the tests see it win:
       III.b-alt2                      (1^mp, b)                  host p  (109, 5, 3)
       III.b-final                     (1^(mp-1), 1+b)            host q  (2925, 11, 5)
 
-Candidates are tried in this order and each one is verified from scratch:
-block membership, both degree valuations, and self-conjugacy are recomputed
-rather than predicted by side conditions.  A parameter record for which no
-candidate verifies raises :class:`CaseTreeFalsified`, which is the whole
-point of running the engine.
+Candidates are built and tried in this order and each one is verified from
+scratch: block membership, both degree valuations, and self-conjugacy are
+recomputed rather than predicted by side conditions.  The check works on
+the spec's runs of equal parts, at most three here, not on the n parts:
+each run is an interval of beads of the beta-set, which gives the abacus
+runner counts in O(min(m, p)) steps per run of m parts; the hook counts
+come from the rectangles between the runs; and a shape whose length
+differs from its first part is not self-conjugate.  The partition itself
+is built only for the outcome, the accepted witness or a failure record.
+A parameter record for which no candidate verifies raises
+:class:`CaseTreeFalsified`, which is the whole point of running the engine.
 
 Two proved facts keep the lists short.  By proof 1 the I.c list ends at
 I.c-fallback1 when r >= 2; by proof 2 II.c-alt-q2 needs no condition beyond
@@ -72,9 +78,10 @@ t >= 1, the lowest set bit of mp; take the hook (b+1, 1^(mp-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .blocks import principal_block_contains
-from .degrees import degree
+from .blocks import runs_in_principal_block
+from .degrees import runs_degree
 from .factored import FactoredNatural, InternalInvariantError
 from .parameters import CaseParameters, derive_case_parameters
 from .partitions import AscendingSpec, NonMonotoneSpec, Partition
@@ -142,35 +149,37 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
     A record with a deferral (n < 9 or m <= 1) gives ``()``; those regimes
     are covered by other means and carry no candidates.
     """
+    return tuple(_candidates(params))
+
+
+def _candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
+    # the candidates of candidate_list, built one at a time as they are tried
     if params.deferral is not None:
-        return ()
+        return
     p, q = params.p, params.q
     n, mp, b, w, r = params.n, params.mp, params.b, params.w, params.r
-    out: list[WitnessCandidate] = []
     if r > 0:
         if b == 0:
-            out.append(WitnessCandidate("I.a", _ones_then(mp - r - 1, 1 + r), p, q))
+            yield WitnessCandidate("I.a", _ones_then(mp - r - 1, 1 + r), p, q)
         elif r != b:
             low, high = (r, b) if r < b else (b, r)
-            out.append(WitnessCandidate("I.b", _ones_then(mp - r - 1, 1 + low, high), p, q))
-            out.append(WitnessCandidate("I.b-fallback", _ones_then(mp, b), p, q))
+            yield WitnessCandidate("I.b", _ones_then(mp - r - 1, 1 + low, high), p, q)
+            yield WitnessCandidate("I.b-fallback", _ones_then(mp, b), p, q)
         else:
             # b = r > 0; r + 1 < wq holds whenever m > 1
             if not r + 1 < w * q:
                 raise InternalInvariantError(
                     f"r+1 >= wq at n={n}, p={p}, q={q} despite m > 1"
                 )
-            out.append(WitnessCandidate("I.c", _ones_then(r, r + 1, w * q - 1), p, q))
-            out.append(
-                WitnessCandidate("I.c-fallback1", _ones_then(w * q - 2, 1 + r, 1 + r), p, q)
-            )
+            yield WitnessCandidate("I.c", _ones_then(r, r + 1, w * q - 1), p, q)
+            yield WitnessCandidate("I.c-fallback1", _ones_then(w * q - 2, 1 + r, 1 + r), p, q)
             if r == 1:
                 # the two candidates above both lose their q-part at r = 1 (for
                 # r >= 2 the first fallback verifies, proof 1); the width-2 hook
                 # has degree n - 1 = mp and lies in the principal q-block of
                 # n = wq + 2, so it hosts at q.  q = 2 forces r = 1.
                 case_id = "I.c-fallback2-q2" if q == 2 else "I.c-fallback2-r1"
-                out.append(WitnessCandidate(case_id, _ones_then(n - 2, 2), q, p))
+                yield WitnessCandidate(case_id, _ones_then(n - 2, 2), q, p)
     else:
         a1q = params.low_q_part
         b1p = params.low_p_part
@@ -181,55 +190,64 @@ def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
             )
         if a1q < b1p:
             if b == 0:
-                out.append(WitnessCandidate("II.a", _ones_then(mp - a1q - 1, 1 + a1q), p, q))
+                yield WitnessCandidate("II.a", _ones_then(mp - a1q - 1, 1 + a1q), p, q)
             elif b != a1q:
                 low, high = (a1q, b) if a1q < b else (b, a1q)
-                out.append(WitnessCandidate("II.b", _ones_then(mp - a1q - 1, 1 + low, high), p, q))
-                out.append(WitnessCandidate("II.b-fallback", _ones_then(mp, b), p, q))
+                yield WitnessCandidate("II.b", _ones_then(mp - a1q - 1, 1 + low, high), p, q)
+                yield WitnessCandidate("II.b-fallback", _ones_then(mp, b), p, q)
             else:
-                out.append(WitnessCandidate("II.c", _ones_then(mp - b - 2, b + 1, b + 1), p, q))
-                if p == b + 1 and (params.m - 1) % p == 0:
-                    if b1p != p:
-                        raise InternalInvariantError(
-                            f"p = b+1 and p | m-1 must force the lowest base-p"
-                            f" summand to be p at n={n}, p={p}, q={q}"
-                        )
-                    out.append(WitnessCandidate("II.c-alt", _ones_then(mp - p, b + p), p, q))
+                # checked before the first candidate, so it holds whichever one wins
+                alt = p == b + 1 and (params.m - 1) % p == 0
+                if alt and b1p != p:
+                    raise InternalInvariantError(
+                        f"p = b+1 and p | m-1 must force the lowest base-p"
+                        f" summand to be p at n={n}, p={p}, q={q}"
+                    )
+                yield WitnessCandidate("II.c", _ones_then(mp - b - 2, b + 1, b + 1), p, q)
+                if alt:
+                    yield WitnessCandidate("II.c-alt", _ones_then(mp - p, b + p), p, q)
                 if q == 2:
-                    out.append(WitnessCandidate("II.c-alt-q2", _ones_then(mp - 1, b + 1), q, p))
+                    yield WitnessCandidate("II.c-alt-q2", _ones_then(mp - 1, b + 1), q, p)
         else:
             if b == 0:
-                out.append(WitnessCandidate("III.a", _ones_then(mp - b1p - 1, 1 + b1p), q, p))
+                yield WitnessCandidate("III.a", _ones_then(mp - b1p - 1, 1 + b1p), q, p)
             else:
-                out.append(WitnessCandidate("III.b", _ones_then(mp - b1p - 1, b + 1, b1p), q, p))
-                out.append(WitnessCandidate("III.b-alt1", _ones_then(0, b + 1, mp - 1), p, q))
-                out.append(WitnessCandidate("III.b-alt2", _ones_then(mp, b), p, q))
-                out.append(WitnessCandidate("III.b-final", _ones_then(mp - 1, 1 + b), q, p))
-    return tuple(out)
+                yield WitnessCandidate("III.b", _ones_then(mp - b1p - 1, b + 1, b1p), q, p)
+                yield WitnessCandidate("III.b-alt1", _ones_then(0, b + 1, mp - 1), p, q)
+                yield WitnessCandidate("III.b-alt2", _ones_then(mp, b), p, q)
+                yield WitnessCandidate("III.b-final", _ones_then(mp - 1, 1 + b), q, p)
 
 
 def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | VerificationFailure:
-    """Build the candidate's partition and recheck all four witness facts."""
-    if candidate.spec.total != n:
+    """Recheck all four witness facts on the candidate's runs.
+
+    Membership and the degree are computed from the spec's runs of equal
+    parts; the partition is built only for the outcome record.
+    """
+    spec = candidate.spec
+    if spec.total != n:
         raise SpecSumMismatch(
-            f"candidate {candidate.case_id} spec {candidate.spec} sums to"
-            f" {candidate.spec.total}, expected {n}"
+            f"candidate {candidate.case_id} spec {spec} sums to"
+            f" {spec.total}, expected {n}"
         )
-    lam = candidate.spec.to_partition()
+    runs = spec.runs
     host, divisor = candidate.host_prime, candidate.divisor_prime
 
     def failure(reason: str) -> VerificationFailure:
-        return VerificationFailure(candidate, lam, reason)
+        return VerificationFailure(candidate, spec.to_partition(), reason)
 
-    if not principal_block_contains(lam, host):
+    if not runs_in_principal_block(runs, host):
         return failure(f"outside the principal {host}-block")
-    deg = degree(lam)
+    deg = runs_degree(runs)
     if deg.valuation(host) != 0:
         return failure(f"degree divisible by host prime {host}")
     if deg.valuation(divisor) < 1:
         return failure(f"degree not divisible by {divisor}")
+    # every outcome from here on records the partition; its self-conjugacy
+    # test builds the conjugate only when the length equals the first part
+    lam = spec.to_partition()
     if lam.is_self_conjugate():
-        return failure("self-conjugate")
+        return VerificationFailure(candidate, lam, "self-conjugate")
     return Witness(candidate=candidate, partition=lam, degree=deg)
 
 
@@ -248,7 +266,7 @@ def _construct(params: CaseParameters) -> Witness | None:
     if params.deferral is not None:
         return None
     failures: list[VerificationFailure] = []
-    for candidate in candidate_list(params):
+    for candidate in _candidates(params):
         outcome = verify_candidate(candidate, params.n)
         if isinstance(outcome, Witness):
             return outcome

@@ -124,8 +124,11 @@ def exhaustive_cores(parts: Parts, p: int) -> frozenset[Parts]:
 
 
 def residue_counts(beads, e: int) -> list[int]:
-    """How many beads fall in each residue class mod e, one class at a time."""
-    return [sum(1 for b in beads if b % e == r) for r in range(e)]
+    """How many beads fall in each residue class mod e, tallied bead by bead."""
+    counts = [0] * e
+    for b in beads:
+        counts[b % e] += 1
+    return counts
 
 
 def multipartition_count(components: int, total: int) -> int:

@@ -206,6 +206,32 @@ def test_degrees_spec_is_sized_before_it_is_expanded(capsys):
     assert err == "usage-error: partition (1^100000000000) has size 100000000000, expected 5\n"
 
 
+def test_enumeration_is_bounded(capsys, monkeypatch):
+    # degrees without --partition and export-table list all p(n) partitions
+    import blockwitness.cli as cli_module
+
+    limit = cli_module.ENUMERATION_MAX_N
+    for argv in (
+        ("degrees", "--n", str(limit + 1)),
+        ("export-table", "--n", str(limit + 1)),
+        ("export-table", "--n", "10" * 50, "--primes", "2,3"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            f"usage-error: {argv[0]} --n {argv[2]} lists every partition of n;"
+            f" the limit is n <= {limit}\n"
+        ), argv
+    # one shape of any size is not an enumeration
+    code, out, _ = invoke(capsys, "degrees", "--n", "100", "--partition", "(1^99,1)")
+    assert (code, out) == (0, "degree partition=[" + ",".join(["1"] * 100) + "] decimal=1 factored=1\n")
+    # the limit itself is accepted
+    monkeypatch.setattr(cli_module, "ENUMERATION_MAX_N", 4)
+    assert invoke(capsys, "degrees", "--n", "4")[0] == 0
+    assert invoke(capsys, "export-table", "--n", "4")[0] == 0
+    assert invoke(capsys, "degrees", "--n", "5")[0] == 2
+
+
 def test_degrees_single(capsys):
     code, out, _ = invoke(
         capsys, "degrees", "--n", "9", "--partition", "[2,1,1,1,1,1,1,1]"
@@ -287,7 +313,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     def mistranscribed(params):
         return (WitnessCandidate("I.a", AscendingSpec(((1, params.n - 1), (2, 1))), 3, 2),)
 
-    monkeypatch.setattr(cli_module.witness, "candidate_list", mistranscribed)
+    monkeypatch.setattr(cli_module.witness, "_candidates", mistranscribed)
     for argv in (
         ("witness", "--n", "9", "--p", "3", "--q", "2"),
         ("scan", "--n-min", "9", "--n-max", "9"),
@@ -368,7 +394,7 @@ def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):
     def trivial_only(params):
         return (WitnessCandidate("I.a", AscendingSpec(((1, 0), (params.n, 1))), 3, 2),)
 
-    monkeypatch.setattr(cli_module.witness, "candidate_list", trivial_only)
+    monkeypatch.setattr(cli_module.witness, "_candidates", trivial_only)
     code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "9")
     assert code == 3
     assert "internal-error: CaseTreeFalsified: no candidate verified for n=9 p=3 q=2" in out

@@ -9,7 +9,7 @@ from blockwitness.degrees import degree
 from blockwitness.factored import FactoredNatural, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of
-from blockwitness.witness import candidate_list
+from blockwitness.witness import Witness, candidate_list, verify_candidate
 
 
 def P(*parts):
@@ -71,8 +71,27 @@ def test_degree_matches_hook_product_all_partitions():
             assert degree(lam).to_int() == oracle.hook_product_degree(lam.parts), lam
 
 
+def _expected_verdict(parts, n, host, divisor, hook_degree):
+    # the four witness conditions by the independent routes, in verification order
+    # beta-sets of the common length len(parts): part i (from 0) is bead a + len - 1 - i
+    core = (n % host,) if n % host else ()
+    padded_core = core + (0,) * (len(parts) - len(core))
+    beads, core_beads = ([a - i for i, a in enumerate(x, 1 - len(parts))] for x in (parts, padded_core))
+    if oracle.residue_counts(beads, host) != oracle.residue_counts(core_beads, host):
+        return f"outside the principal {host}-block"
+    if oracle.padic_valuation(hook_degree, host) != 0:
+        return f"degree divisible by host prime {host}"
+    if oracle.padic_valuation(hook_degree, divisor) < 1:
+        return f"degree not divisible by {divisor}"
+    if oracle.conjugate(parts) == parts:
+        return "self-conjugate"
+    return None
+
+
 def test_degree_matches_hook_product_on_construction_grid():
-    # every candidate shape the constructor may verify, n <= 128
+    # every candidate shape the constructor may verify, n <= 128, tried or not;
+    # the runs-based verdict must be the one the built partition gets from the
+    # independent routes of _oracles
     for n in range(9, 129):
         primes = primes_up_to(n)
         for p in primes:
@@ -83,7 +102,18 @@ def test_degree_matches_hook_product_on_construction_grid():
                     continue
                 for candidate in candidate_list(derive_case_parameters(n, p, q)):
                     lam = candidate.spec.to_partition()
-                    assert degree(lam).to_int() == oracle.hook_product_degree(lam.parts), lam
+                    hook_degree = oracle.hook_product_degree(lam.parts)
+                    assert degree(lam).to_int() == hook_degree, lam
+                    outcome = verify_candidate(candidate, n)
+                    assert outcome.partition == lam
+                    expected = _expected_verdict(
+                        lam.parts, n, candidate.host_prime, candidate.divisor_prime, hook_degree
+                    )
+                    if expected is None:
+                        assert isinstance(outcome, Witness), (n, p, q, candidate)
+                        assert outcome.degree.to_int() == hook_degree
+                    else:
+                        assert outcome.reason == expected, (n, p, q, candidate)
 
 
 def test_degree_matches_hook_product_random_shapes():

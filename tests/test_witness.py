@@ -68,7 +68,7 @@ def test_every_candidate_failing_falsifies(monkeypatch):
     def trivial_only(params):
         return (WitnessCandidate("I.a", AscendingSpec(((1, 0), (params.n, 1))), 3, 2),)
 
-    monkeypatch.setattr(witness_module, "candidate_list", trivial_only)
+    monkeypatch.setattr(witness_module, "_candidates", trivial_only)
     with pytest.raises(CaseTreeFalsified) as info:
         construct_witness(9, 3, 2)
     assert [f.reason for f in info.value.failures] == ["degree not divisible by 2"]
@@ -238,3 +238,85 @@ def test_falsification_message_lists_each_failure():
         "no candidate verified for n=9 p=3 q=2"
         " (tried: I.a [2,1,1,1,1,1,1,1]: degree not divisible by 2)"
     )
+
+
+def _generic_outcome(candidate, n):
+    # the four conditions on the built partition, through the abacus and
+    # degree(lam) paths that tables and the oracle use
+    lam = candidate.spec.to_partition()
+    host, divisor = candidate.host_prime, candidate.divisor_prime
+    deg = degree(lam)
+    if not principal_block_contains(lam, host):
+        return VerificationFailure(candidate, lam, f"outside the principal {host}-block")
+    if deg.valuation(host) != 0:
+        return VerificationFailure(candidate, lam, f"degree divisible by host prime {host}")
+    if deg.valuation(divisor) < 1:
+        return VerificationFailure(candidate, lam, f"degree not divisible by {divisor}")
+    if lam.is_self_conjugate():
+        return VerificationFailure(candidate, lam, "self-conjugate")
+    return Witness(candidate=candidate, partition=lam, degree=deg)
+
+
+def _candidate(n, p, q, case_id):
+    (found,) = [c for c in candidate_list(derive_case_parameters(n, p, q)) if c.case_id == case_id]
+    return found
+
+
+def test_runs_merge_equal_values():
+    # (1^(wq-2), 1+r, 1+r): the two top parts form one run of length 2
+    fallback = _candidate(82, 5, 3, "I.c-fallback1")
+    assert fallback.spec.runs == ((3, 2), (1, 76))
+    outcome = verify_candidate(fallback, 82)
+    assert isinstance(outcome, Witness)
+    assert outcome == _generic_outcome(fallback, 82) == construct_witness(82, 5, 3)
+    # II.c's (b+1, b+1) at (12, 5, 2) and (24, 5, 2)
+    for n, runs in ((12, ((3, 2), (1, 6))), (24, ((5, 2), (1, 14)))):
+        record = _candidate(n, 5, 2, "II.c")
+        assert record.spec.runs == runs
+        assert verify_candidate(record, n) == _generic_outcome(record, n)
+
+
+def test_runs_drop_the_empty_ones_block():
+    # III.b-alt1 is (1^0, b+1, mp-1); at (108, 5, 3) it is the witness
+    alt1 = _candidate(108, 5, 3, "III.b-alt1")
+    assert alt1.spec.blocks[0] == (1, 0)
+    assert alt1.spec.runs == ((104, 1), (4, 1))
+    outcome = verify_candidate(alt1, 108)
+    assert isinstance(outcome, Witness)
+    assert outcome.partition.parts == (104, 4)
+    assert outcome == _generic_outcome(alt1, 108) == construct_witness(108, 5, 3)
+
+
+def test_runs_longer_than_p_and_p_above_length():
+    # every (1^k, a, b) shape of n <= 16 against every prime up to n + 3,
+    # which gives runs of ones far longer than p and hosts above the length
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    seen = {"run longer than p": 0, "p above length": 0}
+    for n in range(1, 17):
+        for a in range(1, n + 1):
+            for b in range(a, n - a + 1):
+                spec = AscendingSpec(((1, n - a - b), (a, 1), (b, 1)))
+                parts = spec.to_partition().parts
+                distinct = sorted(set(parts), reverse=True)
+                assert spec.runs == tuple((v, parts.count(v)) for v in distinct)
+                length, longest = len(parts), max(map(parts.count, distinct))
+                for host in (x for x in primes if x <= n + 3):
+                    for divisor in (2, 3):
+                        if divisor == host:
+                            continue
+                        candidate = WitnessCandidate("I.a", spec, host, divisor)
+                        assert verify_candidate(candidate, n) == _generic_outcome(candidate, n)
+                    seen["run longer than p"] += longest > host
+                    seen["p above length"] += host > length
+    assert all(seen.values()), seen
+
+
+def test_self_conjugate_candidate_is_refused():
+    # (3, 1, 1) has length 3 = its first part, so the conjugate is built;
+    # it is a 5-hook of degree 6, so only self-conjugacy fails
+    candidate = WitnessCandidate("I.a", AscendingSpec(((1, 2), (3, 1))), 5, 3)
+    outcome = verify_candidate(candidate, 5)
+    assert isinstance(outcome, VerificationFailure)
+    assert outcome.reason == "self-conjugate"
+    assert outcome.partition.parts == (3, 1, 1)
+    assert outcome == _generic_outcome(candidate, 5)
