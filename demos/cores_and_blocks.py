@@ -11,7 +11,7 @@ core's, and no core is built.
 
 from blockwitness.blocks import principal_block_contains, principal_runner_counts
 from blockwitness.oracle import check_conjC
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import Partition, partitions_of, runner_counts
 
 
 def show_abacus(lam: Partition, p: int) -> None:
@@ -19,14 +19,20 @@ def show_abacus(lam: Partition, p: int) -> None:
     beta = lam.beta_set(length)
     print(f"  partition {lam.to_literal()}, p = {p}")
     print(f"  beta-set (length {length}): {beta}")
+    quotient = []
     for runner in range(p):
         rows = sorted((b // p for b in beta if b % p == runner), reverse=True)
         print(f"    runner {runner}: beads at rows {rows}")
-    counts, weight = lam.abacus(p)
+        # the rows are the beta-set of this runner's quotient component
+        parts = [row - (len(rows) - 1 - i) for i, row in enumerate(rows)]
+        quotient.append(Partition(tuple(a for a in parts if a > 0)))
+    counts = runner_counts(lam.runs, p)
     principal = principal_runner_counts(lam.size, p, len(lam.parts))
     print(f"  runner counts (length {len(lam.parts)}): {counts},"
           f" principal core's: {principal}")
-    quotient = lam.p_quotient(p)
+    # sliding a bead one notch down its runner removes one p-hook and one
+    # box of that runner's component, so the weight is the quotient's size
+    weight = sum(c.size for c in quotient)
     print(f"  {p}-weight: {weight}   {p}-quotient: {[c.to_literal() for c in quotient]}")
     print(f"  size check: {lam.size} = {lam.size - p * weight} + {p} * "
           f"{sum(c.size for c in quotient)}")

@@ -4,9 +4,10 @@ Two characters lie in the same p-block exactly when their partitions share a
 p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
 Membership is decided by comparing p-abacus runner counts with those of
-that core, without building the core.  A partition's counts are taken bead
-by bead; a shape given by its runs of equal parts, as a witness candidate
-is, gets them from the runs' bead intervals.
+that core, without building the core.  The counts come from the shape's
+runs of equal parts (:func:`blockwitness.partitions.runner_counts`), so a
+witness candidate, which is given by its runs, is tested without its n
+parts.
 
 The partitions of p'-degree are generated, not searched for, by
 Macdonald's theorem (I. G. Macdonald, "On the degrees of the irreducible
@@ -30,8 +31,9 @@ from .factored import InternalInvariantError
 from .partitions import (
     LengthTooSmall,
     Partition,
-    from_core_and_quotient,
+    from_core_and_quotients,
     partitions_of,
+    runner_counts,
 )
 
 
@@ -58,34 +60,14 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
     Beta-sets of equal length have the same p-core exactly when their
     runner counts agree, so no core is built.
     """
-    return lam.abacus(p)[0] == principal_runner_counts(lam.size, p, len(lam.parts))
+    # the cached size and length spare the re-summing of runs_in_principal_block
+    return runner_counts(lam.runs, p) == principal_runner_counts(lam.size, p, len(lam.parts))
 
 
 def runs_in_principal_block(runs: Sequence[tuple[int, int]], p: int) -> bool:
-    """:func:`principal_block_contains` for the partition with descending runs ``runs``.
-
-    In the beta-set of length L, the number of parts, the run of m parts
-    equal to v below the first ``above`` parts is the interval of beads
-    v + L - above - m .. v + L - above - 1.  An interval of m beads puts
-    m // p beads on every runner and one more on the m % p runners that
-    follow its lowest bead, so the counts take O(min(m, p)) steps per run
-    besides the final O(p) comparison.
-    """
-    length = sum(mult for _, mult in runs)
-    size = 0
-    rounds = 0
-    extra = [0] * p
-    above = 0
-    for value, mult in runs:
-        low = value + length - above - mult
-        full, rest = divmod(mult, p)
-        rounds += full
-        for bead in range(low, low + rest):
-            extra[bead % p] += 1
-        above += mult
-        size += value * mult
-    counts = [rounds + c for c in extra]
-    return counts == principal_runner_counts(size, p, length)
+    """:func:`principal_block_contains` for the partition with descending runs ``runs``."""
+    size = sum(value * mult for value, mult in runs)
+    return runner_counts(runs, p) == principal_runner_counts(size, p, sum(m for _, m in runs))
 
 
 def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:
@@ -156,8 +138,7 @@ def _by_core(
     # the partitions whose p-core tower has level sizes `sizes`, keyed by level 0
     quotients = tower_quotients(p, sizes[1:], towers)
     return {
-        core: [from_core_and_quotient(core, quotient, p) for quotient in quotients]
-        for core in partitions_of(sizes[0])
+        core: from_core_and_quotients(core, quotients, p) for core in partitions_of(sizes[0])
     }
 
 

@@ -14,7 +14,7 @@ bug, never a data condition.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -24,7 +24,7 @@ from .partitions import Partition
 
 def degree(lam: Partition) -> FactoredNatural:
     """Character degree of the partition: |lam|! / (product of hooks)."""
-    return runs_degree(tuple((v, len(list(run))) for v, run in groupby(lam.parts)))
+    return runs_degree(lam.runs)
 
 
 def runs_degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:

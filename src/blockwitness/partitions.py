@@ -1,41 +1,35 @@
-"""Partitions, beta-sets, and the abacus for runner counts, weights and quotients.
+"""Partitions, beta-sets, and abacus runner counts taken from runs of equal parts.
 
 Partitions are kept in one canonical form: a weakly decreasing tuple of
 positive parts.  The ascending block notation used to write down candidate
 partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
 :class:`AscendingSpec` boundary and is normalized on conversion.
 
-Everything about ``e``-hooks is read off one abacus kernel,
-:meth:`Partition.abacus`.  The beta-set is laid out on ``e`` runners, bead
-``beta`` at level ``beta // e`` of runner ``beta % e``; that reduction is
-made in :func:`_bead_positions` alone, which feeds the kernel and the
-quotient.  One kernel pass yields two facts (James and Kerber, *The
-Representation Theory of the Symmetric Group*, 1981, section 2.7):
+Everything about ``e``-cores is read off one kernel, :func:`runner_counts`.
+The beta-set is laid out on ``e`` runners, bead ``beta`` at level
+``beta // e`` of runner ``beta % e``, and removing a rim hook of length
+``e`` moves one bead from level ``l`` to a free level ``l - 1`` of its
+runner (James and Kerber, *The Representation Theory of the Symmetric
+Group*, 1981, section 2.7).  So the ``e``-core is the configuration with
+each runner's ``c_i`` beads packed onto levels ``0 .. c_i - 1``, and two
+beta-sets of equal length have the same ``e``-core exactly when their
+runner counts ``c_0 .. c_{e-1}`` agree.  The kernel takes the counts from
+a partition's runs of equal parts, each an interval of beads, so it costs
+O(1) per run and never visits a bead.
 
-* The runner counts ``c_0 .. c_{e-1}`` decide the ``e``-core.  Removing a
-  rim hook of length ``e`` moves one bead from level ``l`` to a free level
-  ``l - 1`` of its runner, so the core is the configuration with each
-  runner's ``c_i`` beads packed onto levels ``0 .. c_i - 1``.  Two
-  beta-sets of equal length therefore have the same ``e``-core exactly when
-  their runner counts agree.
-* The ``e``-weight, the number of ``e``-hooks removed on the way to the
-  core, is the number of level steps that packing takes: the sum of all
-  bead levels minus ``sum(c_i * (c_i - 1) / 2)``.  It also equals the
-  number of hooks of the diagram whose length is divisible by ``e``.
-
-No core is built.  The kernel always lays out the beta-set whose length is
-the number of parts, so a partition is compared with a core through that
-core's runner counts at the partition's length (see
-:func:`blockwitness.blocks.principal_runner_counts`).  The quotient uses a
-length divisible by ``p`` so the runner order is well defined, and
-:func:`from_core_and_quotient` inverts it on the same convention.
+No core is built.  A partition is compared with a core through that core's
+runner counts at the partition's length (see
+:func:`blockwitness.blocks.principal_runner_counts`).  Component i of the
+p-quotient has runner i's bead levels for its beta-set, on a beta-set
+length divisible by ``p`` so the runner order is well defined;
+:func:`from_core_and_quotients` inverts that for all quotients of one core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, groupby
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -72,6 +66,11 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """Descending ``(value, multiplicity)`` runs of equal parts."""
+        return tuple((v, len(list(run))) for v, run in groupby(self.parts))
+
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
         parts = self.parts
@@ -104,46 +103,6 @@ class Partition:
         padded = self.parts + (0,) * (length - len(self.parts))
         return tuple(map(add, padded, range(length - 1, -1, -1)))
 
-    def abacus(self, e: int) -> tuple[list[int], int]:
-        """Runner counts and ``e``-weight of the beta-set on an ``e``-runner abacus.
-
-        One pass over the beads of the beta-set whose length is the number of
-        parts.
-        """
-        if e < 1:
-            raise ValueError(f"abacus requires e >= 1, got {e}")
-        counts = [0] * e
-        weight = 0
-        beads = self.beta_set(len(self.parts))
-        for level, runner in _bead_positions(beads, e):
-            # the beads already on a runner add up to sum(c * (c - 1) / 2)
-            weight += level - counts[runner]
-            counts[runner] += 1
-        return counts, weight
-
-    def p_quotient(self, p: int) -> tuple["Partition", ...]:
-        """The ``p`` runner partitions encoding the removed ``p``-hooks.
-
-        Uses a beta-set length divisible by ``p``; the total size of the
-        components is (size - core size) / p.
-        """
-        if p < 2:
-            raise ValueError(f"quotient requires p >= 2, got {p}")
-        length = -(-len(self.parts) // p) * p
-        beads = self.beta_set(length)
-        rows: list[list[int]] = [[] for _ in range(p)]
-        for level, runner in _bead_positions(beads, p):
-            rows[runner].append(level)
-        components = []
-        for runner in rows:
-            runner.sort(reverse=True)
-            count = len(runner)
-            parts = tuple(
-                row - (count - 1 - i) for i, row in enumerate(runner)
-            )
-            components.append(_trusted(tuple(a for a in parts if a > 0)))
-        return tuple(components)
-
     def to_literal(self) -> str:
         """Descending literal, e.g. '[2,1,1]'; '[]' for the empty partition."""
         return "[" + ",".join(str(a) for a in self.parts) + "]"
@@ -159,49 +118,74 @@ class Partition:
         return cls(tuple(parse_decimal(tok.strip()) for tok in inner.split(",")))
 
 
-def _bead_positions(beads: Iterable[int], e: int) -> Iterator[tuple[int, int]]:
-    # (level, runner) of each bead on an e-runner abacus
-    return map(divmod, beads, repeat(e))
+def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
+    """Beads on each runner of an ``e``-runner abacus, for the partition with ``runs``.
+
+    ``runs`` are descending ``(value, multiplicity)`` runs of equal parts,
+    and the beta-set has one bead per part; a trailing run of value 0
+    pads it with that many beads.  The m parts equal to v with ``below``
+    parts under them are the beads v + below .. v + below + m - 1.  That
+    interval puts m // e beads on every runner and one more on the m % e
+    runners that follow its lowest bead cyclically: a +1 at the first of
+    them and a -1 after the last in a difference array, whose running sum
+    is one short everywhere when the pair wraps past runner e - 1.
+    """
+    if e < 1:
+        raise ValueError(f"an abacus needs e >= 1 runners, got {e}")
+    rounds = 0
+    diff = [0] * e
+    below = 0
+    for value, mult in reversed(runs):
+        full, rest = divmod(mult, e)
+        first = (value + below) % e
+        end = first + rest
+        rounds += full + (end >= e)
+        diff[first] += 1
+        diff[end % e] -= 1
+        below += mult
+    return [rounds + c for c in accumulate(diff)]
 
 
-def from_core_and_quotient(
-    core: Partition, quotient: Sequence[Partition], p: int
-) -> Partition:
-    """The partition with ``p``-core ``core`` and ``p``-quotient ``quotient``.
+def from_core_and_quotients(
+    core: Partition, quotients: Iterable[Sequence[Partition]], p: int
+) -> list[Partition]:
+    """The partitions with ``p``-core ``core`` and each ``p``-quotient in ``quotients``.
 
-    The inverse of :meth:`Partition.p_quotient`, on its convention: a
-    beta-set whose length is a multiple of ``p``.  Runner ``i`` of the
-    core's abacus holds c_i packed beads; the result lays the beta-set of
-    ``quotient[i]`` of length c_i on that runner instead, after adding
-    full rows of beads under the core until every c_i covers the parts of
-    its component.  A ``core`` with a ``p``-hook, or a quotient without
-    ``p`` components, raises ``ValueError``.
+    The convention is a beta-set whose length is a multiple of ``p``; the
+    core's has c_i packed beads on runner i.  A quotient moves the top
+    len(mu_i) beads of runner i to the levels of the beta-set of its
+    component mu_i of length c_i + lift, where ``lift`` full rows of beads
+    under the core let every runner hold the parts of its component.  The
+    core is checked, and its counts and bead sets taken, once for all its
+    quotients.  A ``core`` with a ``p``-hook, or a quotient without ``p``
+    components, raises ``ValueError``.
     """
     if p < 2:
         raise ValueError(f"quotient requires p >= 2, got {p}")
-    if len(quotient) != p:
-        raise ValueError(f"a {p}-quotient has {p} components, got {len(quotient)}")
-    counts, weight = core.abacus(p)
-    if weight:
+    length = -(-len(core.parts) // p) * p
+    counts = runner_counts(core.runs + ((0, length - len(core.parts)),), p)
+    packed = {i + p * level for i, c in enumerate(counts) for level in range(c)}
+    if set(core.beta_set(length)) != packed:
         raise ValueError(f"{core.to_literal()} is not a {p}-core")
-    # padding the beta-set to a length divisible by p adds `shift` beads at
-    # the bottom, which moves runner j's beads to runner j + shift
-    shift = -len(core.parts) % p
-    placed = [
-        (runner, mu.parts, counts[runner - shift] + (runner < shift))
-        for runner, mu in enumerate(quotient)
-        if mu.parts
-    ]
-    lift = max([0] + [len(parts) - c for _, parts, c in placed])
-    beads = set(core.beta_set(len(core.parts) + shift + lift * p))
-    for runner, parts, c in placed:
-        # the top len(parts) of the runner's packed beads move up to the component's levels
-        top = c + lift - 1
-        beads.difference_update(range(runner + p * top, runner + p * (top - len(parts)), -p))
-        beads.update(runner + p * (a + top - i) for i, a in enumerate(parts))
-    ordered = sorted(beads, reverse=True)
-    parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
-    return _trusted(parts[: len(parts) - parts.count(0)])
+    # bases[lift]: the core's beads under `lift` more full rows
+    bases = {0: packed}
+    members = []
+    for quotient in quotients:
+        if len(quotient) != p:
+            raise ValueError(f"a {p}-quotient has {p} components, got {len(quotient)}")
+        placed = [(i, mu.parts) for i, mu in enumerate(quotient) if mu.parts]
+        lift = max([0] + [len(parts) - counts[i] for i, parts in placed])
+        if lift not in bases:
+            bases[lift] = set(core.beta_set(length + lift * p))
+        beads = bases[lift].copy()
+        for i, parts in placed:
+            top = counts[i] + lift - 1
+            beads.difference_update(range(i + p * top, i + p * (top - len(parts)), -p))
+            beads.update(i + p * (a + top - j) for j, a in enumerate(parts))
+        ordered = sorted(beads, reverse=True)
+        parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
+        members.append(_trusted(parts[: len(parts) - parts.count(0)]))
+    return members
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:

@@ -36,10 +36,10 @@ Candidates are built and tried in this order and each one is verified from
 scratch: block membership, both degree valuations, and self-conjugacy are
 recomputed rather than predicted by side conditions.  The check works on
 the spec's runs of equal parts, at most three here, not on the n parts:
-each run is an interval of beads of the beta-set, which gives the abacus
-runner counts in O(min(m, p)) steps per run of m parts; the hook counts
-come from the rectangles between the runs; and a shape whose length
-differs from its first part is not self-conjugate.  The partition itself
+each run is an interval of beads of the beta-set, which gives its share
+of the abacus runner counts in O(1) steps; the hook counts come from the
+rectangles between the runs; and a shape whose length differs from its
+first part is not self-conjugate.  The partition itself
 is built only for the outcome, the accepted witness or a failure record.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.

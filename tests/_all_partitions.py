@@ -2,9 +2,11 @@
 
 :func:`prime_view` enumerates the partitions of n, keeps those of p′-degree
 by abacus-weight valuations, and tests the survivors for principal-block
-membership.  It shares the library's enumeration, abacus and membership
-test, so it is independent of the p-core-tower generation only; the fully
-independent references are in ``_oracles.py``.
+membership.  It shares the library's enumeration and membership test, so it
+is independent of the p-core-tower generation only; the fully independent
+references are in ``_oracles.py``.  The abacus weight and the p-quotient
+are read bead by bead here, as references for the library's runs kernel
+and its inverse of the quotient.
 """
 
 from __future__ import annotations
@@ -14,6 +16,42 @@ from functools import lru_cache
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import factorial_valuation
 from blockwitness.partitions import Partition, partitions_of
+
+
+def weight(lam: Partition, e: int) -> int:
+    """The ``e``-weight: level steps that packing the abacus beads takes.
+
+    Each bead of the beta-set of length len(parts) sits at level
+    ``beta // e`` of runner ``beta % e``; the beads already on a runner add
+    up to sum(c * (c - 1) / 2) of the levels, which packing keeps.
+    """
+    if e < 1:
+        raise ValueError(f"an abacus needs e >= 1 runners, got {e}")
+    counts = [0] * e
+    total = 0
+    for bead in lam.beta_set(len(lam.parts)):
+        level, runner = divmod(bead, e)
+        total += level - counts[runner]
+        counts[runner] += 1
+    return total
+
+
+def p_quotient(lam: Partition, p: int) -> tuple[Partition, ...]:
+    """The ``p`` runner partitions encoding the removed ``p``-hooks.
+
+    Uses a beta-set length divisible by ``p``; runner i's bead levels are
+    the beta-set of component i.
+    """
+    length = -(-len(lam.parts) // p) * p
+    rows: list[list[int]] = [[] for _ in range(p)]
+    for bead in lam.beta_set(length):
+        level, runner = divmod(bead, p)
+        rows[runner].append(level)
+    components = []
+    for levels in rows:
+        parts = tuple(level - (len(levels) - 1 - i) for i, level in enumerate(levels))
+        components.append(Partition(tuple(a for a in parts if a > 0)))
+    return tuple(components)
 
 
 def degree_valuation(lam: Partition, p: int) -> int:
@@ -34,7 +72,7 @@ def degree_valuation(lam: Partition, p: int) -> int:
     largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
     e = p
     while e <= largest_hook:
-        total -= lam.abacus(e)[1]
+        total -= weight(lam, e)
         e *= p
     return total
 

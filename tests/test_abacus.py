@@ -1,17 +1,17 @@
-"""The abacus kernel against the independent references in ``_oracles``.
+"""The abacus against the independent references in ``_oracles``.
 
-Weights are checked against hook counts, runner-count membership against
-all-orders rim-hook stripping, and the weight-based degree valuation against
-the hook-length formula.
+Weights are checked against hook counts, runner-count membership (by
+partition and by runs) against all-orders rim-hook stripping, and the
+weight-based degree valuation against the hook-length formula.
 """
 
 import pytest
 
 import _oracles as oracle
-from _all_partitions import degree_valuation
-from blockwitness.blocks import principal_block_contains
+from _all_partitions import degree_valuation, weight
+from blockwitness.blocks import principal_block_contains, runs_in_principal_block
 from blockwitness.factored import factorial_valuation, primes_up_to
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import Partition, partitions_of, runner_counts
 
 
 def test_weight_counts_hooks_divisible_by_e():
@@ -19,7 +19,7 @@ def test_weight_counts_hooks_divisible_by_e():
         for lam in partitions_of(n):
             hooks = oracle.hooks(lam.parts)
             for e in range(2, n + 3):
-                assert lam.abacus(e)[1] == sum(1 for h in hooks if h % e == 0)
+                assert weight(lam, e) == sum(1 for h in hooks if h % e == 0)
 
 
 def test_runner_count_membership_matches_exhaustive_cores():
@@ -29,7 +29,9 @@ def test_runner_count_membership_matches_exhaustive_cores():
             for lam in partitions_of(n):
                 cores = oracle.exhaustive_cores(lam.parts, p)
                 assert len(cores) == 1
-                assert principal_block_contains(lam, p) == (next(iter(cores)) == target)
+                expected = next(iter(cores)) == target
+                assert principal_block_contains(lam, p) == expected
+                assert runs_in_principal_block(lam.runs, p) == expected
 
 
 def test_weight_valuation_matches_hook_formula():
@@ -44,7 +46,8 @@ def test_weight_valuation_matches_hook_formula():
 def test_empty_partition():
     empty = Partition(())
     for e in (1, 2, 3, 7):
-        assert empty.abacus(e) == ([0] * e, 0)
+        assert runner_counts(empty.runs, e) == [0] * e
+        assert weight(empty, e) == 0
     for p in (2, 3, 5):
         assert principal_block_contains(empty, p)
         assert degree_valuation(empty, p) == 0
@@ -56,7 +59,7 @@ def test_prime_above_n():
     for n in range(1, 9):
         for p in (11, 13):
             for lam in partitions_of(n):
-                assert lam.abacus(p)[1] == 0
+                assert weight(lam, p) == 0
                 assert principal_block_contains(lam, p) == (lam.parts == (n,))
                 assert degree_valuation(lam, p) == 0
 
@@ -66,7 +69,7 @@ def test_one_column_partition():
     for n in range(1, 16):
         column = Partition((1,) * n)
         for e in range(2, n + 3):
-            assert column.abacus(e)[1] == n // e
+            assert weight(column, e) == n // e
         for p in primes_up_to(n):
             assert degree_valuation(column, p) == 0
             assert principal_block_contains(column, p) == (n % p <= 1)
@@ -75,6 +78,7 @@ def test_one_column_partition():
 def test_abacus_example():
     # beads 6, 3, 1; hooks 6 and 3
     lam = Partition((4, 2, 1))
-    assert lam.abacus(3) == ([2, 1, 0], 2)
+    assert runner_counts(lam.runs, 3) == [2, 1, 0]
+    assert weight(lam, 3) == 2
     with pytest.raises(ValueError):
-        lam.abacus(0)
+        runner_counts(lam.runs, 0)

@@ -10,12 +10,12 @@ import os
 import random
 
 import _oracles as oracle_helpers
-from _all_partitions import degree_valuation
+from _all_partitions import degree_valuation, p_quotient, weight
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
 from blockwitness.oracle import check_conjC, cross_validate, prime_pairs
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import Partition, partitions_of, runner_counts
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness
 
@@ -148,7 +148,7 @@ def test_criterion_6_representation_identities():
         for lam in partitions_of(n):
             for p in (2, 3, 5, 7):
                 cores = oracle_helpers.exhaustive_cores(lam.parts, p)
-                if len(cores) != 1 or lam.abacus(p)[0] != oracle_helpers.residue_counts(
+                if len(cores) != 1 or runner_counts(lam.runs, p) != oracle_helpers.residue_counts(
                     Partition(next(iter(cores))).beta_set(len(lam.parts)), p
                 ):
                     bad_cores.append((lam.parts, p))
@@ -230,9 +230,9 @@ def test_criterion_8_property_suites():
     for _ in range(CASES):
         lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         p = rng.choice((2, 3, 5, 7, 11))
-        weight = lam.abacus(p)[1]
+        found = weight(lam, p)
         divisible = sum(1 for h in oracle_helpers.hooks(lam.parts) if h % p == 0)
-        if weight != divisible or weight != sum(c.size for c in lam.p_quotient(p)):
+        if found != divisible or found != sum(c.size for c in p_quotient(lam, p)):
             failures.append(("weight-quotient-hooks", lam.parts, p))
             break
 

@@ -144,11 +144,13 @@ def test_tower_count_mismatch_is_a_fault(monkeypatch):
         p_prime_degree_partitions(20, 3)  # 20 = 2*9 + 0*3 + 2
     monkeypatch.setattr(blocks, "_multipartition_count", count)
     # an assembler that merges shapes leaves too few distinct partitions
-    assemble = blocks.from_core_and_quotient
+    assemble = blocks.from_core_and_quotients
     monkeypatch.setattr(
         blocks,
-        "from_core_and_quotient",
-        lambda core, quotient, p: assemble(core, sorted(quotient, key=lambda mu: mu.parts), p),
+        "from_core_and_quotients",
+        lambda core, quotients, p: assemble(
+            core, [sorted(quotient, key=lambda mu: mu.parts) for quotient in quotients], p
+        ),
     )
     with pytest.raises(InternalInvariantError, match="p=2"):
         p_prime_degree_partitions(6, 2)

@@ -207,29 +207,45 @@ def test_degrees_spec_is_sized_before_it_is_expanded(capsys):
 
 
 def test_enumeration_is_bounded(capsys, monkeypatch):
-    # degrees without --partition and export-table list all p(n) partitions
+    # degrees without --partition and export-table list all p(n) partitions;
+    # verify-c, verify-b and scan --cross-validate generate Irr_p'(S_n)
     import blockwitness.cli as cli_module
 
+    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
     limit = cli_module.ENUMERATION_MAX_N
-    for argv in (
-        ("degrees", "--n", str(limit + 1)),
-        ("export-table", "--n", str(limit + 1)),
-        ("export-table", "--n", "10" * 50, "--primes", "2,3"),
+    partitions = "lists every partition of n"
+    characters = "lists the p'-degree characters of S_n"
+    for argv, refusal in (
+        (("degrees", "--n", str(limit + 1)), f"degrees --n {limit + 1} {partitions}"),
+        (("export-table", "--n", str(limit + 1)), f"export-table --n {limit + 1} {partitions}"),
+        (
+            ("export-table", "--n", "10" * 50, "--primes", "2,3"),
+            f"export-table --n {'10' * 50} {partitions}",
+        ),
+        (("verify-c", "--n", "200", "--p", "101", "--q", "3"), f"verify-c --n 200 {characters}"),
+        (("verify-b", "--n", "120", "--p", "61", "--q", "2"), f"verify-b --n 120 {characters}"),
+        (
+            ("scan", "--n-min", "9", "--n-max", str(limit + 1), "--cross-validate"),
+            f"scan --cross-validate --n-max {limit + 1} {characters}",
+        ),
     ):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert err == (
-            f"usage-error: {argv[0]} --n {argv[2]} lists every partition of n;"
-            f" the limit is n <= {limit}\n"
-        ), argv
+        assert err == f"usage-error: {refusal}; the limit is n <= {limit}\n", argv
     # one shape of any size is not an enumeration
     code, out, _ = invoke(capsys, "degrees", "--n", "100", "--partition", "(1^99,1)")
     assert (code, out) == (0, "degree partition=[" + ",".join(["1"] * 100) + "] decimal=1 factored=1\n")
-    # the limit itself is accepted
-    monkeypatch.setattr(cli_module, "ENUMERATION_MAX_N", 4)
-    assert invoke(capsys, "degrees", "--n", "4")[0] == 0
-    assert invoke(capsys, "export-table", "--n", "4")[0] == 0
-    assert invoke(capsys, "degrees", "--n", "5")[0] == 2
+    # the limit itself is accepted, and a scan without the oracle has none
+    monkeypatch.setattr(cli_module, "ENUMERATION_MAX_N", 9)
+    for command in ("degrees", "export-table"):
+        assert invoke(capsys, command, "--n", "9")[0] == 0
+        assert invoke(capsys, command, "--n", "10")[:2] == (2, "")
+    for command in ("verify-c", "verify-b"):
+        assert invoke(capsys, command, "--n", "9", "--p", "3", "--q", "2")[0] == 0
+        assert invoke(capsys, command, "--n", "10", "--p", "5", "--q", "2")[:2] == (2, "")
+    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "9", "--cross-validate")[0] == 0
+    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "10", "--cross-validate")[:2] == (2, "")
+    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "10")[0] == 0
 
 
 def test_degrees_single(capsys):

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from _all_partitions import p_quotient, weight
 from blockwitness.partitions import (
     AscendingSpec,
     LengthTooSmall,
     NonMonotoneSpec,
     Partition,
-    from_core_and_quotient,
+    from_core_and_quotients,
     parse_partition_text,
     partitions_of,
+    runner_counts,
 )
 
 
@@ -127,7 +129,7 @@ def test_hook_multiset_conjugation_invariant(lam):
     # multiset (Moebius inversion over multiples)
     conj = lam.conjugate()
     for e in range(1, lam.size + 1):
-        assert lam.abacus(e)[1] == conj.abacus(e)[1]
+        assert weight(lam, e) == weight(conj, e)
 
 
 def test_beta_set_examples():
@@ -152,7 +154,9 @@ def test_p_core_examples():
     for parts, p, core in (((4,), 3, (1,)), ((2, 1), 3, ()), ((2, 1, 1, 1, 1, 1, 1, 1), 3, ())):
         assert oracle.exhaustive_cores(parts, p) == frozenset({core})
         lam = Partition(parts)
-        assert lam.abacus(p)[0] == oracle.residue_counts(Partition(core).beta_set(len(parts)), p)
+        assert runner_counts(lam.runs, p) == oracle.residue_counts(
+            Partition(core).beta_set(len(parts)), p
+        )
 
 
 def test_p_core_matches_exhaustive_stripping():
@@ -163,7 +167,11 @@ def test_p_core_matches_exhaustive_stripping():
                 assert len(cores) == 1, f"order-dependent core for {lam.parts}, p={p}"
                 core = Partition(next(iter(cores)))
                 expected = oracle.residue_counts(core.beta_set(len(lam.parts)), p)
-                assert lam.abacus(p)[0] == expected
+                assert runner_counts(lam.runs, p) == expected
+                # a trailing run of value 0 pads the beta-set by that many beads
+                for k in range(p + 1):
+                    padded = oracle.residue_counts(lam.beta_set(len(lam.parts) + k), p)
+                    assert runner_counts(lam.runs + ((0, k),), p) == padded, (lam, p, k)
 
 
 def test_p_core_properties():
@@ -174,18 +182,20 @@ def test_p_core_properties():
         p = rng.choice((2, 3, 5, 7, 11))
         (core,) = oracle.exhaustive_cores(lam.parts, p)
         core = Partition(core)
-        counts, weight = lam.abacus(p)
-        assert core.abacus(p) == (oracle.residue_counts(core.beta_set(len(core.parts)), p), 0)
-        assert counts == oracle.residue_counts(core.beta_set(len(lam.parts)), p)
-        assert lam.size == core.size + p * weight
+        assert runner_counts(core.runs, p) == oracle.residue_counts(
+            core.beta_set(len(core.parts)), p
+        )
+        assert weight(core, p) == 0
+        assert runner_counts(lam.runs, p) == oracle.residue_counts(core.beta_set(len(lam.parts)), p)
+        assert lam.size == core.size + p * weight(lam, p)
 
 
 def test_p_quotient_examples():
-    comps = P(4).p_quotient(3)
+    comps = p_quotient(P(4), 3)
     assert sum(c.size for c in comps) == 1
     # (1) is the 3-core of (4)
-    assert all(c.size == 0 for c in P(1).p_quotient(3))
-    assert sum(c.size for c in P(2, 1).p_quotient(3)) == 1
+    assert all(c.size == 0 for c in p_quotient(P(1), 3))
+    assert sum(c.size for c in p_quotient(P(2, 1), 3)) == 1
 
 
 def test_core_quotient_size_identity():
@@ -193,7 +203,7 @@ def test_core_quotient_size_identity():
     for _ in range(300):
         lam = Partition(oracle.random_partition(rng, rng.randint(0, 30)))
         p = rng.choice((2, 3, 5, 7))
-        comps = lam.p_quotient(p)
+        comps = p_quotient(lam, p)
         assert len(comps) == p
         (core,) = oracle.exhaustive_cores(lam.parts, p)
         assert lam.size == sum(core) + p * sum(c.size for c in comps)
@@ -223,24 +233,29 @@ def test_core_and_quotient_round_trip():
             for s in oracle.enumerate_partitions(size)
             if oracle.exhaustive_cores(s, p) == {s}
         ]
-        for weight in range(3):
-            for quotient in _multipartitions(p, weight):
-                components = tuple(Partition(mu) for mu in quotient)
-                for core in cores:
-                    lam = from_core_and_quotient(core, components, p)
-                    assert lam.p_quotient(p) == components, (core, quotient, p)
-                    counts, found = lam.abacus(p)
-                    assert counts == oracle.residue_counts(core.beta_set(len(lam.parts)), p)
-                    assert found == weight
-                    assert lam.size == core.size + p * weight
+        for size in range(3):
+            quotients = [
+                tuple(Partition(mu) for mu in quotient)
+                for quotient in _multipartitions(p, size)
+            ]
+            for core in cores:
+                members = from_core_and_quotients(core, quotients, p)
+                assert len(members) == len(quotients)
+                for lam, components in zip(members, quotients):
+                    assert p_quotient(lam, p) == components, (core, components, p)
+                    assert runner_counts(lam.runs, p) == oracle.residue_counts(
+                        core.beta_set(len(lam.parts)), p
+                    )
+                    assert weight(lam, p) == size
+                    assert lam.size == core.size + p * size
                     cases += 1
     assert cases == 3_273
     with pytest.raises(ValueError, match="not a 2-core"):
-        from_core_and_quotient(P(2), (P(), P()), 2)
+        from_core_and_quotients(P(2), [], 2)
     with pytest.raises(ValueError, match="has 3 components"):
-        from_core_and_quotient(P(1), (P(), P()), 3)
+        from_core_and_quotients(P(1), [(P(), P(), P()), (P(), P())], 3)
     with pytest.raises(ValueError):
-        from_core_and_quotient(P(), (P(),), 1)
+        from_core_and_quotients(P(), [(P(),)], 1)
 
 
 def test_literals():
