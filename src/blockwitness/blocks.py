@@ -17,14 +17,15 @@ is made of level k of the towers of its p-quotient components.  With
 n = sum a_k p^k in base p, the degree is prime to p exactly when level k
 has total size a_k for every k.  Each a_k < p, so every partition of size
 at most a_k is a p-core and any spread of a_k boxes over the p^k places
-of level k is a tower level.  The prime-to-p subsets of the principal
-blocks, which the conjecture check compares, are taken from this
-generation in :mod:`blockwitness.oracle`.
+of level k is a tower level.  Only the principal block's share is
+generated, from towers whose level 0 is the core (n mod p); the oracle
+(:mod:`blockwitness.oracle`) takes its sets from there.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .factored import InternalInvariantError
@@ -70,36 +71,34 @@ def runs_in_principal_block(runs: Sequence[tuple[int, int]], p: int) -> bool:
     return runner_counts(runs, p) == principal_runner_counts(size, p, sum(m for _, m in runs))
 
 
-def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:
-    """The partitions of n whose degree p does not divide, keyed by p-core.
+def principal_p_prime_partitions(n: int, p: int) -> list[Partition]:
+    """The partitions of n in the principal p-block whose degree p does not divide.
 
-    Level 0 of the tower is any partition of a_0 = n mod p, and the
-    principal block's members are the entry of the core (a_0).  Every
-    level above it comes from :func:`tower_quotients`.  The count is
-    certified: with m(c, a) the number of c-tuples of partitions of total
-    size a, the principal block has prod_{k >= 1} m(p^k, a_k) members and
-    all cores together m(1, a_0) times as many, all distinct; anything
-    else is a program fault.
+    Level 0 of the tower is the principal core (a_0), a_0 = n mod p, and
+    every level above it comes from :func:`tower_quotients`; no other core
+    is visited.  The count is certified: with m(c, a) the number of
+    c-tuples of partitions of total size a, the block has
+    prod_{k >= 1} m(p^k, a_k) such members, all distinct; anything else is
+    a program fault.
     """
     if p < 2:
         raise ValueError(f"p-core towers require p >= 2, got {p}")
     digits = []
-    while n:
-        n, a = divmod(n, p)
+    rest = n
+    while rest:
+        rest, a = divmod(rest, p)
         digits.append(a)
     digits = digits or [0]
-    groups = _by_core(p, tuple(digits), {})
-    per_core = 1
-    for k, a in enumerate(digits[1:], start=1):
-        per_core *= _multipartition_count(p**k, a)
-    block = len(groups[Partition((digits[0],) if digits[0] else ())])
-    distinct = len({lam.parts for members in groups.values() for lam in members})
-    if block != per_core or distinct != per_core * _multipartition_count(1, digits[0]):
+    core = Partition((digits[0],) if digits[0] else ())
+    members = from_core_and_quotients(core, tower_quotients(p, tuple(digits[1:]), {}), p)
+    expected = prod(_multipartition_count(p**k, a) for k, a in enumerate(digits[1:], start=1))
+    distinct = len({lam.parts for lam in members})
+    if len(members) != expected or distinct != expected:
         raise InternalInvariantError(
-            f"p-core towers for p={p}, digits {digits}: {block} principal and"
-            f" {distinct} partitions in all, expected {per_core} per core"
+            f"p-core towers for n={n}, p={p}: {len(members)} principal members,"
+            f" {distinct} distinct, expected {expected}"
         )
-    return groups
+    return members
 
 
 def tower_quotients(
@@ -132,25 +131,21 @@ def tower_quotients(
     return quotients
 
 
-def _by_core(
-    p: int, sizes: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
-) -> dict[Partition, list[Partition]]:
-    # the partitions whose p-core tower has level sizes `sizes`, keyed by level 0
-    quotients = tower_quotients(p, sizes[1:], towers)
-    return {
-        core: from_core_and_quotients(core, quotients, p) for core in partitions_of(sizes[0])
-    }
-
-
 def _tower(
     p: int, sizes: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
 ) -> list[Partition]:
     # every partition whose p-core tower has level sizes `sizes`, built once per call
     while sizes and not sizes[-1]:
         sizes = sizes[:-1]
+    if not sizes:
+        return [Partition()]
     if sizes not in towers:
-        groups = _by_core(p, sizes, towers).values() if sizes else [[Partition()]]
-        towers[sizes] = [lam for members in groups for lam in members]
+        quotients = tower_quotients(p, sizes[1:], towers)
+        towers[sizes] = [
+            lam
+            for core in partitions_of(sizes[0])
+            for lam in from_core_and_quotients(core, quotients, p)
+        ]
     return towers[sizes]
 
 

@@ -30,11 +30,10 @@ EXIT_INTERNAL = 3
 SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 
 # largest n whose partitions `degrees` and `export-table` list one by one,
-# p(60) = 966,467, and whose p'-degree characters `verify-c`, `verify-b` and
-# `scan --cross-validate` generate: the largest such set at n <= 60 has
-# 141,515 members (n = 60, p = 31; `verify-c --n 60 --p 31 --q 2` takes
-# about 1 s and 85 MB on one Xeon core), against about 1.7e10 at n = 200,
-# p = 101
+# p(60) = 966,467, and whose principal p'-degree sets `verify-c`, `verify-b`
+# and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
+# members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 1 s and
+# 35 MB on one Xeon core), against 185,172,670 at n = 200, p = 17
 ENUMERATION_MAX_N = 60
 
 _DEFERRAL_MESSAGES = {

@@ -1,20 +1,25 @@
 """Ground truth for the witness conditions, independent of the case tree.
 
-For each prime p the oracle holds two sets: Irr_p'(S_n), the partitions of
-n whose degree p does not divide, and Irr_p'(B_0), those of them in the
-principal p-block.  Both are generated from p-core towers by Macdonald's
-theorem (I. G. Macdonald, "On the degrees of the irreducible
-representations of symmetric groups", Bull. London Math. Soc. 3, 1971; see
-:func:`blockwitness.blocks.p_prime_degree_partitions`): the degree is prime
-to p exactly when level k of the tower has total size a_k, the k-th base-p
-digit of n, and B_0 is the share whose level 0 is the core (n mod p).  No
-partition outside these sets is visited.  Each generated set is certified
-by its size, a product of multipartition counts; a mismatch is a program
-fault.  Everything else is set difference: a p-block witness is a member of
-Irr_p'(B_0) outside Irr_q'(S_n), and conjecture B compares Irr_p'(B_0) with
-Irr_q'(B_0).  The candidate construction in :mod:`blockwitness.witness` is
-never consulted, which is exactly what makes :func:`cross_validate`
-meaningful.
+For each prime r the oracle generates B_r = Irr_r'(B_0(S_n)), the
+partitions in the principal r-block whose degree r does not divide, from
+r-core towers by Macdonald's theorem (I. G. Macdonald, "On the degrees of
+the irreducible representations of symmetric groups", Bull. London Math.
+Soc. 3, 1971; see :func:`blockwitness.blocks.principal_p_prime_partitions`).
+Only towers on the core (n mod r) are built, and each set is certified by
+its size and the distinctness of its members.  :func:`degree_valuation`
+reads the exponent of a prime in a degree off abacus weights, with no hook
+lengths and without :mod:`blockwitness.degrees`.  Its weights come from
+:func:`blockwitness.partitions.runner_counts`, the kernel the verifier also
+uses for block membership, which the tests pin against exhaustive rim-hook
+stripping.
+
+A p-block witness is a member of B_p whose degree q divides, so
+:func:`check_conjC` filters B_p and B_q by the other prime's valuation, and
+conjecture B compares B_p with B_q.  :func:`cross_validate` audits the
+constructor's witness alone and searches the principal sets only when
+there is no witness or the audit fails.  The candidate construction in
+:mod:`blockwitness.witness` is never consulted, which is exactly what makes
+:func:`cross_validate` meaningful.
 
 The alternating-group mode drops the self-conjugate partitions from those
 finished sets.  What it proves is one-sided.  A nonempty ``an`` witness set is
@@ -28,44 +33,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import witness as witness_engine
-from .blocks import p_prime_degree_partitions
-from .factored import primes_up_to
+from .blocks import principal_block_contains, principal_p_prime_partitions
+from .factored import factorial_valuation, primes_up_to
 from .parameters import check_primes, derive_case_parameters
-from .partitions import Partition
+from .partitions import Partition, runner_counts
 
 GROUP_KINDS = ("sn", "an")
 
 
-@lru_cache(maxsize=1)
-def _scan(n: int) -> dict[tuple[int, ...], Partition]:
-    # one Partition per shape of n, shared by the prime views of n, so the
-    # set differences across primes match members by identity; a scan
-    # visits each n once, so only the latest n is kept
-    return {}
+def degree_valuation(lam: Partition, s: int) -> int:
+    """Exponent of the prime ``s`` in the degree of ``lam``, from abacus weights.
+
+    The hooks of length divisible by e number w_e, the e-weight, so
+    nu_s(f) = nu_s(n!) - sum_{k >= 1} w_{s^k}, over the powers of s up to
+    the largest hook.  On an e-runner abacus the L beads of the beta-set
+    sum to n + L(L - 1)/2, and the e-core packs runner i's c_i beads onto
+    its lowest levels, where they sum to sum i c_i + e (sum c_i^2 - L)/2;
+    each removed e-hook takes e from the bead sum, so w_e is the
+    difference divided by e.
+    """
+    if s < 2:
+        raise ValueError(f"valuation requires a prime s >= 2, got {s}")
+    size, length = lam.size, len(lam.parts)
+    beads = size + length * (length - 1) // 2
+    total = factorial_valuation(size, s)
+    largest_hook = lam.parts[0] + length - 1 if length else 0
+    e = s
+    while e <= largest_hook:
+        counts = runner_counts(lam.runs, e)
+        squares = sum(map(mul, counts, counts))
+        packed = sum(map(mul, range(e), counts)) + e * (squares - length) // 2
+        total -= (beads - packed) // e
+        e *= s
+    return total
 
 
 @lru_cache(maxsize=32)
-def _prime_view(n: int, p: int) -> tuple[frozenset[Partition], frozenset[Partition]]:
-    # (Irr_p'(S_n), Irr_p'(B_0)); 32 entries hold every prime <= n for n < 137
-    shapes = _scan(n)
-    view = {
-        core: frozenset(shapes.setdefault(lam.parts, lam) for lam in members)
-        for core, members in p_prime_degree_partitions(n, p).items()
-    }
-    return frozenset().union(*view.values()), view[Partition((n % p,) if n % p else ())]
+def _prime_view(n: int, r: int) -> frozenset[Partition]:
+    # B_r = Irr_r'(B_0(S_n)); 32 entries hold every prime <= n for n < 137
+    return frozenset(principal_p_prime_partitions(n, r))
 
 
-def _conjecture_sets(n: int, p: int, q: int, kind: str) -> tuple[frozenset[Partition], ...]:
-    # (B_p, B_q, B_p - Irr_q'(S_n), B_q - Irr_p'(S_n)) with B_r = Irr_r'(B_0),
-    # for arguments already validated
-    p_prime, set_p = _prime_view(n, p)
-    q_prime, set_q = _prime_view(n, q)
-    sets = (set_p, set_q, set_p - q_prime, set_q - p_prime)
-    if kind == "an":
-        return tuple(frozenset(lam for lam in s if not lam.is_self_conjugate()) for s in sets)
-    return sets
+@lru_cache(maxsize=32)
+def _divided(n: int, r: int, s: int) -> frozenset[Partition]:
+    # the members of B_r whose degree s divides, shared by both group kinds
+    return frozenset(lam for lam in _prime_view(n, r) if degree_valuation(lam, s))
+
+
+@lru_cache(maxsize=32)
+def _scan(n: int, r: int) -> frozenset[int]:
+    # the primes s != r that divide the degree of some member of B_r, in one
+    # pass that values each member only at the primes not yet found
+    left = [s for s in primes_up_to(n) if s != r]
+    found: set[int] = set()
+    for lam in _prime_view(n, r):
+        if not left:
+            break
+        found.update(s for s in left if degree_valuation(lam, s))
+        left = [s for s in left if s not in found]
+    return frozenset(found)
 
 
 @dataclass(frozen=True)
@@ -83,9 +112,10 @@ class ConjectureReport:
 def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureReport:
     """Exhaustive check of conjectures B and C for (n, p, q) in one report.
 
-    ``witnesses_p_block`` holds the partitions in the principal p-block
-    whose degree is coprime to p and divisible by q; ``witnesses_q_block`` is
-    the mirror image.  C holds when either is nonempty.  B forbids equal
+    ``set_B_p`` is B_p, the partitions in the principal p-block whose
+    degree is coprime to p, and ``witnesses_p_block`` the members of it
+    whose degree q divides; the q-side fields are the mirror image.  C
+    holds when either witness set is nonempty.  B forbids equal
     prime-to-p and prime-to-q principal sets (``sets_equal``).  In ``an``
     mode only a nonempty witness set is a verdict on A_n; a false C or
     ``sets_equal`` is not (see the module docstring).  The primes are
@@ -95,7 +125,12 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
     if group_kind not in GROUP_KINDS:
         raise ValueError(f"group kind must be one of {GROUP_KINDS}, got {group_kind!r}")
     check_primes(n, (p, q))
-    set_p, set_q, side_p, side_q = _conjecture_sets(n, p, q, group_kind)
+    set_p, set_q = _prime_view(n, p), _prime_view(n, q)
+    if group_kind == "an":
+        set_p, set_q = (
+            frozenset(lam for lam in s if not lam.is_self_conjugate()) for s in (set_p, set_q)
+        )
+    side_p, side_q = set_p & _divided(n, p, q), set_q & _divided(n, q, p)
     return ConjectureReport(
         condition_holds=bool(side_p or side_q),
         witnesses_p_block=side_p,
@@ -108,7 +143,7 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Constructor output for one triple, checked against the exhaustive scan."""
+    """Constructor output for one triple, audited and, where needed, searched."""
 
     witness: witness_engine.Witness | None
     case_id: str | None
@@ -118,24 +153,33 @@ class CrossValidation:
 
 
 def cross_validate(n: int, p: int, q: int) -> CrossValidation:
-    """Run the constructor and test its witness against the exhaustive sets.
+    """Run the constructor and audit its witness without the case tree.
 
-    In a deferred regime (n < 9, abelian Sylow) the constructor gives
-    ``None``, so ``witness``, ``case_id`` and ``oracle_agrees`` are ``None``
-    and ``deferral`` names the regime; the exhaustive verdict is attached so
-    the caller still learns whether a witness exists at all.  The arguments
-    are validated once, by :func:`derive_case_parameters`.
+    ``oracle_agrees`` is the audit: the witness lies in the principal block
+    of its host prime, the host prime does not divide its degree, and the
+    divisor prime does.  ``oracle_condition_holds`` says whether B_p or B_q has a
+    witness at all; it is searched for (:func:`_scan`) only when there is no
+    agreeing witness.  In a deferred regime (n < 9, abelian Sylow) the
+    constructor gives ``None``, so ``witness``, ``case_id`` and
+    ``oracle_agrees`` are ``None`` and ``deferral`` names the regime.  The
+    arguments are validated once, by :func:`derive_case_parameters`.
     """
     params = derive_case_parameters(n, p, q)
-    side_p, side_q = _conjecture_sets(n, p, q, "sn")[2:]
-    condition = bool(side_p or side_q)
     found = witness_engine._construct(params)
     if found is None:
-        return CrossValidation(None, None, params.deferral, None, condition)
-    matching = side_p if found.candidate.host_prime == p else side_q
-    return CrossValidation(
-        found, found.candidate.case_id, None, found.partition in matching, condition
+        return CrossValidation(None, None, params.deferral, None, _exists(n, p, q))
+    lam, candidate = found.partition, found.candidate
+    agrees = (
+        principal_block_contains(lam, candidate.host_prime)
+        and degree_valuation(lam, candidate.host_prime) == 0
+        and degree_valuation(lam, candidate.divisor_prime) >= 1
     )
+    return CrossValidation(found, candidate.case_id, None, agrees, agrees or _exists(n, p, q))
+
+
+def _exists(n: int, p: int, q: int) -> bool:
+    # some member of B_p has a degree q divides, or some member of B_q one p divides
+    return q in _scan(n, p) or p in _scan(n, q)
 
 
 def prime_pairs(n: int) -> list[tuple[int, int]]:

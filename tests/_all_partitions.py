@@ -6,15 +6,18 @@ membership.  It shares the library's enumeration and membership test, so it
 is independent of the p-core-tower generation only; the fully independent
 references are in ``_oracles.py``.  The abacus weight and the p-quotient
 are read bead by bead here, as references for the library's runs kernel
-and its inverse of the quotient.
+and its inverse of the quotient.  :func:`p_prime_degree_partitions` runs
+the library's tower generation over every p-core, not only the principal
+one, so its count certificate covers all of Irr_p'(S_n).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from blockwitness import blocks
 from blockwitness.blocks import principal_block_contains
-from blockwitness.factored import factorial_valuation
+from blockwitness.factored import InternalInvariantError, factorial_valuation
 from blockwitness.partitions import Partition, partitions_of
 
 
@@ -83,7 +86,47 @@ def _shapes(n: int) -> tuple[Partition, ...]:
     return tuple(partitions_of(n))
 
 
+@lru_cache(maxsize=None)
 def prime_view(n: int, p: int) -> tuple[frozenset[Partition], frozenset[Partition]]:
-    """(Irr_p'(S_n), Irr_p'(B_0)) from all p(n) partitions of n."""
+    """(Irr_p'(S_n), Irr_p'(B_0)) from all p(n) partitions of n, kept for every test."""
     p_prime = frozenset(lam for lam in _shapes(n) if degree_valuation(lam, p) == 0)
     return p_prime, frozenset(lam for lam in p_prime if principal_block_contains(lam, p))
+
+
+def base_digits(n: int, p: int) -> list[int]:
+    """The base-p digits a_0, a_1, ... of n, lowest first; [0] for n = 0."""
+    digits = []
+    while n:
+        n, a = divmod(n, p)
+        digits.append(a)
+    return digits or [0]
+
+
+def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:
+    """Irr_p'(S_n) from the library's p-core towers, keyed by p-core.
+
+    Level 0 is any partition of a_0 = n mod p.  The count is certified as
+    in the principal generation: prod_{k >= 1} m(p^k, a_k) members for the
+    principal core and m(1, a_0) times as many in all, all distinct;
+    anything else raises ``InternalInvariantError``.  The library's count
+    and assembler are looked up at call time, so a test can corrupt them.
+    """
+    if p < 2:
+        raise ValueError(f"p-core towers require p >= 2, got {p}")
+    digits = base_digits(n, p)
+    quotients = blocks.tower_quotients(p, tuple(digits[1:]), {})
+    groups = {
+        core: blocks.from_core_and_quotients(core, quotients, p)
+        for core in partitions_of(digits[0])
+    }
+    per_core = 1
+    for k, a in enumerate(digits[1:], start=1):
+        per_core *= blocks._multipartition_count(p**k, a)
+    block = len(groups[Partition((digits[0],) if digits[0] else ())])
+    distinct = len({lam.parts for members in groups.values() for lam in members})
+    if block != per_core or distinct != per_core * blocks._multipartition_count(1, digits[0]):
+        raise InternalInvariantError(
+            f"p-core towers for p={p}, digits {digits}: {block} principal and"
+            f" {distinct} partitions in all, expected {per_core} per core"
+        )
+    return groups

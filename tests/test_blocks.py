@@ -2,9 +2,10 @@ import pytest
 
 import _oracles as oracle
 import blockwitness.blocks as blocks
+from _all_partitions import base_digits, p_prime_degree_partitions
 from blockwitness.blocks import (
-    p_prime_degree_partitions,
     principal_block_contains,
+    principal_p_prime_partitions,
     principal_runner_counts,
     tower_quotients,
 )
@@ -51,16 +52,21 @@ def test_members_examples():
 
 
 def test_irr_examples():
-    # the oracle's (Irr_p'(S_n), Irr_p'(B_0)) against literal sets; the S_4
-    # degrees are 1, 3, 2, 3, 1, and for p = 5 > n every degree is prime to
-    # p while only the trivial character keeps the core (4)
+    # the oracle's Irr_p'(B_0) and the all-cores Irr_p'(S_n) against literal
+    # sets; the S_4 degrees are 1, 3, 2, 3, 1, and for p = 5 > n every degree
+    # is prime to p while only the trivial character keeps the core (4)
     odd = frozenset({P(4), P(3, 1), P(2, 1, 1), P(1, 1, 1, 1)})
     assert {s for s in oracle.enumerate_partitions(4) if oracle.hook_product_degree(s) % 2} == {
         lam.parts for lam in odd
     }
-    assert _prime_view(4, 2) == (odd, odd)
-    assert _prime_view(4, 5) == (frozenset(partitions_of(4)), frozenset({P(4)}))
-    assert P(2, 1, 1, 1, 1, 1, 1, 1) in _prime_view(9, 3)[1]
+
+    def every_core(n, p):
+        return {lam for members in p_prime_degree_partitions(n, p).values() for lam in members}
+
+    assert _prime_view(4, 2) == odd and every_core(4, 2) == odd
+    assert _prime_view(4, 5) == frozenset({P(4)})
+    assert every_core(4, 5) == set(partitions_of(4))
+    assert P(2, 1, 1, 1, 1, 1, 1, 1) in _prime_view(9, 3)
 
 
 def test_degrees_of_s4():
@@ -97,24 +103,19 @@ def test_core_determines_membership():
             assert principal_block_contains(lam, p) == (core == ((8 % p,) if 8 % p else ()))
 
 
-def _base_digits(n, p):
-    digits = []
-    while n:
-        n, a = divmod(n, p)
-        digits.append(a)
-    return digits or [0]
-
-
 def test_tower_counts_certified_through_40():
     # |Irr_p'(S_n)| = p(a_0) prod_{k >= 1} m(p^k, a_k) and |Irr_p'(B_0)| the
     # product alone, m(c, a) counting c-tuples of partitions of total a
     # (Macdonald), against the independent multipartition count
     for n in range(1, 41):
         for p in primes_up_to(n):
-            digits = _base_digits(n, p)
+            digits = base_digits(n, p)
             per_core = 1
             for k, a in enumerate(digits[1:], start=1):
-                per_core *= oracle.multipartition_count(p**k, a)
+                count = oracle.multipartition_count(p**k, a)
+                # the count both generations certify themselves against
+                assert blocks._multipartition_count(p**k, a) == count, (p**k, a)
+                per_core *= count
             groups = p_prime_degree_partitions(n, p)
             block = groups[P(n % p) if n % p else P()]
             shapes = {lam.parts for members in groups.values() for lam in members}
@@ -129,20 +130,23 @@ def test_tower_generation_small_cases():
     assert set(groups) == set(partitions_of(4))
     assert all(members == [core] for core, members in groups.items())
     assert p_prime_degree_partitions(0, 3) == {P(): [P()]}
+    assert principal_p_prime_partitions(0, 3) == [P()]
+    assert principal_p_prime_partitions(4, 5) == [P(4)]
     # the quotients of a weight-1 block: one box on one of the p runners
     weight_one = tower_quotients(3, (1,), {})
     assert len(weight_one) == 3
     assert set(weight_one) == {(P(1), P(), P()), (P(), P(1), P()), (P(), P(), P(1))}
-    with pytest.raises(ValueError):
-        p_prime_degree_partitions(4, 1)
+    for generate in (p_prime_degree_partitions, principal_p_prime_partitions):
+        with pytest.raises(ValueError):
+            generate(4, 1)
 
 
-def test_tower_count_mismatch_is_a_fault(monkeypatch):
+def _corrupt_count(monkeypatch):
     count = blocks._multipartition_count
     monkeypatch.setattr(blocks, "_multipartition_count", lambda c, a: count(c, a) + (c == 9))
-    with pytest.raises(InternalInvariantError, match="p=3"):
-        p_prime_degree_partitions(20, 3)  # 20 = 2*9 + 0*3 + 2
-    monkeypatch.setattr(blocks, "_multipartition_count", count)
+
+
+def _merging_assembler(monkeypatch):
     # an assembler that merges shapes leaves too few distinct partitions
     assemble = blocks.from_core_and_quotients
     monkeypatch.setattr(
@@ -152,5 +156,24 @@ def test_tower_count_mismatch_is_a_fault(monkeypatch):
             core, [sorted(quotient, key=lambda mu: mu.parts) for quotient in quotients], p
         ),
     )
+
+
+def test_tower_count_mismatch_is_a_fault(monkeypatch):
+    with monkeypatch.context() as patch:
+        _corrupt_count(patch)
+        with pytest.raises(InternalInvariantError, match="p=3"):
+            p_prime_degree_partitions(20, 3)  # 20 = 2*9 + 0*3 + 2
+    _merging_assembler(monkeypatch)
     with pytest.raises(InternalInvariantError, match="p=2"):
         p_prime_degree_partitions(6, 2)
+
+
+def test_principal_count_mismatch_is_a_fault(monkeypatch):
+    # the certificate of the generation the oracle uses
+    with monkeypatch.context() as patch:
+        _corrupt_count(patch)
+        with pytest.raises(InternalInvariantError, match="p=3"):
+            principal_p_prime_partitions(20, 3)
+    _merging_assembler(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="p=2"):
+        principal_p_prime_partitions(6, 2)

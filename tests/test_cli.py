@@ -208,7 +208,7 @@ def test_degrees_spec_is_sized_before_it_is_expanded(capsys):
 
 def test_enumeration_is_bounded(capsys, monkeypatch):
     # degrees without --partition and export-table list all p(n) partitions;
-    # verify-c, verify-b and scan --cross-validate generate Irr_p'(S_n)
+    # verify-c, verify-b and scan --cross-validate generate Irr_p'(B_0(S_n))
     import blockwitness.cli as cli_module
 
     monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)

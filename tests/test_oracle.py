@@ -1,17 +1,20 @@
 import pytest
 
+import _all_partitions as every
 import _oracles as ref
-from _all_partitions import degree_valuation, prime_view as enumerated_prime_view
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import primes_up_to
 from blockwitness.oracle import (
+    CrossValidation,
     _prime_view,
     check_conjC,
     cross_validate,
+    degree_valuation,
     prime_pairs,
 )
-from blockwitness.parameters import NotPrime, PrimeExceedsN
-from blockwitness.partitions import Partition
+from blockwitness.parameters import NotPrime, PrimeExceedsN, derive_case_parameters
+from blockwitness.partitions import Partition, partitions_of
+from blockwitness.witness import _construct
 
 
 def P(*parts):
@@ -41,12 +44,12 @@ def test_witness_set_members_verify():
     side_p, side_q = report.witnesses_p_block, report.witnesses_q_block
     for lam in side_p:
         assert principal_block_contains(lam, 3)
-        assert degree_valuation(lam, 3) == 0
-        assert degree_valuation(lam, 2) >= 1
+        assert every.degree_valuation(lam, 3) == 0
+        assert every.degree_valuation(lam, 2) >= 1
     for lam in side_q:
         assert principal_block_contains(lam, 2)
-        assert degree_valuation(lam, 2) == 0
-        assert degree_valuation(lam, 3) >= 1
+        assert every.degree_valuation(lam, 2) == 0
+        assert every.degree_valuation(lam, 3) >= 1
 
 
 def test_group_kind_validation():
@@ -188,8 +191,43 @@ def test_conjB_no_violation_through_28():
             assert not check_conjC(n, p, q, "sn").sets_equal
 
 
-def test_tower_prime_view_matches_all_partitions():
-    # the p-core-tower generation against the all-partitions reference
+def test_principal_view_matches_all_partitions():
+    # the principal p-core-tower generation against the all-partitions reference
     for n in range(1, 29):
         for p in primes_up_to(n):
-            assert _prime_view(n, p) == enumerated_prime_view(n, p), (n, p)
+            assert _prime_view(n, p) == every.prime_view(n, p)[1], (n, p)
+
+
+def test_degree_valuation_matches_references():
+    # the oracle's closed-form weights against the bead-by-bead abacus
+    # weights and against plain hook-product degrees
+    for n in range(0, 21):
+        primes = primes_up_to(n)
+        for lam in partitions_of(n):
+            degree = ref.hook_product_degree(lam.parts)
+            for s in primes:
+                got = degree_valuation(lam, s)
+                assert got == every.degree_valuation(lam, s), (lam.parts, s)
+                assert got == ref.padic_valuation(degree, s), (lam.parts, s)
+    with pytest.raises(ValueError):
+        degree_valuation(P(3, 1), 1)
+
+
+def test_cross_validate_matches_set_differences():
+    # every field of cross_validate against the record built from the
+    # all-partitions sets: a witness agrees when it lies in B_host outside
+    # Irr_divisor'(S_n), and the condition holds when either side is nonempty
+    for n in range(1, 25):
+        views = {p: every.prime_view(n, p) for p in primes_up_to(n)}
+        for p, q in prime_pairs(n):
+            side = {p: views[p][1] - views[q][0], q: views[q][1] - views[p][0]}
+            params = derive_case_parameters(n, p, q)
+            found = _construct(params)
+            expected = CrossValidation(
+                found,
+                found and found.candidate.case_id,
+                params.deferral,
+                found and found.partition in side[found.candidate.host_prime],
+                bool(side[p] or side[q]),
+            )
+            assert cross_validate(n, p, q) == expected, (n, p, q)
