@@ -9,22 +9,24 @@ runs of equal parts (:func:`blockwitness.partitions.runner_counts`), so a
 witness candidate, which is given by its runs, is tested without its n
 parts.
 
-The partitions of p'-degree are generated, not searched for, by
-Macdonald's theorem (I. G. Macdonald, "On the degrees of the irreducible
-representations of symmetric groups", Bull. London Math. Soc. 3, 1971).
-The p-core tower of a partition has the p-core at level 0, and level k + 1
-is made of level k of the towers of its p-quotient components.  With
-n = sum a_k p^k in base p, the degree is prime to p exactly when level k
-has total size a_k for every k.  Each a_k < p, so every partition of size
-at most a_k is a p-core and any spread of a_k boxes over the p^k places
-of level k is a tower level.  Only the principal block's share is
-generated, from towers whose level 0 is the core (n mod p); the oracle
-(:mod:`blockwitness.oracle`) takes its sets from there.
+The partitions of p'-degree are generated, not searched for.  With
+n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
+degrees of the irreducible representations of symmetric groups", Bull.
+London Math. Soc. 3, 1971) says the degree is prime to p exactly when
+level k of the p-core tower has total size a_k for every k.  Write
+n = a p^k + m with a = a_k > 0 the top digit, so m < p^k.  Levels k and
+up of the tower are the towers of the p^k-quotient components, and a
+component of at most a < p boxes is a p-core, so a partition of n has
+p'-degree exactly when its p^k-weight is a and its p^k-core, a partition
+of m, has p'-degree.  Removing p^k-hooks keeps the p-core, so the
+principal block's share is the core (a_0) lifted one digit at a time by
+:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k; the
+oracle (:mod:`blockwitness.oracle`) takes its sets from there.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
@@ -74,79 +76,53 @@ def runs_in_principal_block(runs: Sequence[tuple[int, int]], p: int) -> bool:
 def principal_p_prime_partitions(n: int, p: int) -> list[Partition]:
     """The partitions of n in the principal p-block whose degree p does not divide.
 
-    Level 0 of the tower is the principal core (a_0), a_0 = n mod p, and
-    every level above it comes from :func:`tower_quotients`; no other core
-    is visited.  The count is certified: with m(c, a) the number of
-    c-tuples of partitions of total size a, the block has
-    prod_{k >= 1} m(p^k, a_k) such members, all distinct; anything else is
-    a program fault.
+    With n = sum a_k p^k in base p, the set starts as the principal core
+    (a_0) and each digit a_k > 0 lifts every member by the p^k-quotients of
+    weight a_k (see the module docstring); no other core is visited.  The
+    count is certified: with m(c, a) the number of c-tuples of partitions
+    of total size a, the block has prod_{k >= 1} m(p^k, a_k) such members,
+    all distinct; anything else is a program fault.
     """
     if p < 2:
-        raise ValueError(f"p-core towers require p >= 2, got {p}")
+        raise ValueError(f"p'-degree sets require p >= 2, got {p}")
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
     digits = []
     rest = n
     while rest:
         rest, a = divmod(rest, p)
         digits.append(a)
     digits = digits or [0]
-    core = Partition((digits[0],) if digits[0] else ())
-    members = from_core_and_quotients(core, tower_quotients(p, tuple(digits[1:]), {}), p)
+    members = [Partition((digits[0],) if digits[0] else ())]
+    for k, a in enumerate(digits[1:], start=1):
+        if a:
+            quotients = _multipartitions(p**k, a)
+            members = [
+                lam for mu in members for lam in from_core_and_quotients(mu, quotients, p**k)
+            ]
     expected = prod(_multipartition_count(p**k, a) for k, a in enumerate(digits[1:], start=1))
     distinct = len({lam.parts for lam in members})
     if len(members) != expected or distinct != expected:
         raise InternalInvariantError(
-            f"p-core towers for n={n}, p={p}: {len(members)} principal members,"
+            f"digit lift for n={n}, p={p}: {len(members)} principal members,"
             f" {distinct} distinct, expected {expected}"
         )
     return members
 
 
-def tower_quotients(
-    p: int, digits: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
-) -> list[tuple[Partition, ...]]:
-    """Every p-quotient whose components' towers have level sizes adding up to ``digits``.
-
-    Level k + 1 of a tower is the union of level k of the quotient
-    components' towers, so this spreads each ``digits[k]`` over the p
-    components.  ``digits = (w,)`` with w < p gives the quotients of a
-    block of weight w.  ``towers`` holds the sub-towers already built by
-    the caller's generation, keyed by their level sizes.
-    """
-    # spreads[left]: the components placed so far that leave `left` to place
-    spreads: dict[tuple[int, ...], list[tuple[Partition, ...]]] = {digits: [()]}
-    for _ in range(p - 1):
-        placed: dict[tuple[int, ...], list[tuple[Partition, ...]]] = {}
-        for left, heads in spreads.items():
-            for sizes in product(*(range(a + 1) for a in left)):
-                members = _tower(p, sizes, towers)
-                rest = tuple(a - b for a, b in zip(left, sizes))
-                placed.setdefault(rest, []).extend(
-                    head + (mu,) for head in heads for mu in members
-                )
-        spreads = placed
-    quotients = []
-    for left, heads in spreads.items():
-        last = _tower(p, left, towers)
-        quotients.extend(head + (mu,) for head in heads for mu in last)
-    return quotients
-
-
-def _tower(
-    p: int, sizes: tuple[int, ...], towers: dict[tuple[int, ...], list[Partition]]
-) -> list[Partition]:
-    # every partition whose p-core tower has level sizes `sizes`, built once per call
-    while sizes and not sizes[-1]:
-        sizes = sizes[:-1]
-    if not sizes:
-        return [Partition()]
-    if sizes not in towers:
-        quotients = tower_quotients(p, sizes[1:], towers)
-        towers[sizes] = [
-            lam
-            for core in partitions_of(sizes[0])
-            for lam in from_core_and_quotients(core, quotients, p)
-        ]
-    return towers[sizes]
+@lru_cache(maxsize=None)
+def _multipartitions(c: int, a: int) -> tuple[tuple[Partition, ...], ...]:
+    # every c-tuple of partitions of total size a: the first nonempty
+    # component, at place i, then every tuple of the c - i - 1 places after it
+    if a == 0:
+        return ((Partition(),) * c,)
+    return tuple(
+        (Partition(),) * i + (mu,) + rest
+        for i in range(c)
+        for size in range(1, a + 1)
+        for mu in partitions_of(size)
+        for rest in _multipartitions(c - i - 1, a - size)
+    )
 
 
 def _multipartition_count(c: int, a: int) -> int:

@@ -1,14 +1,15 @@
 """Ground truth for the witness conditions, independent of the case tree.
 
 For each prime r the oracle generates B_r = Irr_r'(B_0(S_n)), the
-partitions in the principal r-block whose degree r does not divide, from
-r-core towers by Macdonald's theorem (I. G. Macdonald, "On the degrees of
-the irreducible representations of symmetric groups", Bull. London Math.
-Soc. 3, 1971; see :func:`blockwitness.blocks.principal_p_prime_partitions`).
-Only towers on the core (n mod r) are built, and each set is certified by
-its size and the distinctness of its members.  :func:`degree_valuation`
-reads the exponent of a prime in a degree off abacus weights, with no hook
-lengths and without :mod:`blockwitness.degrees`.  Its weights come from
+partitions in the principal r-block whose degree r does not divide, one
+base-r digit of n at a time by Macdonald's theorem (I. G. Macdonald, "On
+the degrees of the irreducible representations of symmetric groups",
+Bull. London Math. Soc. 3, 1971; see
+:func:`blockwitness.blocks.principal_p_prime_partitions`).  Only the core
+(n mod r) is lifted, and each set is certified by its size and the
+distinctness of its members.  :func:`degree_valuation` reads the exponent
+of a prime in a degree off abacus weights, with no hook lengths and
+without :mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.runner_counts`, the kernel the verifier also
 uses for block membership, which the tests pin against exhaustive rim-hook
 stripping.

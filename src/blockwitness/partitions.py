@@ -20,9 +20,10 @@ O(1) per run and never visits a bead.
 No core is built.  A partition is compared with a core through that core's
 runner counts at the partition's length (see
 :func:`blockwitness.blocks.principal_runner_counts`).  Component i of the
-p-quotient has runner i's bead levels for its beta-set, on a beta-set
-length divisible by ``p`` so the runner order is well defined;
-:func:`from_core_and_quotients` inverts that for all quotients of one core.
+``e``-quotient has runner i's bead levels for its beta-set, on a beta-set
+length divisible by ``e`` so the runner order is well defined;
+:func:`from_core_and_quotients` inverts that for all quotients of one core,
+at any ``e >= 2``.
 """
 
 from __future__ import annotations
@@ -147,41 +148,41 @@ def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
 
 
 def from_core_and_quotients(
-    core: Partition, quotients: Iterable[Sequence[Partition]], p: int
+    core: Partition, quotients: Iterable[Sequence[Partition]], e: int
 ) -> list[Partition]:
-    """The partitions with ``p``-core ``core`` and each ``p``-quotient in ``quotients``.
+    """The partitions with ``e``-core ``core`` and each ``e``-quotient in ``quotients``.
 
-    The convention is a beta-set whose length is a multiple of ``p``; the
-    core's has c_i packed beads on runner i.  A quotient moves the top
-    len(mu_i) beads of runner i to the levels of the beta-set of its
-    component mu_i of length c_i + lift, where ``lift`` full rows of beads
-    under the core let every runner hold the parts of its component.  The
-    core is checked, and its counts and bead sets taken, once for all its
-    quotients.  A ``core`` with a ``p``-hook, or a quotient without ``p``
-    components, raises ``ValueError``.
+    Any ``e >= 2`` works, prime or not.  The convention is a beta-set whose
+    length is a multiple of ``e``; the core's has c_i packed beads on runner
+    i.  A quotient moves the top len(mu_i) beads of runner i to the levels
+    of the beta-set of its component mu_i of length c_i + lift, where
+    ``lift`` full rows of beads under the core let every runner hold the
+    parts of its component.  The core is checked, and its counts and bead
+    sets taken, once for all its quotients.  A ``core`` with an ``e``-hook,
+    or a quotient without ``e`` components, raises ``ValueError``.
     """
-    if p < 2:
-        raise ValueError(f"quotient requires p >= 2, got {p}")
-    length = -(-len(core.parts) // p) * p
-    counts = runner_counts(core.runs + ((0, length - len(core.parts)),), p)
-    packed = {i + p * level for i, c in enumerate(counts) for level in range(c)}
+    if e < 2:
+        raise ValueError(f"quotient requires e >= 2, got {e}")
+    length = -(-len(core.parts) // e) * e
+    counts = runner_counts(core.runs + ((0, length - len(core.parts)),), e)
+    packed = {i + e * level for i, c in enumerate(counts) for level in range(c)}
     if set(core.beta_set(length)) != packed:
-        raise ValueError(f"{core.to_literal()} is not a {p}-core")
+        raise ValueError(f"{core.to_literal()} is not a {e}-core")
     # bases[lift]: the core's beads under `lift` more full rows
     bases = {0: packed}
     members = []
     for quotient in quotients:
-        if len(quotient) != p:
-            raise ValueError(f"a {p}-quotient has {p} components, got {len(quotient)}")
+        if len(quotient) != e:
+            raise ValueError(f"a {e}-quotient has {e} components, got {len(quotient)}")
         placed = [(i, mu.parts) for i, mu in enumerate(quotient) if mu.parts]
         lift = max([0] + [len(parts) - counts[i] for i, parts in placed])
         if lift not in bases:
-            bases[lift] = set(core.beta_set(length + lift * p))
+            bases[lift] = set(core.beta_set(length + lift * e))
         beads = bases[lift].copy()
         for i, parts in placed:
             top = counts[i] + lift - 1
-            beads.difference_update(range(i + p * top, i + p * (top - len(parts)), -p))
-            beads.update(i + p * (a + top - j) for j, a in enumerate(parts))
+            beads.difference_update(range(i + e * top, i + e * (top - len(parts)), -e))
+            beads.update(i + e * (a + top - j) for j, a in enumerate(parts))
         ordered = sorted(beads, reverse=True)
         parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
         members.append(_trusted(parts[: len(parts) - parts.count(0)]))

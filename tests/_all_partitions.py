@@ -1,14 +1,14 @@
-"""The oracle's sets from every partition of n: the reference for the towers.
+"""The oracle's sets from every partition of n: the reference for the digit lift.
 
 :func:`prime_view` enumerates the partitions of n, keeps those of p′-degree
 by abacus-weight valuations, and tests the survivors for principal-block
 membership.  It shares the library's enumeration and membership test, so it
-is independent of the p-core-tower generation only; the fully independent
-references are in ``_oracles.py``.  The abacus weight and the p-quotient
-are read bead by bead here, as references for the library's runs kernel
-and its inverse of the quotient.  :func:`p_prime_degree_partitions` runs
-the library's tower generation over every p-core, not only the principal
-one, so its count certificate covers all of Irr_p'(S_n).
+is independent of the digit-by-digit generation only; the fully
+independent references are in ``_oracles.py``.  The abacus weight and the
+p-quotient are read bead by bead here, as references for the library's runs
+kernel and its inverse of the quotient.  :func:`p_prime_degree_partitions`
+runs the library's lift over every p-core, not only the principal one, so
+its count certificate covers all of Irr_p'(S_n).
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def prime_view(n: int, p: int) -> tuple[frozenset[Partition], frozenset[Partitio
 
 def base_digits(n: int, p: int) -> list[int]:
     """The base-p digits a_0, a_1, ... of n, lowest first; [0] for n = 0."""
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
     digits = []
     while n:
         n, a = divmod(n, p)
@@ -103,22 +105,29 @@ def base_digits(n: int, p: int) -> list[int]:
 
 
 def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:
-    """Irr_p'(S_n) from the library's p-core towers, keyed by p-core.
+    """Irr_p'(S_n) from the library's digit lift, keyed by p-core.
 
-    Level 0 is any partition of a_0 = n mod p.  The count is certified as
-    in the principal generation: prod_{k >= 1} m(p^k, a_k) members for the
-    principal core and m(1, a_0) times as many in all, all distinct;
-    anything else raises ``InternalInvariantError``.  The library's count
-    and assembler are looked up at call time, so a test can corrupt them.
+    Every partition of a_0 = n mod p is lifted by the p^k-quotients of
+    weight a_k for each digit a_k > 0, as in the principal generation.  The
+    count is certified the same way: prod_{k >= 1} m(p^k, a_k) members for
+    the principal core and m(1, a_0) times as many in all, all distinct;
+    anything else raises ``InternalInvariantError``.  The library's count,
+    multipartitions and assembler are looked up at call time, so a test can
+    corrupt them.
     """
     if p < 2:
-        raise ValueError(f"p-core towers require p >= 2, got {p}")
+        raise ValueError(f"p'-degree sets require p >= 2, got {p}")
     digits = base_digits(n, p)
-    quotients = blocks.tower_quotients(p, tuple(digits[1:]), {})
-    groups = {
-        core: blocks.from_core_and_quotients(core, quotients, p)
-        for core in partitions_of(digits[0])
-    }
+    groups = {core: [core] for core in partitions_of(digits[0])}
+    for k, a in enumerate(digits[1:], start=1):
+        if a:
+            quotients = blocks._multipartitions(p**k, a)
+            for core, members in groups.items():
+                groups[core] = [
+                    lam
+                    for mu in members
+                    for lam in blocks.from_core_and_quotients(mu, quotients, p**k)
+                ]
     per_core = 1
     for k, a in enumerate(digits[1:], start=1):
         per_core *= blocks._multipartition_count(p**k, a)
@@ -126,7 +135,7 @@ def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]
     distinct = len({lam.parts for members in groups.values() for lam in members})
     if block != per_core or distinct != per_core * blocks._multipartition_count(1, digits[0]):
         raise InternalInvariantError(
-            f"p-core towers for p={p}, digits {digits}: {block} principal and"
+            f"digit lift for p={p}, digits {digits}: {block} principal and"
             f" {distinct} partitions in all, expected {per_core} per core"
         )
     return groups

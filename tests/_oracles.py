@@ -131,6 +131,18 @@ def residue_counts(beads, e: int) -> list[int]:
     return counts
 
 
+def multipartitions(components: int, total: int):
+    """Every `components`-tuple of partitions (as parts) of total size `total`."""
+    if components == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for first in enumerate_partitions(head):
+            for rest in multipartitions(components - 1, total - head):
+                yield (first,) + rest
+
+
 def multipartition_count(components: int, total: int) -> int:
     """Number of `components`-tuples of partitions with sizes summing to total."""
     base = [partition_count_oracle(k) for k in range(total + 1)]

@@ -2,12 +2,11 @@ import pytest
 
 import _oracles as oracle
 import blockwitness.blocks as blocks
-from _all_partitions import base_digits, p_prime_degree_partitions
+from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
 from blockwitness.blocks import (
     principal_block_contains,
     principal_p_prime_partitions,
     principal_runner_counts,
-    tower_quotients,
 )
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
@@ -106,7 +105,8 @@ def test_core_determines_membership():
 def test_tower_counts_certified_through_40():
     # |Irr_p'(S_n)| = p(a_0) prod_{k >= 1} m(p^k, a_k) and |Irr_p'(B_0)| the
     # product alone, m(c, a) counting c-tuples of partitions of total a
-    # (Macdonald), against the independent multipartition count
+    # (Macdonald), against the independent multipartition count; through 28
+    # the lift of every core is Irr_p'(S_n) from all partitions
     for n in range(1, 41):
         for p in primes_up_to(n):
             digits = base_digits(n, p)
@@ -122,6 +122,8 @@ def test_tower_counts_certified_through_40():
             assert len(block) == per_core, (n, p)
             assert len(shapes) == per_core * oracle.partition_count_oracle(digits[0]), (n, p)
             assert all(sum(parts) == n for parts in shapes)
+            if n <= 28:
+                assert shapes == {lam.parts for lam in prime_view(n, p)[0]}, (n, p)
 
 
 def test_tower_generation_small_cases():
@@ -132,13 +134,19 @@ def test_tower_generation_small_cases():
     assert p_prime_degree_partitions(0, 3) == {P(): [P()]}
     assert principal_p_prime_partitions(0, 3) == [P()]
     assert principal_p_prime_partitions(4, 5) == [P(4)]
-    # the quotients of a weight-1 block: one box on one of the p runners
-    weight_one = tower_quotients(3, (1,), {})
-    assert len(weight_one) == 3
-    assert set(weight_one) == {(P(1), P(), P()), (P(), P(1), P()), (P(), P(), P(1))}
+    # the quotients the lift assembles with, against the reference generator
+    for c in range(6):
+        for a in range(5):
+            tuples = blocks._multipartitions(c, a)
+            assert len(tuples) == oracle.multipartition_count(c, a), (c, a)
+            assert {tuple(mu.parts for mu in t) for t in tuples} == set(
+                oracle.multipartitions(c, a)
+            ), (c, a)
     for generate in (p_prime_degree_partitions, principal_p_prime_partitions):
         with pytest.raises(ValueError):
             generate(4, 1)
+        with pytest.raises(ValueError):
+            generate(-1, 3)
 
 
 def _corrupt_count(monkeypatch):

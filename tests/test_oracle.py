@@ -192,7 +192,7 @@ def test_conjB_no_violation_through_28():
 
 
 def test_principal_view_matches_all_partitions():
-    # the principal p-core-tower generation against the all-partitions reference
+    # the principal digit-lift generation against the all-partitions reference
     for n in range(1, 29):
         for p in primes_up_to(n):
             assert _prime_view(n, p) == every.prime_view(n, p)[1], (n, p)

@@ -209,47 +209,36 @@ def test_core_quotient_size_identity():
         assert lam.size == sum(core) + p * sum(c.size for c in comps)
 
 
-def _multipartitions(components, total):
-    # every `components`-tuple of partitions (as parts) of total size `total`
-    if components == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for first in oracle.enumerate_partitions(head):
-            for rest in _multipartitions(components - 1, total - head):
-                yield (first,) + rest
-
-
 def test_core_and_quotient_round_trip():
-    # p-cores of size <= 8 found by rim-hook stripping (no hook to strip),
-    # every p-quotient of weight <= 2: p_quotient inverts the assembler, which
-    # keeps the core's runner counts and adds |quotient| to the weight
+    # e-cores of size <= 8 found by rim-hook stripping (no hook to strip),
+    # every e-quotient of weight <= 2: p_quotient inverts the assembler, which
+    # keeps the core's runner counts and adds |quotient| to the weight; the
+    # composite e are the prime powers the digit lift assembles at
     cases = 0
-    for p in (2, 3, 5, 7):
+    for e in (2, 3, 5, 7, 4, 8, 9):
         cores = [
             Partition(s)
             for size in range(9)
             for s in oracle.enumerate_partitions(size)
-            if oracle.exhaustive_cores(s, p) == {s}
+            if oracle.exhaustive_cores(s, e) == {s}
         ]
         for size in range(3):
             quotients = [
                 tuple(Partition(mu) for mu in quotient)
-                for quotient in _multipartitions(p, size)
+                for quotient in oracle.multipartitions(e, size)
             ]
             for core in cores:
-                members = from_core_and_quotients(core, quotients, p)
+                members = from_core_and_quotients(core, quotients, e)
                 assert len(members) == len(quotients)
                 for lam, components in zip(members, quotients):
-                    assert p_quotient(lam, p) == components, (core, components, p)
-                    assert runner_counts(lam.runs, p) == oracle.residue_counts(
-                        core.beta_set(len(lam.parts)), p
+                    assert p_quotient(lam, e) == components, (core, components, e)
+                    assert runner_counts(lam.runs, e) == oracle.residue_counts(
+                        core.beta_set(len(lam.parts)), e
                     )
-                    assert weight(lam, p) == size
-                    assert lam.size == core.size + p * size
+                    assert weight(lam, e) == size
+                    assert lam.size == core.size + e * size
                     cases += 1
-    assert cases == 3_273
+    assert cases == 11_087
     with pytest.raises(ValueError, match="not a 2-core"):
         from_core_and_quotients(P(2), [], 2)
     with pytest.raises(ValueError, match="has 3 components"):
