@@ -9,7 +9,7 @@ cross-validates a whole grid against the exhaustive oracle.
 
 from blockwitness.oracle import cross_validate, prime_pairs
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.witness import Witness, candidate_list, verify_candidate
+from blockwitness.witness import Witness, candidates, verify_candidate
 
 TOUR = [
     (9, 3, 2),     # case I.a: r > 0, b = 0
@@ -26,7 +26,7 @@ def walk(n: int, p: int, q: int) -> None:
     params = derive_case_parameters(n, p, q)
     print(f"(n, p, q) = ({n}, {p}, {q})  ->  m={params.m} b={params.b} "
           f"w={params.w} r={params.r}  A1={params.low_q_part} B1={params.low_p_part}")
-    for index, cand in enumerate(candidate_list(params)):
+    for index, cand in enumerate(candidates(params)):
         outcome = verify_candidate(cand, n)
         if isinstance(outcome, Witness):
             print(f"  [{index}] {cand.case_id:20} {str(cand.spec):24} "

@@ -73,15 +73,15 @@ def runs_in_principal_block(runs: Sequence[tuple[int, int]], p: int) -> bool:
     return runner_counts(runs, p) == principal_runner_counts(size, p, sum(m for _, m in runs))
 
 
-def principal_p_prime_partitions(n: int, p: int) -> list[Partition]:
+def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     """The partitions of n in the principal p-block whose degree p does not divide.
 
     With n = sum a_k p^k in base p, the set starts as the principal core
     (a_0) and each digit a_k > 0 lifts every member by the p^k-quotients of
     weight a_k (see the module docstring); no other core is visited.  The
     count is certified: with m(c, a) the number of c-tuples of partitions
-    of total size a, the block has prod_{k >= 1} m(p^k, a_k) such members,
-    all distinct; anything else is a program fault.
+    of total size a, the lift makes prod_{k >= 1} m(p^k, a_k) members and
+    the returned set has that size; anything else is a program fault.
     """
     if p < 2:
         raise ValueError(f"p'-degree sets require p >= 2, got {p}")
@@ -101,13 +101,13 @@ def principal_p_prime_partitions(n: int, p: int) -> list[Partition]:
                 lam for mu in members for lam in from_core_and_quotients(mu, quotients, p**k)
             ]
     expected = prod(_multipartition_count(p**k, a) for k, a in enumerate(digits[1:], start=1))
-    distinct = len({lam.parts for lam in members})
-    if len(members) != expected or distinct != expected:
+    certified = frozenset(members)
+    if len(members) != expected or len(certified) != expected:
         raise InternalInvariantError(
             f"digit lift for n={n}, p={p}: {len(members)} principal members,"
-            f" {distinct} distinct, expected {expected}"
+            f" {len(certified)} distinct, expected {expected}"
         )
-    return members
+    return certified
 
 
 @lru_cache(maxsize=None)

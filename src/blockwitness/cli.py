@@ -118,7 +118,8 @@ def _cmd_witness(args) -> int:
     params = derive_case_parameters(args.n, args.p, args.q)
     found = witness._construct(params)
     if found is None:
-        print(_DEFERRAL_MESSAGES[params.deferral])
+        message = _DEFERRAL_MESSAGES[params.deferral]
+        print(json.dumps({"deferral": params.deferral}, sort_keys=True) if args.json else message)
         return EXIT_CONDITION_FAILED
     host, divisor = found.candidate.host_prime, found.candidate.divisor_prime
     facts = {
@@ -240,7 +241,7 @@ def _cmd_degrees(args) -> int:
     else:
         shapes = [parse_partition_text(args.partition, args.n)]
     for lam in shapes:
-        deg = degree(lam)
+        deg = degree(lam.runs)
         print(
             f"degree partition={lam.to_literal()}"
             f" decimal={deg.to_decimal()} factored={deg.factored_str()}"

@@ -19,16 +19,10 @@ from operator import mul
 from typing import Sequence
 
 from .factored import FactoredNatural, NotDivisible, _trusted, factorial_factored
-from .partitions import Partition
 
 
-def degree(lam: Partition) -> FactoredNatural:
-    """Character degree of the partition: |lam|! / (product of hooks)."""
-    return runs_degree(lam.runs)
-
-
-def runs_degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
-    """Character degree of the partition with descending runs ``runs``.
+def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
+    """Character degree n! / (product of hooks) of the partition with runs ``runs``.
 
     ``runs`` lists the distinct parts v_1 > ... > v_d with their
     multiplicities m_1 .. m_d; write M_a = m_1 + ... + m_a.  Row group a

@@ -6,10 +6,10 @@ base-r digit of n at a time by Macdonald's theorem (I. G. Macdonald, "On
 the degrees of the irreducible representations of symmetric groups",
 Bull. London Math. Soc. 3, 1971; see
 :func:`blockwitness.blocks.principal_p_prime_partitions`).  Only the core
-(n mod r) is lifted, and each set is certified by its size and the
-distinctness of its members.  :func:`degree_valuation` reads the exponent
-of a prime in a degree off abacus weights, with no hook lengths and
-without :mod:`blockwitness.degrees`.  Its weights come from
+(n mod r) is lifted, and each set is certified by its size, which must
+match a count of multipartitions.  :func:`degree_valuation` reads the
+exponent of a prime in a degree off abacus weights, with no hook lengths
+and without :mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.runner_counts`, the kernel the verifier also
 uses for block membership, which the tests pin against exhaustive rim-hook
 stripping.
@@ -75,7 +75,7 @@ def degree_valuation(lam: Partition, s: int) -> int:
 @lru_cache(maxsize=32)
 def _prime_view(n: int, r: int) -> frozenset[Partition]:
     # B_r = Irr_r'(B_0(S_n)); 32 entries hold every prime <= n for n < 137
-    return frozenset(principal_p_prime_partitions(n, r))
+    return principal_p_prime_partitions(n, r)
 
 
 @lru_cache(maxsize=32)

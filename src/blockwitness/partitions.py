@@ -73,17 +73,14 @@ class Partition:
         return tuple((v, len(list(run))) for v, run in groupby(self.parts))
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        parts = self.parts
-        if not parts:
-            return self
-        out = []
-        rows = len(parts)
-        for col in range(1, parts[0] + 1):
-            while rows > 0 and parts[rows - 1] < col:
-                rows -= 1
-            out.append(rows)
-        return _trusted(tuple(out))
+        """Transpose of the Young diagram, expanded from the runs.
+
+        Run a, m_a parts equal to v_a, becomes v_a - v_{a+1} parts equal to
+        m_1 + ... + m_a, with v_{d+1} = 0; the last run gives the largest.
+        """
+        values = [v for v, _ in self.runs]
+        depths = accumulate(m for _, m in self.runs)
+        return _from_runs(reversed(list(zip(depths, map(sub, values, values[1:] + [0])))))
 
     def is_self_conjugate(self) -> bool:
         # the first column has len(parts) cells and the first row parts[0]
@@ -196,6 +193,13 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     return obj
 
 
+def _from_runs(runs: Iterable[tuple[int, int]]) -> Partition:
+    # the partition with (value, multiplicity) runs of weakly decreasing values >= 1
+    parts: list[int] = []
+    for value, mult in runs:
+        parts += [value] * mult
+    return _trusted(tuple(parts))
+
 
 @dataclass(frozen=True)
 class AscendingSpec:
@@ -254,11 +258,7 @@ class AscendingSpec:
         The blocks were checked on construction (int values >= 1, weakly
         increasing), so the reversed expansion is canonical as it stands.
         """
-        expanded: list[int] = []
-        for value, mult in self.blocks:
-            expanded.extend([value] * mult)
-        expanded.reverse()
-        return _trusted(tuple(expanded))
+        return _from_runs(reversed(self.blocks))
 
     def __str__(self) -> str:
         rendered = []

@@ -1,8 +1,9 @@
 """Character-table summary files: parsing, auditing, and export.
 
-The file format is line oriented UTF-8; ``#`` starts a comment and tokens
-are whitespace separated.  Header directives come first, in any order among
-themselves, followed by one ``char`` row per character:
+The file format is line oriented UTF-8, with lines ended by LF, CR LF or CR
+only (other Unicode line breaks are rejected); ``#`` starts a comment and
+tokens are whitespace separated.  Header directives come first, in any order
+among themselves, followed by one ``char`` row per character:
 
     group <name>
     order <decimal>
@@ -186,15 +187,23 @@ def _add_row(
     rows[row_id] = CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
 
 
+def _line_of(prefix: str) -> int:
+    # number of the line that continues ``prefix``, counting \n, \r\n and \r
+    return prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
+
+
 def parse_table(data: bytes | str) -> CharacterTableSummary:
     """Parse and fully validate a table file; bytes must be UTF-8."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        # number the bad byte's line as splitlines() below would
-        prefix = exc.object[: exc.start].decode("utf-8")
-        line_no = len((prefix + "x").splitlines())
+        line_no = _line_of(exc.object[: exc.start].decode("utf-8"))
         raise ParseError(line_no, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+    # the line breaks of splitlines() below other than \n, \r\n and \r
+    found = [i for i in map(text.find, "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") if i >= 0]
+    if found:
+        stray = min(found)
+        raise ParseError(_line_of(text[:stray]), f"line break U+{ord(text[stray]):04X} inside a line")
     group = trivial = ""
     order = 0
     primes: tuple[int, ...] = ()
@@ -313,7 +322,7 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
         rows.append(
             CharacterRow(
                 id=lam.to_literal(),
-                degree=degree(lam).to_int(),
+                degree=degree(lam.runs).to_int(),
                 flags=tuple(principal_block_contains(lam, p) for p in primes),
             )
         )

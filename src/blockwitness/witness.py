@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .blocks import runs_in_principal_block
-from .degrees import runs_degree
+from .degrees import degree
 from .factored import FactoredNatural, InternalInvariantError
 from .parameters import CaseParameters, derive_case_parameters
 from .partitions import AscendingSpec, NonMonotoneSpec, Partition
@@ -143,17 +143,12 @@ def _ones_then(ones: int, *tail: int) -> AscendingSpec:
         raise InternalInvariantError(f"malformed candidate spec: {exc}") from exc
 
 
-def candidate_list(params: CaseParameters) -> tuple[WitnessCandidate, ...]:
-    """The ordered candidates for the record's active case.
+def candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
+    """The ordered candidates for the record's active case, built one at a time.
 
-    A record with a deferral (n < 9 or m <= 1) gives ``()``; those regimes
+    A record with a deferral (n < 9 or m <= 1) yields none; those regimes
     are covered by other means and carry no candidates.
     """
-    return tuple(_candidates(params))
-
-
-def _candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
-    # the candidates of candidate_list, built one at a time as they are tried
     if params.deferral is not None:
         return
     p, q = params.p, params.q
@@ -238,7 +233,7 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
 
     if not runs_in_principal_block(runs, host):
         return failure(f"outside the principal {host}-block")
-    deg = runs_degree(runs)
+    deg = degree(runs)
     if deg.valuation(host) != 0:
         return failure(f"degree divisible by host prime {host}")
     if deg.valuation(divisor) < 1:
@@ -266,7 +261,7 @@ def _construct(params: CaseParameters) -> Witness | None:
     if params.deferral is not None:
         return None
     failures: list[VerificationFailure] = []
-    for candidate in _candidates(params):
+    for candidate in candidates(params):
         outcome = verify_candidate(candidate, params.n)
         if isinstance(outcome, Witness):
             return outcome

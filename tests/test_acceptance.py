@@ -136,7 +136,7 @@ def test_criterion_6_representation_identities():
     bad_square_sums = [
         n
         for n in range(0, 21)
-        if sum(degree(lam).to_int() ** 2 for lam in partitions_of(n)) != math.factorial(n)
+        if sum(degree(lam.runs).to_int() ** 2 for lam in partitions_of(n)) != math.factorial(n)
     ]
 
     bad_block_counts = []

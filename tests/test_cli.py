@@ -329,7 +329,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     def mistranscribed(params):
         return (WitnessCandidate("I.a", AscendingSpec(((1, params.n - 1), (2, 1))), 3, 2),)
 
-    monkeypatch.setattr(cli_module.witness, "_candidates", mistranscribed)
+    monkeypatch.setattr(cli_module.witness, "candidates", mistranscribed)
     for argv in (
         ("witness", "--n", "9", "--p", "3", "--q", "2"),
         ("scan", "--n-min", "9", "--n-max", "9"),
@@ -406,11 +406,11 @@ def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):
     from blockwitness.witness import WitnessCandidate
 
     # the trivial character has degree 1, so every in-regime record falsifies
-    # the case tree; the five deferred tuples of n = 9 never reach the list
+    # the case tree; the five deferred tuples of n = 9 never reach it
     def trivial_only(params):
         return (WitnessCandidate("I.a", AscendingSpec(((1, 0), (params.n, 1))), 3, 2),)
 
-    monkeypatch.setattr(cli_module.witness, "_candidates", trivial_only)
+    monkeypatch.setattr(cli_module.witness, "candidates", trivial_only)
     code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "9")
     assert code == 3
     assert "internal-error: CaseTreeFalsified: no candidate verified for n=9 p=3 q=2" in out

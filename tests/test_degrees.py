@@ -9,7 +9,7 @@ from blockwitness.degrees import degree
 from blockwitness.factored import FactoredNatural, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of
-from blockwitness.witness import Witness, candidate_list, verify_candidate
+from blockwitness.witness import Witness, candidates, verify_candidate
 
 
 def P(*parts):
@@ -18,18 +18,18 @@ def P(*parts):
 
 def test_degree_examples():
     for n in (1, 4, 12):
-        assert degree(Partition((n,))).to_decimal() == "1"
-    assert degree(P(2, 1)).factors == ((2, 1),)
+        assert degree(Partition((n,)).runs).to_decimal() == "1"
+    assert degree(P(2, 1).runs).factors == ((2, 1),)
     hook_partition = P(2, 1, 1, 1, 1, 1, 1, 1)
     # standard-tableau counting oracle for the n = 9 hook shape
     assert oracle.syt_count(hook_partition.parts) == 8
-    assert degree(hook_partition).factors == ((2, 3),)
+    assert degree(hook_partition.runs).factors == ((2, 3),)
 
 
 def test_degree_matches_tableau_count_small():
     for n in range(0, 9):
         for lam in partitions_of(n):
-            assert degree(lam).to_decimal() == str(oracle.syt_count(lam.parts))
+            assert degree(lam.runs).to_decimal() == str(oracle.syt_count(lam.parts))
 
 
 def test_degree_valuation_examples():
@@ -46,7 +46,7 @@ def test_degree_valuation_examples():
 def test_degree_valuation_agrees_with_full_degree():
     for n in range(0, 16):
         for lam in partitions_of(n):
-            deg = degree(lam)
+            deg = degree(lam.runs)
             for p in (2, 3, 5, 7):
                 v = degree_valuation(lam, p)
                 assert v >= 0
@@ -56,19 +56,19 @@ def test_degree_valuation_agrees_with_full_degree():
 def test_degree_conjugation_invariant():
     for n in range(0, 13):
         for lam in partitions_of(n):
-            assert degree(lam) == degree(lam.conjugate())
+            assert degree(lam.runs) == degree(lam.conjugate().runs)
 
 
 def test_sum_of_squares_identity_small():
     for n in range(0, 15):
-        total = sum(degree(lam).to_int() ** 2 for lam in partitions_of(n))
+        total = sum(degree(lam.runs).to_int() ** 2 for lam in partitions_of(n))
         assert total == math.factorial(n)
 
 
 def test_degree_matches_hook_product_all_partitions():
     for n in range(0, 23):
         for lam in partitions_of(n):
-            assert degree(lam).to_int() == oracle.hook_product_degree(lam.parts), lam
+            assert degree(lam.runs).to_int() == oracle.hook_product_degree(lam.parts), lam
 
 
 def _expected_verdict(parts, n, host, divisor, hook_degree):
@@ -100,10 +100,11 @@ def test_degree_matches_hook_product_on_construction_grid():
             for q in primes:
                 if q >= p:
                     continue
-                for candidate in candidate_list(derive_case_parameters(n, p, q)):
+                for candidate in candidates(derive_case_parameters(n, p, q)):
                     lam = candidate.spec.to_partition()
+                    assert lam.conjugate().parts == oracle.conjugate(lam.parts), lam
                     hook_degree = oracle.hook_product_degree(lam.parts)
-                    assert degree(lam).to_int() == hook_degree, lam
+                    assert degree(lam.runs).to_int() == hook_degree, lam
                     outcome = verify_candidate(candidate, n)
                     assert outcome.partition == lam
                     expected = _expected_verdict(
@@ -120,16 +121,16 @@ def test_degree_matches_hook_product_random_shapes():
     rng = random.Random(20260)
     for n in list(range(0, 301, 7)) + [300] * 20:
         parts = oracle.random_partition(rng, n)
-        assert degree(Partition(parts)).to_int() == oracle.hook_product_degree(parts), parts
+        assert degree(Partition(parts).runs).to_int() == oracle.hook_product_degree(parts), parts
 
 
 def test_degree_edge_shapes():
-    assert degree(Partition(())) == FactoredNatural()
+    assert degree(Partition(()).runs) == FactoredNatural()
     for n in (1, 2, 9, 40):
-        assert degree(Partition((n,))) == FactoredNatural()
-        assert degree(Partition((1,) * n)) == FactoredNatural()
+        assert degree(Partition((n,)).runs) == FactoredNatural()
+        assert degree(Partition((1,) * n).runs) == FactoredNatural()
     for k in (1, 2, 3, 5, 8):
         square = (k,) * k
-        assert degree(Partition(square)).to_int() == oracle.hook_product_degree(square)
+        assert degree(Partition(square).runs).to_int() == oracle.hook_product_degree(square)
     # the 3 x 3 square: 9! / (5 * 4^2 * 3^3 * 2^2 * 1) = 42
-    assert degree(P(3, 3, 3)).factors == ((2, 1), (3, 1), (7, 1))
+    assert degree(P(3, 3, 3).runs).factors == ((2, 1), (3, 1), (7, 1))

@@ -96,7 +96,7 @@ def test_internal_results_are_canonical():
     # results built without re-validation must pass the public constructor
     values = [factor(k) for k in range(1, 400)]
     values += [factorial_factored(k) for k in range(0, 60)]
-    values += [degree(lam) for n in range(0, 13) for lam in partitions_of(n)]
+    values += [degree(lam.runs) for n in range(0, 13) for lam in partitions_of(n)]
     for value in values:
         assert FactoredNatural(value.factors) == value
 

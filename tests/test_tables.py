@@ -102,6 +102,16 @@ def test_missing_order_is_end_of_header_error():
             lambda t: t.replace("primes 2 3", "primes 2 3 3317044064679887385961981"),
             "line 4: too large for an exact primality test",
         ),
+        # a line break other than LF, CR LF or CR would turn comment text into a row
+        (
+            lambda t: t + "# dropped row\u2028char s 2 2:0 3:1\n",
+            "line 10: line break U+2028 inside a line",
+        ),
+        (lambda t: t.replace("group toy", "group\x85toy"), "line 2: line break U+0085"),
+        (
+            lambda t: t.replace("toy\n", "toy\r\n").replace("char r 2", "char r\x0c2"),
+            "line 9: line break U+000C",
+        ),
     ],
 )
 def test_parse_rejections(mutation, fragment):

@@ -11,7 +11,7 @@ from blockwitness.witness import (
     VerificationFailure,
     Witness,
     WitnessCandidate,
-    candidate_list,
+    candidates,
     construct_witness,
     verify_candidate,
 )
@@ -41,13 +41,13 @@ CASE_IDS = (
 
 def test_first_candidates():
     params = derive_case_parameters(9, 3, 2)
-    first = candidate_list(params)[0]
+    first = next(candidates(params))
     assert first.case_id == "I.a"
     assert first.spec.blocks == ((1, 7), (2, 1))
     assert (first.host_prime, first.divisor_prime) == (3, 2)
 
     params10 = derive_case_parameters(10, 5, 2)
-    first10 = candidate_list(params10)[0]
+    first10 = next(candidates(params10))
     assert first10.case_id == "II.a"
     assert first10.spec.blocks == ((1, 7), (3, 1))
 
@@ -57,7 +57,7 @@ def test_guards():
     for (n, p, q), regime in (((11, 7, 5), "abelian-sylow"), ((8, 3, 2), "small-n")):
         params = derive_case_parameters(n, p, q)
         assert params.deferral == regime
-        assert candidate_list(params) == ()
+        assert tuple(candidates(params)) == ()
         assert construct_witness(n, p, q) is None
 
 
@@ -68,7 +68,7 @@ def test_every_candidate_failing_falsifies(monkeypatch):
     def trivial_only(params):
         return (WitnessCandidate("I.a", AscendingSpec(((1, 0), (params.n, 1))), 3, 2),)
 
-    monkeypatch.setattr(witness_module, "_candidates", trivial_only)
+    monkeypatch.setattr(witness_module, "candidates", trivial_only)
     with pytest.raises(CaseTreeFalsified) as info:
         construct_witness(9, 3, 2)
     assert [f.reason for f in info.value.failures] == ["degree not divisible by 2"]
@@ -122,7 +122,7 @@ def test_witness_facts_recompute():
         lam = w.partition
         assert lam.size == n
         assert principal_block_contains(lam, host)
-        deg = degree(lam)
+        deg = degree(lam.runs)
         assert deg == w.degree
         assert deg.valuation(host) == 0
         assert deg.valuation(divisor) >= 1
@@ -134,7 +134,7 @@ def test_case_ids_closed():
         for p, q in prime_pairs(n):
             if n // p <= 1:
                 continue
-            for candidate in candidate_list(derive_case_parameters(n, p, q)):
+            for candidate in candidates(derive_case_parameters(n, p, q)):
                 assert candidate.case_id in CASE_IDS
                 assert {candidate.host_prime, candidate.divisor_prime} == {p, q}
                 assert candidate.spec.total == n
@@ -150,7 +150,7 @@ def test_routing_is_total_and_deterministic():
             in_case_2 = params.r == 0 and params.low_q_part < params.low_p_part
             in_case_3 = params.r == 0 and params.low_q_part > params.low_p_part
             assert in_case_1 + in_case_2 + in_case_3 == 1
-            prefix = candidate_list(params)[0].case_id.split(".")[0]
+            prefix = next(candidates(params)).case_id.split(".")[0]
             assert prefix == ("I", "II", "III")[in_case_2 + 2 * in_case_3]
 
 
@@ -190,15 +190,15 @@ def test_proved_candidates_verify_on_grid():
             if n // p <= 1:
                 continue
             params = derive_case_parameters(n, p, q)
-            candidates = candidate_list(params)
-            ids = [c.case_id for c in candidates]
+            listed = tuple(candidates(params))
+            ids = [c.case_id for c in listed]
             if ids[0] == "I.c" and params.r >= 2:
                 assert ids == ["I.c", "I.c-fallback1"]
             elif ids[0] == "II.c" and q == 2:
                 assert ids[-1] == "II.c-alt-q2"
             else:
                 continue
-            assert isinstance(verify_candidate(candidates[-1], n), Witness), (n, p, q)
+            assert isinstance(verify_candidate(listed[-1], n), Witness), (n, p, q)
             proved[ids[-1]] += 1
     assert proved == {"I.c-fallback1": 1237, "II.c-alt-q2": 152}
 
@@ -207,7 +207,7 @@ def test_deep_case_three_chain():
     # b = p-1 = (q-a1)q^t1 with p | m-1 exercises the entire III.b fallback
     # order; smallest instance found for (p, q) = (11, 5)
     params = derive_case_parameters(2925, 11, 5)
-    ids = [c.case_id for c in candidate_list(params)]
+    ids = [c.case_id for c in candidates(params)]
     assert ids == ["III.b", "III.b-alt1", "III.b-alt2", "III.b-final"]
     w = construct_witness(2925, 11, 5)
     assert w.candidate.case_id == "III.b-final"
@@ -228,7 +228,7 @@ def test_alt_branches_regressions():
 
 def test_falsification_message_lists_each_failure():
     params = derive_case_parameters(9, 3, 2)
-    candidate = candidate_list(params)[0]
+    candidate = next(candidates(params))
     failure = VerificationFailure(
         candidate, candidate.spec.to_partition(), "degree not divisible by 2"
     )
@@ -241,11 +241,11 @@ def test_falsification_message_lists_each_failure():
 
 
 def _generic_outcome(candidate, n):
-    # the four conditions on the built partition, through the abacus and
-    # degree(lam) paths that tables and the oracle use
+    # the four conditions on the built partition, through the Partition-taking
+    # membership test that tables and the oracle use
     lam = candidate.spec.to_partition()
     host, divisor = candidate.host_prime, candidate.divisor_prime
-    deg = degree(lam)
+    deg = degree(lam.runs)
     if not principal_block_contains(lam, host):
         return VerificationFailure(candidate, lam, f"outside the principal {host}-block")
     if deg.valuation(host) != 0:
@@ -258,7 +258,7 @@ def _generic_outcome(candidate, n):
 
 
 def _candidate(n, p, q, case_id):
-    (found,) = [c for c in candidate_list(derive_case_parameters(n, p, q)) if c.case_id == case_id]
+    (found,) = [c for c in candidates(derive_case_parameters(n, p, q)) if c.case_id == case_id]
     return found
 
 
