@@ -32,8 +32,8 @@ SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 # largest n whose partitions `degrees` and `export-table` list one by one,
 # p(60) = 966,467, and whose principal p'-degree sets `verify-c`, `verify-b`
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
-# members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 1 s and
-# 35 MB on one Xeon core), against 185,172,670 at n = 200, p = 17
+# members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 0.7 s and
+# 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17
 ENUMERATION_MAX_N = 60
 
 _DEFERRAL_MESSAGES = {

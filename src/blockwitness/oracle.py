@@ -7,18 +7,19 @@ the degrees of the irreducible representations of symmetric groups",
 Bull. London Math. Soc. 3, 1971; see
 :func:`blockwitness.blocks.principal_p_prime_partitions`).  Only the core
 (n mod r) is lifted, and each set is certified by its size, which must
-match a count of multipartitions.  :func:`degree_valuation` reads the
-exponent of a prime in a degree off abacus weights, with no hook lengths
-and without :mod:`blockwitness.degrees`.  Its weights come from
+match a count of multipartitions.  :func:`divides`, the one predicate on
+degrees, says whether a prime divides one, off abacus weights, with no hook
+lengths and without :mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.runner_counts`, the kernel the verifier also
 uses for block membership, which the tests pin against exhaustive rim-hook
 stripping.
 
 A p-block witness is a member of B_p whose degree q divides, so
-:func:`check_conjC` filters B_p and B_q by the other prime's valuation, and
-conjecture B compares B_p with B_q.  :func:`cross_validate` audits the
-constructor's witness alone and searches the principal sets only when
-there is no witness or the audit fails.  The candidate construction in
+:func:`check_conjC` filters B_p and B_q by that predicate, and conjecture B
+compares B_p with B_q.  :func:`cross_validate` audits the constructor's
+witness alone, and only when there is no witness or the audit fails asks
+whether either side has a witness, through one search per prime that stops
+at its first hit, run once per block.  The candidate construction in
 :mod:`blockwitness.witness` is never consulted, which is exactly what makes
 :func:`cross_validate` meaningful.
 
@@ -38,38 +39,39 @@ from operator import mul
 
 from . import witness as witness_engine
 from .blocks import principal_block_contains, principal_p_prime_partitions
-from .factored import factorial_valuation, primes_up_to
+from .factored import primes_up_to
 from .parameters import check_primes, derive_case_parameters
 from .partitions import Partition, runner_counts
 
 GROUP_KINDS = ("sn", "an")
 
 
-def degree_valuation(lam: Partition, s: int) -> int:
-    """Exponent of the prime ``s`` in the degree of ``lam``, from abacus weights.
+def divides(lam: Partition, s: int) -> bool:
+    """Whether the prime ``s`` divides the degree of ``lam``, from abacus weights.
 
     The hooks of length divisible by e number w_e, the e-weight, so
-    nu_s(f) = nu_s(n!) - sum_{k >= 1} w_{s^k}, over the powers of s up to
-    the largest hook.  On an e-runner abacus the L beads of the beta-set
-    sum to n + L(L - 1)/2, and the e-core packs runner i's c_i beads onto
-    its lowest levels, where they sum to sum i c_i + e (sum c_i^2 - L)/2;
-    each removed e-hook takes e from the bead sum, so w_e is the
-    difference divided by e.
+    nu_s(f) = sum_{e = s^k <= n} (floor(n/e) - w_e), and every term is >= 0
+    because the e-core has n - e w_e cells.  On an e-runner abacus the L
+    beads of the beta-set sum to n + L(L - 1)/2, and the e-core packs runner
+    i's c_i beads onto its lowest levels, where they sum to
+    sum i c_i + e (sum c_i^2 - L)/2; each removed e-hook takes e from the
+    bead sum, so e w_e is the difference.  The first shortfall decides.
     """
     if s < 2:
-        raise ValueError(f"valuation requires a prime s >= 2, got {s}")
+        raise ValueError(f"divisibility by s requires a prime s >= 2, got {s}")
     size, length = lam.size, len(lam.parts)
     beads = size + length * (length - 1) // 2
-    total = factorial_valuation(size, s)
     largest_hook = lam.parts[0] + length - 1 if length else 0
     e = s
     while e <= largest_hook:
         counts = runner_counts(lam.runs, e)
         squares = sum(map(mul, counts, counts))
         packed = sum(map(mul, range(e), counts)) + e * (squares - length) // 2
-        total -= (beads - packed) // e
+        if (beads - packed) // e < size // e:
+            return True
         e *= s
-    return total
+    # no hook is as long as e, so w_e = 0 falls short of floor(n/e) when e <= n
+    return e <= size
 
 
 @lru_cache(maxsize=32)
@@ -81,21 +83,18 @@ def _prime_view(n: int, r: int) -> frozenset[Partition]:
 @lru_cache(maxsize=32)
 def _divided(n: int, r: int, s: int) -> frozenset[Partition]:
     # the members of B_r whose degree s divides, shared by both group kinds
-    return frozenset(lam for lam in _prime_view(n, r) if degree_valuation(lam, s))
+    return frozenset(lam for lam in _prime_view(n, r) if divides(lam, s))
 
 
 @lru_cache(maxsize=32)
 def _scan(n: int, r: int) -> frozenset[int]:
-    # the primes s != r that divide the degree of some member of B_r, in one
-    # pass that values each member only at the primes not yet found
-    left = [s for s in primes_up_to(n) if s != r]
-    found: set[int] = set()
-    for lam in _prime_view(n, r):
-        if not left:
-            break
-        found.update(s for s in left if degree_valuation(lam, s))
-        left = [s for s in left if s not in found]
-    return frozenset(found)
+    # the primes s != r that divide the degree of some member of B_r, each
+    # searched for until its first hit; every triple (n, r, .) reads this one
+    # entry, where a search per triple would put its cost on each of them
+    members = _prime_view(n, r)
+    return frozenset(
+        s for s in primes_up_to(n) if s != r and any(divides(lam, s) for lam in members)
+    )
 
 
 @dataclass(frozen=True)
@@ -159,28 +158,25 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     ``oracle_agrees`` is the audit: the witness lies in the principal block
     of its host prime, the host prime does not divide its degree, and the
     divisor prime does.  ``oracle_condition_holds`` says whether B_p or B_q has a
-    witness at all; it is searched for (:func:`_scan`) only when there is no
-    agreeing witness.  In a deferred regime (n < 9, abelian Sylow) the
+    witness at all; it is read from the per-block searches only when there
+    is no agreeing witness.  In a deferred regime (n < 9, abelian Sylow) the
     constructor gives ``None``, so ``witness``, ``case_id`` and
     ``oracle_agrees`` are ``None`` and ``deferral`` names the regime.  The
     arguments are validated once, by :func:`derive_case_parameters`.
     """
     params = derive_case_parameters(n, p, q)
     found = witness_engine._construct(params)
-    if found is None:
-        return CrossValidation(None, None, params.deferral, None, _exists(n, p, q))
-    lam, candidate = found.partition, found.candidate
-    agrees = (
-        principal_block_contains(lam, candidate.host_prime)
-        and degree_valuation(lam, candidate.host_prime) == 0
-        and degree_valuation(lam, candidate.divisor_prime) >= 1
-    )
-    return CrossValidation(found, candidate.case_id, None, agrees, agrees or _exists(n, p, q))
-
-
-def _exists(n: int, p: int, q: int) -> bool:
-    # some member of B_p has a degree q divides, or some member of B_q one p divides
-    return q in _scan(n, p) or p in _scan(n, q)
+    agrees = None
+    if found is not None:
+        lam, candidate = found.partition, found.candidate
+        agrees = (
+            principal_block_contains(lam, candidate.host_prime)
+            and not divides(lam, candidate.host_prime)
+            and divides(lam, candidate.divisor_prime)
+        )
+    # otherwise a member of B_p whose degree q divides, or one of B_q that p divides
+    holds = bool(agrees) or q in _scan(n, p) or p in _scan(n, q)
+    return CrossValidation(found, found and found.candidate.case_id, params.deferral, agrees, holds)
 
 
 def prime_pairs(n: int) -> list[tuple[int, int]]:

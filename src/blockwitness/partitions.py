@@ -73,20 +73,14 @@ class Partition:
         return tuple((v, len(list(run))) for v, run in groupby(self.parts))
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram, expanded from the runs.
-
-        Run a, m_a parts equal to v_a, becomes v_a - v_{a+1} parts equal to
-        m_1 + ... + m_a, with v_{d+1} = 0; the last run gives the largest.
-        """
-        values = [v for v, _ in self.runs]
-        depths = accumulate(m for _, m in self.runs)
-        return _from_runs(reversed(list(zip(depths, map(sub, values, values[1:] + [0])))))
+        """Transpose of the Young diagram, expanded from its runs."""
+        return _from_runs(_conjugate_runs(self.runs))
 
     def is_self_conjugate(self) -> bool:
         # the first column has len(parts) cells and the first row parts[0]
         if self.parts and len(self.parts) != self.parts[0]:
             return False
-        return self.parts == self.conjugate().parts
+        return self.runs == _conjugate_runs(self.runs)
 
     def beta_set(self, length: int) -> tuple[int, ...]:
         """First-column hook lengths of the partition padded to ``length`` rows.
@@ -191,6 +185,15 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     obj = object.__new__(Partition)
     object.__setattr__(obj, "parts", parts)
     return obj
+
+
+def _conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    # the conjugate's descending runs in O(len(runs)): run a, m_a parts equal to v_a,
+    # becomes v_a - v_{a+1} parts equal to m_1 + ... + m_a, with v_{d+1} = 0; the
+    # last run gives the largest
+    values = [v for v, _ in runs]
+    depths = accumulate(m for _, m in runs)
+    return tuple(reversed(list(zip(depths, map(sub, values, values[1:] + [0])))))
 
 
 def _from_runs(runs: Iterable[tuple[int, int]]) -> Partition:

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 import _all_partitions as every
@@ -9,7 +11,7 @@ from blockwitness.oracle import (
     _prime_view,
     check_conjC,
     cross_validate,
-    degree_valuation,
+    divides,
     prime_pairs,
 )
 from blockwitness.parameters import NotPrime, PrimeExceedsN, derive_case_parameters
@@ -72,6 +74,10 @@ def test_check_conjC_examples():
     assert check_conjC(9, 3, 2, "sn").condition_holds
     assert check_conjC(9, 3, 2, "an").condition_holds
     assert check_conjC(30, 7, 5, "sn").condition_holds
+    # only the q-side filter finds witnesses here
+    q_only = check_conjC(13, 13, 7, "an")
+    assert q_only.condition_holds and q_only.witnesses_p_block == frozenset()
+    assert len(q_only.witnesses_q_block) == 5
 
 
 def test_check_conjC_validation_and_sets():
@@ -198,19 +204,42 @@ def test_principal_view_matches_all_partitions():
             assert _prime_view(n, p) == every.prime_view(n, p)[1], (n, p)
 
 
-def test_degree_valuation_matches_references():
-    # the oracle's closed-form weights against the bead-by-bead abacus
-    # weights and against plain hook-product degrees
+def test_divides_matches_references():
+    # the oracle's early-stopping predicate against the bead-by-bead abacus
+    # valuation and against plain hook-product degrees
     for n in range(0, 21):
         primes = primes_up_to(n)
         for lam in partitions_of(n):
             degree = ref.hook_product_degree(lam.parts)
             for s in primes:
-                got = degree_valuation(lam, s)
-                assert got == every.degree_valuation(lam, s), (lam.parts, s)
-                assert got == ref.padic_valuation(degree, s), (lam.parts, s)
+                got = divides(lam, s)
+                assert got == (every.degree_valuation(lam, s) > 0), (lam.parts, s)
+                assert got == (ref.padic_valuation(degree, s) > 0), (lam.parts, s)
     with pytest.raises(ValueError):
-        degree_valuation(P(3, 1), 1)
+        divides(P(3, 1), 1)
+
+
+def test_existence_search_reads_the_q_side(monkeypatch):
+    # (11, 7, 5) is deferred, so cross_validate searches; with B_7(S_11) cut
+    # to its 3 members whose degree 5 does not divide, only B_5(S_11), where
+    # 11 of 20 members have a degree 7 divides, can hold a witness
+    import blockwitness.oracle as oracle_module
+
+    full = {r: _prime_view(11, r) for r in (5, 7)}
+    kept = {
+        7: frozenset(lam for lam in full[7] if every.degree_valuation(lam, 5) == 0),
+        5: frozenset(lam for lam in full[5] if every.degree_valuation(lam, 7) == 0),
+    }
+    assert (len(kept[7]), len(full[5]), len(full[5]) - len(kept[5])) == (3, 20, 11)
+    views = {7: kept[7], 5: full[5]}
+    monkeypatch.setattr(oracle_module, "_prime_view", lambda n, r: views[r])
+    # a private cache for the per-block searches, so none read or keep the real views
+    scan = lru_cache(maxsize=32)(oracle_module._scan.__wrapped__)
+    monkeypatch.setattr(oracle_module, "_scan", scan)
+    assert cross_validate(11, 7, 5).oracle_condition_holds is True
+    views[5] = kept[5]
+    scan.cache_clear()
+    assert cross_validate(11, 7, 5).oracle_condition_holds is False
 
 
 def test_cross_validate_matches_set_differences():
