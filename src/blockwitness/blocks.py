@@ -5,9 +5,8 @@ p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
 Membership is decided by comparing p-abacus runner counts with those of
 that core, without building the core.  The counts come from the shape's
-runs of equal parts (:func:`blockwitness.partitions.runner_counts`), so a
-witness candidate, which is given by its runs, is tested without its n
-parts.
+runs of equal parts (:func:`blockwitness.partitions.runner_counts`), in
+O(1) steps per run, never per part.
 
 The partitions of p'-degree are generated, not searched for.  With
 n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Sequence
 
 from .factored import InternalInvariantError
 from .partitions import (
@@ -63,14 +61,7 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
     Beta-sets of equal length have the same p-core exactly when their
     runner counts agree, so no core is built.
     """
-    # the cached size and length spare the re-summing of runs_in_principal_block
     return runner_counts(lam.runs, p) == principal_runner_counts(lam.size, p, len(lam.parts))
-
-
-def runs_in_principal_block(runs: Sequence[tuple[int, int]], p: int) -> bool:
-    """:func:`principal_block_contains` for the partition with descending runs ``runs``."""
-    size = sum(value * mult for value, mult in runs)
-    return runner_counts(runs, p) == principal_runner_counts(size, p, sum(m for _, m in runs))
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:

@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .factored import FactoredNatural, NotDivisible, _trusted, factorial_factored
+from .factored import FactoredNatural, NotDivisible, factorial_factored
 
 
 def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
@@ -34,9 +34,8 @@ def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
     trapezoid, four +-1 entries in a second difference array over hook
     lengths; two running sums give ``count[h]``, the number of hooks of
     length h.  The exponent of each prime p <= n is then
-    nu_p(n!) - sum_{k >= 1} #{hooks divisible by p^k}.  The keys are the
-    primes of n!, so the result skips the key checks of the public
-    :class:`FactoredNatural` constructor.
+    nu_p(n!) - sum_{k >= 1} #{hooks divisible by p^k}, and the primes
+    whose exponent drops to 0 are left out.
     """
     values = [v for v, _ in runs]
     heights = [m for _, m in runs]
@@ -66,4 +65,4 @@ def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
             )
         if e:
             factors.append((p, e))
-    return _trusted(tuple(factors))
+    return FactoredNatural(tuple(factors))

@@ -9,6 +9,10 @@ in this package is a degree, n! over the hook product
 non-integral one means a transcription bug that must surface loudly as
 :class:`NotDivisible`.  That error, like every fault of the program itself
 rather than of its input, derives from :class:`InternalInvariantError`.
+
+No value here comes from outside the program: each is built from primes
+found in this package, in increasing order with exponents >= 1, so the
+constructor takes its pairs as given and re-tests none.
 """
 
 from __future__ import annotations
@@ -127,20 +131,6 @@ class FactoredNatural:
 
     factors: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(map(tuple, self.factors)))
-        previous = 1
-        for p, e in self.factors:
-            if type(p) is not int or type(e) is not int:
-                raise TypeError(f"factors must be int pairs, got {(p, e)!r}")
-            if p <= previous:
-                raise ValueError(f"factor keys must be strictly increasing, got {p}")
-            if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise ValueError(f"factor key {p} is not prime")
-            previous = p
-
     def valuation(self, p: int) -> int:
         """Exponent of p, zero when p is absent."""
         for prime, e in self.factors:
@@ -194,7 +184,7 @@ def factor(k: int) -> FactoredNatural:
         d += 1 if d == 2 else 2
     if remaining > 1:
         pairs.append((remaining, 1))
-    return _trusted(tuple(pairs))
+    return FactoredNatural(tuple(pairs))
 
 
 # construct_grid revisits 120 distinct n and a scan visits each n once
@@ -204,12 +194,4 @@ def factorial_factored(k: int) -> FactoredNatural:
     if k < 0:
         raise ValueError(f"factorial of negative {k}")
     # every prime p <= k divides k!, so no exponent is zero
-    return _trusted(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))
-
-
-def _trusted(factors: tuple[tuple[int, int], ...]) -> FactoredNatural:
-    # Fast path for results built here from factors already known canonical:
-    # sorted prime keys with positive int exponents, so no key is re-tested.
-    obj = object.__new__(FactoredNatural)
-    object.__setattr__(obj, "factors", factors)
-    return obj
+    return FactoredNatural(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))

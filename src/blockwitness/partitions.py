@@ -1,9 +1,12 @@
 """Partitions, beta-sets, and abacus runner counts taken from runs of equal parts.
 
 Partitions are kept in one canonical form: a weakly decreasing tuple of
-positive parts.  The ascending block notation used to write down candidate
-partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
-:class:`AscendingSpec` boundary and is normalized on conversion.
+positive parts.  The constructor takes its parts as given; every partition
+built here is canonical by construction, and parts from outside the program
+come in through :meth:`Partition.from_literal` or :class:`AscendingSpec`,
+which check them.  The ascending block notation used to write down
+candidate partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists
+only at the :class:`AscendingSpec` boundary and is normalized on conversion.
 
 Everything about ``e``-cores is read off one kernel, :func:`runner_counts`.
 The beta-set is laid out on ``e`` runners, bead ``beta`` at level
@@ -47,21 +50,9 @@ class LengthTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """A weakly decreasing tuple of positive integer parts."""
+    """A weakly decreasing tuple of positive integer parts, taken unchecked."""
 
     parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        previous = None
-        for a in self.parts:
-            if type(a) is not int:
-                raise TypeError(f"parts must be int, got {a!r}")
-            if a < 1:
-                raise ValueError(f"parts must be positive, got {a}")
-            if previous is not None and a > previous:
-                raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
-            previous = a
 
     @cached_property
     def size(self) -> int:
@@ -71,10 +62,6 @@ class Partition:
     def runs(self) -> tuple[tuple[int, int], ...]:
         """Descending ``(value, multiplicity)`` runs of equal parts."""
         return tuple((v, len(list(run))) for v, run in groupby(self.parts))
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram, expanded from its runs."""
-        return _from_runs(_conjugate_runs(self.runs))
 
     def is_self_conjugate(self) -> bool:
         # the first column has len(parts) cells and the first row parts[0]
@@ -101,13 +88,15 @@ class Partition:
 
     @classmethod
     def from_literal(cls, text: str) -> "Partition":
+        """Parse '[2,1,1]'; parts that are not positive and weakly decreasing raise."""
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"partition literal must look like [a,b,...]: {text!r}")
         inner = body[1:-1].strip()
-        if not inner:
-            return cls(())
-        return cls(tuple(parse_decimal(tok.strip()) for tok in inner.split(",")))
+        parts = tuple(parse_decimal(tok.strip()) for tok in inner.split(",")) if inner else ()
+        if 0 in parts or any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be positive and weakly decreasing: {text!r}")
+        return cls(parts)
 
 
 def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
@@ -176,15 +165,8 @@ def from_core_and_quotients(
             beads.update(i + e * (a + top - j) for j, a in enumerate(parts))
         ordered = sorted(beads, reverse=True)
         parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
-        members.append(_trusted(parts[: len(parts) - parts.count(0)]))
+        members.append(Partition(parts[: len(parts) - parts.count(0)]))
     return members
-
-
-def _trusted(parts: tuple[int, ...]) -> Partition:
-    # Fast path for internally generated sequences already in canonical form.
-    obj = object.__new__(Partition)
-    object.__setattr__(obj, "parts", parts)
-    return obj
 
 
 def _conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -194,14 +176,6 @@ def _conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], .
     values = [v for v, _ in runs]
     depths = accumulate(m for _, m in runs)
     return tuple(reversed(list(zip(depths, map(sub, values, values[1:] + [0])))))
-
-
-def _from_runs(runs: Iterable[tuple[int, int]]) -> Partition:
-    # the partition with (value, multiplicity) runs of weakly decreasing values >= 1
-    parts: list[int] = []
-    for value, mult in runs:
-        parts += [value] * mult
-    return _trusted(tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -259,9 +233,17 @@ class AscendingSpec:
         """Canonical descending partition with the spec's multiset of parts.
 
         The blocks were checked on construction (int values >= 1, weakly
-        increasing), so the reversed expansion is canonical as it stands.
+        increasing), so the expansion of :attr:`runs` is canonical as it
+        stands, and the partition keeps those runs and the spec's total
+        rather than counting them again from its parts.
         """
-        return _from_runs(reversed(self.blocks))
+        runs = self.runs
+        parts: list[int] = []
+        for value, mult in runs:
+            parts += [value] * mult
+        lam = Partition(tuple(parts))
+        vars(lam).update(runs=runs, size=self.total)
+        return lam
 
     def __str__(self) -> str:
         rendered = []
@@ -295,10 +277,10 @@ def partitions_of(n: int) -> Iterator[Partition]:
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n == 0:
-        yield _trusted(())
+        yield Partition(())
         return
     current = (n,)
-    yield _trusted(current)
+    yield Partition(current)
     while True:
         i = len(current) - 1
         while i >= 0 and current[i] == 1:
@@ -311,7 +293,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
             chunk = min(current[-1], freed)
             current = current + (chunk,)
             freed -= chunk
-        yield _trusted(current)
+        yield Partition(current)
 
 
 def parse_partition_text(text: str, size: int) -> Partition:

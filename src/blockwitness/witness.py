@@ -34,13 +34,13 @@ names a tuple (n, p, q) at which the tests see it win:
 
 Candidates are built and tried in this order and each one is verified from
 scratch: block membership, both degree valuations, and self-conjugacy are
-recomputed rather than predicted by side conditions.  The check works on
-the spec's runs of equal parts, at most three here, not on the n parts:
-each run is an interval of beads of the beta-set, which gives its share
-of the abacus runner counts in O(1) steps; the hook counts come from the
-rectangles between the runs; and a shape whose length differs from its
-first part is not self-conjugate.  The partition itself
-is built only for the outcome, the accepted witness or a failure record.
+recomputed rather than predicted by side conditions.  The partition is
+built once, since every outcome records it, and the checks work on its
+runs of equal parts, at most three here, not on its n parts: each run is
+an interval of beads of the beta-set, which gives its share of the abacus
+runner counts in O(1) steps; the hook counts come from the rectangles
+between the runs; and a shape whose length differs from its first part is
+not self-conjugate.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.
 
@@ -80,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .blocks import runs_in_principal_block
+from .blocks import principal_block_contains
 from .degrees import degree
 from .factored import FactoredNatural, InternalInvariantError
 from .parameters import CaseParameters, derive_case_parameters
@@ -214,10 +214,10 @@ def candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
 
 
 def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | VerificationFailure:
-    """Recheck all four witness facts on the candidate's runs.
+    """Recheck all four witness facts on the candidate's partition.
 
-    Membership and the degree are computed from the spec's runs of equal
-    parts; the partition is built only for the outcome record.
+    Every outcome records the partition, so it is built first; membership,
+    the degree and self-conjugacy are all computed from its runs.
     """
     spec = candidate.spec
     if spec.total != n:
@@ -225,22 +225,15 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
             f"candidate {candidate.case_id} spec {spec} sums to"
             f" {spec.total}, expected {n}"
         )
-    runs = spec.runs
-    host, divisor = candidate.host_prime, candidate.divisor_prime
-
-    def failure(reason: str) -> VerificationFailure:
-        return VerificationFailure(candidate, spec.to_partition(), reason)
-
-    if not runs_in_principal_block(runs, host):
-        return failure(f"outside the principal {host}-block")
-    deg = degree(runs)
-    if deg.valuation(host) != 0:
-        return failure(f"degree divisible by host prime {host}")
-    if deg.valuation(divisor) < 1:
-        return failure(f"degree not divisible by {divisor}")
-    # every outcome from here on records the partition; its self-conjugacy
-    # test builds the conjugate only when the length equals the first part
     lam = spec.to_partition()
+    host, divisor = candidate.host_prime, candidate.divisor_prime
+    if not principal_block_contains(lam, host):
+        return VerificationFailure(candidate, lam, f"outside the principal {host}-block")
+    deg = degree(lam.runs)
+    if deg.valuation(host) != 0:
+        return VerificationFailure(candidate, lam, f"degree divisible by host prime {host}")
+    if deg.valuation(divisor) < 1:
+        return VerificationFailure(candidate, lam, f"degree not divisible by {divisor}")
     if lam.is_self_conjugate():
         return VerificationFailure(candidate, lam, "self-conjugate")
     return Witness(candidate=candidate, partition=lam, degree=deg)

@@ -8,7 +8,9 @@ independent references are in ``_oracles.py``.  The abacus weight and the
 p-quotient are read bead by bead here, as references for the library's runs
 kernel and its inverse of the quotient.  :func:`p_prime_degree_partitions`
 runs the library's lift over every p-core, not only the principal one, so
-its count certificate covers all of Irr_p'(S_n).
+its count certificate covers all of Irr_p'(S_n).  :func:`conjugate` expands
+the library's conjugate-runs kernel, the one self-conjugacy reads, to a
+partition for the conjugation checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from functools import lru_cache
 from blockwitness import blocks
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import InternalInvariantError, factorial_valuation
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import Partition, _conjugate_runs, partitions_of
+
+
+def conjugate(lam: Partition) -> Partition:
+    """The transpose of ``lam``, the parts of its conjugate runs."""
+    return Partition(tuple(v for v, m in _conjugate_runs(lam.runs) for _ in range(m)))
 
 
 def weight(lam: Partition, e: int) -> int:

@@ -9,7 +9,7 @@ they check.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 Parts = tuple[int, ...]
 
@@ -167,6 +167,29 @@ def padic_valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
+
+
+def is_canonical_partition(parts, n: int) -> bool:
+    """A tuple of int parts >= 1, weakly decreasing, summing to n."""
+    return (
+        type(parts) is tuple
+        and all(type(a) is int and a >= 1 for a in parts)
+        and all(a >= b for a, b in zip(parts, parts[1:]))
+        and sum(parts) == n
+    )
+
+
+def is_canonical_factorization(factors) -> bool:
+    """A tuple of int (prime, exponent) pairs: keys strictly increasing, exponents >= 1."""
+    return (
+        type(factors) is tuple
+        and all(type(pair) is tuple and list(map(type, pair)) == [int, int] for pair in factors)
+        and all(p < q for (p, _), (q, _) in zip(factors, factors[1:]))
+        and all(
+            e >= 1 and p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+            for p, e in factors
+        )
+    )
 
 
 def random_partition(rng, n: int) -> Parts:

@@ -199,6 +199,12 @@ def test_degrees_table(capsys):
     ]
 
 
+def test_degrees_rejects_a_non_canonical_literal(capsys):
+    code, out, err = invoke(capsys, "degrees", "--n", "3", "--partition", "[1,2]")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage-error: ") and "'[1,2]'" in err
+
+
 def test_degrees_spec_is_sized_before_it_is_expanded(capsys):
     # expanding this spec would build a tuple of 10^11 parts
     code, out, err = invoke(capsys, "degrees", "--n", "5", "--partition", "(1^100000000000)")
@@ -374,9 +380,9 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     # a factorial with every exponent 0 makes each degree quotient non-integral
     import blockwitness.degrees as degrees_module
     from blockwitness.factored import (
+        FactoredNatural,
         InternalInvariantError,
         NotDivisible,
-        _trusted,
         primes_up_to,
     )
 
@@ -384,7 +390,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(
         degrees_module,
         "factorial_factored",
-        lambda k: _trusted(tuple((p, 0) for p in primes_up_to(k))),
+        lambda k: FactoredNatural(tuple((p, 0) for p in primes_up_to(k))),
     )
     code, out, err = invoke(capsys, "witness", "--n", "9", "--p", "3", "--q", "2")
     assert code == 3

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from _all_partitions import p_quotient, weight
+from _all_partitions import conjugate, p_quotient, weight
+from blockwitness.blocks import principal_p_prime_partitions
+from blockwitness.factored import primes_up_to
 from blockwitness.partitions import (
     AscendingSpec,
     LengthTooSmall,
@@ -27,13 +29,14 @@ partitions_strategy = st.lists(
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        P(1, 2)
-    with pytest.raises(ValueError):
-        P(3, 0)
-    for bad in (("1_0", True), (3, True), (3.0,), ("２",)):
-        with pytest.raises(TypeError):
-            Partition(bad)
+    # outside parts enter through the literal; the constructor takes its parts as given
+    for text, size in (("[1,2]", 3), ("[3,0]", 3), ("[2,,1]", 3)):
+        with pytest.raises(ValueError):
+            Partition.from_literal(text)
+        with pytest.raises(ValueError):
+            parse_partition_text(text, size)
+    with pytest.raises(ValueError, match=r"weakly decreasing: '\[1,2\]'"):
+        Partition.from_literal("[1,2]")
     assert P().size == 0
     assert P(3, 1).size == 4
 
@@ -65,10 +68,14 @@ def test_from_ascending_spec_examples():
     )
     assert AscendingSpec(((1, 2), (3, 1), (4, 1))).to_partition().parts == (4, 3, 1, 1)
     assert AscendingSpec(((1, 0), (5, 1))).to_partition().parts == (5,)
-    # built without re-validation, so it must already be canonical
+    # built without a check, so it must already be canonical, and the runs
+    # and size it stores must be the ones its parts give
     for blocks in (((1, 0), (2, 3)), ((1, 3), (1, 2), (4, 2)), ((2, 1), (2, 1), (7, 3))):
-        lam = AscendingSpec(blocks).to_partition()
-        assert Partition(lam.parts) == lam
+        spec = AscendingSpec(blocks)
+        lam = spec.to_partition()
+        assert oracle.is_canonical_partition(lam.parts, spec.total)
+        fresh = Partition(lam.parts)
+        assert (vars(lam)["runs"], vars(lam)["size"]) == (fresh.runs, fresh.size)
 
 
 def test_ascending_spec_rejections():
@@ -97,9 +104,9 @@ def test_ascending_spec_parse_and_str():
 
 
 def test_conjugate_examples():
-    assert P(3, 1).conjugate().parts == (2, 1, 1)
-    assert P(2, 2).conjugate().parts == (2, 2)
-    assert P().conjugate().parts == ()
+    assert conjugate(P(3, 1)).parts == (2, 1, 1)
+    assert conjugate(P(2, 2)).parts == (2, 2)
+    assert conjugate(P()).parts == ()
 
 
 def test_self_conjugate_examples():
@@ -111,14 +118,15 @@ def test_self_conjugate_examples():
 @settings(max_examples=300, derandomize=True)
 @given(partitions_strategy)
 def test_conjugate_involution(lam):
-    assert lam.conjugate().conjugate() == lam
+    assert conjugate(conjugate(lam)) == lam
+    assert conjugate(lam).parts == oracle.conjugate(lam.parts)
 
 
 def test_conjugate_involution_exhaustive():
     for n in range(0, 16):
         for lam in partitions_of(n):
-            assert lam.conjugate().conjugate() == lam
-            assert lam.conjugate().parts == oracle.conjugate(lam.parts)
+            assert conjugate(conjugate(lam)) == lam
+            assert conjugate(lam).parts == oracle.conjugate(lam.parts)
             assert lam.is_self_conjugate() == (lam.parts == oracle.conjugate(lam.parts))
 
 
@@ -127,9 +135,21 @@ def test_conjugate_involution_exhaustive():
 def test_hook_multiset_conjugation_invariant(lam):
     # the e-weights, hooks divisible by e for every e >= 1, fix the hook
     # multiset (Moebius inversion over multiples)
-    conj = lam.conjugate()
+    conj = conjugate(lam)
+    assert conj.parts == oracle.conjugate(lam.parts)
     for e in range(1, lam.size + 1):
         assert weight(lam, e) == weight(conj, e)
+
+
+def test_internal_partitions_are_canonical():
+    # the constructor checks nothing, so every generator's output is checked here
+    for n in range(0, 21):
+        for lam in partitions_of(n):
+            assert oracle.is_canonical_partition(lam.parts, n), lam
+    for n in range(1, 41):
+        for p in primes_up_to(n):
+            for lam in principal_p_prime_partitions(n, p):
+                assert oracle.is_canonical_partition(lam.parts, n), (n, p, lam)
 
 
 def test_beta_set_examples():

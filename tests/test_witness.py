@@ -1,10 +1,11 @@
 import pytest
 
+import _oracles as oracle
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.oracle import prime_pairs
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import AscendingSpec
+from blockwitness.partitions import AscendingSpec, Partition
 from blockwitness.witness import (
     CaseTreeFalsified,
     SpecSumMismatch,
@@ -285,6 +286,22 @@ def test_runs_drop_the_empty_ones_block():
     assert isinstance(outcome, Witness)
     assert outcome.partition.parts == (104, 4)
     assert outcome == _generic_outcome(alt1, 108) == construct_witness(108, 5, 3)
+
+
+def test_candidate_partitions_are_canonical_on_grid():
+    # every candidate the constructor may verify, n <= 128, tried or not: its
+    # partition is built unchecked, and the runs and size it keeps must be
+    # the ones its parts give
+    for n in range(9, 129):
+        for p, q in prime_pairs(n):
+            if n // p <= 1:
+                continue
+            for candidate in candidates(derive_case_parameters(n, p, q)):
+                lam = candidate.spec.to_partition()
+                assert oracle.is_canonical_partition(lam.parts, n), candidate
+                fresh = Partition(lam.parts)
+                kept = (vars(lam)["runs"], vars(lam)["size"])
+                assert kept == (fresh.runs, fresh.size), candidate
 
 
 def test_runs_longer_than_p_and_p_above_length():
