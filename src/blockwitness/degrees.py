@@ -1,24 +1,80 @@
-"""Symmetric-group character degrees from hook-length counts, in factored form.
+"""Symmetric-group character degrees from superfactorial valuations, in factored form.
 
 The degree attached to a partition of n is n! divided by the product of all
 hook lengths of its diagram.  The hooks are never listed cell by cell: the
 diagram splits into rectangles, one per pair of a row group (rows of equal
 length) and a column group (columns of equal length) that meet, and inside
-a rectangle the hook lengths run down by one per step right or down.  So
-each rectangle adds a trapezoid to the count of hooks of each length, and
-the exponent of p in the hook product is the number of hooks divisible by
-p, plus the number divisible by p^2, and so on.  That exponent is taken
-from the exponent of p in n!; a negative difference here is an internal
-bug, never a data condition.
+a rectangle the hook lengths run down by one per step right or down.  A
+rectangle with corner hook c, R rows and C columns has hook product
+
+    sf(c+R+C-2) * sf(c-2) / (sf(c+R-2) * sf(c+C-2)),
+
+where sf(x) = 1! * 2! * ... * x! is the superfactorial (sf(x) = 1 for
+x <= 0), and n! = sf(n) / sf(n-1).
+
+Proof.  The rectangle's count[h] of hooks of length h has second difference
+diff = +1 at c and c+R+C, -1 at c+R and c+C, so
+count[h] = sum_{j <= h} diff[j] (h - j + 1).  As diff has zero sum and zero
+first moment, the same sum over all j is 0, so
+count[h] = sum_{j >= h+2} diff[j] (j - 1 - h), and summing nu_p(h) count[h]
+over h >= 1 gives sum_j diff[j] sum_{h <= j-2} (j - 1 - h) nu_p(h)
+= sum_j diff[j] sum_{i <= j-2} nu_p(i!) = sum_j diff[j] nu_p(sf(j - 2)).  []
+
+So every exponent of a degree is a signed sum of Q_p(m) = nu_p(sf(m)) at
+four points per rectangle and two for n!.  Q_p(m) = sum_{k >= 1}
+G_{p^k}(m + 1), where G_e(N) = sum_{x < N} floor(x / e) = e t(t-1)/2 + t u
+for N = t e + u, since nu_p(i!) = sum_k floor(i / p^k).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+import sys
+from array import array
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate, compress
 from operator import mul
 from typing import Sequence
 
-from .factored import FactoredNatural, NotDivisible, factorial_factored
+from .factored import FactoredNatural, NotDivisible, primes_up_to
+from .partitions import runs_literal
+
+# the primes up to the last sieve bound, in order; _prime_count extends it
+_PRIMES = [2]
+
+
+def _prime_count(m: int) -> int:
+    """Number of primes <= m, extending the prime table to cover m."""
+    if m >= _PRIMES[-1]:
+        # by Bertrand's postulate a prime lies in (m, 2m], so the table ends past m
+        _PRIMES[:] = primes_up_to(2 * m)
+    return bisect_right(_PRIMES, m)
+
+
+# At most 1024 entries, the one for m holding 8 * pi(m) bytes of fields in
+# an int of about 8.5 * pi(m) + 28 bytes: under 1.5 MB while every m <= 1000
+# (pi = 168), and 1024 * (8.5 * pi(M) + 28) bytes for a largest argument M,
+# e.g. 84 MB at M = 10**5.  A scan up to n = 1000 reads m = -1 .. 1000 only.
+@lru_cache(maxsize=1024)
+def _superfactorial_valuations(m: int) -> int:
+    """Q_p(m) = nu_p(1! * 2! * ... * m!) for the primes p <= m, 64 bits each.
+
+    Field i of the int holds Q_p(m) for the i-th prime p (from 0).  The
+    fields are read into the int in one pass, since shifting each into a
+    growing int is quadratic.  They are exact while Q_2(m), about m^2 / 2,
+    is below 2^63 (m below about 4 * 10**9).
+    """
+    count = m + 1
+    fields = array("q")
+    for p in _PRIMES[: _prime_count(m)]:
+        total = 0
+        power = p
+        while power <= m:
+            t, u = divmod(count, power)
+            total += power * t * (t - 1) // 2 + t * u
+            power *= p
+        fields.append(total)
+    return int.from_bytes(fields, sys.byteorder)
 
 
 def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
@@ -28,41 +84,36 @@ def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
     multiplicities m_1 .. m_d; write M_a = m_1 + ... + m_a.  Row group a
     (the m_a rows of length v_a) meets column group b >= a (the
     v_b - v_{b+1} columns of length M_b, with v_{d+1} = 0) in a rectangle
-    whose bottom-right hook is v_a - v_b + M_b - M_a + 1, and the hook at s
-    rows up and t columns left of that corner is larger by s + t.  The
-    number of hooks of each length in one rectangle is therefore a
-    trapezoid, four +-1 entries in a second difference array over hook
-    lengths; two running sums give ``count[h]``, the number of hooks of
-    length h.  The exponent of each prime p <= n is then
-    nu_p(n!) - sum_{k >= 1} #{hooks divisible by p^k}, and the primes
-    whose exponent drops to 0 are left out.
+    with R = m_a rows, C = v_b - v_{b+1} columns and corner hook
+    c = v_a - v_b + M_b - M_a + 1.  The module's identity turns the degree
+    into at most 2 d(d+1) + 2 signed terms Q(m), summed as packed ints and
+    decoded once into pi(n) exponents.  Each true exponent lies in
+    [0, nu_p(n!)], so the decode is exact; a negative exponent, or a sum
+    that does not decode, is a program fault and raises
+    :class:`NotDivisible` naming the lowest prime that went negative.
     """
     values = [v for v, _ in runs]
     heights = [m for _, m in runs]
     n = sum(map(mul, values, heights))
     depths = list(accumulate(heights))
     widths = [v - w for v, w in zip(values, values[1:] + [0])]
-    diff = [0] * (n + 3)
+    sf = _superfactorial_valuations
+    packed = sf(n) - sf(n - 1)
     for a, (v_a, rows, depth_a) in enumerate(zip(values, heights, depths)):
         for v_b, cols, depth_b in zip(values[a:], widths[a:], depths[a:]):
-            corner = v_a - v_b + depth_b - depth_a + 1
-            diff[corner] += 1
-            diff[corner + rows] -= 1
-            diff[corner + cols] -= 1
-            diff[corner + rows + cols] += 1
-    count = list(accumulate(accumulate(diff)))
-    factors = []
-    for p, e in factorial_factored(n).factors:
-        power = p
-        while power <= n:
-            e -= sum(count[power::power])
-            power *= p
-        if e < 0:
-            literal = ",".join(str(v) for v, m in runs for _ in range(m))
-            raise NotDivisible(
-                f"prime {p} divides the hook product of [{literal}] more"
-                f" often than {n}!"
-            )
-        if e:
-            factors.append((p, e))
-    return FactoredNatural(tuple(factors))
+            low = v_a - v_b + depth_b - depth_a - 1  # corner hook - 2
+            packed += sf(low + rows) + sf(low + cols) - sf(low) - sf(low + rows + cols)
+    try:
+        fields = array("q", packed.to_bytes(8 * _prime_count(n), sys.byteorder, signed=True))
+    except OverflowError:
+        raise NotDivisible(
+            f"an exponent of {n}! over the hook product of {runs_literal(runs)}"
+            " is out of range"
+        ) from None
+    if fields and min(fields) < 0:
+        p = next(p for p, e in zip(_PRIMES, fields) if e < 0)
+        raise NotDivisible(
+            f"prime {p} divides the hook product of {runs_literal(runs)}"
+            f" more often than {n}!"
+        )
+    return FactoredNatural(tuple(compress(zip(_PRIMES, fields), fields)))

@@ -187,7 +187,8 @@ def factor(k: int) -> FactoredNatural:
     return FactoredNatural(tuple(pairs))
 
 
-# construct_grid revisits 120 distinct n and a scan visits each n once
+# not read by degrees.degree, which sums packed superfactorial valuations;
+# demos/degree_arithmetic.py prints factorials with it
 @lru_cache(maxsize=256)
 def factorial_factored(k: int) -> FactoredNatural:
     """Factorization of k!, one floor-sum per prime <= k."""

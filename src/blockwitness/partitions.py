@@ -84,7 +84,7 @@ class Partition:
 
     def to_literal(self) -> str:
         """Descending literal, e.g. '[2,1,1]'; '[]' for the empty partition."""
-        return "[" + ",".join(str(a) for a in self.parts) + "]"
+        return runs_literal(self.runs)
 
     @classmethod
     def from_literal(cls, text: str) -> "Partition":
@@ -97,6 +97,15 @@ class Partition:
         if 0 in parts or any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be positive and weakly decreasing: {text!r}")
         return cls(parts)
+
+
+def runs_literal(runs: Sequence[tuple[int, int]]) -> str:
+    """Literal of the partition with descending ``runs``, e.g. '[2,1,1]'.
+
+    Each run is rendered once and repeated, so the cost is one ``str`` per
+    run rather than one per part.
+    """
+    return "[" + ",".join([",".join([str(v)] * m) for v, m in runs]) + "]"
 
 
 def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:

@@ -38,7 +38,7 @@ recomputed rather than predicted by side conditions.  The partition is
 built once, since every outcome records it, and the checks work on its
 runs of equal parts, at most three here, not on its n parts: each run is
 an interval of beads of the beta-set, which gives its share of the abacus
-runner counts in O(1) steps; the hook counts come from the rectangles
+runner counts in O(1) steps; the degree comes from the rectangles
 between the runs; and a shape whose length differs from its first part is
 not self-conjugate.
 A parameter record for which no candidate verifies raises

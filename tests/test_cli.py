@@ -377,21 +377,14 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     )
     monkeypatch.undo()
 
-    # a factorial with every exponent 0 makes each degree quotient non-integral
+    # superfactorial valuations read one place off stand for an off-by-one in
+    # the degree kernel, which makes each degree quotient non-integral
     import blockwitness.degrees as degrees_module
-    from blockwitness.factored import (
-        FactoredNatural,
-        InternalInvariantError,
-        NotDivisible,
-        primes_up_to,
-    )
+    from blockwitness.factored import InternalInvariantError, NotDivisible
 
     assert issubclass(NotDivisible, InternalInvariantError)
-    monkeypatch.setattr(
-        degrees_module,
-        "factorial_factored",
-        lambda k: FactoredNatural(tuple((p, 0) for p in primes_up_to(k))),
-    )
+    shifted = degrees_module._superfactorial_valuations
+    monkeypatch.setattr(degrees_module, "_superfactorial_valuations", lambda m: shifted(m + 1))
     code, out, err = invoke(capsys, "witness", "--n", "9", "--p", "3", "--q", "2")
     assert code == 3
     assert out == (

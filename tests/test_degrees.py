@@ -1,12 +1,15 @@
 import math
 import random
+import sys
+from array import array
 
 import pytest
 
 import _oracles as oracle
 from _all_partitions import conjugate, degree_valuation
+import blockwitness.degrees as degrees_module
 from blockwitness.degrees import degree
-from blockwitness.factored import FactoredNatural, primes_up_to
+from blockwitness.factored import FactoredNatural, NotDivisible, factorial_valuation, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of
 from blockwitness.witness import Witness, candidates, verify_candidate
@@ -66,9 +69,78 @@ def test_sum_of_squares_identity_small():
 
 
 def test_degree_matches_hook_product_all_partitions():
-    for n in range(0, 23):
+    shapes = 0
+    for n in range(0, 26):
         for lam in partitions_of(n):
             assert degree(lam.runs).to_int() == oracle.hook_product_degree(lam.parts), lam
+            shapes += 1
+    assert shapes == 9_296
+
+
+def _fields(packed, count):
+    # the 64-bit fields of a packed value, lowest first
+    return list(array("q", packed.to_bytes(8 * count, sys.byteorder, signed=True)))
+
+
+def test_superfactorial_valuations_match_factorial_sums():
+    # Q_p(m) = nu_p(1! 2! ... m!) for every prime p <= m, one field per prime
+    sf = degrees_module._superfactorial_valuations
+    assert sf(-1) == sf(0) == sf(1) == 0
+    for m in range(0, 301):
+        primes = primes_up_to(m)
+        expected = [sum(factorial_valuation(i, p) for i in range(1, m + 1)) for p in primes]
+        assert _fields(sf(m), len(primes)) == expected, m
+        assert sf(m) < 1 << (64 * len(primes)), m
+
+
+def test_superfactorial_cache_is_bounded():
+    # a process that asks for m = 0..2100 keeps at most 1024 packed values,
+    # and an evicted one comes back equal
+    sf = degrees_module._superfactorial_valuations
+    first = sf(7)
+    for m in range(0, 2101):
+        sf(m)
+    info = sf.cache_info()
+    assert info.maxsize == 1024
+    assert info.currsize <= 1024
+    assert sf(7) == first
+    assert sf.cache_info().misses == info.misses + 1
+
+
+def _planted(monkeypatch, n, delta):
+    # superfactorial valuations with ``delta`` added to the packed value at m = n
+    real = degrees_module._superfactorial_valuations
+    monkeypatch.setattr(
+        degrees_module,
+        "_superfactorial_valuations",
+        lambda m: real(m) + delta if m == n else real(m),
+    )
+
+
+def test_planted_negative_exponent_names_its_prime(monkeypatch):
+    # 9! / hooks of [3,3,3] = 2 * 3 * 7; pull nu_5, then nu_7, down to -1: each
+    # fault names the prime it was planted at, as the primes below it keep theirs
+    lam = P(3, 3, 3)
+    assert degree(lam.runs).factors == ((2, 1), (3, 1), (7, 1))
+    for index, prime, drop in ((2, 5, 1), (3, 7, 2)):
+        with monkeypatch.context() as patch:
+            _planted(patch, 9, -(drop << (64 * index)))
+            with pytest.raises(NotDivisible) as caught:
+                degree(lam.runs)
+        assert str(caught.value) == (
+            f"prime {prime} divides the hook product of [3,3,3] more often than 9!"
+        )
+    # two negative fields: the lower prime is named
+    with monkeypatch.context() as patch:
+        _planted(patch, 9, -(2 << 64) - (2 << 192))
+        with pytest.raises(NotDivisible, match="^prime 3 divides"):
+            degree(lam.runs)
+    # a sum too wide for pi(9) = 4 fields is the same fault
+    with monkeypatch.context() as patch:
+        _planted(patch, 9, 1 << (64 * 4))
+        with pytest.raises(NotDivisible, match=r"hook product of \[3,3,3\] is out of range"):
+            degree(lam.runs)
+    assert degree(lam.runs).factors == ((2, 1), (3, 1), (7, 1))
 
 
 def _expected_verdict(parts, n, host, divisor, hook_degree):

@@ -16,6 +16,7 @@ from blockwitness.partitions import (
     parse_partition_text,
     partitions_of,
     runner_counts,
+    runs_literal,
 )
 
 
@@ -270,6 +271,13 @@ def test_core_and_quotient_round_trip():
 def test_literals():
     assert P(2, 1, 1).to_literal() == "[2,1,1]"
     assert P().to_literal() == "[]"
+    assert runs_literal(((10, 2), (1, 3))) == "[10,10,1,1,1]"
+    # rendered per run, the literal is the per-part one, also for a spec's stored runs
+    for n in range(0, 13):
+        for lam in partitions_of(n):
+            assert lam.to_literal() == "[" + ",".join(map(str, lam.parts)) + "]"
+    lam = AscendingSpec(((1, 0), (2, 3), (5, 1), (5, 2))).to_partition()
+    assert lam.to_literal() == "[5,5,5,2,2,2]"
     assert Partition.from_literal("[2,1,1]") == P(2, 1, 1)
     assert Partition.from_literal("[]") == P()
     with pytest.raises(ValueError):
