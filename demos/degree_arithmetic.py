@@ -10,8 +10,13 @@ whose prime parts are read off instantly.
 import math
 
 from blockwitness.degrees import degree
-from blockwitness.factored import factorial_factored
+from blockwitness.factored import FactoredNatural, factorial_valuation, primes_up_to
 from blockwitness.partitions import Partition, partitions_of
+
+
+def factorial_factored(k):
+    """k! in factored form: every prime p <= k, to the exponent of p in k!."""
+    return FactoredNatural(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))
 
 
 def main():

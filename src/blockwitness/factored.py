@@ -186,13 +186,3 @@ def factor(k: int) -> FactoredNatural:
         pairs.append((remaining, 1))
     return FactoredNatural(tuple(pairs))
 
-
-# not read by degrees.degree, which sums packed superfactorial valuations;
-# demos/degree_arithmetic.py prints factorials with it
-@lru_cache(maxsize=256)
-def factorial_factored(k: int) -> FactoredNatural:
-    """Factorization of k!, one floor-sum per prime <= k."""
-    if k < 0:
-        raise ValueError(f"factorial of negative {k}")
-    # every prime p <= k divides k!, so no exponent is zero
-    return FactoredNatural(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))

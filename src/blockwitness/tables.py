@@ -27,6 +27,8 @@ input carried by ``sylow_commute`` lines, never computed here.  Verdicts on
 tables marked incomplete are downgraded to ``indeterminate`` whenever the
 missing rows could overturn them; facts witnessed by listed rows (a
 non-trivial intersection, unequal sets, a cross-divisible degree) survive.
+Each distinct flag tail (a row's tokens after its degree) is checked once per
+table; its flags are remembered for that table, at most one entry per row.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class AuditFinding:
 
 _HEADER_DIRECTIVES = ("group", "order", "primes", "trivial", "complete")
 _RawSylow = list[tuple[int, list[str]]]  # (line, tokens after the directive)
+_Checked = dict[tuple[str, ...], tuple[bool, ...]]  # flag tail accepted -> its flags
 
 # the header directives that take exactly one token, with their arity error
 _SINGLE_TOKEN = {
@@ -157,9 +160,10 @@ def _close_header(
 
 
 def _add_row(
-    line_no: int, tokens: list[str], primes: tuple[int, ...], rows: dict[str, CharacterRow]
+    line_no: int, tokens: list[str], primes: tuple[int, ...], rows: dict[str, CharacterRow],
+    checked: _Checked,
 ) -> None:
-    """Parse one ``char`` line and add its row to ``rows``, keyed by id."""
+    """Parse one ``char`` line into ``rows``, checking only a flag tail not in ``checked``."""
     if len(tokens) < 3:
         raise ParseError(line_no, "char row needs an id and a degree")
     row_id = tokens[1]
@@ -168,23 +172,27 @@ def _add_row(
     degree_value = _parse_int(line_no, tokens[2], "degree")
     if degree_value < 1:
         raise ParseError(line_no, f"degree must be positive, got {degree_value}")
-    flag_map: dict[int, bool] = {}
-    for token in tokens[3:]:
-        if ":" not in token:
-            raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
-        prime_text, bit_text = token.split(":", 1)
-        p = _parse_int(line_no, prime_text, "flag prime")
-        if p not in primes:
-            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
-        if p in flag_map:
-            raise ParseError(line_no, f"duplicate flag for prime {p}", token)
-        if bit_text not in ("0", "1"):
-            raise ParseError(line_no, "flag value must be 0 or 1", token)
-        flag_map[p] = bit_text == "1"
-    missing = [p for p in primes if p not in flag_map]
-    if missing:
-        raise ParseError(line_no, f"row is missing flags for primes {missing}")
-    rows[row_id] = CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
+    tail = tuple(tokens[3:])
+    flags = checked.get(tail)
+    if flags is None:
+        flag_map: dict[int, bool] = {}
+        for token in tail:
+            if ":" not in token:
+                raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
+            prime_text, bit_text = token.split(":", 1)
+            p = _parse_int(line_no, prime_text, "flag prime")
+            if p not in primes:
+                raise ParseError(line_no, f"flag prime {p} not in header primes", token)
+            if p in flag_map:
+                raise ParseError(line_no, f"duplicate flag for prime {p}", token)
+            if bit_text not in ("0", "1"):
+                raise ParseError(line_no, "flag value must be 0 or 1", token)
+            flag_map[p] = bit_text == "1"
+        missing = [p for p in primes if p not in flag_map]
+        if missing:
+            raise ParseError(line_no, f"row is missing flags for primes {missing}")
+        flags = checked[tail] = tuple(flag_map[p] for p in primes)
+    rows[row_id] = CharacterRow(row_id, degree_value, flags)
 
 
 def _line_of(prefix: str) -> int:
@@ -212,6 +220,7 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     sylow_raw: _RawSylow = []
     sylow: tuple[tuple[int, int, bool], ...] | None = None  # set when the header closes
     rows: dict[str, CharacterRow] = {}
+    checked: _Checked = {}  # at most one entry per row, dropped on return
     last_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -223,7 +232,7 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
         if directive == "char":
             if sylow is None:
                 sylow = _close_header(line_no, lines, order, primes, sylow_raw)
-            _add_row(line_no, tokens, primes, rows)
+            _add_row(line_no, tokens, primes, rows, checked)
             continue
         if sylow is not None:
             raise ParseError(line_no, f"directive '{directive}' after char rows")

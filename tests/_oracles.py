@@ -169,6 +169,12 @@ def padic_valuation(x: int, p: int) -> int:
     return v
 
 
+def factorial_factors(k: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of k!, dividing the integer k! by each prime <= k."""
+    primes = [d for d in range(2, k + 1) if all(d % e for e in range(2, isqrt(d) + 1))]
+    return tuple((p, padic_valuation(factorial(k), p)) for p in primes)
+
+
 def is_canonical_partition(parts, n: int) -> bool:
     """A tuple of int parts >= 1, weakly decreasing, summing to n."""
     return (

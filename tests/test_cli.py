@@ -305,6 +305,18 @@ def test_check_table_parse_error(capsys, tmp_path):
     assert "parse-error" in err and "order" in err
 
 
+def test_check_table_bad_flag_on_last_row(capsys, tmp_path):
+    # 5,000 good rows on two flag tails, then a bad bit on the last row
+    rows = [f"char c{i} 1 {'2:0 3:1' if i % 2 else '3:0 2:1'}" for i in range(5000)]
+    lines = ["group g", "order 6", "primes 2 3", "trivial e", "complete false", "char e 1 2:1 3:1"]
+    lines += rows + ["char last 1 2:1 3:2"]
+    path = tmp_path / "long.table"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, "check-table", str(path), "--conjecture", "b")
+    assert code == 2 and out == ""
+    assert err == "parse-error: line 5007: flag value must be 0 or 1 (token '3:2')\n"
+
+
 def test_check_table_missing_file(capsys):
     code, _, err = invoke(capsys, "check-table", "/no/such/file", "--conjecture", "a")
     assert code == 2

@@ -9,7 +9,6 @@ from blockwitness.degrees import degree
 from blockwitness.factored import (
     FactoredNatural,
     factor,
-    factorial_factored,
     factorial_valuation,
     is_prime,
     primes_up_to,
@@ -42,18 +41,18 @@ def test_valuation_examples():
 
 
 def test_factorial_examples():
-    assert factorial_factored(0) == fn({})
-    assert factorial_factored(4) == fn({2: 3, 3: 1})
+    assert FactoredNatural(oracle.factorial_factors(0)) == fn({})
+    assert FactoredNatural(oracle.factorial_factors(4)) == fn({2: 3, 3: 1})
     # direct product oracle 1..10
-    assert factorial_factored(10) == factor(math.prod(range(1, 11)))
-    assert factorial_factored(10).factors == ((2, 8), (3, 4), (5, 2), (7, 1))
+    assert FactoredNatural(oracle.factorial_factors(10)) == factor(math.prod(range(1, 11)))
+    assert oracle.factorial_factors(10) == ((2, 8), (3, 4), (5, 2), (7, 1))
 
 
 def test_to_decimal_examples():
     assert fn({}).to_decimal() == "1"
     assert fn({2: 2, 3: 1}).to_decimal() == "12"
-    assert factorial_factored(12).to_decimal() == str(math.prod(range(1, 13)))
-    assert factorial_factored(12).to_decimal() == "479001600"
+    assert FactoredNatural(oracle.factorial_factors(12)).to_decimal() == str(math.prod(range(1, 13)))
+    assert FactoredNatural(oracle.factorial_factors(12)).to_decimal() == "479001600"
     # beyond the interpreter's 4300-digit int/str limit
     assert fn({2: 5000, 5: 5000}).to_decimal() == "1" + "0" * 5000
 
@@ -81,7 +80,6 @@ def test_is_prime_beyond_trial_division():
 def test_internal_results_are_canonical():
     # the constructor checks nothing, so every producer's output is checked here
     values = [factor(k) for k in range(1, 400)]
-    values += [factorial_factored(k) for k in range(0, 60)]
     values += [degree(lam.runs) for n in range(0, 13) for lam in partitions_of(n)]
     for value in values:
         assert oracle.is_canonical_factorization(value.factors), value
@@ -108,23 +106,14 @@ def test_legendre_consistency_up_to_200():
     running = 1
     for k in range(1, 201):
         running *= k
-        assert factorial_factored(k).to_int() == running
+        assert math.prod(p ** factorial_valuation(k, p) for p in primes_up_to(k)) == running
 
 
 def test_factorial_valuation_matches_factorization():
     for k in (0, 1, 7, 30, 97):
+        reference = FactoredNatural(oracle.factorial_factors(k))
         for p in (2, 3, 5, 13):
-            assert factorial_valuation(k, p) == factorial_factored(k).valuation(p)
-
-
-def test_factorial_cache_is_bounded():
-    # a process that sees n = 1..400 keeps at most 256 factorials, and an
-    # evicted one comes back unchanged
-    first = factorial_factored(1).factors
-    for k in range(1, 401):
-        factorial_factored(k)
-    assert factorial_factored.cache_info().currsize <= 256
-    assert factorial_factored(1).factors == first
+            assert factorial_valuation(k, p) == reference.valuation(p)
 
 
 def test_primes_up_to():

@@ -1,9 +1,12 @@
 import math
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockwitness import tables
+from blockwitness.factored import primes_up_to
 from blockwitness.oracle import check_conjC
 from blockwitness.parameters import NotPrime, PrimeExceedsN
 from blockwitness.tables import (
@@ -160,6 +163,126 @@ def test_parser_fuzz(data):
     except ParseError:
         return
     assert parse_table(serialize_table(summary)) == summary
+
+
+def reference_add_row(line_no, tokens, primes, rows, checked):
+    """The row parser that checks every flag token of every row; ``checked`` is unused."""
+    if len(tokens) < 3:
+        raise ParseError(line_no, "char row needs an id and a degree")
+    row_id = tokens[1]
+    if row_id in rows:
+        raise ParseError(line_no, "duplicate character id", row_id)
+    degree_value = tables._parse_int(line_no, tokens[2], "degree")
+    if degree_value < 1:
+        raise ParseError(line_no, f"degree must be positive, got {degree_value}")
+    flag_map: dict[int, bool] = {}
+    for token in tokens[3:]:
+        if ":" not in token:
+            raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
+        prime_text, bit_text = token.split(":", 1)
+        p = tables._parse_int(line_no, prime_text, "flag prime")
+        if p not in primes:
+            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
+        if p in flag_map:
+            raise ParseError(line_no, f"duplicate flag for prime {p}", token)
+        if bit_text not in ("0", "1"):
+            raise ParseError(line_no, "flag value must be 0 or 1", token)
+        flag_map[p] = bit_text == "1"
+    missing = [p for p in primes if p not in flag_map]
+    if missing:
+        raise ParseError(line_no, f"row is missing flags for primes {missing}")
+    rows[row_id] = CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
+
+
+def parse_outcome(data):
+    """The summary ``parse_table`` returns, or the line and text of its ParseError."""
+    try:
+        return parse_table(data)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def reference_outcome(data):
+    with mock.patch.object(tables, "_add_row", reference_add_row):
+        return parse_outcome(data)
+
+
+# each maps a well-formed flag token "<p>:<b>" to the tokens put in its place
+TOKEN_EDITS = {
+    "leading zero": lambda t: ["0" + t],  # valid, but not canonical
+    "duplicate prime": lambda t: [t, t[:-1] + ("1" if t.endswith("0") else "0")],
+    "repeated token": lambda t: [t, t],
+    "missing prime": lambda t: [],
+    "bad bit": lambda t: [t[:-1] + "x"],
+    "long bit": lambda t: [t + "1"],
+    "prime not in header": lambda t: ["11" + t[t.index(":"):]],
+    "not a prime": lambda t: ["4" + t[t.index(":"):]],
+    "no colon": lambda t: [t.replace(":", "")],
+    "signed prime": lambda t: ["+" + t],
+}
+
+
+@st.composite
+def flag_tail(draw, primes):
+    """A row's flag tokens: every header prime once, in any order, up to two of them edited."""
+    tokens = [f"{p}:{int(draw(st.booleans()))}" for p in primes]
+    tokens = list(draw(st.permutations(tokens)))
+    edited = draw(st.sets(st.sampled_from(range(len(tokens))), max_size=2))
+    for i in sorted(edited, reverse=True):  # from the right, so each edit sees a plain token
+        tokens[i:i + 1] = TOKEN_EDITS[draw(st.sampled_from(sorted(TOKEN_EDITS)))](tokens[i])
+    return " ".join(tokens)
+
+
+@st.composite
+def repeating_table(draw):
+    """A table whose rows draw their flag tails from a few, valid or corrupted."""
+    primes = draw(st.permutations(sorted(draw(st.sets(st.sampled_from((2, 3, 5, 7)), min_size=1)))))
+    pool = draw(st.lists(flag_tail(primes), min_size=1, max_size=5))
+    good = " ".join(f"{p}:{int(draw(st.booleans()))}" for p in primes)
+    lines = [
+        "group g",
+        f"order {math.prod(primes)}",
+        "primes " + " ".join(map(str, primes)),
+        "trivial e",
+        "complete false",
+        "char e 1 " + " ".join(f"{p}:1" for p in primes),
+    ]
+    # a run of good rows, so that a bad tail can come after many of them
+    lines += [f"char g{i} 2 {good}" for i in range(draw(st.integers(min_value=0, max_value=300)))]
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=30))
+    lines += [f"char r{i} {i + 1} {pool[k]}" for i, k in enumerate(picks)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(repeating_table())
+def test_parse_matches_the_per_token_reference(text):
+    assert parse_outcome(text) == reference_outcome(text)
+
+
+def test_exports_parse_as_the_reference_does():
+    for n in range(1, 23):
+        summary = build_sn_summary(n, primes_up_to(n))
+        data = serialize_table(summary)
+        assert parse_outcome(data) == reference_outcome(data) == summary
+
+
+def test_repeated_flag_tails():
+    # rows with one tail share its checked flags; a valid tail spelled another
+    # way is checked on its own and gives the same flags
+    text = MINIMAL + "char s 2 2:0 3:1\nchar t 2 3:1 2:0\nchar u 2 02:0 3:1\n"
+    rows = parse_table(text).rows
+    assert rows[1].flags is rows[2].flags
+    assert rows[3].flags == rows[4].flags == rows[1].flags == (False, True)
+    # the duplicate check runs before the bit check, on a new tail as before
+    with pytest.raises(ParseError) as err:
+        parse_table(MINIMAL + "char x 5 2:1 2:x\n")
+    assert str(err.value) == "line 10: duplicate flag for prime 2 (token '2:x')"
+    # a bad tail on two rows is reported at the first of them
+    with pytest.raises(ParseError) as err:
+        parse_table(MINIMAL + "char x 5 2:1 3:x\nchar y 5 2:1 3:x\n")
+    assert err.value.line == 10
+    assert str(err.value) == "line 10: flag value must be 0 or 1 (token '3:x')"
 
 
 def test_parse_error_carries_line_number():
