@@ -16,7 +16,9 @@ from blockwitness.partitions import Partition, partitions_of, runner_counts
 
 def show_abacus(lam: Partition, p: int) -> None:
     length = -(-len(lam.parts) // p) * p
-    beta = lam.beta_set(length)
+    # bead i is part i plus the number of parts below it, zeros padding to `length`
+    padded = lam.parts + (0,) * (length - len(lam.parts))
+    beta = tuple(a + length - 1 - i for i, a in enumerate(padded))
     print(f"  partition {lam.to_literal()}, p = {p}")
     print(f"  beta-set (length {length}): {beta}")
     quotient = []

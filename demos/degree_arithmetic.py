@@ -10,13 +10,18 @@ whose prime parts are read off instantly.
 import math
 
 from blockwitness.degrees import degree
-from blockwitness.factored import FactoredNatural, factorial_valuation, primes_up_to
+from blockwitness.factored import FactoredNatural, primes_up_to
 from blockwitness.partitions import Partition, partitions_of
 
 
 def factorial_factored(k):
-    """k! in factored form: every prime p <= k, to the exponent of p in k!."""
-    return FactoredNatural(tuple((p, factorial_valuation(k, p)) for p in primes_up_to(k)))
+    """k! in factored form: each prime p <= k to the power floor(k/p) + floor(k/p^2) + ...
+
+    p^i > k once i reaches the bit length of k, so later terms are 0.
+    """
+    return FactoredNatural(
+        tuple((p, sum(k // p**i for i in range(1, k.bit_length()))) for p in primes_up_to(k))
+    )
 
 
 def main():

@@ -29,13 +29,7 @@ from functools import lru_cache
 from math import prod
 
 from .factored import InternalInvariantError
-from .partitions import (
-    LengthTooSmall,
-    Partition,
-    from_core_and_quotients,
-    partitions_of,
-    runner_counts,
-)
+from .partitions import Partition, from_core_and_quotients, partitions_of, runner_counts
 
 
 def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
@@ -47,7 +41,7 @@ def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
     b = n % p
     core_parts = 1 if b else 0
     if length < core_parts:
-        raise LengthTooSmall(f"beta-set length {length} < {core_parts} parts")
+        raise ValueError(f"beta-set length {length} < {core_parts} parts")
     # beads 0 .. length - 2 fill every runner to `level`, the first `extra` once more
     level, extra = divmod(length - 1, p)
     counts = [level + 1] * extra + [level] * (p - extra)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import oracle, tables, witness
 from .factored import InternalInvariantError, parse_decimal, primes_up_to
-from .parameters import derive_case_parameters
+from .parameters import CaseParameters, derive_case_parameters
 from .partitions import Partition, parse_partition_text, partitions_of
 from .degrees import degree
 
@@ -191,7 +191,8 @@ def _cmd_scan(args) -> int:
                     deferral, found = cv.deferral, cv.witness
                     agrees, holds = cv.oracle_agrees, cv.oracle_condition_holds
                 else:
-                    params = derive_case_parameters(n, p, q)
+                    # prime_pairs yields primes q < p <= n, so nothing is left to check
+                    params = CaseParameters(n, p, q)
                     deferral = params.deferral
                     found = witness._construct(params)
             except InternalInvariantError as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, compress
 from operator import mul
@@ -38,18 +37,6 @@ from typing import Sequence
 
 from .factored import FactoredNatural, NotDivisible, primes_up_to
 from .partitions import runs_literal
-
-# the primes up to the last sieve bound, in order; _prime_count extends it
-_PRIMES = [2]
-
-
-def _prime_count(m: int) -> int:
-    """Number of primes <= m, extending the prime table to cover m."""
-    if m >= _PRIMES[-1]:
-        # by Bertrand's postulate a prime lies in (m, 2m], so the table ends past m
-        _PRIMES[:] = primes_up_to(2 * m)
-    return bisect_right(_PRIMES, m)
-
 
 # At most 1024 entries, the one for m holding 8 * pi(m) bytes of fields in
 # an int of about 8.5 * pi(m) + 28 bytes: under 1.5 MB while every m <= 1000
@@ -59,14 +46,14 @@ def _prime_count(m: int) -> int:
 def _superfactorial_valuations(m: int) -> int:
     """Q_p(m) = nu_p(1! * 2! * ... * m!) for the primes p <= m, 64 bits each.
 
-    Field i of the int holds Q_p(m) for the i-th prime p (from 0).  The
-    fields are read into the int in one pass, since shifting each into a
-    growing int is quadratic.  They are exact while Q_2(m), about m^2 / 2,
+    Field i holds Q_p(m) for the i-th prime p (from 0) of :func:`primes_up_to`.
+    The fields are read into the int in one pass, since shifting each into
+    a growing int is quadratic.  They are exact while Q_2(m), about m^2 / 2,
     is below 2^63 (m below about 4 * 10**9).
     """
     count = m + 1
     fields = array("q")
-    for p in _PRIMES[: _prime_count(m)]:
+    for p in primes_up_to(m):
         total = 0
         power = p
         while power <= m:
@@ -103,17 +90,18 @@ def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
         for v_b, cols, depth_b in zip(values[a:], widths[a:], depths[a:]):
             low = v_a - v_b + depth_b - depth_a - 1  # corner hook - 2
             packed += sf(low + rows) + sf(low + cols) - sf(low) - sf(low + rows + cols)
+    primes = primes_up_to(n)
     try:
-        fields = array("q", packed.to_bytes(8 * _prime_count(n), sys.byteorder, signed=True))
+        fields = array("q", packed.to_bytes(8 * len(primes), sys.byteorder, signed=True))
     except OverflowError:
         raise NotDivisible(
             f"an exponent of {n}! over the hook product of {runs_literal(runs)}"
             " is out of range"
         ) from None
     if fields and min(fields) < 0:
-        p = next(p for p, e in zip(_PRIMES, fields) if e < 0)
+        p = next(p for p, e in zip(primes, fields) if e < 0)
         raise NotDivisible(
             f"prime {p} divides the hook product of {runs_literal(runs)}"
             f" more often than {n}!"
         )
-    return FactoredNatural(tuple(compress(zip(_PRIMES, fields), fields)))
+    return FactoredNatural(tuple(compress(zip(primes, fields), fields)))

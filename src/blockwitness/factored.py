@@ -18,6 +18,7 @@ constructor takes its pairs as given and re-tests none.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -74,16 +75,25 @@ def is_prime(k: int) -> bool:
     return True
 
 
+# the primes up to the last sieve bound, in order; primes_up_to extends it
+_PRIMES = [2]
+
+
 def primes_up_to(k: int) -> list[int]:
-    """All primes <= k, by sieve."""
-    if k < 2:
-        return []
-    sieve = bytearray([1]) * (k + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(k) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    """All primes <= k, in increasing order, as a new list.
+
+    Each is a slice of one table.  When k reaches the table's last prime
+    it is sieved again up to 2k, which by Bertrand's postulate holds a
+    prime above k.
+    """
+    if k >= _PRIMES[-1]:
+        sieve = bytearray([1]) * (2 * k + 1)
+        sieve[0] = sieve[1] = 0
+        for p in range(2, isqrt(2 * k) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+        _PRIMES[:] = [i for i, flag in enumerate(sieve) if flag]
+    return _PRIMES[: bisect_right(_PRIMES, k)]
 
 
 class DigitLimitExceeded(ValueError):
@@ -109,16 +119,6 @@ def parse_decimal(text: str) -> int:
             f"integer of {len(text)} digits exceeds the"
             f" {sys.get_int_max_str_digits()}-digit limit"
         ) from None
-
-
-def factorial_valuation(k: int, p: int) -> int:
-    """Exponent of p in k!, by the floor-sum formula."""
-    total = 0
-    power = p
-    while power <= k:
-        total += k // power
-        power *= p
-    return total
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ Bull. London Math. Soc. 3, 1971; see
 match a count of multipartitions.  :func:`divides`, the one predicate on
 degrees, says whether a prime divides one, off abacus weights, with no hook
 lengths and without :mod:`blockwitness.degrees`.  Its weights come from
-:func:`blockwitness.partitions.runner_counts`, the kernel the verifier also
-uses for block membership, which the tests pin against exhaustive rim-hook
-stripping.
+:func:`blockwitness.partitions.weight`, on the runner counts the verifier
+also uses for block membership, which the tests pin against exhaustive
+rim-hook stripping.
 
 A p-block witness is a member of B_p whose degree q divides, so
 :func:`check_conjC` filters B_p and B_q by that predicate, and conjecture B
@@ -35,13 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from . import witness as witness_engine
 from .blocks import principal_block_contains, principal_p_prime_partitions
 from .factored import primes_up_to
 from .parameters import check_primes, derive_case_parameters
-from .partitions import Partition, runner_counts
+from .partitions import Partition, weight
 
 GROUP_KINDS = ("sn", "an")
 
@@ -49,25 +48,18 @@ GROUP_KINDS = ("sn", "an")
 def divides(lam: Partition, s: int) -> bool:
     """Whether the prime ``s`` divides the degree of ``lam``, from abacus weights.
 
-    The hooks of length divisible by e number w_e, the e-weight, so
+    The hooks of length divisible by e number w_e, the e-weight
+    (:func:`blockwitness.partitions.weight`), so
     nu_s(f) = sum_{e = s^k <= n} (floor(n/e) - w_e), and every term is >= 0
-    because the e-core has n - e w_e cells.  On an e-runner abacus the L
-    beads of the beta-set sum to n + L(L - 1)/2, and the e-core packs runner
-    i's c_i beads onto its lowest levels, where they sum to
-    sum i c_i + e (sum c_i^2 - L)/2; each removed e-hook takes e from the
-    bead sum, so e w_e is the difference.  The first shortfall decides.
+    because the e-core has n - e w_e cells.  The first shortfall decides.
     """
     if s < 2:
         raise ValueError(f"divisibility by s requires a prime s >= 2, got {s}")
-    size, length = lam.size, len(lam.parts)
-    beads = size + length * (length - 1) // 2
-    largest_hook = lam.parts[0] + length - 1 if length else 0
+    size = lam.size
+    largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
     e = s
     while e <= largest_hook:
-        counts = runner_counts(lam.runs, e)
-        squares = sum(map(mul, counts, counts))
-        packed = sum(map(mul, range(e), counts)) + e * (squares - length) // 2
-        if (beads - packed) // e < size // e:
+        if weight(lam, e) < size // e:
             return True
         e *= s
     # no hook is as long as e, so w_e = 0 falls short of floor(n/e) when e <= n

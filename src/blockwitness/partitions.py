@@ -1,4 +1,4 @@
-"""Partitions, beta-sets, and abacus runner counts taken from runs of equal parts.
+"""Partitions and the abacus runner counts taken from their runs of equal parts.
 
 Partitions are kept in one canonical form: a weakly decreasing tuple of
 positive parts.  The constructor takes its parts as given; every partition
@@ -8,17 +8,18 @@ which check them.  The ascending block notation used to write down
 candidate partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists
 only at the :class:`AscendingSpec` boundary and is normalized on conversion.
 
-Everything about ``e``-cores is read off one kernel, :func:`runner_counts`.
-The beta-set is laid out on ``e`` runners, bead ``beta`` at level
-``beta // e`` of runner ``beta % e``, and removing a rim hook of length
-``e`` moves one bead from level ``l`` to a free level ``l - 1`` of its
-runner (James and Kerber, *The Representation Theory of the Symmetric
-Group*, 1981, section 2.7).  So the ``e``-core is the configuration with
-each runner's ``c_i`` beads packed onto levels ``0 .. c_i - 1``, and two
-beta-sets of equal length have the same ``e``-core exactly when their
-runner counts ``c_0 .. c_{e-1}`` agree.  The kernel takes the counts from
-a partition's runs of equal parts, each an interval of beads, so it costs
-O(1) per run and never visits a bead.
+Everything about ``e``-cores is read off one kernel, :func:`runner_counts`,
+and no beta-set is listed.  The beta-set is laid out on ``e`` runners, bead
+``beta`` at level ``beta // e`` of runner ``beta % e``, and removing a rim
+hook of length ``e`` moves one bead from level ``l`` to a free level
+``l - 1`` of its runner (James and Kerber, *The Representation Theory of
+the Symmetric Group*, 1981, section 2.7).  So the ``e``-core is the
+configuration with each runner's ``c_i`` beads packed onto levels
+``0 .. c_i - 1``, and two beta-sets of equal length have the same ``e``-core
+exactly when their runner counts ``c_0 .. c_{e-1}`` agree.  The kernel takes
+the counts from a partition's runs of equal parts, each an interval of
+beads, so it costs O(1) per run and never visits a bead; :func:`weight`
+reads the ``e``-weight off the counts in closed form.
 
 No core is built.  A partition is compared with a core through that core's
 runner counts at the partition's length (see
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
-from operator import add, sub
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .factored import parse_decimal
@@ -42,10 +43,6 @@ from .factored import parse_decimal
 
 class NonMonotoneSpec(ValueError):
     """An ascending block spec is malformed (decreasing values, bad counts)."""
-
-
-class LengthTooSmall(ValueError):
-    """A beta-set length smaller than the number of parts was requested."""
 
 
 @dataclass(frozen=True)
@@ -68,19 +65,6 @@ class Partition:
         if self.parts and len(self.parts) != self.parts[0]:
             return False
         return self.runs == _conjugate_runs(self.runs)
-
-    def beta_set(self, length: int) -> tuple[int, ...]:
-        """First-column hook lengths of the partition padded to ``length`` rows.
-
-        Returns the strictly decreasing sequence ``parts[i] + length - 1 - i``
-        with the partition padded by zeros.
-        """
-        if length < len(self.parts):
-            raise LengthTooSmall(
-                f"beta-set length {length} < {len(self.parts)} parts"
-            )
-        padded = self.parts + (0,) * (length - len(self.parts))
-        return tuple(map(add, padded, range(length - 1, -1, -1)))
 
     def to_literal(self) -> str:
         """Descending literal, e.g. '[2,1,1]'; '[]' for the empty partition."""
@@ -136,6 +120,20 @@ def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
     return [rounds + c for c in accumulate(diff)]
 
 
+def weight(lam: Partition, e: int) -> int:
+    """The ``e``-weight of ``lam``: the ``e``-hooks removed on the way to its ``e``-core.
+
+    The L beads of the beta-set sum to n + L(L - 1)/2.  The ``e``-core packs
+    runner i's c_i beads onto its lowest levels, where they sum to
+    sum i c_i + e (sum c_i^2 - L)/2, the least bead sum of any layout with
+    those runner counts; each removed ``e``-hook takes e from the bead sum.
+    """
+    length = len(lam.parts)
+    counts = runner_counts(lam.runs, e)
+    packed = sum(map(mul, range(e), counts)) + e * (sum(map(mul, counts, counts)) - length) // 2
+    return (lam.size + length * (length - 1) // 2 - packed) // e
+
+
 def from_core_and_quotients(
     core: Partition, quotients: Iterable[Sequence[Partition]], e: int
 ) -> list[Partition]:
@@ -146,19 +144,19 @@ def from_core_and_quotients(
     i.  A quotient moves the top len(mu_i) beads of runner i to the levels
     of the beta-set of its component mu_i of length c_i + lift, where
     ``lift`` full rows of beads under the core let every runner hold the
-    parts of its component.  The core is checked, and its counts and bead
-    sets taken, once for all its quotients.  A ``core`` with an ``e``-hook,
-    or a quotient without ``e`` components, raises ``ValueError``.
+    parts of its component.  The core is checked (its ``e``-weight is 0) and
+    its counts taken once for all its quotients, and each lift's packed beads
+    are laid from the counts.  A ``core`` with an ``e``-hook, or a quotient
+    without ``e`` components, raises ``ValueError``.
     """
     if e < 2:
         raise ValueError(f"quotient requires e >= 2, got {e}")
+    if weight(core, e):
+        raise ValueError(f"{core.to_literal()} is not a {e}-core")
     length = -(-len(core.parts) // e) * e
     counts = runner_counts(core.runs + ((0, length - len(core.parts)),), e)
-    packed = {i + e * level for i, c in enumerate(counts) for level in range(c)}
-    if set(core.beta_set(length)) != packed:
-        raise ValueError(f"{core.to_literal()} is not a {e}-core")
-    # bases[lift]: the core's beads under `lift` more full rows
-    bases = {0: packed}
+    # bases[lift]: the core's packed beads under `lift` more full rows
+    bases: dict[int, set[int]] = {}
     members = []
     for quotient in quotients:
         if len(quotient) != e:
@@ -166,7 +164,7 @@ def from_core_and_quotients(
         placed = [(i, mu.parts) for i, mu in enumerate(quotient) if mu.parts]
         lift = max([0] + [len(parts) - counts[i] for i, parts in placed])
         if lift not in bases:
-            bases[lift] = set(core.beta_set(length + lift * e))
+            bases[lift] = {i + e * level for i, c in enumerate(counts) for level in range(c + lift)}
         beads = bases[lift].copy()
         for i, parts in placed:
             top = counts[i] + lift - 1

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from _oracles import beta_set, factorial_valuation
 from blockwitness import blocks
 from blockwitness.blocks import principal_block_contains
-from blockwitness.factored import InternalInvariantError, factorial_valuation
+from blockwitness.factored import InternalInvariantError
 from blockwitness.partitions import Partition, _conjugate_runs, partitions_of
 
 
@@ -39,7 +40,7 @@ def weight(lam: Partition, e: int) -> int:
         raise ValueError(f"an abacus needs e >= 1 runners, got {e}")
     counts = [0] * e
     total = 0
-    for bead in lam.beta_set(len(lam.parts)):
+    for bead in beta_set(lam.parts, len(lam.parts)):
         level, runner = divmod(bead, e)
         total += level - counts[runner]
         counts[runner] += 1
@@ -54,7 +55,7 @@ def p_quotient(lam: Partition, p: int) -> tuple[Partition, ...]:
     """
     length = -(-len(lam.parts) // p) * p
     rows: list[list[int]] = [[] for _ in range(p)]
-    for bead in lam.beta_set(length):
+    for bead in beta_set(lam.parts, length):
         level, runner = divmod(bead, p)
         rows[runner].append(level)
     components = []

@@ -123,6 +123,28 @@ def exhaustive_cores(parts: Parts, p: int) -> frozenset[Parts]:
     return frozenset(result)
 
 
+def beta_set(parts: Parts, length: int) -> Parts:
+    """First-column hook lengths of ``parts`` padded by zeros to ``length`` rows.
+
+    The strictly decreasing ``parts[i] + length - 1 - i``, listed bead by
+    bead; a length below the number of parts raises ``ValueError``.
+    """
+    if length < len(parts):
+        raise ValueError(f"beta-set length {length} < {len(parts)} parts")
+    padded = parts + (0,) * (length - len(parts))
+    return tuple(a + length - 1 - i for i, a in enumerate(padded))
+
+
+def factorial_valuation(k: int, p: int) -> int:
+    """Exponent of p in k!, by the floor-sum formula."""
+    total = 0
+    power = p
+    while power <= k:
+        total += k // power
+        power *= p
+    return total
+
+
 def residue_counts(beads, e: int) -> list[int]:
     """How many beads fall in each residue class mod e, tallied bead by bead."""
     counts = [0] * e

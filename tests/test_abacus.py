@@ -1,17 +1,23 @@
 """The abacus against the independent references in ``_oracles``.
 
-Weights are checked against hook counts, runner-count membership against
-all-orders rim-hook stripping, and the
+Weights are checked against hook counts and the bead-by-bead reference,
+runner-count membership against all-orders rim-hook stripping, and the
 weight-based degree valuation against the hook-length formula.
 """
 
 import pytest
 
 import _oracles as oracle
-from _all_partitions import degree_valuation, weight
-from blockwitness.blocks import principal_block_contains
-from blockwitness.factored import factorial_valuation, primes_up_to
-from blockwitness.partitions import Partition, partitions_of, runner_counts
+from _all_partitions import degree_valuation, p_quotient, weight
+from blockwitness import partitions
+from blockwitness.blocks import _multipartitions, principal_block_contains
+from blockwitness.factored import primes_up_to
+from blockwitness.partitions import (
+    Partition,
+    from_core_and_quotients,
+    partitions_of,
+    runner_counts,
+)
 
 
 def test_weight_counts_hooks_divisible_by_e():
@@ -20,6 +26,30 @@ def test_weight_counts_hooks_divisible_by_e():
             hooks = oracle.hooks(lam.parts)
             for e in range(2, n + 3):
                 assert weight(lam, e) == sum(1 for h in hooks if h % e == 0)
+
+
+def test_closed_form_weight_matches_bead_by_bead():
+    # the library reads the weight off runner counts, the reference walks every bead
+    for n in range(0, 23):
+        for lam in partitions_of(n):
+            for e in range(1, n + 3):
+                assert partitions.weight(lam, e) == weight(lam, e), (lam, e)
+
+
+def test_core_check_is_weight_zero():
+    # the assembler refuses exactly the cores with an e-hook, prime e or not,
+    # and lays each lift's beads from the core's runner counts
+    for e in (2, 3, 4, 5, 6, 9):
+        quotients = _multipartitions(e, 2)
+        for m in range(0, 12):
+            for mu in partitions_of(m):
+                if weight(mu, e):
+                    with pytest.raises(ValueError, match=f"is not a {e}-core"):
+                        from_core_and_quotients(mu, quotients, e)
+                    continue
+                members = from_core_and_quotients(mu, quotients, e)
+                assert [p_quotient(lam, e) for lam in members] == list(quotients), (mu, e)
+                assert all(lam.size == m + 2 * e for lam in members)
 
 
 def test_runner_count_membership_matches_exhaustive_cores():
@@ -38,7 +68,8 @@ def test_weight_valuation_matches_hook_formula():
         for lam in partitions_of(n):
             hooks = oracle.hooks(lam.parts)
             for p in primes_up_to(n):
-                expected = factorial_valuation(n, p) - sum(oracle.padic_valuation(h, p) for h in hooks)
+                in_hooks = sum(oracle.padic_valuation(h, p) for h in hooks)
+                expected = oracle.factorial_valuation(n, p) - in_hooks
                 assert degree_valuation(lam, p) == expected
 
 

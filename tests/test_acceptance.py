@@ -154,7 +154,7 @@ def test_criterion_6_representation_identities():
             for p in (2, 3, 5, 7):
                 cores = oracle_helpers.exhaustive_cores(lam.parts, p)
                 if len(cores) != 1 or runner_counts(lam.runs, p) != oracle_helpers.residue_counts(
-                    Partition(next(iter(cores))).beta_set(len(lam.parts)), p
+                    oracle_helpers.beta_set(next(iter(cores)), len(lam.parts)), p
                 ):
                     bad_cores.append((lam.parts, p))
 

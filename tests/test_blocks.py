@@ -11,7 +11,7 @@ from blockwitness.blocks import (
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
 from blockwitness.oracle import _prime_view
-from blockwitness.partitions import LengthTooSmall, Partition, partitions_of
+from blockwitness.partitions import Partition, partitions_of
 
 
 def P(*parts):
@@ -28,11 +28,11 @@ def test_principal_runner_counts_closed_form():
         for e in range(2, n + 3):
             core = P(n % e) if n % e else P()
             for length in range(len(core.parts), n + 4):
-                expected = oracle.residue_counts(core.beta_set(length), e)
+                expected = oracle.residue_counts(oracle.beta_set(core.parts, length), e)
                 assert principal_runner_counts(n, e, length) == expected, (n, e, length)
-    with pytest.raises(LengthTooSmall):
+    with pytest.raises(ValueError, match=r"^beta-set length 0 < 1 parts$"):
         principal_runner_counts(10, 3, 0)
-    with pytest.raises(LengthTooSmall):
+    with pytest.raises(ValueError, match=r"^beta-set length -1 < 0 parts$"):
         principal_runner_counts(9, 3, -1)
 
 

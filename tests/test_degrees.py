@@ -9,7 +9,7 @@ import _oracles as oracle
 from _all_partitions import conjugate, degree_valuation
 import blockwitness.degrees as degrees_module
 from blockwitness.degrees import degree
-from blockwitness.factored import FactoredNatural, NotDivisible, factorial_valuation, primes_up_to
+from blockwitness.factored import FactoredNatural, NotDivisible, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of
 from blockwitness.witness import Witness, candidates, verify_candidate
@@ -88,7 +88,7 @@ def test_superfactorial_valuations_match_factorial_sums():
     assert sf(-1) == sf(0) == sf(1) == 0
     for m in range(0, 301):
         primes = primes_up_to(m)
-        expected = [sum(factorial_valuation(i, p) for i in range(1, m + 1)) for p in primes]
+        expected = [sum(oracle.factorial_valuation(i, p) for i in range(1, m + 1)) for p in primes]
         assert _fields(sf(m), len(primes)) == expected, m
         assert sf(m) < 1 << (64 * len(primes)), m
 

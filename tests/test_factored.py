@@ -9,7 +9,6 @@ from blockwitness.degrees import degree
 from blockwitness.factored import (
     FactoredNatural,
     factor,
-    factorial_valuation,
     is_prime,
     primes_up_to,
 )
@@ -106,14 +105,38 @@ def test_legendre_consistency_up_to_200():
     running = 1
     for k in range(1, 201):
         running *= k
-        assert math.prod(p ** factorial_valuation(k, p) for p in primes_up_to(k)) == running
+        assert math.prod(p ** oracle.factorial_valuation(k, p) for p in primes_up_to(k)) == running
 
 
 def test_factorial_valuation_matches_factorization():
     for k in (0, 1, 7, 30, 97):
         reference = FactoredNatural(oracle.factorial_factors(k))
         for p in (2, 3, 5, 13):
-            assert factorial_valuation(k, p) == reference.valuation(p)
+            assert oracle.factorial_valuation(k, p) == reference.valuation(p)
+
+
+def test_one_prime_table(monkeypatch):
+    # every call slices one table, re-sieved to 2k when k reaches its last prime;
+    # the list returned is the caller's own, and 9000 reads the part of the
+    # table that the sieve for 5000 laid down past 5000
+    import blockwitness.factored as factored_module
+
+    monkeypatch.setattr(factored_module, "_PRIMES", [2])
+
+    def trial_division(k):
+        return [d for d in range(2, k + 1) if all(d % f for f in range(2, math.isqrt(d) + 1))]
+
+    for k in (1000, 10, 0, 1, 2, 5000, 997, 9000):
+        expected = trial_division(k)
+        primes = primes_up_to(k)
+        assert primes == expected, k
+        primes.append(4)
+        assert primes_up_to(k) == expected, k
+    assert factored_module._PRIMES[-1] > 5000
+    # degrees take their field order from the same table, grown past 5000 now
+    for n in range(0, 13):
+        for lam in partitions_of(n):
+            assert degree(lam.runs).to_int() == oracle.hook_product_degree(lam.parts), lam
 
 
 def test_primes_up_to():

@@ -9,7 +9,6 @@ from blockwitness.blocks import principal_p_prime_partitions
 from blockwitness.factored import primes_up_to
 from blockwitness.partitions import (
     AscendingSpec,
-    LengthTooSmall,
     NonMonotoneSpec,
     Partition,
     from_core_and_quotients,
@@ -154,11 +153,11 @@ def test_internal_partitions_are_canonical():
 
 
 def test_beta_set_examples():
-    assert P(2, 1).beta_set(2) == (3, 1)
-    assert P(2, 1).beta_set(3) == (4, 2, 0)
-    assert P().beta_set(3) == (2, 1, 0)
-    with pytest.raises(LengthTooSmall):
-        P(2, 1).beta_set(1)
+    assert oracle.beta_set((2, 1), 2) == (3, 1)
+    assert oracle.beta_set((2, 1), 3) == (4, 2, 0)
+    assert oracle.beta_set((), 3) == (2, 1, 0)
+    with pytest.raises(ValueError, match="beta-set length 1 < 2 parts"):
+        oracle.beta_set((2, 1), 1)
 
 
 def test_beta_set_strictly_decreasing():
@@ -166,7 +165,7 @@ def test_beta_set_strictly_decreasing():
     for _ in range(200):
         lam = Partition(oracle.random_partition(rng, rng.randint(0, 25)))
         length = len(lam.parts) + rng.randint(0, 5)
-        beta = lam.beta_set(length)
+        beta = oracle.beta_set(lam.parts, length)
         assert all(a > b for a, b in zip(beta, beta[1:]))
 
 
@@ -176,7 +175,7 @@ def test_p_core_examples():
         assert oracle.exhaustive_cores(parts, p) == frozenset({core})
         lam = Partition(parts)
         assert runner_counts(lam.runs, p) == oracle.residue_counts(
-            Partition(core).beta_set(len(parts)), p
+            oracle.beta_set(core, len(parts)), p
         )
 
 
@@ -187,11 +186,12 @@ def test_p_core_matches_exhaustive_stripping():
                 cores = oracle.exhaustive_cores(lam.parts, p)
                 assert len(cores) == 1, f"order-dependent core for {lam.parts}, p={p}"
                 core = Partition(next(iter(cores)))
-                expected = oracle.residue_counts(core.beta_set(len(lam.parts)), p)
+                expected = oracle.residue_counts(oracle.beta_set(core.parts, len(lam.parts)), p)
                 assert runner_counts(lam.runs, p) == expected
                 # a trailing run of value 0 pads the beta-set by that many beads
                 for k in range(p + 1):
-                    padded = oracle.residue_counts(lam.beta_set(len(lam.parts) + k), p)
+                    beads = oracle.beta_set(lam.parts, len(lam.parts) + k)
+                    padded = oracle.residue_counts(beads, p)
                     assert runner_counts(lam.runs + ((0, k),), p) == padded, (lam, p, k)
 
 
@@ -204,10 +204,12 @@ def test_p_core_properties():
         (core,) = oracle.exhaustive_cores(lam.parts, p)
         core = Partition(core)
         assert runner_counts(core.runs, p) == oracle.residue_counts(
-            core.beta_set(len(core.parts)), p
+            oracle.beta_set(core.parts, len(core.parts)), p
         )
         assert weight(core, p) == 0
-        assert runner_counts(lam.runs, p) == oracle.residue_counts(core.beta_set(len(lam.parts)), p)
+        assert runner_counts(lam.runs, p) == oracle.residue_counts(
+            oracle.beta_set(core.parts, len(lam.parts)), p
+        )
         assert lam.size == core.size + p * weight(lam, p)
 
 
@@ -254,7 +256,7 @@ def test_core_and_quotient_round_trip():
                 for lam, components in zip(members, quotients):
                     assert p_quotient(lam, e) == components, (core, components, e)
                     assert runner_counts(lam.runs, e) == oracle.residue_counts(
-                        core.beta_set(len(lam.parts)), e
+                        oracle.beta_set(core.parts, len(lam.parts)), e
                     )
                     assert weight(lam, e) == size
                     assert lam.size == core.size + e * size
