@@ -5,11 +5,13 @@ down its runner removes one rim hook of length p.  The packed configuration
 is the p-core, so the number of beads on each runner decides the core, and
 the number of notches slid is the p-weight.  The per-runner bead patterns
 form the p-quotient.  The principal p-block of S_n collects the partitions
-whose p-core is (n mod p); membership compares runner counts with that
-core's, and no core is built.
+whose p-core is (n mod p); membership compares the first differences of the
+runner counts (the runner steps) with that core's, and no core is built.
 """
 
-from blockwitness.blocks import principal_block_contains, principal_runner_counts
+from itertools import accumulate
+
+from blockwitness.blocks import principal_block_contains, principal_runner_steps
 from blockwitness.oracle import check_conjC
 from blockwitness.partitions import Partition, partitions_of, runner_counts
 
@@ -29,7 +31,7 @@ def show_abacus(lam: Partition, p: int) -> None:
         parts = [row - (len(rows) - 1 - i) for i, row in enumerate(rows)]
         quotient.append(Partition(tuple(a for a in parts if a > 0)))
     counts = runner_counts(lam.runs, p)
-    principal = principal_runner_counts(lam.size, p, len(lam.parts))
+    principal = list(accumulate(principal_runner_steps(lam.size, p, len(lam.parts))))
     print(f"  runner counts (length {len(lam.parts)}): {counts},"
           f" principal core's: {principal}")
     # sliding a bead one notch down its runner removes one p-hook and one

@@ -3,10 +3,11 @@
 Two characters lie in the same p-block exactly when their partitions share a
 p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
-Membership is decided by comparing p-abacus runner counts with those of
-that core, without building the core.  The counts come from the shape's
-runs of equal parts (:func:`blockwitness.partitions.runner_counts`), in
-O(1) steps per run, never per part.
+Membership is decided by comparing p-abacus runner steps, the first
+differences of the runner counts, with those of that core, without building
+the core.  The steps come from the shape's runs of equal parts
+(:func:`blockwitness.partitions.runner_steps`), in O(1) work per run, never
+per part, and the core's from a closed form that sets at most four entries.
 
 The partitions of p'-degree are generated, not searched for.  With
 n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
@@ -29,33 +30,42 @@ from functools import lru_cache
 from math import prod
 
 from .factored import InternalInvariantError
-from .partitions import Partition, from_core_and_quotients, partitions_of, runner_counts
+from .partitions import Partition, from_core_and_quotients, partitions_of, runner_steps
 
 
-def principal_runner_counts(n: int, p: int, length: int) -> list[int]:
-    """p-abacus runner counts of the principal core's beta-set of ``length``.
+def principal_runner_steps(n: int, p: int, length: int) -> list[int]:
+    """p-abacus runner steps of the principal core's beta-set of ``length``.
 
     The beta-set of the core (b), b = n mod p, is {0, .., length - 2} together
-    with b + length - 1, so the counts follow without building the core.
+    with b + length - 1, so the steps (see
+    :func:`blockwitness.partitions.runner_steps`) follow without building the
+    core.  Beads 0 .. length - 2 fill every runner to ``level`` and the first
+    ``extra`` once more: runner 0 holds level + [extra > 0] and the step at
+    ``extra`` is -1, which lands on runner 0 when extra is 0.  The top bead
+    adds one on runner t: +1 at t and -1 after it.
     """
     b = n % p
     core_parts = 1 if b else 0
     if length < core_parts:
         raise ValueError(f"beta-set length {length} < {core_parts} parts")
-    # beads 0 .. length - 2 fill every runner to `level`, the first `extra` once more
     level, extra = divmod(length - 1, p)
-    counts = [level + 1] * extra + [level] * (p - extra)
-    counts[(b + length - 1) % p] += 1
-    return counts
+    steps = [0] * p
+    steps[0] = level + 1
+    steps[extra] -= 1
+    t = (b + length - 1) % p
+    steps[t] += 1
+    if t + 1 < p:
+        steps[t + 1] -= 1
+    return steps
 
 
 def principal_block_contains(lam: Partition, p: int) -> bool:
     """Is the p-core of ``lam`` the principal one?
 
     Beta-sets of equal length have the same p-core exactly when their
-    runner counts agree, so no core is built.
+    runner steps agree, so no core is built and no count is summed.
     """
-    return runner_counts(lam.runs, p) == principal_runner_counts(lam.size, p, len(lam.parts))
+    return runner_steps(lam.runs, p) == principal_runner_steps(lam.size, p, len(lam.parts))
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:

@@ -10,9 +10,10 @@ Bull. London Math. Soc. 3, 1971; see
 match a count of multipartitions.  :func:`divides`, the one predicate on
 degrees, says whether a prime divides one, off abacus weights, with no hook
 lengths and without :mod:`blockwitness.degrees`.  Its weights come from
-:func:`blockwitness.partitions.weight`, on the runner counts the verifier
-also uses for block membership, which the tests pin against exhaustive
-rim-hook stripping.
+:func:`blockwitness.partitions.weight`, on abacus runner counts that the
+tests pin against exhaustive rim-hook stripping.  The witness audit reads
+block membership from cell contents instead (:func:`in_principal_block`),
+so the verifier's membership kernel decides no audited fact.
 
 A p-block witness is a member of B_p whose degree q divides, so
 :func:`check_conjC` filters B_p and B_q by that predicate, and conjecture B
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import witness as witness_engine
-from .blocks import principal_block_contains, principal_p_prime_partitions
+from .blocks import principal_p_prime_partitions
 from .factored import primes_up_to
 from .parameters import check_primes, derive_case_parameters
 from .partitions import Partition, weight
@@ -64,6 +66,35 @@ def divides(lam: Partition, s: int) -> bool:
         e *= s
     # no hook is as long as e, so w_e = 0 falls short of floor(n/e) when e <= n
     return e <= size
+
+
+def in_principal_block(lam: Partition, p: int) -> bool:
+    """Whether ``lam`` lies in the principal p-block, from cell contents mod p.
+
+    Partitions of n share a p-core exactly when their cells have the same
+    multiset of contents (column - row) mod p (James and Kerber 1981, 2.7),
+    and the core (b) of n = wp + b has one cell of each residue t < b, so
+    the test is that residue t counts w + [t < b].  Row r of length v has
+    v // p cells of every residue and its first v mod p cells at contents
+    -r, .., v mod p - r - 1.  In a run of m rows, m // p full turns of the
+    row starts add v mod p more to every residue, and the first cells of
+    its top m mod p rows form a cyclic trapezoid: four +-1 entries in a
+    second-difference array of length 3p, folded mod p after two running
+    sums.  No abacus is read, so the verifier's kernel decides nothing here.
+    """
+    w, b = divmod(lam.size, p)
+    flat = row = 0
+    second = [0] * (3 * p)
+    for value, mult in lam.runs:
+        full, cells = divmod(value, p)
+        turns, rows = divmod(mult, p)
+        flat += mult * full + turns * cells
+        start = (1 - row - rows) % p  # the lowest row start, -(row + rows - 1)
+        for offset, sign in ((0, 1), (rows, -1), (cells, -1), (rows + cells, 1)):
+            second[start + offset] += sign
+        row += mult
+    tally = list(accumulate(accumulate(second)))
+    return [flat + sum(tally[t::p]) for t in range(p)] == [w + (t < b) for t in range(p)]
 
 
 @lru_cache(maxsize=32)
@@ -148,10 +179,11 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     """Run the constructor and audit its witness without the case tree.
 
     ``oracle_agrees`` is the audit: the witness lies in the principal block
-    of its host prime, the host prime does not divide its degree, and the
-    divisor prime does.  ``oracle_condition_holds`` says whether B_p or B_q has a
-    witness at all; it is read from the per-block searches only when there
-    is no agreeing witness.  In a deferred regime (n < 9, abelian Sylow) the
+    of its host prime (by :func:`in_principal_block`), the host prime does
+    not divide its degree, and the divisor prime does.
+    ``oracle_condition_holds`` says whether B_p or B_q has a witness at all;
+    it is read from the per-block searches only when there is no agreeing
+    witness.  In a deferred regime (n < 9, abelian Sylow) the
     constructor gives ``None``, so ``witness``, ``case_id`` and
     ``oracle_agrees`` are ``None`` and ``deferral`` names the regime.  The
     arguments are validated once, by :func:`derive_case_parameters`.
@@ -162,7 +194,7 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     if found is not None:
         lam, candidate = found.partition, found.candidate
         agrees = (
-            principal_block_contains(lam, candidate.host_prime)
+            in_principal_block(lam, candidate.host_prime)
             and not divides(lam, candidate.host_prime)
             and divides(lam, candidate.divisor_prime)
         )

@@ -8,7 +8,7 @@ which check them.  The ascending block notation used to write down
 candidate partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists
 only at the :class:`AscendingSpec` boundary and is normalized on conversion.
 
-Everything about ``e``-cores is read off one kernel, :func:`runner_counts`,
+Everything about ``e``-cores is read off one kernel, :func:`runner_steps`,
 and no beta-set is listed.  The beta-set is laid out on ``e`` runners, bead
 ``beta`` at level ``beta // e`` of runner ``beta % e``, and removing a rim
 hook of length ``e`` moves one bead from level ``l`` to a free level
@@ -16,14 +16,16 @@ hook of length ``e`` moves one bead from level ``l`` to a free level
 the Symmetric Group*, 1981, section 2.7).  So the ``e``-core is the
 configuration with each runner's ``c_i`` beads packed onto levels
 ``0 .. c_i - 1``, and two beta-sets of equal length have the same ``e``-core
-exactly when their runner counts ``c_0 .. c_{e-1}`` agree.  The kernel takes
-the counts from a partition's runs of equal parts, each an interval of
-beads, so it costs O(1) per run and never visits a bead; :func:`weight`
-reads the ``e``-weight off the counts in closed form.
+exactly when their runner counts ``c_0 .. c_{e-1}`` agree, or equally their
+steps ``c_0, c_1 - c_0, .., c_{e-1} - c_{e-2}``.  The kernel takes the steps
+from a partition's runs of equal parts, each an interval of beads, so it
+costs O(1) per run and never visits a bead; :func:`runner_counts` is their
+running sum, and :func:`weight` reads the ``e``-weight off the counts in
+closed form.
 
 No core is built.  A partition is compared with a core through that core's
-runner counts at the partition's length (see
-:func:`blockwitness.blocks.principal_runner_counts`).  Component i of the
+runner steps at the partition's length (see
+:func:`blockwitness.blocks.principal_runner_steps`).  Component i of the
 ``e``-quotient has runner i's bead levels for its beta-set, on a beta-set
 length divisible by ``e`` so the runner order is well defined;
 :func:`from_core_and_quotients` inverts that for all quotients of one core,
@@ -92,32 +94,41 @@ def runs_literal(runs: Sequence[tuple[int, int]]) -> str:
     return "[" + ",".join([",".join([str(v)] * m) for v, m in runs]) + "]"
 
 
-def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
-    """Beads on each runner of an ``e``-runner abacus, for the partition with ``runs``.
+def runner_steps(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
+    """First differences of the beads on each runner of an ``e``-runner abacus.
 
     ``runs`` are descending ``(value, multiplicity)`` runs of equal parts,
     and the beta-set has one bead per part; a trailing run of value 0
-    pads it with that many beads.  The m parts equal to v with ``below``
-    parts under them are the beads v + below .. v + below + m - 1.  That
-    interval puts m // e beads on every runner and one more on the m % e
-    runners that follow its lowest bead cyclically: a +1 at the first of
-    them and a -1 after the last in a difference array, whose running sum
-    is one short everywhere when the pair wraps past runner e - 1.
+    pads it with that many beads.  Entry 0 is runner 0's count and entry i
+    the step from runner i - 1 to runner i, so two beta-sets of equal
+    length have equal steps exactly when their counts agree.  The m parts
+    equal to v with ``below`` parts under them are the beads
+    v + below .. v + below + m - 1.  That interval puts m // e beads on
+    every runner and one more on the m % e runners that follow its lowest
+    bead cyclically: a +1 at the first of them and a -1 after the last,
+    whose running sum is one short everywhere when the pair wraps past
+    runner e - 1, so a wrapping interval adds one more round at entry 0.
     """
     if e < 1:
         raise ValueError(f"an abacus needs e >= 1 runners, got {e}")
     rounds = 0
-    diff = [0] * e
+    steps = [0] * e
     below = 0
     for value, mult in reversed(runs):
         full, rest = divmod(mult, e)
         first = (value + below) % e
         end = first + rest
         rounds += full + (end >= e)
-        diff[first] += 1
-        diff[end % e] -= 1
+        steps[first] += 1
+        steps[end % e] -= 1
         below += mult
-    return [rounds + c for c in accumulate(diff)]
+    steps[0] += rounds
+    return steps
+
+
+def runner_counts(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
+    """Beads on each runner of an ``e``-runner abacus, the running sum of its steps."""
+    return list(accumulate(runner_steps(runs, e)))
 
 
 def weight(lam: Partition, e: int) -> int:

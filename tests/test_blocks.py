@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import accumulate
+
 import pytest
 
 import _oracles as oracle
@@ -6,12 +9,14 @@ from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
 from blockwitness.blocks import (
     principal_block_contains,
     principal_p_prime_partitions,
-    principal_runner_counts,
+    principal_runner_steps,
 )
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
-from blockwitness.oracle import _prime_view
+from blockwitness.oracle import _prime_view, prime_pairs
+from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of
+from blockwitness.witness import candidates
 
 
 def P(*parts):
@@ -23,17 +28,47 @@ def members(n, p):
 
 
 def test_principal_runner_counts_closed_form():
-    # against the residues mod e of the principal core's beta-set
+    # the running sum of the closed-form steps against the residues mod e of
+    # the principal core's beta-set
     for n in range(0, 41):
         for e in range(2, n + 3):
             core = P(n % e) if n % e else P()
             for length in range(len(core.parts), n + 4):
                 expected = oracle.residue_counts(oracle.beta_set(core.parts, length), e)
-                assert principal_runner_counts(n, e, length) == expected, (n, e, length)
+                counts = list(accumulate(principal_runner_steps(n, e, length)))
+                assert counts == expected, (n, e, length)
     with pytest.raises(ValueError, match=r"^beta-set length 0 < 1 parts$"):
-        principal_runner_counts(10, 3, 0)
+        principal_runner_steps(10, 3, 0)
     with pytest.raises(ValueError, match=r"^beta-set length -1 < 0 parts$"):
-        principal_runner_counts(9, 3, -1)
+        principal_runner_steps(9, 3, -1)
+
+
+def test_membership_of_every_candidate_at_n_1000():
+    # primes up to 499, far above the n <= 128 grid's: every candidate of every
+    # in-regime tuple, at its host prime, where each is a member, and at its
+    # divisor prime, where most are not, against a bead-by-bead tally of its
+    # beta-set and the principal core's; shapes repeat across tuples
+    n = 1000
+    primes = {}
+    for p, q in prime_pairs(n):
+        if n // p <= 1:
+            continue
+        for candidate in candidates(derive_case_parameters(n, p, q)):
+            lam = candidate.spec.to_partition()
+            primes.setdefault(lam, set()).update((candidate.host_prime, candidate.divisor_prime))
+
+    @lru_cache(maxsize=None)
+    def core_tally(r, length):
+        return oracle.residue_counts(oracle.beta_set((n % r,) if n % r else (), length), r)
+
+    verdicts = {True: 0, False: 0}
+    for lam, rs in primes.items():
+        beads = oracle.beta_set(lam.parts, len(lam.parts))
+        for r in sorted(rs):
+            expected = oracle.residue_counts(beads, r) == core_tally(r, len(lam.parts))
+            assert principal_block_contains(lam, r) == expected, (lam.runs, r)
+            verdicts[expected] += 1
+    assert verdicts == {True: 4532, False: 8213}
 
 
 def test_principal_block_contains_examples():

@@ -12,11 +12,12 @@ from blockwitness.oracle import (
     check_conjC,
     cross_validate,
     divides,
+    in_principal_block,
     prime_pairs,
 )
 from blockwitness.parameters import NotPrime, PrimeExceedsN, derive_case_parameters
-from blockwitness.partitions import Partition, partitions_of
-from blockwitness.witness import _construct
+from blockwitness.partitions import AscendingSpec, Partition, partitions_of
+from blockwitness.witness import WitnessCandidate, _construct
 
 
 def P(*parts):
@@ -217,6 +218,64 @@ def test_divides_matches_references():
                 assert got == (ref.padic_valuation(degree, s) > 0), (lam.parts, s)
     with pytest.raises(ValueError):
         divides(P(3, 1), 1)
+
+
+def _content_tally(parts, e):
+    # (column - row) mod e of every cell, counted cell by cell
+    counts = [0] * e
+    for row, length in enumerate(parts):
+        for column in range(length):
+            counts[(column - row) % e] += 1
+    return counts
+
+
+def test_residue_membership_matches_cores_and_cell_tally(monkeypatch):
+    # against rim-hook stripping for small n (composite e too, where the
+    # residue form holds as well), and against a cell-by-cell content tally
+    # at every prime up to n + 3, which puts runs longer than p and p above
+    # the length; no abacus kernel is read
+    import blockwitness.blocks as blocks_module
+    import blockwitness.partitions as partitions_module
+
+    def no_abacus(runs, e):
+        raise AssertionError("the residue test read an abacus kernel")
+
+    for module in (partitions_module, blocks_module):
+        monkeypatch.setattr(module, "runner_steps", no_abacus)
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            for e in (2, 3, 4, 5, 6, 7):
+                (core,) = ref.exhaustive_cores(lam.parts, e)
+                expected = core == ((n % e,) if n % e else ())
+                assert in_principal_block(lam, e) == expected, (lam.parts, e)
+    verdicts = {True: 0, False: 0}
+    for n in range(0, 21):
+        for lam in partitions_of(n):
+            for p in primes_up_to(n + 3):
+                w, b = divmod(n, p)
+                expected = _content_tally(lam.parts, p) == [w + (t < b) for t in range(p)]
+                assert in_principal_block(lam, p) == expected, (lam.parts, p)
+                verdicts[expected] += 1
+    assert verdicts == {True: 4467, False: 16664}
+
+
+def test_audit_refuses_a_witness_outside_the_host_block(monkeypatch):
+    # a membership kernel in blocks that admits everything, and a case branch
+    # offering (10, 1) at (11, 3, 2): its degree 10 is prime to 3 and even,
+    # but its 3-core is not (2), so only the audit's own test can refuse it
+    import blockwitness.blocks as blocks_module
+    import blockwitness.witness as witness_module
+
+    lam = P(10, 1)
+    offered = WitnessCandidate("I.a", AscendingSpec(((1, 1), (10, 1))), 3, 2)
+    monkeypatch.setattr(blocks_module, "runner_steps", lambda runs, e: [])
+    monkeypatch.setattr(blocks_module, "principal_runner_steps", lambda n, p, length: [])
+    monkeypatch.setattr(witness_module, "candidates", lambda params: (offered,))
+    assert principal_block_contains(lam, 3) and not in_principal_block(lam, 3)
+    assert not divides(lam, 3) and divides(lam, 2)
+    cv = cross_validate(11, 3, 2)
+    assert cv.witness.partition == lam
+    assert cv.oracle_agrees is False
 
 
 def test_existence_search_reads_the_q_side(monkeypatch):

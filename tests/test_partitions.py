@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from blockwitness.partitions import (
     parse_partition_text,
     partitions_of,
     runner_counts,
+    runner_steps,
     runs_literal,
 )
 
@@ -187,6 +189,7 @@ def test_p_core_matches_exhaustive_stripping():
                 assert len(cores) == 1, f"order-dependent core for {lam.parts}, p={p}"
                 core = Partition(next(iter(cores)))
                 expected = oracle.residue_counts(oracle.beta_set(core.parts, len(lam.parts)), p)
+                assert list(accumulate(runner_steps(lam.runs, p))) == expected
                 assert runner_counts(lam.runs, p) == expected
                 # a trailing run of value 0 pads the beta-set by that many beads
                 for k in range(p + 1):
