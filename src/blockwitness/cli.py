@@ -33,7 +33,10 @@ SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 # p(60) = 966,467, and whose principal p'-degree sets `verify-c`, `verify-b`
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
 # members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 0.7 s and
-# 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17
+# 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17.  At the cap
+# `export-table --n 60` takes about 83 s and 833 MB peak RSS on a 2-core x86-64
+# host, against 105 s and 923 MB before partitions were enumerated as runs and
+# degrees computed once per conjugate pair
 ENUMERATION_MAX_N = 60
 
 _DEFERRAL_MESSAGES = {

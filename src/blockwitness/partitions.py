@@ -8,6 +8,13 @@ which check them.  The ascending block notation used to write down
 candidate partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists
 only at the :class:`AscendingSpec` boundary and is normalized on conversion.
 
+The kernels below read a partition's descending ``(value, multiplicity)``
+runs of equal parts, not its parts.  :func:`partitions_of` enumerates the
+runs themselves, a constant number of edits per step, and
+:meth:`AscendingSpec.to_partition` expands a spec's; both store the runs and
+the size in the partition's cached properties, which any other partition
+fills from its parts on first use.
+
 Everything about ``e``-cores is read off one kernel, :func:`runner_steps`,
 and no beta-set is listed.  The beta-set is laid out on ``e`` runners, bead
 ``beta`` at level ``beta // e`` of runner ``beta % e``, and removing a rim
@@ -66,7 +73,7 @@ class Partition:
         # the first column has len(parts) cells and the first row parts[0]
         if self.parts and len(self.parts) != self.parts[0]:
             return False
-        return self.runs == _conjugate_runs(self.runs)
+        return self.runs == conjugate_runs(self.runs)
 
     def to_literal(self) -> str:
         """Descending literal, e.g. '[2,1,1]'; '[]' for the empty partition."""
@@ -187,10 +194,12 @@ def from_core_and_quotients(
     return members
 
 
-def _conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    # the conjugate's descending runs in O(len(runs)): run a, m_a parts equal to v_a,
-    # becomes v_a - v_{a+1} parts equal to m_1 + ... + m_a, with v_{d+1} = 0; the
-    # last run gives the largest
+def conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The conjugate's descending runs, in O(len(runs)).
+
+    Run a, m_a parts equal to v_a, becomes v_a - v_{a+1} parts equal to
+    m_1 + ... + m_a, with v_{d+1} = 0; the last run gives the largest.
+    """
     values = [v for v, _ in runs]
     depths = accumulate(m for _, m in runs)
     return tuple(reversed(list(zip(depths, map(sub, values, values[1:] + [0])))))
@@ -291,27 +300,36 @@ class AscendingSpec:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n, in lexicographically decreasing part order."""
+    """All partitions of n, in lexicographically decreasing part order.
+
+    Each step pops the trailing run of ones, takes one copy off the last
+    run, of value v > 1, and deals out the ones and v again as
+    ``divmod(ones + v, v - 1)``: at most two new runs, mirrored in the parts.
+    """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n == 0:
         yield Partition(())
         return
-    current = (n,)
-    yield Partition(current)
+    runs = [(n, 1)]
+    parts = [n]
     while True:
-        i = len(current) - 1
-        while i >= 0 and current[i] == 1:
-            i -= 1
-        if i < 0:
+        lam = Partition(tuple(parts))
+        vars(lam).update(runs=tuple(runs), size=n)
+        yield lam
+        ones = runs.pop()[1] if runs[-1][0] == 1 else 0
+        if not runs:
             return
-        freed = len(current) - i
-        current = current[:i] + (current[i] - 1,)
-        while freed > 0:
-            chunk = min(current[-1], freed)
-            current = current + (chunk,)
-            freed -= chunk
-        yield Partition(current)
+        value, mult = runs.pop()
+        if mult > 1:
+            runs.append((value, mult - 1))
+        full, rest = divmod(ones + value, value - 1)
+        runs.append((value - 1, full))
+        del parts[len(parts) - ones - 1 :]
+        parts += [value - 1] * full
+        if rest:
+            runs.append((rest, 1))
+            parts.append(rest)
 
 
 def parse_partition_text(text: str, size: int) -> Partition:

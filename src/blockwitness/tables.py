@@ -29,6 +29,11 @@ missing rows could overturn them; facts witnessed by listed rows (a
 non-trivial intersection, unequal sets, a cross-divisible degree) survive.
 Each distinct flag tail (a row's tokens after its degree) is checked once per
 table; its flags are remembered for that table, at most one entry per row.
+Writing mirrors that: :func:`serialize_table` renders each distinct flags
+tuple once per call.  The symmetric-group export computes one degree per
+conjugate pair, kept under the runs of the partner still to come (at most
+one entry per row, dropped on return), and rows with equal flags share one
+tuple, as parsed rows with one flag tail do.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .blocks import principal_block_contains
 from .degrees import degree
 from .factored import DigitLimitExceeded, is_prime, parse_decimal
 from .parameters import check_primes
-from .partitions import partitions_of
+from .partitions import conjugate_runs, partitions_of
 
 
 class ParseError(ValueError):
@@ -308,11 +313,14 @@ def serialize_table(summary: CharacterTableSummary) -> bytes:
     ]
     for p, q, value in summary.sylow_commute:
         lines.append(f"sylow_commute {p} {q} {'true' if value else 'false'}")
+    tails: dict[tuple[bool, ...], str] = {}  # flags -> rendered tail, one per distinct flags
     for row in summary.rows:
-        flags = "".join(
-            f" {p}:{1 if flag else 0}" for p, flag in zip(summary.primes, row.flags)
-        )
-        lines.append(f"char {row.id} {row.degree}{flags}")
+        tail = tails.get(row.flags)
+        if tail is None:
+            tail = tails[row.flags] = "".join(
+                f" {p}:{1 if flag else 0}" for p, flag in zip(summary.primes, row.flags)
+            )
+        lines.append(f"char {row.id} {row.degree}{tail}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -320,21 +328,26 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     """Summary of the symmetric group on n letters for the given primes.
 
     Rows are partition literals in enumeration order; flags come from the
-    core criterion and degrees from hook lengths.  Distinct primes of the
-    symmetric or alternating groups never commute Sylow-wise, so a false
+    core criterion and degrees from hook lengths, one per conjugate pair,
+    since a conjugate's hook multiset is the transpose.  Distinct primes of
+    the symmetric or alternating groups never commute Sylow-wise, so a false
     fact is recorded for every pair.
     """
     primes = tuple(primes)
     check_primes(n, primes)
     rows = []
+    awaited: dict[tuple[tuple[int, int], ...], int] = {}  # conjugate's runs -> degree
+    shared: dict[tuple[bool, ...], tuple[bool, ...]] = {}
     for lam in partitions_of(n):
-        rows.append(
-            CharacterRow(
-                id=lam.to_literal(),
-                degree=degree(lam.runs).to_int(),
-                flags=tuple(principal_block_contains(lam, p) for p in primes),
-            )
-        )
+        runs = lam.runs
+        value = awaited.pop(runs, None)
+        if value is None:
+            value = degree(runs).to_int()
+            conjugate = conjugate_runs(runs)
+            if conjugate != runs:
+                awaited[conjugate] = value
+        flags = tuple(principal_block_contains(lam, p) for p in primes)
+        rows.append(CharacterRow(lam.to_literal(), value, shared.setdefault(flags, flags)))
     facts = tuple((p, q, False) for p, q in combinations(sorted(primes), 2))
     return CharacterTableSummary(
         group_name=f"S{n}",

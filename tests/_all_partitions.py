@@ -21,12 +21,12 @@ from _oracles import beta_set, factorial_valuation
 from blockwitness import blocks
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import InternalInvariantError
-from blockwitness.partitions import Partition, _conjugate_runs, partitions_of
+from blockwitness.partitions import Partition, conjugate_runs, partitions_of
 
 
 def conjugate(lam: Partition) -> Partition:
     """The transpose of ``lam``, the parts of its conjugate runs."""
-    return Partition(tuple(v for v, m in _conjugate_runs(lam.runs) for _ in range(m)))
+    return Partition(tuple(v for v, m in conjugate_runs(lam.runs) for _ in range(m)))
 
 
 def weight(lam: Partition, e: int) -> int:

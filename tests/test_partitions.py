@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,11 +53,18 @@ def test_partitions_of_examples():
 
 
 def test_partitions_of_order_and_counts():
+    # in order against the recursive oracle, and each partition made with the
+    # runs and size its parts give (the empty partition stores nothing)
     for n in range(0, 26):
-        seen = [lam.parts for lam in partitions_of(n)]
+        made = list(partitions_of(n))
+        seen = [lam.parts for lam in made]
+        assert seen == list(oracle.enumerate_partitions(n))
         assert seen == sorted(seen, reverse=True)
         assert len(seen) == len(set(seen)) == oracle.partition_count_oracle(n)
-        assert all(sum(parts) == n for parts in seen)
+        for lam in made if n else ():
+            runs = tuple((v, len(list(run))) for v, run in groupby(lam.parts))
+            assert (vars(lam)["runs"], vars(lam)["size"]) == (runs, sum(lam.parts)), lam
+            assert lam.size == n
 
 
 def test_generator_count_spot_60():

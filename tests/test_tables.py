@@ -1,10 +1,12 @@
 import math
 import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 from blockwitness import tables
 from blockwitness.factored import primes_up_to
 from blockwitness.oracle import check_conjC
@@ -344,6 +346,50 @@ def test_round_trip_range():
         primes = tuple(p for p in (2, 3, 5) if p <= n)
         summary = build_sn_summary(n, primes)
         assert parse_table(serialize_table(summary)) == summary
+
+
+def test_built_rows_against_independent_oracles():
+    # ids in the recursive oracle's order; each degree from its own hook
+    # product, self-conjugate rows included; each flag from a bead-by-bead
+    # residue tally of the row's beta-set against the principal core's at
+    # the same length; equal flags are one tuple
+    for n in range(1, 21):
+        primes = primes_up_to(n)
+        rows = build_sn_summary(n, primes).rows
+        shapes = list(oracle.enumerate_partitions(n))
+        assert [row.id for row in rows] == ["[" + ",".join(map(str, s)) + "]" for s in shapes]
+        shared = {}
+        for row, parts in zip(rows, shapes):
+            assert row.degree == oracle.hook_product_degree(parts), row.id
+            beads = oracle.beta_set(parts, len(parts))
+            expected = tuple(
+                oracle.residue_counts(beads, p)
+                == oracle.residue_counts(oracle.beta_set((n % p,) if n % p else (), len(parts)), p)
+                for p in primes
+            )
+            assert row.flags == expected, row.id
+            assert shared.setdefault(row.flags, row.flags) is row.flags, row.id
+
+
+def test_serialization_round_trips_byte_for_byte():
+    for n in range(1, 23):
+        data = serialize_table(build_sn_summary(n, primes_up_to(n)))
+        assert serialize_table(parse_table(data)) == data, n
+    # equal flags held in distinct tuples render as one flags tuple per row would
+    first, second = tuple([False, True]), tuple([False, True])
+    assert first == second and first is not second
+    summary = parse_table(MINIMAL)
+    rows = summary.rows + (
+        CharacterRow("s", 2, first),
+        CharacterRow("t", 3, second),
+        CharacterRow("u", 4, (True, False)),
+    )
+    header = "group toy\norder 6\nprimes 2 3\ntrivial e\ncomplete false\nsylow_commute 2 3 false\n"
+    per_row = "".join(
+        f"char {row.id} {row.degree} 2:{int(row.flags[0])} 3:{int(row.flags[1])}\n"
+        for row in rows
+    )
+    assert serialize_table(replace(summary, rows=rows)) == (header + per_row).encode()
 
 
 def test_audit_s9_examples():
