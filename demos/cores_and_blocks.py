@@ -9,9 +9,7 @@ whose p-core is (n mod p); membership compares the first differences of the
 runner counts (the runner steps) with that core's, and no core is built.
 """
 
-from itertools import accumulate
-
-from blockwitness.blocks import principal_block_contains, principal_runner_steps
+from blockwitness.blocks import principal_block_contains
 from blockwitness.oracle import check_conjC
 from blockwitness.partitions import Partition, partitions_of, runner_counts
 
@@ -31,7 +29,8 @@ def show_abacus(lam: Partition, p: int) -> None:
         parts = [row - (len(rows) - 1 - i) for i, row in enumerate(rows)]
         quotient.append(Partition(tuple(a for a in parts if a > 0)))
     counts = runner_counts(lam.runs, p)
-    principal = list(accumulate(principal_runner_steps(lam.size, p, len(lam.parts))))
+    # the principal core (n mod p) at the same length, through the same kernel
+    principal = runner_counts(((lam.size % p, 1), (0, len(lam.parts) - 1)), p)
     print(f"  runner counts (length {len(lam.parts)}): {counts},"
           f" principal core's: {principal}")
     # sliding a bead one notch down its runner removes one p-hook and one

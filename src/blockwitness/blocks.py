@@ -7,7 +7,8 @@ Membership is decided by comparing p-abacus runner steps, the first
 differences of the runner counts, with those of that core, without building
 the core.  The steps come from the shape's runs of equal parts
 (:func:`blockwitness.partitions.runner_steps`), in O(1) work per run, never
-per part, and the core's from a closed form that sets at most four entries.
+per part, and the core's, at the shape's own length, from a closed form
+that sets at most four entries.
 
 The partitions of p'-degree are generated, not searched for.  With
 n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
@@ -33,39 +34,29 @@ from .factored import InternalInvariantError
 from .partitions import Partition, from_core_and_quotients, partitions_of, runner_steps
 
 
-def principal_runner_steps(n: int, p: int, length: int) -> list[int]:
-    """p-abacus runner steps of the principal core's beta-set of ``length``.
-
-    The beta-set of the core (b), b = n mod p, is {0, .., length - 2} together
-    with b + length - 1, so the steps (see
-    :func:`blockwitness.partitions.runner_steps`) follow without building the
-    core.  Beads 0 .. length - 2 fill every runner to ``level`` and the first
-    ``extra`` once more: runner 0 holds level + [extra > 0] and the step at
-    ``extra`` is -1, which lands on runner 0 when extra is 0.  The top bead
-    adds one on runner t: +1 at t and -1 after it.
-    """
-    b = n % p
-    core_parts = 1 if b else 0
-    if length < core_parts:
-        raise ValueError(f"beta-set length {length} < {core_parts} parts")
-    level, extra = divmod(length - 1, p)
-    steps = [0] * p
-    steps[0] = level + 1
-    steps[extra] -= 1
-    t = (b + length - 1) % p
-    steps[t] += 1
-    if t + 1 < p:
-        steps[t + 1] -= 1
-    return steps
-
-
 def principal_block_contains(lam: Partition, p: int) -> bool:
-    """Is the p-core of ``lam`` the principal one?
+    """Is the p-core of ``lam`` the principal one, (b) with b = n mod p?
 
     Beta-sets of equal length have the same p-core exactly when their
-    runner steps agree, so no core is built and no count is summed.
+    runner steps (see :func:`blockwitness.partitions.runner_steps`) agree,
+    so no core is built and no count is summed.  At the shape's length L the
+    core's beta-set is {0, .., L - 2} together with the top bead b + L - 1,
+    so its steps follow in closed form.  Beads 0 .. L - 2 fill every runner
+    to ``level`` and the first ``extra`` once more: runner 0 holds
+    level + [extra > 0] and the step at ``extra`` is -1, which lands on
+    runner 0 when extra is 0.  The top bead, on runner t = (n + L - 1) mod p,
+    adds +1 at t and -1 after it.
     """
-    return runner_steps(lam.runs, p) == principal_runner_steps(lam.size, p, len(lam.parts))
+    length = len(lam.parts)
+    level, extra = divmod(length - 1, p)
+    core = [0] * p
+    core[0] = level + 1
+    core[extra] -= 1
+    t = (lam.size + length - 1) % p
+    core[t] += 1
+    if t + 1 < p:
+        core[t + 1] -= 1
+    return runner_steps(lam.runs, p) == core
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:

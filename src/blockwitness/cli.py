@@ -34,9 +34,8 @@ SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
 # members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 0.7 s and
 # 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17.  At the cap
-# `export-table --n 60` takes about 83 s and 833 MB peak RSS on a 2-core x86-64
-# host, against 105 s and 923 MB before partitions were enumerated as runs and
-# degrees computed once per conjugate pair
+# `export-table --n 60` takes 84-96 s and 833 MB peak RSS on a shared 2-core
+# x86-64 host; at n = 50, principal-block membership is 50-64% of the build
 ENUMERATION_MAX_N = 60
 
 _DEFERRAL_MESSAGES = {
@@ -61,25 +60,19 @@ def _decimal(text: str) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blockwitness", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    triple = argparse.ArgumentParser(add_help=False)
+    for flag in ("--n", "--p", "--q"):
+        triple.add_argument(flag, type=_decimal, required=True)
 
-    w = sub.add_parser("witness", help="construct and verify one witness")
-    w.add_argument("--n", type=_decimal, required=True)
-    w.add_argument("--p", type=_decimal, required=True)
-    w.add_argument("--q", type=_decimal, required=True)
+    w = sub.add_parser("witness", parents=[triple], help="construct and verify one witness")
     w.add_argument("--json", action="store_true")
     w.set_defaults(handler=_cmd_witness)
 
-    c = sub.add_parser("verify-c", help="exhaustive cross-divisibility check")
-    c.add_argument("--n", type=_decimal, required=True)
-    c.add_argument("--p", type=_decimal, required=True)
-    c.add_argument("--q", type=_decimal, required=True)
-    c.add_argument("--group", choices=("sn", "an"), default="sn")
+    c = sub.add_parser("verify-c", parents=[triple], help="exhaustive cross-divisibility check")
+    c.add_argument("--group", choices=oracle.GROUP_KINDS, default="sn")
     c.set_defaults(handler=_cmd_verify_c)
 
-    b = sub.add_parser("verify-b", help="compare prime-to-p principal sets")
-    b.add_argument("--n", type=_decimal, required=True)
-    b.add_argument("--p", type=_decimal, required=True)
-    b.add_argument("--q", type=_decimal, required=True)
+    b = sub.add_parser("verify-b", parents=[triple], help="compare prime-to-p principal sets")
     b.set_defaults(handler=_cmd_verify_b)
 
     s = sub.add_parser("scan", help="grid of witnesses over all prime pairs")

@@ -23,14 +23,6 @@ from dataclasses import dataclass, field
 from .factored import is_prime
 
 
-class NotPrime(ValueError):
-    """A parameter that must be prime is not."""
-
-
-class PrimeExceedsN(ValueError):
-    """A prime larger than n was supplied; it does not divide n!."""
-
-
 def _lowest_summand(x: int, base: int) -> int:
     # d * base**t for the lowest nonzero base-`base` digit d of x > 0
     t = 0
@@ -92,22 +84,21 @@ class CaseParameters:
 
 
 def check_primes(n: int, primes: tuple[int, ...]) -> None:
-    """Validate distinct primes of n!, one fault class at a time.
+    """Validate distinct primes of n!, raising ``ValueError`` on the first fault.
 
-    Checks, in this order: n >= 1 (``ValueError``), every value prime
-    (:class:`NotPrime`), the values distinct (``ValueError``), every prime
-    at most n (:class:`PrimeExceedsN`).
+    Checks, in this order: n >= 1, every value prime, the values distinct,
+    every prime at most n (a larger prime does not divide n!).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for p in primes:
         if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise ValueError(f"{p} is not prime")
     if len(set(primes)) != len(primes):
         raise ValueError(f"primes must be distinct, got {primes}")
     for p in primes:
         if p > n:
-            raise PrimeExceedsN(f"prime {p} exceeds n = {n}")
+            raise ValueError(f"prime {p} exceeds n = {n}")
 
 
 def derive_case_parameters(n: int, p: int, q: int) -> CaseParameters:

@@ -32,7 +32,7 @@ closed form.
 
 No core is built.  A partition is compared with a core through that core's
 runner steps at the partition's length (see
-:func:`blockwitness.blocks.principal_runner_steps`).  Component i of the
+:func:`blockwitness.blocks.principal_block_contains`).  Component i of the
 ``e``-quotient has runner i's bead levels for its beta-set, on a beta-set
 length divisible by ``e`` so the runner order is well defined;
 :func:`from_core_and_quotients` inverts that for all quotients of one core,

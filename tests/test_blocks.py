@@ -1,16 +1,11 @@
 from functools import lru_cache
-from itertools import accumulate
 
 import pytest
 
 import _oracles as oracle
 import blockwitness.blocks as blocks
 from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
-from blockwitness.blocks import (
-    principal_block_contains,
-    principal_p_prime_partitions,
-    principal_runner_steps,
-)
+from blockwitness.blocks import principal_block_contains, principal_p_prime_partitions
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
 from blockwitness.oracle import _prime_view, prime_pairs
@@ -27,20 +22,22 @@ def members(n, p):
     return frozenset(lam for lam in partitions_of(n) if principal_block_contains(lam, p))
 
 
-def test_principal_runner_counts_closed_form():
-    # the running sum of the closed-form steps against the residues mod e of
-    # the principal core's beta-set
+def test_principal_core_closed_form_on_every_hook():
+    # the hooks (n - L + 1, 1^(L-1)) take every length L = 1 .. n, so the
+    # core's closed-form steps are met at each; the verdict is a tally of
+    # residues mod e of the hook's beta-set against the core's at that length
+    verdicts = {True: 0, False: 0}
     for n in range(0, 41):
         for e in range(2, n + 3):
-            core = P(n % e) if n % e else P()
-            for length in range(len(core.parts), n + 4):
-                expected = oracle.residue_counts(oracle.beta_set(core.parts, length), e)
-                counts = list(accumulate(principal_runner_steps(n, e, length)))
-                assert counts == expected, (n, e, length)
-    with pytest.raises(ValueError, match=r"^beta-set length 0 < 1 parts$"):
-        principal_runner_steps(10, 3, 0)
-    with pytest.raises(ValueError, match=r"^beta-set length -1 < 0 parts$"):
-        principal_runner_steps(9, 3, -1)
+            core = (n % e,) if n % e else ()
+            for length in range(1, n + 1):
+                hook = (n - length + 1,) + (1,) * (length - 1)
+                expected = oracle.residue_counts(
+                    oracle.beta_set(hook, length), e
+                ) == oracle.residue_counts(oracle.beta_set(core, length), e)
+                assert principal_block_contains(P(*hook), e) == expected, (n, e, length)
+                verdicts[expected] += 1
+    assert min(verdicts.values()) > 0, verdicts
 
 
 def test_membership_of_every_candidate_at_n_1000():

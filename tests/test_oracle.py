@@ -15,7 +15,7 @@ from blockwitness.oracle import (
     in_principal_block,
     prime_pairs,
 )
-from blockwitness.parameters import NotPrime, PrimeExceedsN, derive_case_parameters
+from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import AscendingSpec, Partition, partitions_of
 from blockwitness.witness import WitnessCandidate, _construct
 
@@ -65,9 +65,9 @@ def test_group_kind_validation():
     with pytest.raises(ValueError):
         check_conjC(10, 1, 3, "sn")  # once looped forever in the valuation
     for group in ("sn", "an"):
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match=r"^4 is not prime$"):
             check_conjC(10, 4, 3, group)  # once reported witnesses for 4
-    with pytest.raises(PrimeExceedsN):
+    with pytest.raises(ValueError, match=r"^prime 11 exceeds n = 9$"):
         check_conjC(9, 11, 2, "sn")
 
 
@@ -87,16 +87,16 @@ def test_check_conjC_validation_and_sets():
     assert not check_conjC(12, 3, 2, "sn").sets_equal
     with pytest.raises(ValueError):
         check_conjC(9, 3, 3, "sn")
-    with pytest.raises(PrimeExceedsN):
+    with pytest.raises(ValueError, match=r"^prime 11 exceeds n = 9$"):
         check_conjC(9, 11, 2, "sn")
-    with pytest.raises(PrimeExceedsN):
+    with pytest.raises(ValueError, match=r"^prime 11 exceeds n = 10$"):
         check_conjC(10, 2, 11, "an")
     for group in ("sn", "an"):
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match=r"^4 is not prime$"):
             check_conjC(10, 4, 3, group)
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match=r"^1 is not prime$"):
             check_conjC(10, 3, 1, group)
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
         cross_validate(10, 4, 3)
 
 
@@ -260,18 +260,17 @@ def test_residue_membership_matches_cores_and_cell_tally(monkeypatch):
 
 
 def test_audit_refuses_a_witness_outside_the_host_block(monkeypatch):
-    # a membership kernel in blocks that admits everything, and a case branch
+    # a constructor whose membership test admits everything, and a case branch
     # offering (10, 1) at (11, 3, 2): its degree 10 is prime to 3 and even,
     # but its 3-core is not (2), so only the audit's own test can refuse it
-    import blockwitness.blocks as blocks_module
     import blockwitness.witness as witness_module
 
     lam = P(10, 1)
     offered = WitnessCandidate("I.a", AscendingSpec(((1, 1), (10, 1))), 3, 2)
-    monkeypatch.setattr(blocks_module, "runner_steps", lambda runs, e: [])
-    monkeypatch.setattr(blocks_module, "principal_runner_steps", lambda n, p, length: [])
+    monkeypatch.setattr(witness_module, "principal_block_contains", lambda lam, p: True)
     monkeypatch.setattr(witness_module, "candidates", lambda params: (offered,))
-    assert principal_block_contains(lam, 3) and not in_principal_block(lam, 3)
+    assert witness_module.principal_block_contains(lam, 3)
+    assert not principal_block_contains(lam, 3) and not in_principal_block(lam, 3)
     assert not divides(lam, 3) and divides(lam, 2)
     cv = cross_validate(11, 3, 2)
     assert cv.witness.partition == lam

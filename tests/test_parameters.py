@@ -1,12 +1,7 @@
 import pytest
 
 from blockwitness.oracle import prime_pairs
-from blockwitness.parameters import (
-    CaseParameters,
-    NotPrime,
-    PrimeExceedsN,
-    derive_case_parameters,
-)
+from blockwitness.parameters import CaseParameters, derive_case_parameters
 
 
 def _nonzero_digits(x, base):
@@ -60,17 +55,17 @@ def test_expansions_reconstruct():
 
 
 def test_error_cases():
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
         derive_case_parameters(10, 4, 2)
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match=r"^6 is not prime$"):
         derive_case_parameters(10, 5, 6)
-    with pytest.raises(PrimeExceedsN):
+    with pytest.raises(ValueError, match=r"^prime 11 exceeds n = 10$"):
         derive_case_parameters(10, 11, 2)
-    with pytest.raises(PrimeExceedsN):
+    with pytest.raises(ValueError, match=r"^prime 5 exceeds n = 4$"):
         derive_case_parameters(4, 3, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^primes must be distinct, got \(5, 5\)$"):
         derive_case_parameters(10, 5, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         derive_case_parameters(0, 3, 2)
 
 

@@ -3,11 +3,16 @@
 A name that only its own definition mentions is dead in the package: either
 it goes, or it moves to ``tests/`` when only tests read it.  Names match by
 their bare text, read (not assigned) anywhere outside the definition itself.
+
+An exception class earns its name the same way: ``src/`` catches it by name,
+or it is an ``InternalInvariantError``, whose name the CLI prints.  Any
+other fault is a plain ``ValueError`` with a message.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blockwitness"
@@ -59,3 +64,61 @@ def test_the_guard_sees_a_name_read_only_by_itself(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import recursive\n", encoding="utf-8")
     assert unreferenced_names(tmp_path) == ["a.recursive", "a.Lonely"]
+
+
+def _builtin_exception(name: str) -> bool:
+    cls = getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def uncaught_exception_classes(src: Path = SRC) -> list[str]:
+    """``module.name`` of each exception class defined in ``src`` that no
+    ``except`` clause there names and that is no ``InternalInvariantError``."""
+    bases: dict[str, list[str]] = {}
+    owners: dict[str, str] = {}
+    caught: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                owners[top.name] = f"{path.stem}.{top.name}"
+                bases[top.name] = [ast.unparse(b).rsplit(".", 1)[-1] for b in top.bases]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(ast.unparse(t).rsplit(".", 1)[-1] for t in types)
+
+    def lineage(name: str) -> set[str]:
+        return {name}.union(*(lineage(base) for base in bases.get(name, ())))
+
+    return [
+        owner
+        for name, owner in owners.items()
+        if any(map(_builtin_exception, lineage(name)))
+        and "InternalInvariantError" not in lineage(name)
+        and name not in caught
+    ]
+
+
+def test_every_exception_class_is_caught_or_an_invariant():
+    assert uncaught_exception_classes() == []
+
+
+def test_the_exception_guard_sees_an_uncaught_class(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class InternalInvariantError(RuntimeError):\n    pass\n\n\n"
+        "class Fault(InternalInvariantError):\n    pass\n\n\n"
+        "class Caught(ValueError):\n    pass\n\n\n"
+        "class Raised(ValueError):\n    pass\n\n\n"
+        "class Deeper(Raised):\n    pass\n\n\n"
+        "class Plain:\n    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n\n"
+        "def run():\n"
+        "    try:\n        pass\n"
+        "    except (a.Caught, OSError):\n        pass\n",
+        encoding="utf-8",
+    )
+    assert uncaught_exception_classes(tmp_path) == ["a.Raised", "a.Deeper"]

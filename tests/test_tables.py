@@ -10,7 +10,6 @@ import _oracles as oracle
 from blockwitness import tables
 from blockwitness.factored import primes_up_to
 from blockwitness.oracle import check_conjC
-from blockwitness.parameters import NotPrime, PrimeExceedsN
 from blockwitness.tables import (
     CharacterRow,
     ParseError,
@@ -333,9 +332,9 @@ def test_export_s9_row():
 
 
 def test_export_validates_primes():
-    with pytest.raises(PrimeExceedsN):
+    with pytest.raises(ValueError, match=r"^prime 5 exceeds n = 4$"):
         build_sn_summary(4, (2, 5))
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
         build_sn_summary(6, (2, 4))
     with pytest.raises(ValueError):
         build_sn_summary(6, (2, 2))
