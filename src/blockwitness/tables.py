@@ -27,20 +27,26 @@ input carried by ``sylow_commute`` lines, never computed here.  Verdicts on
 tables marked incomplete are downgraded to ``indeterminate`` whenever the
 missing rows could overturn them; facts witnessed by listed rows (a
 non-trivial intersection, unequal sets, a cross-divisible degree) survive.
+Rows are :class:`CharacterRow` named tuples: immutable, hashable, positional.
 Each distinct flag tail (a row's tokens after its degree) is checked once per
-table; its flags are remembered for that table, at most one entry per row.
-Writing mirrors that: :func:`serialize_table` renders each distinct flags
-tuple once per call.  The symmetric-group export computes one degree per
-conjugate pair, kept under the runs of the partner still to come (at most
-one entry per row, dropped on return), and rows with equal flags share one
-tuple, as parsed rows with one flag tail do.
+table, at most one remembered entry per row.  Writing mirrors that:
+:func:`serialize_table` renders each distinct flags tuple once per call.  The
+symmetric-group export computes one degree per conjugate pair, kept under the
+runs of the partner still to come (at most one entry per row, dropped on
+return), and rows with equal flags share one tuple, as parsed rows with one
+flag tail do.  A summary's per-prime id sets and Sylow facts are cached
+properties, built once on first use and never carried over by
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .blocks import principal_block_contains
 from .degrees import degree
@@ -60,8 +66,7 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class CharacterRow:
+class CharacterRow(NamedTuple):
     """One character: id, degree, and per-prime principal-block flags."""
 
     id: str
@@ -81,22 +86,21 @@ class CharacterTableSummary:
     sylow_commute: tuple[tuple[int, int, bool], ...]
     rows: tuple[CharacterRow, ...]
 
+    @cached_property
+    def _sylow_facts(self) -> dict[tuple[int, int], bool]:
+        return {(a, b): value for a, b, value in reversed(self.sylow_commute)}  # first one wins
+
     def sylow_fact(self, p: int, q: int) -> bool | None:
         """The recorded commuting-Sylow fact for {p, q}, if any."""
-        key = (min(p, q), max(p, q))
-        for a, b, value in self.sylow_commute:
-            if (a, b) == key:
-                return value
-        return None
+        return self._sylow_facts.get((min(p, q), max(p, q)))
 
-    def principal_p_prime_ids(self, p: int) -> frozenset[str]:
-        """Ids in the principal p-block with degree coprime to p."""
-        column = self.primes.index(p)
-        return frozenset(
-            row.id
-            for row in self.rows
-            if row.flags[column] and row.degree % p != 0
-        )
+    @cached_property
+    def principal_p_prime_ids(self) -> MappingProxyType[int, frozenset[str]]:
+        """Each prime's ids in its principal block with degree coprime to it."""
+        return MappingProxyType({
+            p: frozenset(row.id for row in self.rows if row.flags[column] and row.degree % p)
+            for column, p in enumerate(self.primes)
+        })
 
 
 @dataclass(frozen=True)
@@ -226,11 +230,10 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     sylow: tuple[tuple[int, int, bool], ...] | None = None  # set when the header closes
     rows: dict[str, CharacterRow] = {}
     checked: _Checked = {}  # at most one entry per row, dropped on return
-    last_line = 0
+    text_lines = text.splitlines()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        tokens = raw.split("#", 1)[0].split()
+    for line_no, raw in enumerate(text_lines, start=1):
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -279,7 +282,7 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
         else:
             complete = _parse_bool(line_no, token)
 
-    end = last_line + 1
+    end = len(text_lines) + 1
     if sylow is None:
         sylow = _close_header(end, lines, order, primes, sylow_raw)
     if not rows:
@@ -350,13 +353,8 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
         rows.append(CharacterRow(lam.to_literal(), value, shared.setdefault(flags, flags)))
     facts = tuple((p, q, False) for p, q in combinations(sorted(primes), 2))
     return CharacterTableSummary(
-        group_name=f"S{n}",
-        order=math.factorial(n),
-        primes=primes,
-        trivial_id=f"[{n}]",
-        complete=True,
-        sylow_commute=facts,
-        rows=tuple(rows),
+        group_name=f"S{n}", order=math.factorial(n), primes=primes, trivial_id=f"[{n}]",
+        complete=True, sylow_commute=facts, rows=tuple(rows),
     )
 
 
@@ -365,7 +363,7 @@ def audit(summary: CharacterTableSummary, which: str) -> tuple[AuditFinding, ...
     conjecture = which.upper()
     if conjecture not in _AUDITS:
         raise ValueError(f"audit must be one of {tuple(_AUDITS)}, got {which!r}")
-    sets = {p: summary.principal_p_prime_ids(p) for p in summary.primes}
+    sets = summary.principal_p_prime_ids
     findings = []
     for p, q in combinations(sorted(summary.primes), 2):
         verdict, detail = _AUDITS[conjecture](summary, p, q, sets[p], sets[q])

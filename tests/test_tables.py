@@ -45,6 +45,18 @@ def test_parse_minimal():
     assert summary.rows[1] == CharacterRow("r", 2, (False, True))
 
 
+def test_row_record_is_immutable_and_hashable():
+    row = parse_table(MINIMAL).rows[1]
+    assert type(row) is CharacterRow
+    assert (row.id, row.degree, row.flags) == ("r", 2, (False, True))
+    for field in ("id", "degree", "flags"):
+        with pytest.raises(AttributeError):
+            setattr(row, field, None)
+    assert row == CharacterRow("r", 2, (False, True))
+    assert hash(row) == hash(CharacterRow("r", 2, (False, True)))
+    assert len({row, CharacterRow("r", 2, (False, True))}) == 1
+
+
 def test_parse_accepts_bytes_and_comments():
     summary = parse_table(MINIMAL.encode("utf-8"))
     assert summary.group_name == "toy"
@@ -344,7 +356,11 @@ def test_round_trip_range():
     for n in range(1, 13):
         primes = tuple(p for p in (2, 3, 5) if p <= n)
         summary = build_sn_summary(n, primes)
-        assert parse_table(serialize_table(summary)) == summary
+        parsed = parse_table(serialize_table(summary))
+        assert parsed == summary
+        # built and parsed rows are the same record type and compare equal row by row
+        assert parsed.rows == summary.rows, n
+        assert {type(row) for row in parsed.rows + summary.rows} == {CharacterRow}, n
 
 
 def test_built_rows_against_independent_oracles():
@@ -519,6 +535,43 @@ char a 5 2:1 3:0
     summary = parse_table(cross)
     (finding_c,) = audit(summary, "C")
     assert finding_c.verdict == "violation"
+
+
+def test_id_sets_are_built_once_and_never_stale():
+    summary = parse_table(MINIMAL)
+    seen = []
+
+    def record(summary, p, q, s_p, s_q):
+        seen.append((s_p, s_q))
+        return "consistent", ""
+
+    with mock.patch.dict(tables._AUDITS, {"A": record, "B": record}):
+        audit(summary, "A")
+        audit(summary, "B")
+    (first_p, first_q), (second_p, second_q) = seen
+    assert first_p is second_p and first_q is second_q
+    assert summary.principal_p_prime_ids == {2: {"e"}, 3: {"e", "r"}}
+    (finding,) = audit(summary, "B")
+    assert finding.verdict == "consistent"
+    # a summary with other rows builds its own sets: here they agree, which an
+    # incomplete table cannot settle
+    rows = (CharacterRow("e", 1, (True, True)), CharacterRow("r", 2, (False, False)))
+    replaced = replace(summary, rows=rows)
+    assert replaced.principal_p_prime_ids == {2: {"e"}, 3: {"e"}}
+    (finding,) = audit(replaced, "B")
+    assert finding.verdict == "indeterminate"
+    assert summary.principal_p_prime_ids[3] == {"e", "r"}
+
+
+def test_sylow_facts_are_read_per_summary():
+    summary = parse_table(MINIMAL)
+    assert summary.sylow_fact(2, 3) is summary.sylow_fact(3, 2) is False
+    assert summary.sylow_fact(2, 5) is None
+    # a replaced summary reads its own facts; the first listed for a pair wins
+    (finding,) = audit(replace(summary, sylow_commute=()), "C")
+    assert finding.verdict == "indeterminate"
+    twice = replace(summary, sylow_commute=((2, 3, True), (2, 3, False)))
+    assert twice.sylow_fact(3, 2) is True
 
 
 def test_audit_rejects_unknown():
