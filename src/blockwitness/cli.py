@@ -173,31 +173,24 @@ def _cmd_scan(args) -> int:
             raise ValueError(f"{SCAN_MAX_ENV}: {exc}") from None
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"empty scan range [{n_min}, {n_max}]")
-    if args.cross_validate:
+    audit = args.cross_validate
+    if audit:
         _enumerable("scan --cross-validate --n-max", n_max, _P_PRIME_CHARACTERS)
-    tuples = witnesses = deferred = disagreements = falsified = 0
+    witnesses = deferred = disagreements = falsified = 0
     for n in range(n_min, n_max + 1):
         for p, q in oracle.prime_pairs(n):
-            tuples += 1
-            # the per-tuple record; only --cross-validate fills agrees and holds
-            agrees = holds = None
+            # prime_pairs yields primes q < p <= n, so nothing is left to check
+            params = CaseParameters(n, p, q)
             try:
-                if args.cross_validate:
-                    cv = oracle.cross_validate(n, p, q)
-                    deferral, found = cv.deferral, cv.witness
-                    agrees, holds = cv.oracle_agrees, cv.oracle_condition_holds
-                else:
-                    # prime_pairs yields primes q < p <= n, so nothing is left to check
-                    params = CaseParameters(n, p, q)
-                    deferral = params.deferral
-                    found = witness._construct(params)
+                found = witness._construct(params)
+                agrees, holds = oracle.audit_witness(params, found) if audit else (None, None)
             except InternalInvariantError as exc:
                 falsified += 1
                 print(f"internal-error: {type(exc).__name__}: {exc}")
                 continue
-            if deferral is not None:
+            if found is None:
                 deferred += 1
-                case, literal = f"deferred-{deferral}", "-"
+                case, literal = f"deferred-{params.deferral}", "-"
             else:
                 witnesses += 1
                 case, literal = found.candidate.case_id, found.partition.to_literal()
@@ -210,8 +203,8 @@ def _cmd_scan(args) -> int:
                 f" agree={agree}{oracle_field}"
             )
     print(
-        f"scan-summary tuples={tuples} witnesses={witnesses} deferred={deferred}"
-        f" disagreements={disagreements} falsified={falsified}"
+        f"scan-summary tuples={witnesses + deferred + falsified} witnesses={witnesses}"
+        f" deferred={deferred} disagreements={disagreements} falsified={falsified}"
     )
     if falsified:
         return EXIT_INTERNAL

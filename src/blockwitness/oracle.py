@@ -17,12 +17,12 @@ so the verifier's membership kernel decides no audited fact.
 
 A p-block witness is a member of B_p whose degree q divides, so
 :func:`check_conjC` filters B_p and B_q by that predicate, and conjecture B
-compares B_p with B_q.  :func:`cross_validate` audits the constructor's
+compares B_p with B_q.  :func:`audit_witness` checks the constructor's
 witness alone, and only when there is no witness or the audit fails asks
 whether either side has a witness, through one search per prime that stops
 at its first hit, run once per block.  The candidate construction in
 :mod:`blockwitness.witness` is never consulted, which is exactly what makes
-:func:`cross_validate` meaningful.
+the audit, and :func:`cross_validate` around it, meaningful.
 
 The alternating-group mode drops the self-conjugate partitions from those
 finished sets.  What it proves is one-sided.  A nonempty ``an`` witness set is
@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from . import witness as witness_engine
 from .blocks import principal_p_prime_partitions
 from .factored import primes_up_to
-from .parameters import check_primes, derive_case_parameters
+from .parameters import CaseParameters, check_primes, derive_case_parameters
 from .partitions import Partition, weight
+from .witness import Witness, _construct
 
 GROUP_KINDS = ("sn", "an")
 
@@ -168,28 +168,22 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
 class CrossValidation:
     """Constructor output for one triple, audited and, where needed, searched."""
 
-    witness: witness_engine.Witness | None
+    witness: Witness | None
     case_id: str | None
     deferral: str | None
     oracle_agrees: bool | None
     oracle_condition_holds: bool
 
 
-def cross_validate(n: int, p: int, q: int) -> CrossValidation:
-    """Run the constructor and audit its witness without the case tree.
+def audit_witness(params: CaseParameters, found: Witness | None) -> tuple[bool | None, bool]:
+    """Audit the constructor's result for ``params``: ``(agrees, holds)``.
 
-    ``oracle_agrees`` is the audit: the witness lies in the principal block
-    of its host prime (by :func:`in_principal_block`), the host prime does
-    not divide its degree, and the divisor prime does.
-    ``oracle_condition_holds`` says whether B_p or B_q has a witness at all;
-    it is read from the per-block searches only when there is no agreeing
-    witness.  In a deferred regime (n < 9, abelian Sylow) the
-    constructor gives ``None``, so ``witness``, ``case_id`` and
-    ``oracle_agrees`` are ``None`` and ``deferral`` names the regime.  The
-    arguments are validated once, by :func:`derive_case_parameters`.
+    ``agrees`` (``None`` with no witness) says the witness lies in the
+    principal block of its host prime (by :func:`in_principal_block`), the
+    host prime does not divide its degree, and the divisor prime does.
+    ``holds`` says whether B_p or B_q has a witness at all, read from the
+    per-block searches only when there is no agreeing witness.
     """
-    params = derive_case_parameters(n, p, q)
-    found = witness_engine._construct(params)
     agrees = None
     if found is not None:
         lam, candidate = found.partition, found.candidate
@@ -198,8 +192,21 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
             and not divides(lam, candidate.host_prime)
             and divides(lam, candidate.divisor_prime)
         )
+    n, p, q = params.n, params.p, params.q
     # otherwise a member of B_p whose degree q divides, or one of B_q that p divides
-    holds = bool(agrees) or q in _scan(n, p) or p in _scan(n, q)
+    return agrees, bool(agrees) or q in _scan(n, p) or p in _scan(n, q)
+
+
+def cross_validate(n: int, p: int, q: int) -> CrossValidation:
+    """:func:`audit_witness` on the witness constructed for (n, p, q).
+
+    The arguments are validated once, by :func:`derive_case_parameters`.  A
+    deferred regime (n < 9, abelian Sylow) gives no witness, so ``witness``,
+    ``case_id`` and ``oracle_agrees`` are ``None`` and ``deferral`` names it.
+    """
+    params = derive_case_parameters(n, p, q)
+    found = _construct(params)
+    agrees, holds = audit_witness(params, found)
     return CrossValidation(found, found and found.candidate.case_id, params.deferral, agrees, holds)
 
 

@@ -95,7 +95,6 @@ class CaseTreeFalsified(InternalInvariantError):
     """No candidate verified for a parameter record inside the case tree."""
 
     def __init__(self, params: CaseParameters, failures: list["VerificationFailure"]):
-        self.params = params
         self.failures = failures
         attempted = "; ".join(
             f"{f.candidate.case_id} {f.partition.to_literal()}: {f.reason}"

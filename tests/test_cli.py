@@ -163,15 +163,27 @@ def test_scan_plain(capsys):
 
 
 def test_scan_cross_validate(capsys):
-    code, out, _ = invoke(
-        capsys, "scan", "--n-min", "9", "--n-max", "11", "--cross-validate"
-    )
+    # over the command's whole range, n <= 60: the audit adds fields to each
+    # plain scan line and changes no witness
+    span = ("--n-min", "1", "--n-max", "60")
+    code, plain, _ = invoke(capsys, "scan", *span)
     assert code == 0
-    lines = out.strip().splitlines()
-    witness_lines = [l for l in lines if " case=deferred" not in l and l.startswith("result")]
-    assert witness_lines and all("agree=true" in l for l in witness_lines)
-    deferred = [l for l in lines if "case=deferred" in l]
-    assert deferred and all("oracle=true" in l for l in deferred)
+    code, audited, _ = invoke(capsys, "scan", *span, "--cross-validate")
+    assert code == 0
+    plain_lines, audited_lines = plain.splitlines(), audited.splitlines()
+    assert len(plain_lines) == len(audited_lines) == 3309
+    for bare, full in zip(plain_lines[:-1], audited_lines[:-1]):
+        assert bare.endswith(" agree=na"), bare
+        head = bare[: -len(" agree=na")]
+        assert full.startswith(head + " agree="), (bare, full)
+    witness_lines = [l for l in audited_lines[:-1] if " case=deferred" not in l]
+    assert len(witness_lines) == 1096
+    assert all(l.endswith(" agree=true oracle=true") for l in witness_lines)
+    deferred = [l for l in audited_lines[:-1] if " case=deferred" in l]
+    assert deferred and all(l.endswith(" agree=na oracle=true") for l in deferred)
+    assert audited_lines[-1] == plain_lines[-1] == (
+        "scan-summary tuples=3308 witnesses=1096 deferred=2212 disagreements=0 falsified=0"
+    )
 
 
 def test_scan_deterministic(capsys):
@@ -451,6 +463,11 @@ def test_witness_and_scan_validate_once(capsys, monkeypatch):
     assert code == 0
     assert calls == []
     tuples = sum(len(prime_pairs(n)) for n in range(9, 15))
+    assert len([line for line in out.splitlines() if line.startswith("result ")]) == tuples
+    # the cross-validated scan builds each record the same way, then audits it
+    code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "14", "--cross-validate")
+    assert code == 0
+    assert calls == []
     assert len([line for line in out.splitlines() if line.startswith("result ")]) == tuples
 
 

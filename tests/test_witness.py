@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import _oracles as oracle
@@ -202,6 +204,50 @@ def test_proved_candidates_verify_on_grid():
             assert isinstance(verify_candidate(listed[-1], n), Witness), (n, p, q)
             proved[ids[-1]] += 1
     assert proved == {"I.c-fallback1": 1237, "II.c-alt-q2": 152}
+
+
+# the verifier's four checks, each named by how its failure reason begins
+FAILED_CHECKS = (
+    ("outside the principal", "block"),
+    ("degree divisible by host prime", "host"),
+    ("degree not divisible by", "divisor"),
+    ("self-conjugate", "self-conjugate"),
+)
+
+
+def test_failure_tally_on_grid():
+    # every candidate tried, in construct_witness's order, for every in-regime
+    # tuple with 9 <= n <= 200: only the two valuation checks ever fail, and
+    # III.b-final is never reached
+    failed, tried = Counter(), set()
+    for n in range(9, 201):
+        for p, q in prime_pairs(n):
+            params = derive_case_parameters(n, p, q)
+            if params.deferral is not None:
+                continue
+            for candidate in candidates(params):
+                tried.add(candidate.case_id)
+                outcome = verify_candidate(candidate, n)
+                if isinstance(outcome, Witness):
+                    break
+                check = next(
+                    name for prefix, name in FAILED_CHECKS if outcome.reason.startswith(prefix)
+                )
+                failed[candidate.case_id, check] += 1
+            else:
+                pytest.fail(f"no candidate verified for n={n} p={p} q={q}")
+    assert dict(failed) == {
+        ("I.b", "divisor"): 1216,
+        ("I.c", "divisor"): 91,
+        ("I.c-fallback1", "divisor"): 41,
+        ("II.b", "divisor"): 145,
+        ("II.c-alt", "divisor"): 3,
+        ("I.c", "host"): 13,
+        ("II.c", "host"): 7,
+        ("III.b", "host"): 2,
+        ("III.b-alt1", "host"): 1,
+    }
+    assert tried == set(CASE_IDS) - {"III.b-final"}
 
 
 def test_deep_case_three_chain():
