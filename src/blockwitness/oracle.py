@@ -21,8 +21,10 @@ compares B_p with B_q.  :func:`audit_witness` checks the constructor's
 witness alone, and only when there is no witness or the audit fails asks
 whether either side has a witness, through one search per prime that stops
 at its first hit, run once per block.  The candidate construction in
-:mod:`blockwitness.witness` is never consulted, which is exactly what makes
-the audit, and :func:`cross_validate` around it, meaningful.
+:mod:`blockwitness.witness` is called only by :func:`cross_validate`, to
+build the witness to be audited; :func:`audit_witness`'s searches and
+:func:`check_conjC` never consult it, which is exactly what makes the audit
+meaningful.
 
 The alternating-group mode drops the self-conjugate partitions from those
 finished sets.  What it proves is one-sided.  A nonempty ``an`` witness set is

@@ -2,11 +2,11 @@
 
 Partitions are kept in one canonical form: a weakly decreasing tuple of
 positive parts.  The constructor takes its parts as given; every partition
-built here is canonical by construction, and parts from outside the program
-come in through :meth:`Partition.from_literal` or :class:`AscendingSpec`,
-which check them.  The ascending block notation used to write down
-candidate partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists
-only at the :class:`AscendingSpec` boundary and is normalized on conversion.
+built here is canonical by construction, and partition text from outside
+the program comes in through :func:`parse_partition_text`, which checks it.
+The ascending block notation used to write down candidate partitions, e.g.
+``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
+:class:`AscendingSpec` boundary and is normalized on conversion.
 
 The kernels below read a partition's descending ``(value, multiplicity)``
 runs of equal parts, not its parts.  :func:`partitions_of` enumerates the
@@ -78,18 +78,6 @@ class Partition:
     def to_literal(self) -> str:
         """Descending literal, e.g. '[2,1,1]'; '[]' for the empty partition."""
         return runs_literal(self.runs)
-
-    @classmethod
-    def from_literal(cls, text: str) -> "Partition":
-        """Parse '[2,1,1]'; parts that are not positive and weakly decreasing raise."""
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"partition literal must look like [a,b,...]: {text!r}")
-        inner = body[1:-1].strip()
-        parts = tuple(parse_decimal(tok.strip()) for tok in inner.split(",")) if inner else ()
-        if 0 in parts or any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"parts must be positive and weakly decreasing: {text!r}")
-        return cls(parts)
 
 
 def runs_literal(runs: Sequence[tuple[int, int]]) -> str:
@@ -278,26 +266,6 @@ class AscendingSpec:
             rendered.append(f"{value}^{mult}" if mult != 1 else f"{value}")
         return "(" + ",".join(rendered) + ")"
 
-    @classmethod
-    def parse(cls, text: str) -> "AscendingSpec":
-        body = text.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"ascending spec must look like (1^k,a,b): {text!r}")
-        inner = body[1:-1].strip()
-        if not inner:
-            raise NonMonotoneSpec("spec needs at least one block")
-        blocks = []
-        for token in inner.split(","):
-            token = token.strip()
-            if "^" in token:
-                value_text, mult_text = token.split("^", 1)
-                blocks.append(
-                    (parse_decimal(value_text.strip()), parse_decimal(mult_text.strip()))
-                )
-            else:
-                blocks.append((parse_decimal(token), 1))
-        return cls(tuple(blocks))
-
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, in lexicographically decreasing part order.
@@ -335,16 +303,28 @@ def partitions_of(n: int) -> Iterator[Partition]:
 def parse_partition_text(text: str, size: int) -> Partition:
     """A partition of ``size`` from a '[3,1]' literal or a '(1^2,3)' spec.
 
+    The one way in for partition text: anything else raises ``ValueError``.
     A spec is sized before it is expanded, so a huge one costs no memory.
     """
-    stripped = text.strip()
-    if stripped.startswith("("):
-        spec = AscendingSpec.parse(stripped)
+    body = text.strip()
+    inner = body[1:-1].strip()
+    tokens = [token.strip() for token in inner.split(",")] if inner else []
+    if body.startswith("("):
+        if not body.endswith(")"):
+            raise ValueError(f"ascending spec must look like (1^k,a,b): {body!r}")
+        spec = AscendingSpec(tuple(
+            (parse_decimal(head.strip()), parse_decimal(tail.strip()) if power else 1)
+            for head, power, tail in (token.partition("^") for token in tokens)
+        ))
         if spec.total == size:
             return spec.to_partition()
         shown, total = str(spec), spec.total
     else:
-        lam = Partition.from_literal(stripped)
+        if not (body.startswith("[") and body.endswith("]")):
+            raise ValueError(f"partition literal must look like [a,b,...]: {body!r}")
+        lam = Partition(tuple(map(parse_decimal, tokens)))
+        if 0 in lam.parts or any(a < b for a, b in zip(lam.parts, lam.parts[1:])):
+            raise ValueError(f"parts must be positive and weakly decreasing: {body!r}")
         if lam.size == size:
             return lam
         shown, total = lam.to_literal(), lam.size

@@ -160,11 +160,8 @@ def candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
             yield WitnessCandidate("I.b", _ones_then(mp - r - 1, 1 + low, high), p, q)
             yield WitnessCandidate("I.b-fallback", _ones_then(mp, b), p, q)
         else:
-            # b = r > 0; r + 1 < wq holds whenever m > 1
-            if not r + 1 < w * q:
-                raise InternalInvariantError(
-                    f"r+1 >= wq at n={n}, p={p}, q={q} despite m > 1"
-                )
+            # b = r > 0; m > 1 gives r + 1 < wq, which is exactly what keeps the
+            # first spec weakly increasing, so _ones_then faults on a violation
             yield WitnessCandidate("I.c", _ones_then(r, r + 1, w * q - 1), p, q)
             yield WitnessCandidate("I.c-fallback1", _ones_then(w * q - 2, 1 + r, 1 + r), p, q)
             if r == 1:

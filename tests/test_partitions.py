@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from _all_partitions import conjugate, p_quotient, weight
 from blockwitness.blocks import principal_p_prime_partitions
-from blockwitness.factored import primes_up_to
+from blockwitness.factored import DigitLimitExceeded, primes_up_to
 from blockwitness.partitions import (
     AscendingSpec,
     NonMonotoneSpec,
@@ -31,14 +31,12 @@ partitions_strategy = st.lists(
 
 
 def test_partition_validation():
-    # outside parts enter through the literal; the constructor takes its parts as given
+    # outside parts enter through the parser; the constructor takes its parts as given
     for text, size in (("[1,2]", 3), ("[3,0]", 3), ("[2,,1]", 3)):
-        with pytest.raises(ValueError):
-            Partition.from_literal(text)
         with pytest.raises(ValueError):
             parse_partition_text(text, size)
     with pytest.raises(ValueError, match=r"weakly decreasing: '\[1,2\]'"):
-        Partition.from_literal("[1,2]")
+        parse_partition_text("[1,2]", 3)
     assert P().size == 0
     assert P(3, 1).size == 4
 
@@ -104,12 +102,12 @@ def test_ascending_spec_rejections():
 
 
 def test_ascending_spec_parse_and_str():
-    spec = AscendingSpec.parse("(1^7,2)")
-    assert spec.blocks == ((1, 7), (2, 1))
+    spec = AscendingSpec(((1, 7), (2, 1)))
     assert str(spec) == "(1^7,2)"
     assert spec.total == 9
-    assert AscendingSpec.parse("(5)").blocks == ((5, 1),)
-    assert AscendingSpec.parse("(1^0, 5)").to_partition().parts == (5,)
+    assert parse_partition_text("(1^7,2)", 9) == spec.to_partition() == P(2, 1, 1, 1, 1, 1, 1, 1)
+    assert parse_partition_text("(5)", 5) == P(5)
+    assert parse_partition_text("(1^0, 5)", 5) == P(5)
 
 
 def test_conjugate_examples():
@@ -290,24 +288,74 @@ def test_literals():
             assert lam.to_literal() == "[" + ",".join(map(str, lam.parts)) + "]"
     lam = AscendingSpec(((1, 0), (2, 3), (5, 1), (5, 2))).to_partition()
     assert lam.to_literal() == "[5,5,5,2,2,2]"
-    assert Partition.from_literal("[2,1,1]") == P(2, 1, 1)
-    assert Partition.from_literal("[]") == P()
-    with pytest.raises(ValueError):
-        Partition.from_literal("2,1")
-    assert parse_partition_text("[3,1]", 4) == P(3, 1)
-    assert parse_partition_text("[3, 1]", 4) == P(3, 1)
-    assert parse_partition_text("(1^2,3)", 5) == P(3, 1, 1)
-    assert parse_partition_text("(1 ^ 2, 3)", 5) == P(3, 1, 1)
-    with pytest.raises(ValueError, match=r"partition \[3,1\] has size 4, expected 5"):
-        parse_partition_text("[3, 1]", 5)
-    with pytest.raises(ValueError, match=r"partition \(1\^2,3\) has size 5, expected 4"):
-        parse_partition_text("(1 ^ 2, 3)", 4)
+    # the literal a partition renders parses back to it
+    for lam in (P(2, 1, 1), P()):
+        assert parse_partition_text(lam.to_literal(), lam.size) == lam
+
+
+_DIGITS = "expected ASCII decimal digits, got "
+_LITERAL_SHAPE = "partition literal must look like [a,b,...]: "
+
+# (text, size, outcome): the parts, or the exception's exact type and message
+PARSED = [
+    # both notations, with the spaces they may carry
+    ("[3,1]", 4, (3, 1)),
+    (" [ 2 , 2 ] ", 4, (2, 2)),
+    ("(1^2,3)", 5, (3, 1, 1)),
+    ("(1 ^ 2, 3)", 5, (3, 1, 1)),
+    ("[]", 0, ()),
+    ("(1^0,5)", 5, (5,)),
+    ("(1^0)", 0, ()),
+    # a malformed bracket shape of each notation
+    ("(1^2,3]", 5, (ValueError, "ascending spec must look like (1^k,a,b): '(1^2,3]'")),
+    ("[3,", 3, (ValueError, _LITERAL_SHAPE + "'[3,'")),
+    ("x", 1, (ValueError, _LITERAL_SHAPE + "'x'")),
+    ("", 0, (ValueError, _LITERAL_SHAPE + "''")),
+    ("()", 0, (NonMonotoneSpec, "spec needs at least one block")),
+    # zero and decreasing values
+    ("[3,0]", 3, (ValueError, "parts must be positive and weakly decreasing: '[3,0]'")),
+    ("[1,3]", 4, (ValueError, "parts must be positive and weakly decreasing: '[1,3]'")),
+    ("(1^2,0)", 2, (NonMonotoneSpec, "block value must be >= 1, got 0")),
+    ("(2^0,3)", 3, (NonMonotoneSpec, "multiplicity 0 invalid for block 2 at index 0")),
+    (
+        "(3,1)",
+        4,
+        (NonMonotoneSpec, "block values must be weakly increasing, got ((3, 1), (1, 1))"),
+    ),
+    # integers that int() would take but the parser must not
+    ("[３,1]", 4, (ValueError, _DIGITS + "'３'")),
+    ("[3,+1]", 4, (ValueError, _DIGITS + "'+1'")),
+    ("[1_0]", 4, (ValueError, _DIGITS + "'1_0'")),
+    ("[-1]", 4, (ValueError, _DIGITS + "'-1'")),
+    ("[3,]", 4, (ValueError, _DIGITS + "''")),
+    ("(1^+2,3)", 4, (ValueError, _DIGITS + "'+2'")),
+    ("(1^2,３)", 4, (ValueError, _DIGITS + "'３'")),
+    ("(1_0)", 4, (ValueError, _DIGITS + "'1_0'")),
+    ("(1^-1,2)", 4, (ValueError, _DIGITS + "'-1'")),
+    ("(1^)", 1, (ValueError, _DIGITS + "''")),
+    ("(1^2^3)", 8, (ValueError, _DIGITS + "'2^3'")),
+    # a size mismatch names the normalized text
+    ("[3, 1]", 5, (ValueError, "partition [3,1] has size 4, expected 5")),
+    ("(1 ^ 2,3)", 4, (ValueError, "partition (1^2,3) has size 5, expected 4")),
+    (
+        "(1^" + "9" * 5000 + ",2)",
+        4,
+        (DigitLimitExceeded, "integer of 5000 digits exceeds the 4300-digit limit"),
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[３,1]", "[3,+1]", "[1_0]", "[-1]", "[3,]", "(1^+2,3)", "(1^2,３)", "(1_0)", "(1^-1,2)"],
+    "text, size, outcome",
+    PARSED,
+    ids=[text[:20] or "empty-text" for text, _, _ in PARSED],
 )
-def test_partition_text_rejects_lax_integers(text):
-    with pytest.raises(ValueError):
-        parse_partition_text(text, 4)
+def test_partition_text_rejects_lax_integers(text, size, outcome):
+    # every outcome of the one parser for outside text is pinned exactly
+    if not (outcome and isinstance(outcome[0], type)):
+        assert parse_partition_text(text, size).parts == outcome
+        return
+    kind, message = outcome
+    with pytest.raises(kind) as info:
+        parse_partition_text(text, size)
+    assert (type(info.value), str(info.value)) == (kind, message)

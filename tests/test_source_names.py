@@ -1,8 +1,11 @@
 """Every top-level function and class in ``src/`` is read somewhere in ``src/``.
 
 A name that only its own definition mentions is dead in the package: either
-it goes, or it moves to ``tests/`` when only tests read it.  Names match by
-their bare text, read (not assigned) anywhere outside the definition itself.
+it goes, or it moves to ``tests/`` when only tests read it.  A read counts
+only when it resolves to the definition, outside the definition itself: a
+name bound by ``from .m import name``, ``m.name`` on a sibling module bound
+by ``from . import m``, or a bare name of the defining module.  An attribute
+of any other object, such as ``args.name``, reads nothing.
 
 An exception class earns its name the same way: ``src/`` catches it by name,
 or it is an ``InternalInvariantError``, whose name the CLI prints.  Any
@@ -21,6 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "blockwitness"
 ALLOWED = {
     "witness.construct_witness": "the library entry point the README documents",
     "factored.factor": "perfbench/tracing.py reads its cache statistics",
+    "oracle.cross_validate": "perfbench/workloads.py and demos/witness_tour.py call it",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -29,22 +33,39 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def unreferenced_names(src: Path = SRC) -> list[str]:
     """``module.name`` of each top-level definition no other code in ``src`` reads."""
     defined = []
-    readers: dict[str, set[str]] = {}
+    readers: dict[str, set[str | None]] = {}
     for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        # the definition each bare name stands for, and the sibling modules bound
+        names = {
+            top.name: f"{path.stem}.{top.name}" for top in body if isinstance(top, DEFINITIONS)
+        }
+        defined += names.values()
+        modules = {}
+        for top in body:
+            if isinstance(top, ast.ImportFrom) and top.level == 1:
+                for alias in top.names:
+                    if top.module:
+                        names[alias.asname or alias.name] = f"{top.module}.{alias.name}"
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        for top in body:
             owner = f"{path.stem}.{top.name}" if isinstance(top, DEFINITIONS) else None
-            if owner:
-                defined.append(owner)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    readers.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    readers.setdefault(node.attr, set()).add(owner)
-    return [
-        owner
-        for owner in defined
-        if not readers.get(owner.split(".", 1)[1], set()) - {owner}
-    ]
+                    target = names.get(node.id)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
+                    target = f"{modules[node.value.id]}.{node.attr}"
+                else:
+                    continue
+                if target:
+                    readers.setdefault(target, set()).add(owner)
+    return [owner for owner in defined if not readers.get(owner, set()) - {owner}]
 
 
 def test_every_definition_is_read_in_src():
@@ -58,12 +79,23 @@ def test_the_guard_sees_a_name_read_only_by_itself(tmp_path):
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def recursive(k):\n    return recursive(k - 1) if k else used()\n\n\n"
+        "def by_module():\n    return 2\n\n\n"
+        "def by_name():\n    return 3\n\n\n"
+        "def flag():\n    return 4\n\n\n"
         "class Lonely:\n    pass\n\n\n"
         "Lonely = 2\n",
         encoding="utf-8",
     )
-    (tmp_path / "b.py").write_text("from .a import recursive\n", encoding="utf-8")
-    assert unreferenced_names(tmp_path) == ["a.recursive", "a.Lonely"]
+    # an import alone reads nothing, and neither does an attribute of an
+    # unrelated object that shares a defined name (args.flag, args.recursive)
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import by_name as renamed, recursive\n\n\n"
+        "def run(args):\n"
+        "    return a.by_module(), renamed(), args.flag, args.recursive\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_names(tmp_path) == ["a.recursive", "a.flag", "a.Lonely", "b.run"]
 
 
 def _builtin_exception(name: str) -> bool:

@@ -5,6 +5,7 @@ import pytest
 import _oracles as oracle
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
+from blockwitness.factored import InternalInvariantError
 from blockwitness.oracle import prime_pairs
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import AscendingSpec, Partition
@@ -14,6 +15,7 @@ from blockwitness.witness import (
     VerificationFailure,
     Witness,
     WitnessCandidate,
+    _construct,
     candidates,
     construct_witness,
     verify_candidate,
@@ -115,6 +117,18 @@ def test_corrupted_specs():
     accepted = verify_candidate(perturbed, 9)
     assert isinstance(accepted, Witness)
     assert accepted.degree.to_decimal() == "28"
+
+
+def test_violated_ic_bound_is_a_program_fault():
+    # m > 1 gives r + 1 < wq in case I.c; with the bound broken by hand, the
+    # first I.c spec (1^r, r+1, wq-1) decreases and its check is the fault
+    params = derive_case_parameters(82, 5, 3)
+    assert params.b == params.r == 2
+    object.__setattr__(params, "w", 1)
+    with pytest.raises(InternalInvariantError) as info:
+        _construct(params)
+    assert "malformed candidate spec" in str(info.value)
+    assert "weakly increasing" in str(info.value)
 
 
 def test_witness_facts_recompute():
