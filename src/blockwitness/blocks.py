@@ -21,14 +21,12 @@ component of at most a < p boxes is a p-core, so a partition of n has
 p'-degree exactly when its p^k-weight is a and its p^k-core, a partition
 of m, has p'-degree.  Removing p^k-hooks keeps the p-core, so the
 principal block's share is the core (a_0) lifted one digit at a time by
-:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k; the
-oracle (:mod:`blockwitness.oracle`) takes its sets from there.
+:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 
 from .factored import InternalInvariantError
 from .partitions import Partition, from_core_and_quotients, partitions_of, runner_steps
@@ -63,30 +61,25 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     """The partitions of n in the principal p-block whose degree p does not divide.
 
     With n = sum a_k p^k in base p, the set starts as the principal core
-    (a_0) and each digit a_k > 0 lifts every member by the p^k-quotients of
-    weight a_k (see the module docstring); no other core is visited.  The
-    count is certified: with m(c, a) the number of c-tuples of partitions
-    of total size a, the lift makes prod_{k >= 1} m(p^k, a_k) members and
-    the returned set has that size; anything else is a program fault.
+    (a_0), and each digit a_k > 0 lifts every member by the p^k-quotients of
+    weight a_k (see the module docstring) and multiplies the expected count
+    by m(p^k, a_k), the number of p^k-tuples of partitions of total size a_k.
+    A set of any other size, or with a repeated member, is a program fault.
     """
     if p < 2:
         raise ValueError(f"p'-degree sets require p >= 2, got {p}")
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    digits = []
-    rest = n
+    rest, a = divmod(n, p)
+    members = [Partition((a,) if a else ())]
+    expected, e = 1, p
     while rest:
         rest, a = divmod(rest, p)
-        digits.append(a)
-    digits = digits or [0]
-    members = [Partition((digits[0],) if digits[0] else ())]
-    for k, a in enumerate(digits[1:], start=1):
         if a:
-            quotients = _multipartitions(p**k, a)
-            members = [
-                lam for mu in members for lam in from_core_and_quotients(mu, quotients, p**k)
-            ]
-    expected = prod(_multipartition_count(p**k, a) for k, a in enumerate(digits[1:], start=1))
+            quotients = _multipartitions(e, a)
+            members = [lam for mu in members for lam in from_core_and_quotients(mu, quotients, e)]
+            expected *= _multipartition_count(e, a)
+        e *= p
     certified = frozenset(members)
     if len(members) != expected or len(certified) != expected:
         raise InternalInvariantError(

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from . import oracle, tables, witness
@@ -57,6 +58,7 @@ def _decimal(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blockwitness", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -106,8 +108,7 @@ def _quote(detail: str) -> str:
 def _first_or_dash(partitions: frozenset[Partition]) -> str:
     if not partitions:
         return "-"
-    best = max(partitions, key=lambda lam: lam.parts)
-    return best.to_literal()
+    return max(partitions, key=lambda lam: lam.parts).to_literal()
 
 
 def _cmd_witness(args) -> int:
@@ -157,8 +158,7 @@ def _cmd_verify_b(args) -> int:
     print(
         f"conjecture-b n={args.n} p={args.p} q={args.q}"
         f" sets_equal={equal} violation={equal}"
-        f" size_p={len(report.set_B_p)}"
-        f" size_q={len(report.set_B_q)}"
+        f" size_p={len(report.set_B_p)} size_q={len(report.set_B_q)}"
     )
     return EXIT_CONDITION_FAILED if report.sets_equal else EXIT_OK
 
@@ -289,6 +289,3 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     sys.exit(run())
 
-
-if __name__ == "__main__":
-    main()

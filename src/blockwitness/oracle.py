@@ -1,19 +1,17 @@
 """Ground truth for the witness conditions, independent of the case tree.
 
-For each prime r the oracle generates B_r = Irr_r'(B_0(S_n)), the
-partitions in the principal r-block whose degree r does not divide, one
-base-r digit of n at a time by Macdonald's theorem (I. G. Macdonald, "On
-the degrees of the irreducible representations of symmetric groups",
-Bull. London Math. Soc. 3, 1971; see
+For each prime r the oracle generates B_r = Irr_r'(B_0(S_n)), the partitions
+in the principal r-block whose degree r does not divide, one base-r digit of
+n at a time by Macdonald's theorem (see
 :func:`blockwitness.blocks.principal_p_prime_partitions`).  Only the core
-(n mod r) is lifted, and each set is certified by its size, which must
-match a count of multipartitions.  :func:`divides`, the one predicate on
-degrees, says whether a prime divides one, off abacus weights, with no hook
-lengths and without :mod:`blockwitness.degrees`.  Its weights come from
+(n mod r) is lifted, and each set is certified by its size, which must match
+a count of multipartitions.  :func:`divides`, the one predicate on degrees,
+says whether a prime divides one, off abacus weights, with no hook lengths
+and without :mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.weight`, on abacus runner counts that the
 tests pin against exhaustive rim-hook stripping.  The witness audit reads
-block membership from cell contents instead (:func:`in_principal_block`),
-so the verifier's membership kernel decides no audited fact.
+block membership from cell contents instead (:func:`in_principal_block`), so
+the verifier's membership kernel decides no audited fact.
 
 A p-block witness is a member of B_p whose degree q divides, so
 :func:`check_conjC` filters B_p and B_q by that predicate, and conjecture B

@@ -209,7 +209,6 @@ class AscendingSpec:
         object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         if not self.blocks:
             raise NonMonotoneSpec("spec needs at least one block")
-        previous = None
         for index, (value, mult) in enumerate(self.blocks):
             if type(value) is not int or type(mult) is not int:
                 raise TypeError(f"block values must be int, got {(value, mult)!r}")
@@ -219,11 +218,10 @@ class AscendingSpec:
                 raise NonMonotoneSpec(
                     f"multiplicity {mult} invalid for block {value} at index {index}"
                 )
-            if previous is not None and value < previous:
+            if index and value < self.blocks[index - 1][0]:
                 raise NonMonotoneSpec(
                     f"block values must be weakly increasing, got {self.blocks}"
                 )
-            previous = value
 
     @property
     def total(self) -> int:
@@ -261,10 +259,7 @@ class AscendingSpec:
         return lam
 
     def __str__(self) -> str:
-        rendered = []
-        for value, mult in self.blocks:
-            rendered.append(f"{value}^{mult}" if mult != 1 else f"{value}")
-        return "(" + ",".join(rendered) + ")"
+        return "(" + ",".join(f"{v}^{m}" if m != 1 else f"{v}" for v, m in self.blocks) + ")"
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

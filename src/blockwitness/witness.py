@@ -44,9 +44,10 @@ not self-conjugate.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.
 
-Two proved facts keep the lists short.  By proof 1 the I.c list ends at
+Three proved facts keep the lists short.  By proof 1 the I.c list ends at
 I.c-fallback1 when r >= 2; by proof 2 II.c-alt-q2 needs no condition beyond
-q = 2, so every q = 2 record of case II.c ends in a verified candidate.
+q = 2, so every q = 2 record of case II.c ends in a verified candidate; by
+proof 3 I.a, the one candidate of case I with b = 0, needs no fallback.
 
 Proof 1 (I.c with r >= 2: I.c-fallback1 verifies).  Take
 mu = (r+1, r+1, 1^(wq-2)), a partition of wq + 2r = n.
@@ -73,6 +74,17 @@ t >= 1, the lowest set bit of mp; take the hook (b+1, 1^(mp-1)).
 - Divisor: p | C(n-1, b) by Lucas, because the last base-p digit of n-1 is
   b-1 < b.
 - Not self-conjugate: b+1 is odd and mp is even, so arm and leg differ.
+
+Proof 3 (I.a, n = mp: the hook (1+r, 1^(mp-r-1)) verifies).
+
+- Block: its beta-set with mp - r beads is the empty partition's with bead 0
+  moved to mp, a multiple of p, so its p-core is empty, the principal core.
+- Host: the degree is C(mp-1, r), prime to p by Lucas, because the last
+  base-p digit of mp-1 is p-1 >= r and r < q < p is one base-p digit.
+- Divisor: q | C(mp-1, r) by Lucas, because mp = r (mod q) with 0 < r < q,
+  so the last base-q digit of mp-1 is r-1 < r.
+- Not self-conjugate: the arm r differs from the leg mp-r-1, since
+  mp >= 2p > 2r+1.
 """
 
 from __future__ import annotations
@@ -172,8 +184,7 @@ def candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
                 case_id = "I.c-fallback2-q2" if q == 2 else "I.c-fallback2-r1"
                 yield WitnessCandidate(case_id, _ones_then(n - 2, 2), q, p)
     else:
-        a1q = params.low_q_part
-        b1p = params.low_p_part
+        a1q, b1p = params.low_q_part, params.low_p_part
         if a1q == b1p:
             # impossible: a1 < q and b1 < p make the lowest summands distinct
             raise InternalInvariantError(

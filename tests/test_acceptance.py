@@ -8,10 +8,11 @@ BLOCKWITNESS_TEST_SEED environment variable.
 import math
 import os
 import random
+from functools import lru_cache
 
 import _oracles as oracle_helpers
 from _all_partitions import conjugate, degree_valuation, p_quotient, weight
-from blockwitness.blocks import principal_block_contains
+from blockwitness.blocks import _multipartition_count, principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
 from blockwitness.oracle import check_conjC, cross_validate, prime_pairs
@@ -26,6 +27,10 @@ CASES = 10_000
 # each witness alone, so it reaches much further for the same time
 CRITERION_2_MAX_N = 34
 CRITERION_3_MAX_N = 120
+# criterion 4 compares the principal sets themselves up to its first bound,
+# then only their certified sizes, which need no set built
+CRITERION_4_SET_MAX_N = 24
+CRITERION_4_COUNT_MAX_N = 1000
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -89,19 +94,45 @@ def test_criterion_3_constructor_oracle_agreement():
     )
 
 
+_memoised_multipartition_count = lru_cache(maxsize=None)(_multipartition_count)
+
+
+def _principal_count(n: int, p: int) -> int:
+    # |Irr_p'(B_0(S_n))| = prod_{k >= 1} m(p^k, a_k) with n = sum a_k p^k in
+    # base p (Macdonald), the count the digit lift certifies its set against
+    count, rest, e = 1, n // p, p
+    while rest:
+        rest, a = divmod(rest, p)
+        count *= _memoised_multipartition_count(e, a)
+        e *= p
+    return count
+
+
 def test_criterion_4_conjecture_b_non_violation():
     violations = []
     pairs = 0
-    for n in range(2, 25):
+    for n in range(2, CRITERION_4_SET_MAX_N + 1):
         for p, q in prime_pairs(n):
             pairs += 1
             report = check_conjC(n, p, q, "sn")
+            generated = len(report.set_B_p), len(report.set_B_q)
+            assert generated == (_principal_count(n, p), _principal_count(n, q)), (n, p, q)
             if report.sets_equal:
                 violations.append((n, p, q))
+    # sets of different sizes differ, so pairwise distinct sizes at n rule
+    # out every coinciding pair there
+    counted = 0
+    for n in range(CRITERION_4_SET_MAX_N + 1, CRITERION_4_COUNT_MAX_N + 1):
+        sizes = [_principal_count(n, p) for p in primes_up_to(n)]
+        counted += len(sizes) * (len(sizes) - 1) // 2
+        if len(set(sizes)) != len(sizes):
+            violations.append((n, "equal sizes"))
     _report(
         "criterion-4 conjecture-b-non-violation",
         not violations,
-        f"{pairs} prime pairs over n=2..24, violations={violations}",
+        f"{pairs} prime pairs over n=2..{CRITERION_4_SET_MAX_N} by sets and {counted}"
+        f" over n={CRITERION_4_SET_MAX_N + 1}..{CRITERION_4_COUNT_MAX_N} by certified sizes,"
+        f" violations={violations}",
     )
 
 
