@@ -21,7 +21,9 @@ component of at most a < p boxes is a p-core, so a partition of n has
 p'-degree exactly when its p^k-weight is a and its p^k-core, a partition
 of m, has p'-degree.  Removing p^k-hooks keeps the p-core, so the
 principal block's share is the core (a_0) lifted one digit at a time by
-:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k.
+:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k.  A first
+digit a_1 = 1 adds one p-hook to the core, and its p shapes are written in
+closed form; that step is the whole lift when n // p = 1.
 """
 
 from __future__ import annotations
@@ -65,17 +67,30 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     weight a_k (see the module docstring) and multiplies the expected count
     by m(p^k, a_k), the number of p^k-tuples of partitions of total size a_k.
     A set of any other size, or with a repeated member, is a program fault.
+
+    A first digit a_1 = 1 lifts the core (b), b = a_0, by one p-hook, and
+    m(p, 1) = p.  At beta-set length p + 1 the core's beads are 0 .. p - 1,
+    one packed bead on every runner, and b + p, a second one on runner b.
+    Every runner of a p-core is packed, so adding a p-hook moves the top
+    bead of one runner up by p, and the p runners give exactly p shapes
+    (:func:`_one_hook_lifts`): runner b gives (b + p), runner b + j gives
+    (b + j, b + 1, 1^(p - b - 1 - j)) for 1 <= j <= p - b - 1, and runner
+    c - 1 gives (b, c, 1^(p - c)) for 1 <= c <= b.  No beta-set is laid out
+    and no quotient list is built.
     """
     if p < 2:
         raise ValueError(f"p'-degree sets require p >= 2, got {p}")
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    rest, a = divmod(n, p)
-    members = [Partition((a,) if a else ())]
+    rest, b = divmod(n, p)
+    members = [Partition((b,) if b else ())]
     expected, e = 1, p
     while rest:
         rest, a = divmod(rest, p)
-        if a:
+        if e == p and a == 1:
+            members = _one_hook_lifts(b, p)
+            expected *= p
+        elif a:
             quotients = _multipartitions(e, a)
             members = [lam for mu in members for lam in from_core_and_quotients(mu, quotients, e)]
             expected *= _multipartition_count(e, a)
@@ -87,6 +102,16 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
             f" {len(certified)} distinct, expected {expected}"
         )
     return certified
+
+
+def _one_hook_lifts(b: int, p: int) -> list[Partition]:
+    # the p partitions with p-core (b) and p-weight 1, one per runner (see
+    # principal_p_prime_partitions)
+    return [
+        Partition((b + p,)),
+        *(Partition((b + j, b + 1) + (1,) * (p - b - 1 - j)) for j in range(1, p - b)),
+        *(Partition((b, c) + (1,) * (p - c)) for c in range(1, b + 1)),
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,10 @@ For each prime r the oracle generates B_r = Irr_r'(B_0(S_n)), the partitions
 in the principal r-block whose degree r does not divide, one base-r digit of
 n at a time by Macdonald's theorem (see
 :func:`blockwitness.blocks.principal_p_prime_partitions`).  Only the core
-(n mod r) is lifted, and each set is certified by its size, which must match
-a count of multipartitions.  :func:`divides`, the one predicate on degrees,
-says whether a prime divides one, off abacus weights, with no hook lengths
+(n mod r) is lifted, a first digit of 1 by r shapes in closed form, and
+each set is certified by its size, which must match a count of
+multipartitions.  :func:`divides`, the one predicate on degrees, says
+whether a prime divides one, off abacus weights, with no hook lengths
 and without :mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.weight`, on abacus runner counts that the
 tests pin against exhaustive rim-hook stripping.  The witness audit reads

@@ -8,9 +8,9 @@ from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
 from blockwitness.blocks import principal_block_contains, principal_p_prime_partitions
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
-from blockwitness.oracle import _prime_view, prime_pairs
+from blockwitness.oracle import _prime_view, divides, in_principal_block, prime_pairs
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import Partition, from_core_and_quotients, partitions_of
 from blockwitness.witness import candidates
 
 
@@ -181,6 +181,30 @@ def test_tower_generation_small_cases():
             generate(-1, 3)
 
 
+def test_first_digit_one_lift_equals_general_lift():
+    # the closed-form step for a_1 = 1 against the quotient assembler on the
+    # core (b), and each of its members is a principal p'-degree partition
+    # by cell contents and abacus weights
+    steps = {(n % p, p) for n in range(101) for p in primes_up_to(n) if (n // p) % p == 1}
+    for b, p in sorted(steps):
+        core = P(b) if b else P()
+        lifted = blocks._one_hook_lifts(b, p)
+        assert len(lifted) == len(set(lifted)) == p, (b, p)
+        general = from_core_and_quotients(core, blocks._multipartitions(p, 1), p)
+        assert set(lifted) == set(general), (b, p)
+        for lam in lifted:
+            assert in_principal_block(lam, p) and not divides(lam, p), (lam.parts, p)
+
+
+def test_weight_one_sets_build_no_multipartitions():
+    # the _multipartitions cache is unbounded, and its (p, 1) entries held
+    # 55 MB for 250 < p <= 500; a weight-1 set adds none of them
+    blocks._multipartitions.cache_clear()
+    for n, p in ((20, 11), (150, 101), (600, 599)):
+        assert len(principal_p_prime_partitions(n, p)) == p
+        assert blocks._multipartitions.cache_info().currsize == 0, (n, p)
+
+
 def _corrupt_count(monkeypatch):
     count = blocks._multipartition_count
     monkeypatch.setattr(blocks, "_multipartition_count", lambda c, a: count(c, a) + (c == 9))
@@ -214,6 +238,12 @@ def test_principal_count_mismatch_is_a_fault(monkeypatch):
         _corrupt_count(patch)
         with pytest.raises(InternalInvariantError, match="p=3"):
             principal_p_prime_partitions(20, 3)
+    with monkeypatch.context() as patch:
+        # a closed-form first-digit step that repeats one member
+        lift = blocks._one_hook_lifts
+        patch.setattr(blocks, "_one_hook_lifts", lambda b, p: lift(b, p)[:-1] + lift(b, p)[:1])
+        with pytest.raises(InternalInvariantError, match="p=11"):
+            principal_p_prime_partitions(20, 11)  # 20 = 1*11 + 9
     _merging_assembler(monkeypatch)
     with pytest.raises(InternalInvariantError, match="p=2"):
         principal_p_prime_partitions(6, 2)
