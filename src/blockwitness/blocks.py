@@ -8,7 +8,28 @@ differences of the runner counts, with those of that core, without building
 the core.  The steps come from the shape's runs of equal parts
 (:func:`blockwitness.partitions.runner_steps`), in O(1) work per run, never
 per part, and the core's, at the shape's own length, from a closed form
-that sets at most four entries.
+that sets at most six entries.
+
+That closed form covers every hook (a, 1^c).  At beta-set length L >= c + 1
+its parts are a, then c ones, then L - c - 1 zeros, so its beads
+lambda_i + L - i are 0 .. L - 1 less the gap L - c - 1, plus the top bead
+a + L - 1; a = c = 0, the empty partition, puts gap and top on one bead.
+The beads 0 .. L - 1 fill every runner to level L // p and the first L % p
+runners once more, steps 1 + L // p at runner 0 and -1 at runner L % p; the
+gap takes -1 at its runner and +1 at the next, and the top the reverse.  The
+principal core (b) is the hook (b, 1^0).
+
+The conjugate's block is read off the same steps.  Conjugation reflects
+the abacus: a beta-set X of length L inside 0 .. N has the N - y, for the
+y in 0 .. N outside X, for a beta-set of the conjugate (James and Kerber,
+*The Representation Theory of the Symmetric Group*, 1981, section 2.7).
+This reflection maps a bead moved from x to a free x - p onto a bead moved
+from N - x + p to a free N - x, so the p-hooks of a shape and of its
+conjugate correspond, and the conjugate's p-core is the conjugate of the
+shape's.  So the conjugate of ``lam`` lies in the principal block exactly
+when the p-core of ``lam`` is (1^b), the hook (1, 1^(b - 1)) for b >= 1,
+which a shape of fewer than b parts cannot have: removing hooks never adds
+a part.  One runner-step pass per prime decides both rows of a table.
 
 The partitions of p'-degree are generated, not searched for.  With
 n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
@@ -29,6 +50,7 @@ closed form; that step is the whole lift when n // p = 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Sequence
 
 from .factored import InternalInvariantError
 from .partitions import Partition, from_core_and_quotients, partitions_of, runner_steps
@@ -39,24 +61,64 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
 
     Beta-sets of equal length have the same p-core exactly when their
     runner steps (see :func:`blockwitness.partitions.runner_steps`) agree,
-    so no core is built and no count is summed.  At the shape's length L the
-    core's beta-set is {0, .., L - 2} together with the top bead b + L - 1,
-    so its steps follow in closed form.  Beads 0 .. L - 2 fill every runner
-    to ``level`` and the first ``extra`` once more: runner 0 holds
-    level + [extra > 0] and the step at ``extra`` is -1, which lands on
-    runner 0 when extra is 0.  The top bead, on runner t = (n + L - 1) mod p,
-    adds +1 at t and -1 after it.
+    so no core is built and no count is summed: the core (b) is the hook
+    (b, 1^0), whose steps at the shape's own length :func:`_hook_core_steps`
+    writes in closed form.
     """
-    length = len(lam.parts)
-    level, extra = divmod(length - 1, p)
-    core = [0] * p
-    core[0] = level + 1
-    core[extra] -= 1
-    t = (lam.size + length - 1) % p
-    core[t] += 1
-    if t + 1 < p:
-        core[t + 1] -= 1
-    return runner_steps(lam.runs, p) == core
+    return runner_steps(lam.runs, p) == _hook_core_steps(lam.size % p, 0, len(lam.parts), p)
+
+
+def principal_flag_pairs(
+    n: int, primes: Sequence[int]
+) -> Callable[[Partition], tuple[tuple[bool, ...], tuple[bool, ...]]]:
+    """Decide a partition of n and its conjugate in each prime's principal block.
+
+    The returned function maps ``lam`` to the flags of ``lam`` and of its
+    conjugate, each in the order of ``primes`` and each as
+    :func:`principal_block_contains` decides it, from one
+    :func:`blockwitness.partitions.runner_steps` pass per prime against the
+    cores (b) and (1^b) (see the module docstring).  The cores' steps are
+    built once per length and prime, and live as long as the returned function.
+    """
+    cores: dict[int, list[tuple[int, list[int], list[int] | None]]] = {}
+
+    def decide(lam: Partition) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        length = len(lam.parts)
+        at_length = cores.get(length)
+        if at_length is None:
+            at_length = cores[length] = []
+            for p in primes:
+                b = n % p
+                row = _hook_core_steps(b, 0, length, p)
+                column = row if b < 2 else _hook_core_steps(1, b - 1, length, p)
+                at_length.append((p, row, column if length >= b else None))
+        runs = lam.runs
+        own, partner = [], []
+        for p, row, column in at_length:
+            steps = runner_steps(runs, p)
+            own.append(steps == row)
+            partner.append(steps == column)
+        return tuple(own), tuple(partner)
+
+    return decide
+
+
+def _hook_core_steps(a: int, c: int, length: int, p: int) -> list[int]:
+    # runner steps of the hook (a, 1^c) at beta-set length `length` >= c + 1,
+    # or of the empty partition when a = c = 0 (see the module docstring)
+    level, extra = divmod(length, p)
+    steps = [0] * p
+    steps[0] = level + 1
+    steps[extra] -= 1
+    gap = (length - c - 1) % p
+    steps[gap] -= 1
+    if gap + 1 < p:
+        steps[gap + 1] += 1
+    top = (a + length - 1) % p
+    steps[top] += 1
+    if top + 1 < p:
+        steps[top + 1] -= 1
+    return steps
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:

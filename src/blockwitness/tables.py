@@ -31,12 +31,14 @@ Rows are :class:`CharacterRow` named tuples: immutable, hashable, positional.
 Each distinct flag tail (a row's tokens after its degree) is checked once per
 table, at most one remembered entry per row.  Writing mirrors that:
 :func:`serialize_table` renders each distinct flags tuple once per call.  The
-symmetric-group export computes one degree per conjugate pair, kept under the
-runs of the partner still to come (at most one entry per row, dropped on
-return), and rows with equal flags share one tuple, as parsed rows with one
-flag tail do.  A summary's per-prime id sets and Sylow facts are cached
-properties, built once on first use and never carried over by
-``dataclasses.replace``.
+symmetric-group export computes one degree and one set of flags per
+conjugate pair, one runner-step pass per prime deciding both shapes against
+principal cores built once per length (see :mod:`blockwitness.blocks`); the
+partner's are kept under the runs of the partner still to come (at most one
+entry per row, dropped on return), and rows with equal flags share one
+tuple, as parsed rows with one flag tail do.  A summary's per-prime id
+sets and Sylow facts are cached properties, built once on first use and
+never carried over by ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .blocks import principal_block_contains
+from .blocks import principal_flag_pairs
 from .degrees import degree
 from .factored import DigitLimitExceeded, is_prime, parse_decimal
 from .parameters import check_primes
@@ -331,25 +333,31 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     """Summary of the symmetric group on n letters for the given primes.
 
     Rows are partition literals in enumeration order; flags come from the
-    core criterion and degrees from hook lengths, one per conjugate pair,
-    since a conjugate's hook multiset is the transpose.  Distinct primes of
-    the symmetric or alternating groups never commute Sylow-wise, so a false
-    fact is recorded for every pair.
+    core criterion and degrees from hook lengths, both once per conjugate
+    pair: a conjugate's hook multiset is the transpose, and the first shape
+    of a pair decides its partner's flags from its own runner steps
+    (:func:`blockwitness.blocks.principal_flag_pairs`, cores held for this
+    call only).  Distinct primes of the symmetric or alternating groups never
+    commute Sylow-wise, so a false fact is recorded for every pair.
     """
     primes = tuple(primes)
     check_primes(n, primes)
+    decide = principal_flag_pairs(n, primes)
     rows = []
-    awaited: dict[tuple[tuple[int, int], ...], int] = {}  # conjugate's runs -> degree
+    # conjugate's runs -> its degree and flags
+    awaited: dict[tuple[tuple[int, int], ...], tuple[int, tuple[bool, ...]]] = {}
     shared: dict[tuple[bool, ...], tuple[bool, ...]] = {}
     for lam in partitions_of(n):
         runs = lam.runs
-        value = awaited.pop(runs, None)
-        if value is None:
+        known = awaited.pop(runs, None)
+        if known is None:
             value = degree(runs).to_int()
+            flags, partner = decide(lam)
             conjugate = conjugate_runs(runs)
             if conjugate != runs:
-                awaited[conjugate] = value
-        flags = tuple(principal_block_contains(lam, p) for p in primes)
+                awaited[conjugate] = value, shared.setdefault(partner, partner)
+        else:
+            value, flags = known
         rows.append(CharacterRow(lam.to_literal(), value, shared.setdefault(flags, flags)))
     facts = tuple((p, q, False) for p, q in combinations(sorted(primes), 2))
     return CharacterTableSummary(

@@ -1,11 +1,16 @@
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
 import _oracles as oracle
 import blockwitness.blocks as blocks
 from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
-from blockwitness.blocks import principal_block_contains, principal_p_prime_partitions
+from blockwitness.blocks import (
+    principal_block_contains,
+    principal_flag_pairs,
+    principal_p_prime_partitions,
+)
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
 from blockwitness.oracle import _prime_view, divides, in_principal_block, prime_pairs
@@ -66,6 +71,36 @@ def test_membership_of_every_candidate_at_n_1000():
             assert principal_block_contains(lam, r) == expected, (lam.runs, r)
             verdicts[expected] += 1
     assert verdicts == {True: 4532, False: 8213}
+
+
+def test_flag_pairs_equal_membership_of_both_conjugates():
+    # one runner-step pass per prime decides a shape and its conjugate, the
+    # conjugate through the core (1^b) of the shape, which a shape of fewer
+    # than b parts lacks; primes above n, where every shape is a core, included
+    shorter = 0
+    for n in range(0, 31):
+        primes = primes_up_to(n + 2)
+        decide = principal_flag_pairs(n, primes)
+        for lam in partitions_of(n):
+            conjugate = Partition(oracle.conjugate(lam.parts))
+            flags, partner = decide(lam)
+            assert flags == tuple(principal_block_contains(lam, p) for p in primes), lam.parts
+            expected = tuple(principal_block_contains(conjugate, p) for p in primes)
+            assert partner == expected, lam.parts
+            shorter += sum(len(lam.parts) < n % p for p in primes)
+    assert shorter > 0
+
+
+def test_column_core_below_its_length_fits_no_shape():
+    # (1^b) has b parts, so a shape of fewer parts has another p-core.  The
+    # closed form agrees even past its range: at length L < b < p the gap
+    # L - b lands on runner L - b + p, which holds no bead of 0 .. L, so that
+    # runner's count is -1 and no beta-set has these steps.  A length check
+    # of L >= b - 1 in place of L >= b therefore decides the same flags
+    for p in primes_up_to(31):
+        for b in range(2, p):
+            for length in range(b):
+                assert min(accumulate(blocks._hook_core_steps(1, b - 1, length, p))) < 0
 
 
 def test_principal_block_contains_examples():

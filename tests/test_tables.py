@@ -367,23 +367,28 @@ def test_built_rows_against_independent_oracles():
     # ids in the recursive oracle's order; each degree from its own hook
     # product, self-conjugate rows included; each flag from a bead-by-bead
     # residue tally of the row's beta-set against the principal core's at
-    # the same length; equal flags are one tuple
+    # the same length; equal flags are one tuple.  Unsorted and partial prime
+    # lists check that a row's flags, and those it decides for its conjugate,
+    # follow the header's primes and not their column positions
     for n in range(1, 21):
-        primes = primes_up_to(n)
-        rows = build_sn_summary(n, primes).rows
         shapes = list(oracle.enumerate_partitions(n))
-        assert [row.id for row in rows] == ["[" + ",".join(map(str, s)) + "]" for s in shapes]
-        shared = {}
-        for row, parts in zip(rows, shapes):
-            assert row.degree == oracle.hook_product_degree(parts), row.id
-            beads = oracle.beta_set(parts, len(parts))
-            expected = tuple(
-                oracle.residue_counts(beads, p)
+        expected = [
+            {
+                p: oracle.residue_counts(oracle.beta_set(parts, len(parts)), p)
                 == oracle.residue_counts(oracle.beta_set((n % p,) if n % p else (), len(parts)), p)
-                for p in primes
-            )
-            assert row.flags == expected, row.id
-            assert shared.setdefault(row.flags, row.flags) is row.flags, row.id
+                for p in primes_up_to(n)
+            }
+            for parts in shapes
+        ]
+        for chosen in (primes_up_to(n), (7, 2, 5), (3,), ()):
+            primes = tuple(p for p in chosen if p <= n)
+            rows = build_sn_summary(n, primes).rows
+            assert [row.id for row in rows] == ["[" + ",".join(map(str, s)) + "]" for s in shapes]
+            shared = {}
+            for row, parts, flags in zip(rows, shapes, expected):
+                assert row.degree == oracle.hook_product_degree(parts), row.id
+                assert row.flags == tuple(flags[p] for p in primes), (row.id, primes)
+                assert shared.setdefault(row.flags, row.flags) is row.flags, row.id
 
 
 def test_serialization_round_trips_byte_for_byte():
