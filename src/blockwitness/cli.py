@@ -35,8 +35,10 @@ SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
 # members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 0.7 s and
 # 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17.  At the cap
-# `export-table --n 60` takes 43-47 s and 769 MB peak RSS on a shared 2-core
-# x86-64 host; at n = 50, deciding principal-block flags is 37-38% of the build
+# `export-table --n 60` takes about 26 s and 365 MB peak RSS on a shared 2-core
+# Xeon host (n = 50: 4.9 s, 90 MB), the built summary being the peak because
+# lines are written as they are rendered; at n = 50, deciding principal-block
+# flags is 37-38% of the build
 ENUMERATION_MAX_N = 60
 
 _DEFERRAL_MESSAGES = {
@@ -267,7 +269,7 @@ def _cmd_export_table(args) -> int:
     else:
         primes = tuple(parse_decimal(tok.strip()) for tok in args.primes.split(","))
     summary = tables.build_sn_summary(n, primes)
-    sys.stdout.write(tables.serialize_table(summary).decode("utf-8"))
+    sys.stdout.writelines(tables.table_lines(summary))
     return EXIT_OK
 
 

@@ -28,17 +28,19 @@ tables marked incomplete are downgraded to ``indeterminate`` whenever the
 missing rows could overturn them; facts witnessed by listed rows (a
 non-trivial intersection, unequal sets, a cross-divisible degree) survive.
 Rows are :class:`CharacterRow` named tuples: immutable, hashable, positional.
-Each distinct flag tail (a row's tokens after its degree) is checked once per
-table, at most one remembered entry per row.  Writing mirrors that:
-:func:`serialize_table` renders each distinct flags tuple once per call.  The
-symmetric-group export computes one degree and one set of flags per
-conjugate pair, one runner-step pass per prime deciding both shapes against
-principal cores built once per length (see :mod:`blockwitness.blocks`); the
-partner's are kept under the runs of the partner still to come (at most one
-entry per row, dropped on return), and rows with equal flags share one
-tuple, as parsed rows with one flag tail do.  A summary's per-prime id
-sets and Sylow facts are cached properties, built once on first use and
-never carried over by ``dataclasses.replace``.
+The header is read up to the first ``char`` line and checked once there; the
+rows that follow are split at most four ways, and each distinct flag tail (a
+row's text after its degree) is checked once per table, at most one
+remembered entry per row.  Writing mirrors that: :func:`table_lines` renders
+each distinct flags tuple once per call, line by line, so an export is
+written as it is rendered.  The symmetric-group export computes one degree
+and one set of flags per conjugate pair, one runner-step pass per prime
+deciding both shapes against principal cores built once per length (see
+:mod:`blockwitness.blocks`); the partner's are kept under the runs of the
+partner still to come (at most one entry per row, dropped on return), and
+rows with equal flags share one tuple, as parsed rows with one flag tail
+do.  A summary's per-prime id sets and Sylow facts are cached properties,
+built once on first use and never carried over by ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .blocks import principal_flag_pairs
 from .degrees import degree
@@ -118,7 +120,6 @@ class AuditFinding:
 
 _HEADER_DIRECTIVES = ("group", "order", "primes", "trivial", "complete")
 _RawSylow = list[tuple[int, list[str]]]  # (line, tokens after the directive)
-_Checked = dict[tuple[str, ...], tuple[bool, ...]]  # flag tail accepted -> its flags
 
 # the header directives that take exactly one token, with their arity error
 _SINGLE_TOKEN = {
@@ -170,40 +171,65 @@ def _close_header(
     return tuple(sorted((p, q, value) for (p, q), value in facts.items()))
 
 
-def _add_row(
-    line_no: int, tokens: list[str], primes: tuple[int, ...], rows: dict[str, CharacterRow],
-    checked: _Checked,
-) -> None:
-    """Parse one ``char`` line into ``rows``, checking only a flag tail not in ``checked``."""
-    if len(tokens) < 3:
-        raise ParseError(line_no, "char row needs an id and a degree")
-    row_id = tokens[1]
-    if row_id in rows:
-        raise ParseError(line_no, "duplicate character id", row_id)
-    degree_value = _parse_int(line_no, tokens[2], "degree")
-    if degree_value < 1:
-        raise ParseError(line_no, f"degree must be positive, got {degree_value}")
-    tail = tuple(tokens[3:])
-    flags = checked.get(tail)
-    if flags is None:
-        flag_map: dict[int, bool] = {}
-        for token in tail:
-            if ":" not in token:
-                raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
-            prime_text, bit_text = token.split(":", 1)
-            p = _parse_int(line_no, prime_text, "flag prime")
-            if p not in primes:
-                raise ParseError(line_no, f"flag prime {p} not in header primes", token)
-            if p in flag_map:
-                raise ParseError(line_no, f"duplicate flag for prime {p}", token)
-            if bit_text not in ("0", "1"):
-                raise ParseError(line_no, "flag value must be 0 or 1", token)
-            flag_map[p] = bit_text == "1"
-        missing = [p for p in primes if p not in flag_map]
-        if missing:
-            raise ParseError(line_no, f"row is missing flags for primes {missing}")
-        flags = checked[tail] = tuple(flag_map[p] for p in primes)
-    rows[row_id] = CharacterRow(row_id, degree_value, flags)
+def _tail_flags(line_no: int, tail: str, primes: tuple[int, ...]) -> tuple[bool, ...]:
+    """Check a row's text after its degree token by token; return its flags."""
+    flag_map: dict[int, bool] = {}
+    for token in tail.split():
+        if ":" not in token:
+            raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
+        prime_text, bit_text = token.split(":", 1)
+        p = _parse_int(line_no, prime_text, "flag prime")
+        if p not in primes:
+            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
+        if p in flag_map:
+            raise ParseError(line_no, f"duplicate flag for prime {p}", token)
+        if bit_text not in ("0", "1"):
+            raise ParseError(line_no, "flag value must be 0 or 1", token)
+        flag_map[p] = bit_text == "1"
+    missing = [p for p in primes if p not in flag_map]
+    if missing:
+        raise ParseError(line_no, f"row is missing flags for primes {missing}")
+    return tuple(flag_map[p] for p in primes)
+
+
+def _parse_rows(
+    text_lines: list[str], first: int, primes: tuple[int, ...]
+) -> dict[str, CharacterRow]:
+    """Parse the lines from number ``first`` on, all ``char`` rows, keyed by id.
+
+    Each line is split at most four ways, so a row's text after its degree
+    stays one string; only a text not seen before is checked token by token.
+    """
+    rows: dict[str, CharacterRow] = {}
+    checked: dict[str, tuple[bool, ...]] = {}  # tail text -> its flags, at most one per row
+    for line_no, raw in enumerate(text_lines[first - 1:], start=first):
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        tokens = raw.split(None, 3)
+        if not tokens:
+            continue
+        if tokens[0] != "char":
+            raise ParseError(line_no, f"directive '{tokens[0]}' after char rows")
+        if len(tokens) < 3:
+            raise ParseError(line_no, "char row needs an id and a degree")
+        row_id = tokens[1]
+        if row_id in rows:
+            raise ParseError(line_no, "duplicate character id", row_id)
+        try:  # _parse_int's two messages, without a call per row
+            degree_value = parse_decimal(tokens[2])
+        except DigitLimitExceeded as exc:
+            raise ParseError(line_no, f"degree: {exc}") from None
+        except ValueError:
+            raise ParseError(line_no, "malformed integer for degree", tokens[2]) from None
+        if degree_value < 1:
+            raise ParseError(line_no, f"degree must be positive, got {degree_value}")
+        tail = tokens[3] if len(tokens) == 4 else ""
+        flags = checked.get(tail)
+        if flags is None:
+            flags = checked[tail] = _tail_flags(line_no, tail, primes)
+        # what CharacterRow(row_id, degree_value, flags) does, without its extra call
+        rows[row_id] = tuple.__new__(CharacterRow, (row_id, degree_value, flags))
+    return rows
 
 
 def _line_of(prefix: str) -> int:
@@ -229,23 +255,16 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     complete = False
     lines: dict[str, int] = {}
     sylow_raw: _RawSylow = []
-    sylow: tuple[tuple[int, int, bool], ...] | None = None  # set when the header closes
-    rows: dict[str, CharacterRow] = {}
-    checked: _Checked = {}  # at most one entry per row, dropped on return
     text_lines = text.splitlines()
+    end = len(text_lines) + 1
 
     for line_no, raw in enumerate(text_lines, start=1):
         tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         directive = tokens[0]
-        if directive == "char":
-            if sylow is None:
-                sylow = _close_header(line_no, lines, order, primes, sylow_raw)
-            _add_row(line_no, tokens, primes, rows, checked)
-            continue
-        if sylow is not None:
-            raise ParseError(line_no, f"directive '{directive}' after char rows")
+        if directive == "char":  # the header ends at the first row
+            break
         if directive == "sylow_commute":
             if len(tokens) != 4:
                 raise ParseError(line_no, "sylow_commute needs <p> <q> <true|false>")
@@ -283,10 +302,11 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
             trivial = token
         else:
             complete = _parse_bool(line_no, token)
+    else:
+        line_no = end  # no row: the header runs to the end
 
-    end = len(text_lines) + 1
-    if sylow is None:
-        sylow = _close_header(end, lines, order, primes, sylow_raw)
+    sylow = _close_header(line_no, lines, order, primes, sylow_raw)
+    rows = _parse_rows(text_lines, line_no, primes)
     if not rows:
         raise ParseError(end, "table has no char rows")
     trivial_row = rows.get(trivial)
@@ -307,26 +327,28 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     )
 
 
-def serialize_table(summary: CharacterTableSummary) -> bytes:
-    """Render a summary in canonical directive order."""
-    lines = [
-        f"group {summary.group_name}",
-        f"order {summary.order}",
-        "primes" + "".join(f" {p}" for p in summary.primes),
-        f"trivial {summary.trivial_id}",
-        f"complete {'true' if summary.complete else 'false'}",
-    ]
+def table_lines(summary: CharacterTableSummary) -> Iterator[str]:
+    """Render a summary line by line, each ending in LF, in canonical directive order."""
+    yield f"group {summary.group_name}\n"
+    yield f"order {summary.order}\n"
+    yield "primes" + "".join(f" {p}" for p in summary.primes) + "\n"
+    yield f"trivial {summary.trivial_id}\n"
+    yield f"complete {'true' if summary.complete else 'false'}\n"
     for p, q, value in summary.sylow_commute:
-        lines.append(f"sylow_commute {p} {q} {'true' if value else 'false'}")
+        yield f"sylow_commute {p} {q} {'true' if value else 'false'}\n"
     tails: dict[tuple[bool, ...], str] = {}  # flags -> rendered tail, one per distinct flags
     for row in summary.rows:
         tail = tails.get(row.flags)
         if tail is None:
             tail = tails[row.flags] = "".join(
                 f" {p}:{1 if flag else 0}" for p, flag in zip(summary.primes, row.flags)
-            )
-        lines.append(f"char {row.id} {row.degree}{tail}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+            ) + "\n"
+        yield f"char {row.id} {row.degree}{tail}"
+
+
+def serialize_table(summary: CharacterTableSummary) -> bytes:
+    """The lines of :func:`table_lines`, as one UTF-8 file."""
+    return "".join(table_lines(summary)).encode("utf-8")
 
 
 def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTableSummary:

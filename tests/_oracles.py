@@ -3,13 +3,29 @@
 Nothing here may import from blockwitness internals beyond plain data; these
 implementations deliberately take different routes (standard-tableau counts,
 all-orders rim-hook stripping, bounded-part counting) than the library code
-they check.
+they check.  The one exception is :func:`reference_parse_table`, which shares
+the header helpers and record types of ``blockwitness.tables`` and differs
+from ``parse_table`` in its rows: one loop over every line, and every flag
+token of every row checked.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, isqrt
+
+from blockwitness.factored import is_prime
+from blockwitness.tables import (
+    _HEADER_DIRECTIVES,
+    _SINGLE_TOKEN,
+    CharacterRow,
+    CharacterTableSummary,
+    ParseError,
+    _close_header,
+    _line_of,
+    _parse_bool,
+    _parse_int,
+)
 
 Parts = tuple[int, ...]
 
@@ -230,3 +246,125 @@ def random_partition(rng, n: int) -> Parts:
         remaining -= piece
     parts.sort(reverse=True)
     return tuple(parts)
+
+
+def reference_add_row(line_no, tokens, primes, rows) -> None:
+    """Parse one ``char`` line's tokens into ``rows``, checking every flag token."""
+    if len(tokens) < 3:
+        raise ParseError(line_no, "char row needs an id and a degree")
+    row_id = tokens[1]
+    if row_id in rows:
+        raise ParseError(line_no, "duplicate character id", row_id)
+    degree_value = _parse_int(line_no, tokens[2], "degree")
+    if degree_value < 1:
+        raise ParseError(line_no, f"degree must be positive, got {degree_value}")
+    flag_map: dict[int, bool] = {}
+    for token in tokens[3:]:
+        if ":" not in token:
+            raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
+        prime_text, bit_text = token.split(":", 1)
+        p = _parse_int(line_no, prime_text, "flag prime")
+        if p not in primes:
+            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
+        if p in flag_map:
+            raise ParseError(line_no, f"duplicate flag for prime {p}", token)
+        if bit_text not in ("0", "1"):
+            raise ParseError(line_no, "flag value must be 0 or 1", token)
+        flag_map[p] = bit_text == "1"
+    missing = [p for p in primes if p not in flag_map]
+    if missing:
+        raise ParseError(line_no, f"row is missing flags for primes {missing}")
+    rows[row_id] = CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
+
+
+def reference_parse_table(data) -> CharacterTableSummary:
+    """``parse_table`` as one loop over all lines, each split fully, no tail remembered."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        line_no = _line_of(exc.object[: exc.start].decode("utf-8"))
+        raise ParseError(line_no, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+    found = [i for i in map(text.find, "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") if i >= 0]
+    if found:
+        stray = min(found)
+        raise ParseError(_line_of(text[:stray]), f"line break U+{ord(text[stray]):04X} inside a line")
+    group = trivial = ""
+    order = 0
+    primes: tuple[int, ...] = ()
+    complete = False
+    lines: dict[str, int] = {}
+    sylow_raw: list = []
+    sylow = None  # set when the header closes
+    rows: dict = {}
+    text_lines = text.splitlines()
+    for line_no, raw in enumerate(text_lines, start=1):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        directive = tokens[0]
+        if directive == "char":
+            if sylow is None:
+                sylow = _close_header(line_no, lines, order, primes, sylow_raw)
+            reference_add_row(line_no, tokens, primes, rows)
+            continue
+        if sylow is not None:
+            raise ParseError(line_no, f"directive '{directive}' after char rows")
+        if directive == "sylow_commute":
+            if len(tokens) != 4:
+                raise ParseError(line_no, "sylow_commute needs <p> <q> <true|false>")
+            sylow_raw.append((line_no, tokens[1:]))
+            continue
+        if directive not in _HEADER_DIRECTIVES:
+            raise ParseError(line_no, "unknown directive", directive)
+        if directive in lines:
+            raise ParseError(line_no, f"duplicate '{directive}' directive")
+        lines[directive] = line_no
+        if directive == "primes":
+            for token in tokens[1:]:
+                p = _parse_int(line_no, token, "prime")
+                try:
+                    prime = is_prime(p)
+                except ValueError:
+                    message = "too large for an exact primality test"
+                    raise ParseError(line_no, message, token) from None
+                if not prime:
+                    raise ParseError(line_no, f"{p} is not prime", token)
+                if p in primes:
+                    raise ParseError(line_no, f"duplicate prime {p}", token)
+                primes += (p,)
+            continue
+        if len(tokens) != 2:
+            raise ParseError(line_no, _SINGLE_TOKEN[directive])
+        token = tokens[1]
+        if directive == "group":
+            group = token
+        elif directive == "order":
+            order = _parse_int(line_no, token, "order")
+            if order < 1:
+                raise ParseError(line_no, f"order must be positive, got {order}")
+        elif directive == "trivial":
+            trivial = token
+        else:
+            complete = _parse_bool(line_no, token)
+
+    end = len(text_lines) + 1
+    if sylow is None:
+        sylow = _close_header(end, lines, order, primes, sylow_raw)
+    if not rows:
+        raise ParseError(end, "table has no char rows")
+    trivial_row = rows.get(trivial)
+    if trivial_row is None:
+        raise ParseError(end, f"trivial id {trivial!r} has no char row")
+    if trivial_row.degree != 1:
+        raise ParseError(end, f"trivial character must have degree 1, got {trivial_row.degree}")
+    if not all(trivial_row.flags):
+        raise ParseError(end, "trivial character must lie in every principal block")
+    if complete:
+        square_sum = sum(row.degree**2 for row in rows.values())
+        if square_sum != order:
+            raise ParseError(
+                lines["complete"], f"degree squares sum to {square_sum}, order is {order}"
+            )
+    return CharacterTableSummary(
+        group, order, primes, trivial, complete, sylow, tuple(rows.values())
+    )

@@ -25,6 +25,7 @@ ALLOWED = {
     "witness.construct_witness": "the library entry point the README documents",
     "factored.factor": "perfbench/tracing.py reads its cache statistics",
     "oracle.cross_validate": "perfbench/workloads.py and demos/witness_tour.py call it",
+    "tables.serialize_table": "perfbench/workloads.py and demos/table_audit_walkthrough.py call it",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

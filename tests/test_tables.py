@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from dataclasses import replace
 from unittest import mock
@@ -108,6 +109,7 @@ def test_missing_order_is_end_of_header_error():
         (lambda t: t.replace("trivial e", "trivial ee"), "no char row"),
         (lambda t: t.replace("group", "grouppp"), "unknown directive"),
         (lambda t: t + "group toy2\n", "after char rows"),
+        (lambda t: t + "char z # 1\n", "line 10: char row needs an id and a degree"),
         (lambda t: t.encode("utf-8").replace(b"toy\n", b"to\xff\n"), "line 2: invalid UTF-8"),
         (lambda t: t.encode("utf-8").replace(b"2:0 3:1", b"2:0 3:1\xc3"), "line 9: invalid UTF-8"),
         (
@@ -178,46 +180,16 @@ def test_parser_fuzz(data):
     assert parse_table(serialize_table(summary)) == summary
 
 
-def reference_add_row(line_no, tokens, primes, rows, checked):
-    """The row parser that checks every flag token of every row; ``checked`` is unused."""
-    if len(tokens) < 3:
-        raise ParseError(line_no, "char row needs an id and a degree")
-    row_id = tokens[1]
-    if row_id in rows:
-        raise ParseError(line_no, "duplicate character id", row_id)
-    degree_value = tables._parse_int(line_no, tokens[2], "degree")
-    if degree_value < 1:
-        raise ParseError(line_no, f"degree must be positive, got {degree_value}")
-    flag_map: dict[int, bool] = {}
-    for token in tokens[3:]:
-        if ":" not in token:
-            raise ParseError(line_no, "flag must look like <prime>:<0|1>", token)
-        prime_text, bit_text = token.split(":", 1)
-        p = tables._parse_int(line_no, prime_text, "flag prime")
-        if p not in primes:
-            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
-        if p in flag_map:
-            raise ParseError(line_no, f"duplicate flag for prime {p}", token)
-        if bit_text not in ("0", "1"):
-            raise ParseError(line_no, "flag value must be 0 or 1", token)
-        flag_map[p] = bit_text == "1"
-    missing = [p for p in primes if p not in flag_map]
-    if missing:
-        raise ParseError(line_no, f"row is missing flags for primes {missing}")
-    rows[row_id] = CharacterRow(row_id, degree_value, tuple(flag_map[p] for p in primes))
-
-
-def parse_outcome(data):
-    """The summary ``parse_table`` returns, or the line and text of its ParseError."""
+def parse_outcome(data, parse=parse_table):
+    """The summary ``parse`` returns, or the line and text of its ParseError."""
     try:
-        return parse_table(data)
+        return parse(data)
     except ParseError as exc:
         return exc.line, str(exc)
 
 
 def reference_outcome(data):
-    with mock.patch.object(tables, "_add_row", reference_add_row):
-        return parse_outcome(data)
+    return parse_outcome(data, oracle.reference_parse_table)
 
 
 # each maps a well-formed flag token "<p>:<b>" to the tokens put in its place
@@ -280,6 +252,51 @@ def test_exports_parse_as_the_reference_does():
         assert parse_outcome(data) == reference_outcome(data) == summary
 
 
+# text a line edit may append or insert: tokens, whitespace, comments and directives
+LINE_JUNK = (
+    "2:1", "3:0", "5:1", "2:x", "x", "7", "char", "group", "#", "# note", "#2:1",
+    " ", "\t", " \t ", "char z", "char z 1", "char z 1 2:1 3:1", "order 6",
+    "sylow_commute 2 3 true",
+)
+
+
+def mutate_lines(rng, text):
+    """One to three seeded line edits of ``text``, then its line ends switched."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        edit = rng.choice(("append", "append", "prepend", "insert", "delete", "swap"))
+        if edit == "append":  # a token, whitespace or a comment after the line's text
+            lines[i] += rng.choice(("", " ")) + rng.choice(LINE_JUNK)
+        elif edit == "prepend":
+            lines[i] = rng.choice((" ", "\t", "#")) + lines[i]
+        elif edit == "insert":
+            lines.insert(i, rng.choice(LINE_JUNK + (lines[rng.randrange(len(lines))],)))
+        elif edit == "delete" and len(lines) > 1:
+            del lines[i]
+        elif edit == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+    end = rng.choice(("\n", "\r\n", "\r"))
+    return end.join(lines) + rng.choice((end, ""))
+
+
+def test_line_edits_parse_as_the_reference_does():
+    # edits at the header/row boundary and on row tails: the summary, or the
+    # (line, message) of the error, is the per-token reference parser's
+    rng = random.Random(20261019)
+    texts = [MINIMAL] + [
+        serialize_table(build_sn_summary(n, primes_up_to(n))).decode() for n in range(1, 15)
+    ]
+    outcomes = set()
+    for case in range(2000):
+        mutated = mutate_lines(rng, texts[case % len(texts)])
+        outcome = parse_outcome(mutated)
+        assert outcome == reference_outcome(mutated), mutated
+        outcomes.add(type(outcome))
+    assert outcomes == {tuple, tables.CharacterTableSummary}
+
+
 def test_repeated_flag_tails():
     # rows with one tail share its checked flags; a valid tail spelled another
     # way is checked on its own and gives the same flags
@@ -287,6 +304,14 @@ def test_repeated_flag_tails():
     rows = parse_table(text).rows
     assert rows[1].flags is rows[2].flags
     assert rows[3].flags == rows[4].flags == rows[1].flags == (False, True)
+    # trailing whitespace or a comment after a tail leaves its flags as they are
+    text = MINIMAL + "char s 2 2:0 3:1 \t\nchar t 2 2:0\t3:1# note\nchar u 2 2:0 3:1 #\n"
+    rows = parse_table(text).rows
+    assert rows[2].flags == rows[3].flags == rows[4].flags == rows[1].flags == (False, True)
+    # a header directive after rows is reported at its own line, past blank and comment lines
+    with pytest.raises(ParseError) as err:
+        parse_table(MINIMAL + "\n# more\n  trivial r # again\nchar s 2 2:0 3:1\n")
+    assert str(err.value) == "line 12: directive 'trivial' after char rows"
     # the duplicate check runs before the bit check, on a new tail as before
     with pytest.raises(ParseError) as err:
         parse_table(MINIMAL + "char x 5 2:1 2:x\n")
