@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import oracle, tables, witness
 from .factored import InternalInvariantError, parse_decimal, primes_up_to
-from .parameters import CaseParameters, derive_case_parameters
+from .parameters import CaseParameters, check_primes, derive_case_parameters
 from .partitions import Partition, parse_partition_text, partitions_of
 from .degrees import degree
 
@@ -155,14 +155,17 @@ def _cmd_verify_c(args) -> int:
 
 def _cmd_verify_b(args) -> int:
     _enumerable("verify-b --n", args.n, _P_PRIME_CHARACTERS)
-    report = oracle.check_conjC(args.n, args.p, args.q, "sn")
-    equal = "true" if report.sets_equal else "false"
+    check_primes(args.n, (args.p, args.q))
+    # conjecture B reads B_p and B_q alone, not the witness sets check_conjC filters
+    set_p, set_q = oracle._prime_view(args.n, args.p), oracle._prime_view(args.n, args.q)
+    equal = set_p == set_q
+    shown = "true" if equal else "false"
     print(
         f"conjecture-b n={args.n} p={args.p} q={args.q}"
-        f" sets_equal={equal} violation={equal}"
-        f" size_p={len(report.set_B_p)} size_q={len(report.set_B_q)}"
+        f" sets_equal={shown} violation={shown}"
+        f" size_p={len(set_p)} size_q={len(set_q)}"
     )
-    return EXIT_CONDITION_FAILED if report.sets_equal else EXIT_OK
+    return EXIT_CONDITION_FAILED if equal else EXIT_OK
 
 
 def _cmd_scan(args) -> int:

@@ -24,6 +24,18 @@ So every exponent of a degree is a signed sum of Q_p(m) = nu_p(sf(m)) at
 four points per rectangle and two for n!.  Q_p(m) = sum_{k >= 1}
 G_{p^k}(m + 1), where G_e(N) = sum_{x < N} floor(x / e) = e t(t-1)/2 + t u
 for N = t e + u, since nu_p(i!) = sum_k floor(i / p^k).
+
+A degree is one packed sum, :func:`packed_degree`, whose 64-bit field i
+holds the exponent of the i-th prime <= n.  Each true exponent lies in
+[0, nu_p(n!)], and a negative one of size below 2^62 (as every sum of Q
+here is while m is below about 3 * 10**9) borrows into bit 63 of its field,
+so the sum is checked in O(1) big-int operations: it must be below
+2^(64 pi(n)) (a negative sum shifts to -1) and clear of SIGNS(n), the mask
+of bit 63 of every field.  Only a sum that fails is decoded with signs, to
+name the fault.  A verifier reads the exponents it needs from the sum by
+shift and mask and decodes it (:func:`unpack_degree`) only for the
+candidate that becomes the witness; :func:`degree` is the sum and that
+decode.
 """
 
 from __future__ import annotations
@@ -31,8 +43,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import accumulate, compress
-from operator import mul
+from itertools import compress
 from typing import Sequence
 
 from .factored import FactoredNatural, NotDivisible, primes_up_to
@@ -64,44 +75,73 @@ def _superfactorial_valuations(m: int) -> int:
     return int.from_bytes(fields, sys.byteorder)
 
 
-def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
-    """Character degree n! / (product of hooks) of the partition with runs ``runs``.
+# one field of a packed degree
+FIELD = (1 << 64) - 1
+
+
+@lru_cache(maxsize=1024)
+def _sign_bits(n: int) -> tuple[int, int]:
+    # (64 pi(n), SIGNS(n)): the width of the fields of a degree of S_n, and
+    # the mask with bit 63 of each field set
+    width = 64 * len(primes_up_to(n))
+    return width, ((1 << width) - 1) // FIELD << 63
+
+
+def packed_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
+    """Exponents of n! / (product of hooks) for the partition of n with runs ``runs``.
 
     ``runs`` lists the distinct parts v_1 > ... > v_d with their
-    multiplicities m_1 .. m_d; write M_a = m_1 + ... + m_a.  Row group a
-    (the m_a rows of length v_a) meets column group b >= a (the
-    v_b - v_{b+1} columns of length M_b, with v_{d+1} = 0) in a rectangle
-    with R = m_a rows, C = v_b - v_{b+1} columns and corner hook
-    c = v_a - v_b + M_b - M_a + 1.  The module's identity turns the degree
-    into at most 2 d(d+1) + 2 signed terms Q(m), summed as packed ints and
-    decoded once into pi(n) exponents.  Each true exponent lies in
-    [0, nu_p(n!)], so the decode is exact; a negative exponent, or a sum
-    that does not decode, is a program fault and raises
+    multiplicities m_1 .. m_d.  Row group a (the m_a rows of length v_a)
+    meets column group b >= a (the v_b - v_{b+1} columns below which E_b
+    rows lie, with v_{d+1} = 0) in a rectangle with R = m_a rows,
+    C = v_b - v_{b+1} columns and corner hook c = v_a + E_a - v_b - E_b + 1.
+    The runs are walked once from the shortest, so every column group a
+    row group meets has been seen; the module's identity turns the degree
+    into at most 2 d(d+1) + 2 signed terms Q(m), summed as packed ints.
+    The sum is returned checked: a negative exponent, or a sum that does
+    not fit pi(n) fields, is a program fault and raises
     :class:`NotDivisible` naming the lowest prime that went negative.
     """
-    values = [v for v, _ in runs]
-    heights = [m for _, m in runs]
-    n = sum(map(mul, values, heights))
-    depths = list(accumulate(heights))
-    widths = [v - w for v, w in zip(values, values[1:] + [0])]
     sf = _superfactorial_valuations
     packed = sf(n) - sf(n - 1)
-    for a, (v_a, rows, depth_a) in enumerate(zip(values, heights, depths)):
-        for v_b, cols, depth_b in zip(values[a:], widths[a:], depths[a:]):
-            low = v_a - v_b + depth_b - depth_a - 1  # corner hook - 2
+    columns = []  # (v_b + E_b, v_b - v_{b+1}) of each column group seen
+    below = last = 0
+    for value, rows in reversed(runs):
+        top = value + below
+        columns.append((top, value - last))
+        for key, cols in columns:
+            low = top - key - 1  # corner hook - 2
             packed += sf(low + rows) + sf(low + cols) - sf(low) - sf(low + rows + cols)
-    primes = primes_up_to(n)
-    try:
-        fields = array("q", packed.to_bytes(8 * len(primes), sys.byteorder, signed=True))
-    except OverflowError:
-        raise NotDivisible(
-            f"an exponent of {n}! over the hook product of {runs_literal(runs)}"
-            " is out of range"
-        ) from None
-    if fields and min(fields) < 0:
+        below += rows
+        last = value
+    width, signs = _sign_bits(n)
+    if packed >> width or packed & signs:
+        # the signed decode: the sum does not fit pi(n) signed fields, or one
+        # of them is negative (bit 63 set), so this raises
+        primes = primes_up_to(n)
+        try:
+            fields = array("q", packed.to_bytes(8 * len(primes), sys.byteorder, signed=True))
+        except OverflowError:
+            raise NotDivisible(
+                f"an exponent of {n}! over the hook product of {runs_literal(runs)}"
+                " is out of range"
+            ) from None
         p = next(p for p, e in zip(primes, fields) if e < 0)
         raise NotDivisible(
             f"prime {p} divides the hook product of {runs_literal(runs)}"
             f" more often than {n}!"
         )
+    return packed
+
+
+def unpack_degree(packed: int, n: int) -> FactoredNatural:
+    """The checked sum :func:`packed_degree` returned for n, in factored form."""
+    primes = primes_up_to(n)
+    fields = array("q", packed.to_bytes(8 * len(primes), sys.byteorder))
     return FactoredNatural(tuple(compress(zip(primes, fields), fields)))
+
+
+def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
+    """Character degree n! / (product of hooks) of the partition with runs ``runs``."""
+    n = sum(value * mult for value, mult in runs)
+    return unpack_degree(packed_degree(runs, n), n)

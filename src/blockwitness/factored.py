@@ -18,7 +18,7 @@ constructor takes its pairs as given and re-tests none.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -94,6 +94,13 @@ def primes_up_to(k: int) -> list[int]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
         _PRIMES[:] = [i for i, flag in enumerate(sieve) if flag]
     return _PRIMES[: bisect_right(_PRIMES, k)]
+
+
+def prime_index(p: int) -> int:
+    """Index of the prime ``p`` in every list :func:`primes_up_to` returns."""
+    if p > _PRIMES[-1]:
+        primes_up_to(p)
+    return bisect_left(_PRIMES, p)
 
 
 class DigitLimitExceeded(ValueError):

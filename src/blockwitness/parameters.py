@@ -51,8 +51,7 @@ class CaseParameters:
             )
         m, b = divmod(self.n, self.p)
         w, r = divmod(m * self.p, self.q)
-        for name, value in (("m", m), ("b", b), ("w", w), ("r", r)):
-            object.__setattr__(self, name, value)
+        vars(self).update(m=m, b=b, w=w, r=r)
 
     @property
     def mp(self) -> int:

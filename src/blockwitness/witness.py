@@ -39,8 +39,10 @@ built once, since every outcome records it, and the checks work on its
 runs of equal parts, at most three here, not on its n parts: each run is
 an interval of beads of the beta-set, which gives its share of the abacus
 runner counts in O(1) steps; the degree comes from the rectangles
-between the runs; and a shape whose length differs from its first part is
-not self-conjugate.
+between the runs, as one packed exponent sum whose sign-mask check is
+O(1) and from which the host and divisor exponents are read by shift and
+mask, decoded into factored form only for the candidate that wins; and a
+shape whose length differs from its first part is not self-conjugate.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.
 
@@ -93,8 +95,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .blocks import principal_block_contains
-from .degrees import degree
-from .factored import FactoredNatural, InternalInvariantError
+from .degrees import FIELD, packed_degree, unpack_degree
+from .factored import FactoredNatural, InternalInvariantError, prime_index
 from .parameters import CaseParameters, derive_case_parameters
 from .partitions import AscendingSpec, NonMonotoneSpec, Partition
 
@@ -223,27 +225,31 @@ def candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
 def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | VerificationFailure:
     """Recheck all four witness facts on the candidate's partition.
 
-    Every outcome records the partition, so it is built first; membership,
-    the degree and self-conjugacy are all computed from its runs.
+    Every outcome records the partition, so it is built first, and its size
+    is the spec's total; membership, the degree and self-conjugacy are all
+    computed from its runs.  The degree is one checked packed sum
+    (:func:`blockwitness.degrees.packed_degree`): the host and divisor
+    exponents are its fields at those primes' indices, read by shift and
+    mask, and the sum is decoded into a :class:`FactoredNatural` once,
+    after all four checks pass, for the witness.
     """
-    spec = candidate.spec
-    if spec.total != n:
+    lam = candidate.spec.to_partition()
+    if lam.size != n:
         raise SpecSumMismatch(
-            f"candidate {candidate.case_id} spec {spec} sums to"
-            f" {spec.total}, expected {n}"
+            f"candidate {candidate.case_id} spec {candidate.spec} sums to"
+            f" {lam.size}, expected {n}"
         )
-    lam = spec.to_partition()
     host, divisor = candidate.host_prime, candidate.divisor_prime
     if not principal_block_contains(lam, host):
         return VerificationFailure(candidate, lam, f"outside the principal {host}-block")
-    deg = degree(lam.runs)
-    if deg.valuation(host) != 0:
+    packed = packed_degree(lam.runs, n)
+    if (packed >> 64 * prime_index(host)) & FIELD:
         return VerificationFailure(candidate, lam, f"degree divisible by host prime {host}")
-    if deg.valuation(divisor) < 1:
+    if not (packed >> 64 * prime_index(divisor)) & FIELD:
         return VerificationFailure(candidate, lam, f"degree not divisible by {divisor}")
     if lam.is_self_conjugate():
         return VerificationFailure(candidate, lam, "self-conjugate")
-    return Witness(candidate=candidate, partition=lam, degree=deg)
+    return Witness(candidate=candidate, partition=lam, degree=unpack_degree(packed, n))
 
 
 def construct_witness(n: int, p: int, q: int) -> Witness | None:

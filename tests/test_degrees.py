@@ -8,11 +8,11 @@ import pytest
 import _oracles as oracle
 from _all_partitions import conjugate, degree_valuation
 import blockwitness.degrees as degrees_module
-from blockwitness.degrees import degree
-from blockwitness.factored import FactoredNatural, NotDivisible, primes_up_to
+from blockwitness.degrees import FIELD, degree, packed_degree
+from blockwitness.factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import Partition, partitions_of
-from blockwitness.witness import Witness, candidates, verify_candidate
+from blockwitness.witness import VerificationFailure, Witness, candidates, verify_candidate
 
 
 def P(*parts):
@@ -80,6 +80,30 @@ def test_degree_matches_hook_product_all_partitions():
 def _fields(packed, count):
     # the 64-bit fields of a packed value, lowest first
     return list(array("q", packed.to_bytes(8 * count, sys.byteorder, signed=True)))
+
+
+def _exponent(packed, prime):
+    # the field verification reads for ``prime``
+    return (packed >> 64 * prime_index(prime)) & FIELD
+
+
+def test_packed_fields_match_hook_product_all_partitions():
+    # every partition with n <= 25, every prime <= n: each field of the checked
+    # sum is the exponent of the hook-product degree, and no field lies beyond
+    for n in range(0, 26):
+        primes = primes_up_to(n)
+        for lam in partitions_of(n):
+            packed = packed_degree(lam.runs, n)
+            hook_degree = oracle.hook_product_degree(lam.parts)
+            for prime in primes:
+                assert _exponent(packed, prime) == oracle.padic_valuation(hook_degree, prime)
+            assert packed >> 64 * len(primes) == 0
+            assert _fields(packed, len(primes)) == [_exponent(packed, p) for p in primes]
+
+
+def test_prime_index_is_the_position_in_the_prime_table():
+    primes = primes_up_to(1000)
+    assert [prime_index(p) for p in primes] == list(range(len(primes)))
 
 
 def test_superfactorial_valuations_match_factorial_sums():
@@ -177,6 +201,11 @@ def test_degree_matches_hook_product_on_construction_grid():
                     assert conjugate(lam).parts == oracle.conjugate(lam.parts), lam
                     hook_degree = oracle.hook_product_degree(lam.parts)
                     assert degree(lam.runs).to_int() == hook_degree, lam
+                    packed = packed_degree(lam.runs, n)
+                    for prime in primes:
+                        assert _exponent(packed, prime) == oracle.padic_valuation(
+                            hook_degree, prime
+                        ), (lam, prime)
                     outcome = verify_candidate(candidate, n)
                     assert outcome.partition == lam
                     expected = _expected_verdict(
@@ -206,3 +235,39 @@ def test_degree_edge_shapes():
         assert degree(Partition(square).runs).to_int() == oracle.hook_product_degree(square)
     # the 3 x 3 square: 9! / (5 * 4^2 * 3^3 * 2^2 * 1) = 42
     assert degree(P(3, 3, 3).runs).factors == ((2, 1), (3, 1), (7, 1))
+
+
+def test_planted_negative_sum_fails_the_sign_check(monkeypatch):
+    # a negative sum shifts to -1 past the fields: it fits pi(9) = 4 signed
+    # fields with the top one negative, or it does not fit at all
+    lam = P(3, 3, 3)
+    with monkeypatch.context() as patch:
+        _planted(patch, 9, -(1 << 255))
+        with pytest.raises(NotDivisible) as caught:
+            degree(lam.runs)
+    assert str(caught.value) == "prime 7 divides the hook product of [3,3,3] more often than 9!"
+    with monkeypatch.context() as patch:
+        _planted(patch, 9, -(1 << 256))
+        with pytest.raises(NotDivisible, match=r"hook product of \[3,3,3\] is out of range"):
+            degree(lam.runs)
+
+
+def test_planted_fault_below_the_divisor_raises_in_verification(monkeypatch):
+    # I.b at (17, 7, 3) is (1^11, 3, 3) and fails only its divisor check; its
+    # 3-field is 0, so its 2-field set to -1 borrows that to all ones: a reader
+    # of fields without the sign check would pass the divisor, and the checked
+    # sum must raise instead of returning either verdict
+    first = next(candidates(derive_case_parameters(17, 7, 3)))
+    assert (first.case_id, first.divisor_prime) == ("I.b", 3)
+    outcome = verify_candidate(first, 17)
+    assert isinstance(outcome, VerificationFailure)
+    assert outcome.reason == "degree not divisible by 3"
+    packed = packed_degree(outcome.partition.runs, 17)
+    assert (_exponent(packed, 2), _exponent(packed, 3)) == (4, 0)
+    with monkeypatch.context() as patch:
+        _planted(patch, 17, -5)
+        with pytest.raises(NotDivisible) as caught:
+            verify_candidate(first, 17)
+    assert str(caught.value) == (
+        "prime 2 divides the hook product of [3,3,1,1,1,1,1,1,1,1,1,1,1] more often than 17!"
+    )
