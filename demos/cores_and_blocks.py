@@ -9,8 +9,7 @@ whose p-core is (n mod p); membership compares the first differences of the
 runner counts (the runner steps) with that core's, and no core is built.
 """
 
-from blockwitness.blocks import principal_block_contains
-from blockwitness.oracle import check_conjC
+from blockwitness.blocks import principal_block_contains, principal_p_prime_partitions
 from blockwitness.partitions import Partition, partitions_of, runner_counts
 
 
@@ -51,8 +50,8 @@ def main():
     print(f"\n== principal {p}-block of S_{n} ==")
     print(f"  block core: {f'[{n % p}]' if n % p else '[]'} (the one-row partition n mod p)")
     members = [lam for lam in partitions_of(n) if principal_block_contains(lam, p)]
-    # the prime-to-p principal set is part of the exhaustive conjecture report
-    coprime = check_conjC(n, p, 2).set_B_p
+    # B_p, the principal members of degree prime to p, by the digit lift
+    coprime = principal_p_prime_partitions(n, p)
     for lam in members:
         mark = "degree coprime to 3" if lam in coprime else ""
         print(f"  {lam.to_literal():>22} {mark}")

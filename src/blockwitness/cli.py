@@ -156,7 +156,7 @@ def _cmd_verify_c(args) -> int:
 def _cmd_verify_b(args) -> int:
     _enumerable("verify-b --n", args.n, _P_PRIME_CHARACTERS)
     check_primes(args.n, (args.p, args.q))
-    # conjecture B reads B_p and B_q alone, not the witness sets check_conjC filters
+    # conjecture B is stated here alone: B_p and B_q compared as generated
     set_p, set_q = oracle._prime_view(args.n, args.p), oracle._prime_view(args.n, args.q)
     equal = set_p == set_q
     shown = "true" if equal else "false"

@@ -15,22 +15,24 @@ block membership from cell contents instead (:func:`in_principal_block`), so
 the verifier's membership kernel decides no audited fact.
 
 A p-block witness is a member of B_p whose degree q divides, so
-:func:`check_conjC` filters B_p and B_q by that predicate, and conjecture B
-compares B_p with B_q.  :func:`audit_witness` checks the constructor's
-witness alone, and only when there is no witness or the audit fails asks
-whether either side has a witness, through one search per prime that stops
-at its first hit, run once per block.  The candidate construction in
+:func:`check_conjC` reads the members of B_p and B_q that pass that
+predicate, and checks conjecture C alone; conjecture B is the CLI's
+``verify-b``, a comparison of the two cached sets B_p and B_q.
+:func:`audit_witness` checks the constructor's witness alone, and only when
+there is no witness or the audit fails asks whether either side has a
+witness, through one search per prime that stops at its first hit, run once
+per block.  The candidate construction in
 :mod:`blockwitness.witness` is called only by :func:`cross_validate`, to
 build the witness to be audited; :func:`audit_witness`'s searches and
 :func:`check_conjC` never consult it, which is exactly what makes the audit
 meaningful.
 
-The alternating-group mode drops the self-conjugate partitions from those
-finished sets.  What it proves is one-sided.  A nonempty ``an`` witness set is
+The alternating-group mode drops the self-conjugate partitions from the
+witness sets.  What it proves is one-sided.  A nonempty ``an`` witness set is
 a real A_n witness: the restriction is irreducible, of the same degree, and in
-B_0(A_n).  An empty set, or ``sets_equal``, is no verdict on A_n: the split
-constituents of degree f/2 of a self-conjugate partition are not modelled, and
-a partition and its conjugate restrict to the same character.
+B_0(A_n).  An empty set is no verdict on A_n: the split constituents of
+degree f/2 of a self-conjugate partition are not modelled, and a partition
+and its conjugate restrict to the same character.
 """
 
 from __future__ import annotations
@@ -128,41 +130,29 @@ class ConjectureReport:
     condition_holds: bool
     witnesses_p_block: frozenset[Partition]
     witnesses_q_block: frozenset[Partition]
-    set_B_p: frozenset[Partition]
-    set_B_q: frozenset[Partition]
-    sets_equal: bool
 
 
 def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureReport:
-    """Exhaustive check of conjectures B and C for (n, p, q) in one report.
+    """Exhaustive check of conjecture C for (n, p, q).
 
-    ``set_B_p`` is B_p, the partitions in the principal p-block whose
-    degree is coprime to p, and ``witnesses_p_block`` the members of it
-    whose degree q divides; the q-side fields are the mirror image.  C
-    holds when either witness set is nonempty.  B forbids equal
-    prime-to-p and prime-to-q principal sets (``sets_equal``).  In ``an``
-    mode only a nonempty witness set is a verdict on A_n; a false C or
-    ``sets_equal`` is not (see the module docstring).  The primes are
-    validated by :func:`check_primes`, and ``group_kind`` must be exactly
-    one of :data:`GROUP_KINDS`.
+    ``witnesses_p_block`` is the members of B_p, the partitions in the
+    principal p-block whose degree is coprime to p, whose degree q divides;
+    ``witnesses_q_block`` is the mirror image.  C holds when either witness
+    set is nonempty.  In ``an`` mode only a nonempty witness set is a
+    verdict on A_n (see the module docstring).  The primes are validated
+    by :func:`check_primes`, and ``group_kind`` must be exactly one of
+    :data:`GROUP_KINDS`.
     """
     if group_kind not in GROUP_KINDS:
         raise ValueError(f"group kind must be one of {GROUP_KINDS}, got {group_kind!r}")
     check_primes(n, (p, q))
-    set_p, set_q = _prime_view(n, p), _prime_view(n, q)
+    side_p, side_q = _divided(n, p, q), _divided(n, q, p)
     if group_kind == "an":
-        set_p, set_q = (
-            frozenset(lam for lam in s if not lam.is_self_conjugate()) for s in (set_p, set_q)
+        side_p, side_q = (
+            frozenset(lam for lam in side if not lam.is_self_conjugate())
+            for side in (side_p, side_q)
         )
-    side_p, side_q = set_p & _divided(n, p, q), set_q & _divided(n, q, p)
-    return ConjectureReport(
-        condition_holds=bool(side_p or side_q),
-        witnesses_p_block=side_p,
-        witnesses_q_block=side_q,
-        set_B_p=set_p,
-        set_B_q=set_q,
-        sets_equal=set_p == set_q,
-    )
+    return ConjectureReport(bool(side_p or side_q), side_p, side_q)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from _all_partitions import conjugate, degree_valuation, p_quotient, weight
 from blockwitness.blocks import _multipartition_count, principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
-from blockwitness.oracle import check_conjC, cross_validate, prime_pairs
+from blockwitness.oracle import _prime_view, check_conjC, cross_validate, prime_pairs
 from blockwitness.partitions import Partition, partitions_of, runner_counts
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness
@@ -114,10 +114,10 @@ def test_criterion_4_conjecture_b_non_violation():
     for n in range(2, CRITERION_4_SET_MAX_N + 1):
         for p, q in prime_pairs(n):
             pairs += 1
-            report = check_conjC(n, p, q, "sn")
-            generated = len(report.set_B_p), len(report.set_B_q)
+            set_p, set_q = _prime_view(n, p), _prime_view(n, q)
+            generated = len(set_p), len(set_q)
             assert generated == (_principal_count(n, p), _principal_count(n, q)), (n, p, q)
-            if report.sets_equal:
+            if set_p == set_q:
                 violations.append((n, p, q))
     # sets of different sizes differ, so pairwise distinct sizes at n rule
     # out every coinciding pair there
@@ -217,8 +217,8 @@ def test_criterion_7_table_audit():
             if (finding.verdict == "consistent") != oracle_holds:
                 audit_mismatches.append((n, finding.p, finding.q, "C"))
         for finding in audit(summary, "B"):
-            report = check_conjC(n, finding.p, finding.q, "sn")
-            if (finding.verdict == "violation") != report.sets_equal:
+            equal = _prime_view(n, finding.p) == _prime_view(n, finding.q)
+            if (finding.verdict == "violation") != equal:
                 audit_mismatches.append((n, finding.p, finding.q, "B"))
             if finding.verdict == "violation":
                 audit_mismatches.append((n, finding.p, finding.q, "B-violation"))

@@ -442,6 +442,24 @@ def test_scan_reports_falsification_and_exits_3(capsys, monkeypatch):
     )
 
 
+def test_scan_disagreement_exits_1_and_empty_range_exits_2(capsys, monkeypatch):
+    import blockwitness.oracle as oracle_module
+
+    # an audit that rejects every tuple, witness or deferral alike
+    monkeypatch.setattr(oracle_module, "audit_witness", lambda params, found: (False, True))
+    code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "9", "--cross-validate")
+    assert code == 1
+    *rows, summary = out.splitlines()
+    assert len(rows) == 6
+    assert all(row.endswith(" agree=false oracle=true") for row in rows)
+    assert summary == (
+        "scan-summary tuples=6 witnesses=1 deferred=5 disagreements=6 falsified=0"
+    )
+    code, out, err = invoke(capsys, "scan", "--n-min", "10", "--n-max", "9")
+    assert code == 2 and out == ""
+    assert "usage-error: empty scan range [10, 9]" in err
+
+
 def test_witness_and_scan_validate_once(capsys, monkeypatch):
     import blockwitness.parameters as parameters_module
     from blockwitness.oracle import prime_pairs

@@ -82,9 +82,9 @@ def test_check_conjC_examples():
 
 
 def test_check_conjC_validation_and_sets():
-    report = check_conjC(9, 3, 2, "sn")
-    assert not report.sets_equal
-    assert not check_conjC(12, 3, 2, "sn").sets_equal
+    # conjecture B compares the two cached sets, as verify-b does
+    assert _prime_view(9, 3) != _prime_view(9, 2)
+    assert _prime_view(12, 3) != _prime_view(12, 2)
     with pytest.raises(ValueError):
         check_conjC(9, 3, 3, "sn")
     with pytest.raises(ValueError, match=r"^prime 11 exceeds n = 9$"):
@@ -101,16 +101,17 @@ def test_check_conjC_validation_and_sets():
 
 
 def test_report_set_consistency():
-    report = check_conjC(10, 5, 2, "sn")
-    assert report.witnesses_p_block <= report.set_B_p
-    assert report.witnesses_q_block <= report.set_B_q
-    assert report.sets_equal == (report.set_B_p == report.set_B_q)
+    for kind in ("sn", "an"):
+        report = check_conjC(10, 5, 2, kind)
+        assert report.witnesses_p_block <= _prime_view(10, 5)
+        assert report.witnesses_q_block <= _prime_view(10, 2)
 
 
 def test_oracle_and_blocks_agree_on_sets():
-    # the four sets of every report against independent references: degree
-    # valuations of plain hook-product degrees, principal blocks by
-    # exhaustive rim-hook stripping, self-conjugacy by the plain transpose
+    # every B_p and both witness sets of every report against independent
+    # references: degree valuations of plain hook-product degrees, principal
+    # blocks by exhaustive rim-hook stripping, self-conjugacy by the plain
+    # transpose
     for n in range(1, 14):
         shapes = list(ref.enumerate_partitions(n))
         primes = primes_up_to(n)
@@ -127,26 +128,21 @@ def test_oracle_and_blocks_agree_on_sets():
             }
             for p in primes
         }
+        for p in primes:
+            assert {lam.parts for lam in _prime_view(n, p)} == principal[p], (n, p)
         for kind in ("sn", "an"):
             for p in primes:
                 for q in primes:
                     if p == q:
                         continue
                     expected = [
-                        principal[p],
-                        principal[q],
                         {s for s in principal[p] if val[q][s] >= 1},
                         {s for s in principal[q] if val[p][s] >= 1},
                     ]
                     if kind == "an":
                         expected = [{s for s in e if ref.conjugate(s) != s} for e in expected]
                     report = check_conjC(n, p, q, kind)
-                    got = [
-                        report.set_B_p,
-                        report.set_B_q,
-                        report.witnesses_p_block,
-                        report.witnesses_q_block,
-                    ]
+                    got = [report.witnesses_p_block, report.witnesses_q_block]
                     assert [{lam.parts for lam in s} for s in got] == expected, (n, p, q, kind)
 
 
@@ -195,7 +191,7 @@ def test_conjB_no_violation_through_28():
     # extends the acceptance range (n <= 24) to the oracle's scan ceiling
     for n in range(25, 29):
         for p, q in prime_pairs(n):
-            assert not check_conjC(n, p, q, "sn").sets_equal
+            assert _prime_view(n, p) != _prime_view(n, q)
 
 
 def test_principal_view_matches_all_partitions():

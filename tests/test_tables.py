@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from blockwitness import tables
 from blockwitness.factored import primes_up_to
-from blockwitness.oracle import check_conjC
+from blockwitness.oracle import _prime_view, check_conjC
 from blockwitness.tables import (
     CharacterRow,
     ParseError,
@@ -86,6 +86,12 @@ def test_missing_order_is_end_of_header_error():
             "line 3: order: integer of 5000 digits exceeds the 4300-digit limit",
         ),
         (lambda t: t.replace("char e 1 ", "char e +1 "), "malformed integer for degree"),
+        (lambda t: t.replace("char r 2", "char r 0"), "line 9: degree must be positive, got 0"),
+        (lambda t: t.replace("order 6", "order 0"), "line 3: order must be positive, got 0"),
+        (
+            lambda t: t.replace("char r 2", "char r " + "2" * 4301),
+            "line 9: degree: integer of 4301 digits exceeds the 4300-digit limit",
+        ),
         (lambda t: t.replace("char r 2", "char r ２"), "line 9: malformed integer"),
         (lambda t: t.replace("primes 2 3", "primes ２ 3"), "malformed integer for prime"),
         (lambda t: t.replace("2:0 3:1", "2:0 ３:1"), "malformed integer for flag prime"),
@@ -458,8 +464,8 @@ def test_audit_agrees_with_oracle():
             # exported fact is always false, so consistency means a witness exists
             assert report.condition_holds
         for finding in audit(summary, "B"):
-            report = check_conjC(n, finding.p, finding.q, "sn")
-            assert (finding.verdict == "violation") == report.sets_equal
+            equal = _prime_view(n, finding.p) == _prime_view(n, finding.q)
+            assert (finding.verdict == "violation") == equal
 
 
 def test_audit_b_violation_fixture():
@@ -529,6 +535,29 @@ char b 5 2:1 3:1
     summary = parse_table(base.format(complete="true", sylow=""))
     (finding,) = audit(summary, "C")
     assert finding.verdict == "indeterminate"
+    # the complete table of C_6, all degrees 1, has no cross-divisible degree
+    abelian = """\
+group C6
+order 6
+primes 2 3
+trivial e
+complete true
+sylow_commute 2 3 {fact}
+char e 1 2:1 3:1
+char a 1 2:1 3:0
+char b 1 2:0 3:1
+char c 1 2:0 3:1
+char d 1 2:0 3:0
+char f 1 2:0 3:0
+"""
+    summary = parse_table(abelian.format(fact="true"))
+    (finding,) = audit(summary, "C")
+    assert finding.verdict == "consistent"
+    assert finding.detail == "no cross-divisible degrees and a commuting Sylow pair"
+    summary = parse_table(abelian.format(fact="false"))
+    (finding,) = audit(summary, "C")
+    assert finding.verdict == "violation"
+    assert finding.detail == "no cross-divisible degrees although Sylow subgroups never commute"
 
 
 def test_audit_incomplete_downgrades():
