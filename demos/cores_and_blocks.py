@@ -10,13 +10,13 @@ runner counts (the runner steps) with that core's, and no core is built.
 """
 
 from blockwitness.blocks import principal_block_contains, principal_p_prime_partitions
-from blockwitness.partitions import Partition, partitions_of, runner_counts
+from blockwitness.partitions import Partition, from_parts, partitions_of, runner_counts
 
 
 def show_abacus(lam: Partition, p: int) -> None:
-    length = -(-len(lam.parts) // p) * p
+    length = -(-lam.length // p) * p
     # bead i is part i plus the number of parts below it, zeros padding to `length`
-    padded = lam.parts + (0,) * (length - len(lam.parts))
+    padded = lam.parts + (0,) * (length - lam.length)
     beta = tuple(a + length - 1 - i for i, a in enumerate(padded))
     print(f"  partition {lam.to_literal()}, p = {p}")
     print(f"  beta-set (length {length}): {beta}")
@@ -26,11 +26,11 @@ def show_abacus(lam: Partition, p: int) -> None:
         print(f"    runner {runner}: beads at rows {rows}")
         # the rows are the beta-set of this runner's quotient component
         parts = [row - (len(rows) - 1 - i) for i, row in enumerate(rows)]
-        quotient.append(Partition(tuple(a for a in parts if a > 0)))
+        quotient.append(from_parts(a for a in parts if a > 0))
     counts = runner_counts(lam.runs, p)
     # the principal core (n mod p) at the same length, through the same kernel
-    principal = runner_counts(((lam.size % p, 1), (0, len(lam.parts) - 1)), p)
-    print(f"  runner counts (length {len(lam.parts)}): {counts},"
+    principal = runner_counts(((lam.size % p, 1), (0, lam.length - 1)), p)
+    print(f"  runner counts (length {lam.length}): {counts},"
           f" principal core's: {principal}")
     # sliding a bead one notch down its runner removes one p-hook and one
     # box of that runner's component, so the weight is the quotient's size
@@ -42,9 +42,9 @@ def show_abacus(lam: Partition, p: int) -> None:
 
 def main():
     print("== the abacus in action ==")
-    show_abacus(Partition((4,)), 3)
+    show_abacus(from_parts((4,)), 3)
     print()
-    show_abacus(Partition((2, 1, 1, 1, 1, 1, 1, 1)), 3)
+    show_abacus(from_parts((2, 1, 1, 1, 1, 1, 1, 1)), 3)
 
     n, p = 9, 3
     print(f"\n== principal {p}-block of S_{n} ==")

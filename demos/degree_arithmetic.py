@@ -11,7 +11,7 @@ import math
 
 from blockwitness.degrees import degree
 from blockwitness.factored import FactoredNatural, primes_up_to
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import from_parts, partitions_of
 
 
 def factorial_factored(k):
@@ -37,13 +37,13 @@ def main():
     print(f"  {n}! = {math.factorial(n)}  (equal: {total == math.factorial(n)})")
 
     print("\n== the one exact quotient, n! / hooks, never leaves factored form ==")
-    lam = Partition((4, 2, 1))  # hooks 6,4,2,1 / 3,1 / 1, product 144
+    lam = from_parts((4, 2, 1))  # hooks 6,4,2,1 / 3,1 / 1, product 144
     print(f"  7!   = {factorial_factored(7).factored_str()}")
     print(f"  7! / 144 = {degree(lam.runs).factored_str()} = {degree(lam.runs).to_decimal()}"
           f"  (degree of {lam.to_literal()})")
     print(f"  12!  = {factorial_factored(12).factored_str()}")
 
-    staircase = Partition(tuple(range(13, 0, -1)))  # (13,12,...,1), n = 91
+    staircase = from_parts(range(13, 0, -1))  # (13,12,...,1), n = 91
     deg = degree(staircase.runs)
     print("\n== a large-degree example: staircase partition of 91 ==")
     print(f"  partition {staircase.to_literal()}")

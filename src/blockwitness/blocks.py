@@ -5,19 +5,11 @@ p-core, and the principal p-block of the symmetric group on n letters
 collects the partitions whose p-core is the one-row partition (n mod p).
 Membership is decided by comparing p-abacus runner steps, the first
 differences of the runner counts, with those of that core, without building
-the core.  The steps come from the shape's runs of equal parts
-(:func:`blockwitness.partitions.runner_steps`), in O(1) work per run, never
-per part, and the core's, at the shape's own length, from a closed form
-that sets at most six entries.
-
-That closed form covers every hook (a, 1^c).  At beta-set length L >= c + 1
-its parts are a, then c ones, then L - c - 1 zeros, so its beads
-lambda_i + L - i are 0 .. L - 1 less the gap L - c - 1, plus the top bead
-a + L - 1; a = c = 0, the empty partition, puts gap and top on one bead.
-The beads 0 .. L - 1 fill every runner to level L // p and the first L % p
-runners once more, steps 1 + L // p at runner 0 and -1 at runner L % p; the
-gap takes -1 at its runner and +1 at the next, and the top the reverse.  The
-principal core (b) is the hook (b, 1^0).
+the core.  One kernel, :func:`blockwitness.partitions.runner_steps`, takes
+the steps from runs of equal parts in O(1) work per run, never per part:
+the shape's own runs, and the core's at the shape's length L, the core (b)
+as the runs ((b, 1), (0, L - 1)), whose zero parts pad its beta-set to L
+beads.
 
 The conjugate's block is read off the same steps.  Conjugation reflects
 the abacus: a beta-set X of length L inside 0 .. N has the N - y, for the
@@ -27,9 +19,9 @@ This reflection maps a bead moved from x to a free x - p onto a bead moved
 from N - x + p to a free N - x, so the p-hooks of a shape and of its
 conjugate correspond, and the conjugate's p-core is the conjugate of the
 shape's.  So the conjugate of ``lam`` lies in the principal block exactly
-when the p-core of ``lam`` is (1^b), the hook (1, 1^(b - 1)) for b >= 1,
-which a shape of fewer than b parts cannot have: removing hooks never adds
-a part.  One runner-step pass per prime decides both rows of a table.
+when the p-core of ``lam`` is (1^b), the runs ((1, b), (0, L - b)), which a
+shape of fewer than b parts cannot have: removing hooks never adds a part.
+One runner-step pass per prime decides both rows of a table.
 
 The partitions of p'-degree are generated, not searched for.  With
 n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
@@ -53,7 +45,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .factored import InternalInvariantError
-from .partitions import Partition, from_core_and_quotients, partitions_of, runner_steps
+from .partitions import Partition, from_core_and_quotients, from_parts, partitions_of, runner_steps
 
 
 def principal_block_contains(lam: Partition, p: int) -> bool:
@@ -61,11 +53,14 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
 
     Beta-sets of equal length have the same p-core exactly when their
     runner steps (see :func:`blockwitness.partitions.runner_steps`) agree,
-    so no core is built and no count is summed: the core (b) is the hook
-    (b, 1^0), whose steps at the shape's own length :func:`_hook_core_steps`
-    writes in closed form.
+    so no core is built and no count is summed: the core (b) is taken at
+    the shape's own length L as the runs ((b, 1), (0, L - 1)).  The empty
+    partition is its own core, the principal one of S_0.
     """
-    return runner_steps(lam.runs, p) == _hook_core_steps(lam.size % p, 0, len(lam.parts), p)
+    length = lam.length
+    if not length:
+        return True
+    return runner_steps(lam.runs, p) == runner_steps(((lam.size % p, 1), (0, length - 1)), p)
 
 
 def principal_flag_pairs(
@@ -77,21 +72,24 @@ def principal_flag_pairs(
     conjugate, each in the order of ``primes`` and each as
     :func:`principal_block_contains` decides it, from one
     :func:`blockwitness.partitions.runner_steps` pass per prime against the
-    cores (b) and (1^b) (see the module docstring).  The cores' steps are
-    built once per length and prime, and live as long as the returned function.
+    cores (b) and (1^b) (see the module docstring); the empty partition, its
+    own conjugate, is in every principal block.  The cores' steps are built
+    once per length and prime, and live as long as the returned function.
     """
     cores: dict[int, list[tuple[int, list[int], list[int] | None]]] = {}
 
     def decide(lam: Partition) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-        length = len(lam.parts)
+        length = lam.length
+        if not length:
+            return (True,) * len(primes), (True,) * len(primes)
         at_length = cores.get(length)
         if at_length is None:
             at_length = cores[length] = []
             for p in primes:
                 b = n % p
-                row = _hook_core_steps(b, 0, length, p)
-                column = row if b < 2 else _hook_core_steps(1, b - 1, length, p)
-                at_length.append((p, row, column if length >= b else None))
+                row = runner_steps(((b, 1), (0, length - 1)), p)
+                column = runner_steps(((1, b), (0, length - b)), p) if length >= b else None
+                at_length.append((p, row, column))
         runs = lam.runs
         own, partner = [], []
         for p, row, column in at_length:
@@ -101,24 +99,6 @@ def principal_flag_pairs(
         return tuple(own), tuple(partner)
 
     return decide
-
-
-def _hook_core_steps(a: int, c: int, length: int, p: int) -> list[int]:
-    # runner steps of the hook (a, 1^c) at beta-set length `length` >= c + 1,
-    # or of the empty partition when a = c = 0 (see the module docstring)
-    level, extra = divmod(length, p)
-    steps = [0] * p
-    steps[0] = level + 1
-    steps[extra] -= 1
-    gap = (length - c - 1) % p
-    steps[gap] -= 1
-    if gap + 1 < p:
-        steps[gap + 1] += 1
-    top = (a + length - 1) % p
-    steps[top] += 1
-    if top + 1 < p:
-        steps[top + 1] -= 1
-    return steps
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
@@ -145,7 +125,7 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     rest, b = divmod(n, p)
-    members = [Partition((b,) if b else ())]
+    members = [Partition(((b, 1),) if b else ())]
     expected, e = 1, p
     while rest:
         rest, a = divmod(rest, p)
@@ -170,9 +150,9 @@ def _one_hook_lifts(b: int, p: int) -> list[Partition]:
     # the p partitions with p-core (b) and p-weight 1, one per runner (see
     # principal_p_prime_partitions)
     return [
-        Partition((b + p,)),
-        *(Partition((b + j, b + 1) + (1,) * (p - b - 1 - j)) for j in range(1, p - b)),
-        *(Partition((b, c) + (1,) * (p - c)) for c in range(1, b + 1)),
+        Partition(((b + p, 1),)),
+        *(from_parts((b + j, b + 1) + (1,) * (p - b - 1 - j)) for j in range(1, p - b)),
+        *(from_parts((b, c) + (1,) * (p - c)) for c in range(1, b + 1)),
     ]
 
 

@@ -41,6 +41,12 @@ SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 # flags is 37-38% of the build
 ENUMERATION_MAX_N = 60
 
+# largest n whose primes `witness --n`, `degrees --n --partition` and `scan`'s
+# effective `--n-max` sieve (2n bytes); at the cap `witness --n 10000000 --p 3
+# --q 2` takes 1.7 s and 134 MB peak RSS, `degrees` on (1^(n-2),2) 1.4 s and
+# 208 MB, on a shared 2-core Xeon host
+SIEVE_MAX_N = 10**7
+
 _DEFERRAL_MESSAGES = {
     "small-n": "small-n: deferred to table methods",
     "abelian-sylow": "abelian-sylow: deferred (Sylow subgroup is abelian)",
@@ -110,10 +116,11 @@ def _quote(detail: str) -> str:
 def _first_or_dash(partitions: frozenset[Partition]) -> str:
     if not partitions:
         return "-"
-    return max(partitions, key=lambda lam: lam.parts).to_literal()
+    return max(partitions, key=lambda lam: lam.runs).to_literal()
 
 
 def _cmd_witness(args) -> int:
+    _bounded("witness --n", args.n, SIEVE_MAX_N, _SIEVE)
     params = derive_case_parameters(args.n, args.p, args.q)
     found = witness._construct(params)
     if found is None:
@@ -140,7 +147,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify_c(args) -> int:
-    _enumerable("verify-c --n", args.n, _P_PRIME_CHARACTERS)
+    _bounded("verify-c --n", args.n, ENUMERATION_MAX_N, _P_PRIME_CHARACTERS)
     report = oracle.check_conjC(args.n, args.p, args.q, args.group)
     print(
         f"conjecture-c n={args.n} p={args.p} q={args.q} group={args.group}"
@@ -154,7 +161,7 @@ def _cmd_verify_c(args) -> int:
 
 
 def _cmd_verify_b(args) -> int:
-    _enumerable("verify-b --n", args.n, _P_PRIME_CHARACTERS)
+    _bounded("verify-b --n", args.n, ENUMERATION_MAX_N, _P_PRIME_CHARACTERS)
     check_primes(args.n, (args.p, args.q))
     # conjecture B is stated here alone: B_p and B_q compared as generated
     set_p, set_q = oracle._prime_view(args.n, args.p), oracle._prime_view(args.n, args.q)
@@ -180,7 +187,8 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"empty scan range [{n_min}, {n_max}]")
     audit = args.cross_validate
     if audit:
-        _enumerable("scan --cross-validate --n-max", n_max, _P_PRIME_CHARACTERS)
+        _bounded("scan --cross-validate --n-max", n_max, ENUMERATION_MAX_N, _P_PRIME_CHARACTERS)
+    _bounded("scan --n-max", n_max, SIEVE_MAX_N, _SIEVE)
     witnesses = deferred = disagreements = falsified = 0
     for n in range(n_min, n_max + 1):
         for p, q in oracle.prime_pairs(n):
@@ -218,22 +226,23 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-_P_PRIME_CHARACTERS = "the p'-degree characters of S_n"
+_PARTITIONS = "lists every partition of n"
+_P_PRIME_CHARACTERS = "lists the p'-degree characters of S_n"
+_SIEVE = "sieves the primes up to n"
 
 
-def _enumerable(option: str, n: int, listed: str = "every partition of n") -> int:
+def _bounded(option: str, n: int, limit: int, work: str) -> int:
     # `option` is the command and flag that set n, e.g. "degrees --n"
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(
-            f"{option} {n} lists {listed}; the limit is n <= {ENUMERATION_MAX_N}"
-        )
+    if n > limit:
+        raise ValueError(f"{option} {n} {work}; the limit is n <= {limit}")
     return n
 
 
 def _cmd_degrees(args) -> int:
     if args.partition is None:
-        shapes = partitions_of(_enumerable("degrees --n", args.n))
+        shapes = partitions_of(_bounded("degrees --n", args.n, ENUMERATION_MAX_N, _PARTITIONS))
     else:
+        _bounded("degrees --n", args.n, SIEVE_MAX_N, _SIEVE)
         shapes = [parse_partition_text(args.partition, args.n)]
     for lam in shapes:
         deg = degree(lam.runs)
@@ -264,7 +273,7 @@ def _cmd_check_table(args) -> int:
 
 
 def _cmd_export_table(args) -> int:
-    n = _enumerable("export-table --n", args.n)
+    n = _bounded("export-table --n", args.n, ENUMERATION_MAX_N, _PARTITIONS)
     if args.primes is None:
         primes = tuple(primes_up_to(n))
     elif args.primes.strip() == "":

@@ -61,7 +61,7 @@ def divides(lam: Partition, s: int) -> bool:
     if s < 2:
         raise ValueError(f"divisibility by s requires a prime s >= 2, got {s}")
     size = lam.size
-    largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
+    largest_hook = lam.runs[0][0] + lam.length - 1 if lam.runs else 0
     e = s
     while e <= largest_hook:
         if weight(lam, e) < size // e:

@@ -51,7 +51,10 @@ class CaseParameters:
             )
         m, b = divmod(self.n, self.p)
         w, r = divmod(m * self.p, self.q)
-        vars(self).update(m=m, b=b, w=w, r=r)
+        object.__setattr__(self, "m", m)  # the record is frozen
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "r", r)
 
     @property
     def mp(self) -> int:

@@ -1,19 +1,17 @@
-"""Partitions and the abacus runner counts taken from their runs of equal parts.
+"""Partitions as their runs of equal parts, and the abacus runner counts taken from them.
 
-Partitions are kept in one canonical form: a weakly decreasing tuple of
-positive parts.  The constructor takes its parts as given; every partition
-built here is canonical by construction, and partition text from outside
-the program comes in through :func:`parse_partition_text`, which checks it.
-The ascending block notation used to write down candidate partitions, e.g.
+A partition is stored in one form: its descending ``(value, multiplicity)``
+runs of equal parts, values strictly decreasing and >= 1, multiplicities
+>= 1.  Its size, its length (the number of parts) and its parts are derived
+from the runs on first use.  The constructor takes its runs as given, and
+:func:`from_parts` is the one converter from weakly decreasing positive
+parts; every partition built here is canonical by construction, and
+partition text from outside the program comes in through
+:func:`parse_partition_text`, which checks it.  :func:`partitions_of`
+enumerates the runs themselves, a constant number of edits per step.  The
+ascending block notation used to write down candidate partitions, e.g.
 ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
-:class:`AscendingSpec` boundary and is normalized on conversion.
-
-The kernels below read a partition's descending ``(value, multiplicity)``
-runs of equal parts, not its parts.  :func:`partitions_of` enumerates the
-runs themselves, a constant number of edits per step, and
-:meth:`AscendingSpec.to_partition` expands a spec's; both store the runs and
-the size in the partition's cached properties, which any other partition
-fills from its parts on first use.
+:class:`AscendingSpec` boundary, whose runs are the partition's.
 
 Everything about ``e``-cores is read off one kernel, :func:`runner_steps`,
 and no beta-set is listed.  The beta-set is laid out on ``e`` runners, bead
@@ -30,13 +28,13 @@ costs O(1) per run and never visits a bead; :func:`runner_counts` is their
 running sum, and :func:`weight` reads the ``e``-weight off the counts in
 closed form.
 
-No core is built.  A partition is compared with a core through that core's
-runner steps at the partition's length (see
-:func:`blockwitness.blocks.principal_block_contains`).  Component i of the
-``e``-quotient has runner i's bead levels for its beta-set, on a beta-set
-length divisible by ``e`` so the runner order is well defined;
-:func:`from_core_and_quotients` inverts that for all quotients of one core,
-at any ``e >= 2``.
+No core is built.  A partition is compared with a core through the same
+kernel on that core's runs, padded with a run of zero parts to the
+partition's length (see :func:`blockwitness.blocks.principal_block_contains`).
+Component i of the ``e``-quotient has runner i's bead levels for its
+beta-set, on a beta-set length divisible by ``e`` so the runner order is
+well defined; :func:`from_core_and_quotients` inverts that for all
+quotients of one core, at any ``e >= 2``.
 """
 
 from __future__ import annotations
@@ -56,28 +54,38 @@ class NonMonotoneSpec(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """A weakly decreasing tuple of positive integer parts, taken unchecked."""
+    """Descending ``(value, multiplicity)`` runs of equal parts, taken unchecked."""
 
-    parts: tuple[int, ...] = ()
+    runs: tuple[tuple[int, int], ...] = ()
 
     @cached_property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(v * m for v, m in self.runs)
 
     @cached_property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """Descending ``(value, multiplicity)`` runs of equal parts."""
-        return tuple((v, len(list(run))) for v, run in groupby(self.parts))
+    def length(self) -> int:
+        """The number of parts."""
+        return sum(m for _, m in self.runs)
+
+    @cached_property
+    def parts(self) -> tuple[int, ...]:
+        """The weakly decreasing parts, expanded from the runs."""
+        return tuple(v for v, m in self.runs for _ in range(m))
 
     def is_self_conjugate(self) -> bool:
-        # the first column has len(parts) cells and the first row parts[0]
-        if self.parts and len(self.parts) != self.parts[0]:
+        # the first column has `length` cells and the first row runs[0][0]
+        if self.runs and self.length != self.runs[0][0]:
             return False
         return self.runs == conjugate_runs(self.runs)
 
     def to_literal(self) -> str:
         """Descending literal, e.g. '[2,1,1]'; '[]' for the empty partition."""
         return runs_literal(self.runs)
+
+
+def from_parts(parts: Iterable[int]) -> Partition:
+    """The partition with weakly decreasing positive ``parts``, taken unchecked."""
+    return Partition(tuple([(v, len(list(run))) for v, run in groupby(parts)]))
 
 
 def runs_literal(runs: Sequence[tuple[int, int]]) -> str:
@@ -134,7 +142,7 @@ def weight(lam: Partition, e: int) -> int:
     sum i c_i + e (sum c_i^2 - L)/2, the least bead sum of any layout with
     those runner counts; each removed ``e``-hook takes e from the bead sum.
     """
-    length = len(lam.parts)
+    length = lam.length
     counts = runner_counts(lam.runs, e)
     packed = sum(map(mul, range(e), counts)) + e * (sum(map(mul, counts, counts)) - length) // 2
     return (lam.size + length * (length - 1) // 2 - packed) // e
@@ -159,15 +167,15 @@ def from_core_and_quotients(
         raise ValueError(f"quotient requires e >= 2, got {e}")
     if weight(core, e):
         raise ValueError(f"{core.to_literal()} is not a {e}-core")
-    length = -(-len(core.parts) // e) * e
-    counts = runner_counts(core.runs + ((0, length - len(core.parts)),), e)
+    length = -(-core.length // e) * e
+    counts = runner_counts(core.runs + ((0, length - core.length),), e)
     # bases[lift]: the core's packed beads under `lift` more full rows
     bases: dict[int, set[int]] = {}
     members = []
     for quotient in quotients:
         if len(quotient) != e:
             raise ValueError(f"a {e}-quotient has {e} components, got {len(quotient)}")
-        placed = [(i, mu.parts) for i, mu in enumerate(quotient) if mu.parts]
+        placed = [(i, mu.parts) for i, mu in enumerate(quotient) if mu.runs]
         lift = max([0] + [len(parts) - counts[i] for i, parts in placed])
         if lift not in bases:
             bases[lift] = {i + e * level for i, c in enumerate(counts) for level in range(c + lift)}
@@ -178,7 +186,7 @@ def from_core_and_quotients(
             beads.update(i + e * (a + top - j) for j, a in enumerate(parts))
         ordered = sorted(beads, reverse=True)
         parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
-        members.append(Partition(parts[: len(parts) - parts.count(0)]))
+        members.append(from_parts(parts[: len(parts) - parts.count(0)]))
     return members
 
 
@@ -224,15 +232,11 @@ class AscendingSpec:
                 )
 
     @property
-    def total(self) -> int:
-        return sum(v * m for v, m in self.blocks)
-
-    @property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """Descending ``(value, multiplicity)`` runs of the partition's parts.
 
         Equal values are merged and the empty leading 1-block is dropped, so
-        these are the runs of :meth:`to_partition` without building it.
+        these are the canonical runs :meth:`to_partition` keeps.
         """
         runs: list[tuple[int, int]] = []
         for value, mult in reversed(self.blocks):
@@ -243,20 +247,8 @@ class AscendingSpec:
         return tuple(runs)
 
     def to_partition(self) -> Partition:
-        """Canonical descending partition with the spec's multiset of parts.
-
-        The blocks were checked on construction (int values >= 1, weakly
-        increasing), so the expansion of :attr:`runs` is canonical as it
-        stands, and the partition keeps those runs and the spec's total
-        rather than counting them again from its parts.
-        """
-        runs = self.runs
-        parts: list[int] = []
-        for value, mult in runs:
-            parts += [value] * mult
-        lam = Partition(tuple(parts))
-        vars(lam).update(runs=runs, size=self.total)
-        return lam
+        """The partition of :attr:`runs`, canonical since the blocks were checked."""
+        return Partition(self.runs)
 
     def __str__(self) -> str:
         return "(" + ",".join(f"{v}^{m}" if m != 1 else f"{v}" for v, m in self.blocks) + ")"
@@ -267,7 +259,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
     Each step pops the trailing run of ones, takes one copy off the last
     run, of value v > 1, and deals out the ones and v again as
-    ``divmod(ones + v, v - 1)``: at most two new runs, mirrored in the parts.
+    ``divmod(ones + v, v - 1)``: at most two new runs.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
@@ -275,11 +267,8 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield Partition(())
         return
     runs = [(n, 1)]
-    parts = [n]
     while True:
-        lam = Partition(tuple(parts))
-        vars(lam).update(runs=tuple(runs), size=n)
-        yield lam
+        yield Partition(tuple(runs))
         ones = runs.pop()[1] if runs[-1][0] == 1 else 0
         if not runs:
             return
@@ -288,18 +277,16 @@ def partitions_of(n: int) -> Iterator[Partition]:
             runs.append((value, mult - 1))
         full, rest = divmod(ones + value, value - 1)
         runs.append((value - 1, full))
-        del parts[len(parts) - ones - 1 :]
-        parts += [value - 1] * full
         if rest:
             runs.append((rest, 1))
-            parts.append(rest)
 
 
 def parse_partition_text(text: str, size: int) -> Partition:
     """A partition of ``size`` from a '[3,1]' literal or a '(1^2,3)' spec.
 
     The one way in for partition text: anything else raises ``ValueError``.
-    A spec is sized before it is expanded, so a huge one costs no memory.
+    A spec becomes its runs and is never expanded to parts, so a huge one
+    costs no memory.
     """
     body = text.strip()
     inner = body[1:-1].strip()
@@ -311,16 +298,16 @@ def parse_partition_text(text: str, size: int) -> Partition:
             (parse_decimal(head.strip()), parse_decimal(tail.strip()) if power else 1)
             for head, power, tail in (token.partition("^") for token in tokens)
         ))
-        if spec.total == size:
-            return spec.to_partition()
-        shown, total = str(spec), spec.total
+        lam, shown = spec.to_partition(), str(spec)
     else:
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"partition literal must look like [a,b,...]: {body!r}")
-        lam = Partition(tuple(map(parse_decimal, tokens)))
-        if 0 in lam.parts or any(a < b for a, b in zip(lam.parts, lam.parts[1:])):
+        parts = tuple(map(parse_decimal, tokens))
+        if 0 in parts or any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be positive and weakly decreasing: {body!r}")
-        if lam.size == size:
-            return lam
-        shown, total = lam.to_literal(), lam.size
-    raise ValueError(f"partition {shown} has size {total}, expected {size}")
+        lam, shown = from_parts(parts), ""
+    if lam.size != size:
+        raise ValueError(
+            f"partition {shown or lam.to_literal()} has size {lam.size}, expected {size}"
+        )
+    return lam

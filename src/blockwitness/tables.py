@@ -359,8 +359,23 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     pair: a conjugate's hook multiset is the transpose, and the first shape
     of a pair decides its partner's flags from its own runner steps
     (:func:`blockwitness.blocks.principal_flag_pairs`, cores held for this
-    call only).  Distinct primes of the symmetric or alternating groups never
-    commute Sylow-wise, so a false fact is recorded for every pair.
+    call only).  A false Sylow fact is recorded for every pair of primes,
+    since no Sylow p- and q-subgroups of S_n, or of A_n, commute elementwise.
+
+    Proof.  One of the primes, say p, is odd, so a Sylow p-subgroup P of S_n
+    lies in A_n and is Sylow there too; it is enough that no Sylow
+    q-subgroup lies in its centralizer C.  With n = sum a_k p^k in base p,
+    nu_p(n!) = sum a_k nu_p(p^k!), so P is a product of Sylow subgroups of
+    the symmetric groups on a_k orbits of size p^k, fixing a_0 = n mod p
+    points.  An element c of
+    C maps P-orbits to P-orbits and fixes each orbit O of size > 1, as some x
+    in P moves O alone while c x c^-1 = x; on O it centralizes a transitive
+    group, whose centralizer is semiregular, of order dividing p^k.  So C is
+    a p-group times Sym(a_0), and nu_q|C| = nu_q(a_0!) < nu_q(n!), as (a_0, n]
+    holds a multiple of q: p (n // p) >= p > q integers when q < p, and q
+    itself when q > p.  In A_n nothing changes for q odd.  For q = 2 and
+    a_0 >= 2, C meets A_n with index 2 and both sides lose one 2; for
+    a_0 <= 1, C has odd order.
     """
     primes = tuple(primes)
     check_primes(n, primes)

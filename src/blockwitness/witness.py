@@ -34,9 +34,9 @@ names a tuple (n, p, q) at which the tests see it win:
 
 Candidates are built and tried in this order and each one is verified from
 scratch: block membership, both degree valuations, and self-conjugacy are
-recomputed rather than predicted by side conditions.  The partition is
-built once, since every outcome records it, and the checks work on its
-runs of equal parts, at most three here, not on its n parts: each run is
+recomputed rather than predicted by side conditions.  The partition, the
+spec's runs of equal parts (at most three here), is built once, since every
+outcome records it, and no check lists its n parts: each run is
 an interval of beads of the beta-set, which gives its share of the abacus
 runner counts in O(1) steps; the degree comes from the rectangles
 between the runs, as one packed exponent sum whose sign-mask check is
@@ -225,9 +225,9 @@ def candidates(params: CaseParameters) -> Iterator[WitnessCandidate]:
 def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | VerificationFailure:
     """Recheck all four witness facts on the candidate's partition.
 
-    Every outcome records the partition, so it is built first, and its size
-    is the spec's total; membership, the degree and self-conjugacy are all
-    computed from its runs.  The degree is one checked packed sum
+    Every outcome records the partition, the spec's runs, so it is built
+    first; its size, membership, the degree and self-conjugacy are all
+    computed from those runs.  The degree is one checked packed sum
     (:func:`blockwitness.degrees.packed_degree`): the host and divisor
     exponents are its fields at those primes' indices, read by shift and
     mask, and the sum is decoded into a :class:`FactoredNatural` once,

@@ -8,9 +8,9 @@ independent references are in ``_oracles.py``.  The abacus weight and the
 p-quotient are read bead by bead here, as references for the library's runs
 kernel and its inverse of the quotient.  :func:`p_prime_degree_partitions`
 runs the library's lift over every p-core, not only the principal one, so
-its count certificate covers all of Irr_p'(S_n).  :func:`conjugate` expands
-the library's conjugate-runs kernel, the one self-conjugacy reads, to a
-partition for the conjugation checks.
+its count certificate covers all of Irr_p'(S_n).  :func:`conjugate` is the
+partition of the library's conjugate-runs kernel, the one self-conjugacy
+reads, for the conjugation checks.
 """
 
 from __future__ import annotations
@@ -21,18 +21,18 @@ from _oracles import beta_set, factorial_valuation
 from blockwitness import blocks
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import InternalInvariantError
-from blockwitness.partitions import Partition, conjugate_runs, partitions_of
+from blockwitness.partitions import Partition, conjugate_runs, from_parts, partitions_of
 
 
 def conjugate(lam: Partition) -> Partition:
-    """The transpose of ``lam``, the parts of its conjugate runs."""
-    return Partition(tuple(v for v, m in conjugate_runs(lam.runs) for _ in range(m)))
+    """The transpose of ``lam``, the partition of its conjugate runs."""
+    return Partition(conjugate_runs(lam.runs))
 
 
 def weight(lam: Partition, e: int) -> int:
     """The ``e``-weight: level steps that packing the abacus beads takes.
 
-    Each bead of the beta-set of length len(parts) sits at level
+    Each bead of the beta-set of length ``lam.length`` sits at level
     ``beta // e`` of runner ``beta % e``; the beads already on a runner add
     up to sum(c * (c - 1) / 2) of the levels, which packing keeps.
     """
@@ -40,7 +40,7 @@ def weight(lam: Partition, e: int) -> int:
         raise ValueError(f"an abacus needs e >= 1 runners, got {e}")
     counts = [0] * e
     total = 0
-    for bead in beta_set(lam.parts, len(lam.parts)):
+    for bead in beta_set(lam.parts, lam.length):
         level, runner = divmod(bead, e)
         total += level - counts[runner]
         counts[runner] += 1
@@ -53,7 +53,7 @@ def p_quotient(lam: Partition, p: int) -> tuple[Partition, ...]:
     Uses a beta-set length divisible by ``p``; runner i's bead levels are
     the beta-set of component i.
     """
-    length = -(-len(lam.parts) // p) * p
+    length = -(-lam.length // p) * p
     rows: list[list[int]] = [[] for _ in range(p)]
     for bead in beta_set(lam.parts, length):
         level, runner = divmod(bead, p)
@@ -61,7 +61,7 @@ def p_quotient(lam: Partition, p: int) -> tuple[Partition, ...]:
     components = []
     for levels in rows:
         parts = tuple(level - (len(levels) - 1 - i) for i, level in enumerate(levels))
-        components.append(Partition(tuple(a for a in parts if a > 0)))
+        components.append(from_parts(a for a in parts if a > 0))
     return tuple(components)
 
 
@@ -80,7 +80,7 @@ def degree_valuation(lam: Partition, p: int) -> int:
     if p < 2:
         raise ValueError(f"valuation requires p >= 2, got {p}")
     total = factorial_valuation(lam.size, p)
-    largest_hook = lam.parts[0] + len(lam.parts) - 1 if lam.parts else 0
+    largest_hook = lam.parts[0] + lam.length - 1 if lam.parts else 0
     e = p
     while e <= largest_hook:
         total -= weight(lam, e)
@@ -139,7 +139,7 @@ def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]
     per_core = 1
     for k, a in enumerate(digits[1:], start=1):
         per_core *= blocks._multipartition_count(p**k, a)
-    block = len(groups[Partition((digits[0],) if digits[0] else ())])
+    block = len(groups[from_parts((digits[0],) if digits[0] else ())])
     distinct = len({lam.parts for members in groups.values() for lam in members})
     if block != per_core or distinct != per_core * blocks._multipartition_count(1, digits[0]):
         raise InternalInvariantError(

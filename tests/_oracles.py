@@ -223,6 +223,21 @@ def is_canonical_partition(parts, n: int) -> bool:
     )
 
 
+def is_canonical_runs(runs, n: int) -> bool:
+    """A tuple of int (value, multiplicity) pairs summing to n as value * multiplicity.
+
+    Values strictly decrease and are >= 1, and multiplicities are >= 1, so
+    no two runs could merge and no run is empty.
+    """
+    return (
+        type(runs) is tuple
+        and all(type(pair) is tuple and list(map(type, pair)) == [int, int] for pair in runs)
+        and all(v >= 1 and m >= 1 for v, m in runs)
+        and all(a > b for (a, _), (b, _) in zip(runs, runs[1:]))
+        and sum(v * m for v, m in runs) == n
+    )
+
+
 def is_canonical_factorization(factors) -> bool:
     """A tuple of int (prime, exponent) pairs: keys strictly increasing, exponents >= 1."""
     return (

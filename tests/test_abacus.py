@@ -13,8 +13,8 @@ from blockwitness import partitions
 from blockwitness.blocks import _multipartitions, principal_block_contains
 from blockwitness.factored import primes_up_to
 from blockwitness.partitions import (
-    Partition,
     from_core_and_quotients,
+    from_parts,
     partitions_of,
     runner_counts,
 )
@@ -74,7 +74,7 @@ def test_weight_valuation_matches_hook_formula():
 
 
 def test_empty_partition():
-    empty = Partition(())
+    empty = from_parts(())
     for e in (1, 2, 3, 7):
         assert runner_counts(empty.runs, e) == [0] * e
         assert weight(empty, e) == 0
@@ -97,7 +97,7 @@ def test_prime_above_n():
 def test_one_column_partition():
     # (1^n) has hook lengths 1..n and degree 1
     for n in range(1, 16):
-        column = Partition((1,) * n)
+        column = from_parts((1,) * n)
         for e in range(2, n + 3):
             assert weight(column, e) == n // e
         for p in primes_up_to(n):
@@ -107,7 +107,7 @@ def test_one_column_partition():
 
 def test_abacus_example():
     # beads 6, 3, 1; hooks 6 and 3
-    lam = Partition((4, 2, 1))
+    lam = from_parts((4, 2, 1))
     assert runner_counts(lam.runs, 3) == [2, 1, 0]
     assert weight(lam, 3) == 2
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from blockwitness.blocks import _multipartition_count, principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
 from blockwitness.oracle import _prime_view, check_conjC, cross_validate, prime_pairs
-from blockwitness.partitions import Partition, partitions_of, runner_counts
+from blockwitness.partitions import from_parts, partitions_of, runner_counts
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness
 
@@ -141,8 +141,8 @@ def test_criterion_5_spot_values():
     w10 = construct_witness(10, 5, 2)
     side_p_9 = check_conjC(9, 3, 2, "sn").witnesses_p_block
     side_p_10 = check_conjC(10, 5, 2, "sn").witnesses_p_block
-    expected_9 = Partition((2, 1, 1, 1, 1, 1, 1, 1))
-    expected_10 = Partition((3, 1, 1, 1, 1, 1, 1, 1))
+    expected_9 = from_parts((2, 1, 1, 1, 1, 1, 1, 1))
+    expected_10 = from_parts((3, 1, 1, 1, 1, 1, 1, 1))
     ok = (
         w9.candidate.case_id == "I.a"
         and w9.partition == expected_9
@@ -185,7 +185,7 @@ def test_criterion_6_representation_identities():
             for p in (2, 3, 5, 7):
                 cores = oracle_helpers.exhaustive_cores(lam.parts, p)
                 if len(cores) != 1 or runner_counts(lam.runs, p) != oracle_helpers.residue_counts(
-                    oracle_helpers.beta_set(next(iter(cores)), len(lam.parts)), p
+                    oracle_helpers.beta_set(next(iter(cores)), lam.length), p
                 ):
                     bad_cores.append((lam.parts, p))
 
@@ -251,21 +251,21 @@ def test_criterion_8_property_suites():
     failures = []
 
     for _ in range(CASES):
-        lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
+        lam = from_parts(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         conj = conjugate(lam)
         if conjugate(conj) != lam or conj.parts != oracle_helpers.conjugate(lam.parts):
             failures.append(("conjugation-involution", lam.parts))
             break
 
     for _ in range(CASES):
-        lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
+        lam = from_parts(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         hooks = sorted(oracle_helpers.hooks(lam.parts))
         if hooks != sorted(oracle_helpers.hooks(conjugate(lam).parts)):
             failures.append(("hook-multiset-invariance", lam.parts))
             break
 
     for _ in range(CASES):
-        lam = Partition(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
+        lam = from_parts(oracle_helpers.random_partition(rng, rng.randint(0, 40)))
         p = rng.choice((2, 3, 5, 7, 11))
         found = weight(lam, p)
         divisible = sum(1 for h in oracle_helpers.hooks(lam.parts) if h % p == 0)

@@ -1,6 +1,4 @@
 from functools import lru_cache
-from itertools import accumulate
-
 import pytest
 
 import _oracles as oracle
@@ -15,12 +13,12 @@ from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
 from blockwitness.oracle import _prime_view, divides, in_principal_block, prime_pairs
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import Partition, from_core_and_quotients, partitions_of
+from blockwitness.partitions import from_core_and_quotients, from_parts, partitions_of
 from blockwitness.witness import candidates
 
 
 def P(*parts):
-    return Partition(tuple(parts))
+    return from_parts(parts)
 
 
 def members(n, p):
@@ -29,8 +27,9 @@ def members(n, p):
 
 def test_principal_core_closed_form_on_every_hook():
     # the hooks (n - L + 1, 1^(L-1)) take every length L = 1 .. n, so the
-    # core's closed-form steps are met at each; the verdict is a tally of
-    # residues mod e of the hook's beta-set against the core's at that length
+    # core's steps, from its runs padded to the shape's length, are met at
+    # each; the verdict is a tally of residues mod e of the hook's beta-set
+    # against the core's at that length
     verdicts = {True: 0, False: 0}
     for n in range(0, 41):
         for e in range(2, n + 3):
@@ -65,9 +64,9 @@ def test_membership_of_every_candidate_at_n_1000():
 
     verdicts = {True: 0, False: 0}
     for lam, rs in primes.items():
-        beads = oracle.beta_set(lam.parts, len(lam.parts))
+        beads = oracle.beta_set(lam.parts, lam.length)
         for r in sorted(rs):
-            expected = oracle.residue_counts(beads, r) == core_tally(r, len(lam.parts))
+            expected = oracle.residue_counts(beads, r) == core_tally(r, lam.length)
             assert principal_block_contains(lam, r) == expected, (lam.runs, r)
             verdicts[expected] += 1
     assert verdicts == {True: 4532, False: 8213}
@@ -82,30 +81,18 @@ def test_flag_pairs_equal_membership_of_both_conjugates():
         primes = primes_up_to(n + 2)
         decide = principal_flag_pairs(n, primes)
         for lam in partitions_of(n):
-            conjugate = Partition(oracle.conjugate(lam.parts))
+            conjugate = from_parts(oracle.conjugate(lam.parts))
             flags, partner = decide(lam)
             assert flags == tuple(principal_block_contains(lam, p) for p in primes), lam.parts
             expected = tuple(principal_block_contains(conjugate, p) for p in primes)
             assert partner == expected, lam.parts
-            shorter += sum(len(lam.parts) < n % p for p in primes)
+            shorter += sum(lam.length < n % p for p in primes)
     assert shorter > 0
-
-
-def test_column_core_below_its_length_fits_no_shape():
-    # (1^b) has b parts, so a shape of fewer parts has another p-core.  The
-    # closed form agrees even past its range: at length L < b < p the gap
-    # L - b lands on runner L - b + p, which holds no bead of 0 .. L, so that
-    # runner's count is -1 and no beta-set has these steps.  A length check
-    # of L >= b - 1 in place of L >= b therefore decides the same flags
-    for p in primes_up_to(31):
-        for b in range(2, p):
-            for length in range(b):
-                assert min(accumulate(blocks._hook_core_steps(1, b - 1, length, p))) < 0
 
 
 def test_principal_block_contains_examples():
     for n, p in ((5, 2), (9, 3), (20, 7), (8, 11)):
-        assert principal_block_contains(Partition((n,)), p)
+        assert principal_block_contains(P(n), p)
     assert principal_block_contains(P(2, 1, 1, 1, 1, 1, 1, 1), 3)
     assert principal_block_contains(P(1, 1, 1, 1), 3)  # column of 4, core (1)
 
@@ -154,8 +141,8 @@ def test_trivial_and_column_membership():
         from blockwitness.factored import primes_up_to
 
         for p in primes_up_to(n):
-            assert principal_block_contains(Partition((n,)), p)
-            column = Partition((1,) * n)
+            assert principal_block_contains(P(n), p)
+            column = P(*(1,) * n)
             cores = oracle.exhaustive_cores(column.parts, p)
             assert len(cores) == 1
             expected = next(iter(cores)) == ((n % p,) if n % p else ())

@@ -266,6 +266,46 @@ def test_enumeration_is_bounded(capsys, monkeypatch):
     assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "10")[0] == 0
 
 
+def test_sieve_is_bounded(capsys, monkeypatch):
+    # witness --n, degrees --n with --partition and scan's effective --n-max
+    # each sieve the primes up to n; past the limit they refuse before any sieve
+    import blockwitness.cli as cli_module
+    from blockwitness import degrees, factored, oracle
+
+    def sieve_called(k):
+        raise AssertionError(f"sieved the primes up to {k}")
+
+    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
+    limit = cli_module.SIEVE_MAX_N
+    over = str(limit + 1)
+    sieve = "sieves the primes up to n"
+    with monkeypatch.context() as patch:
+        for module in (factored, degrees, oracle, cli_module):
+            patch.setattr(module, "primes_up_to", sieve_called)
+        for argv, env, refusal in (
+            (("witness", "--n", over, "--p", "3", "--q", "2"), None, f"witness --n {over}"),
+            (("witness", "--n", over, "--p", "3", "--q", "2", "--json"), None, f"witness --n {over}"),
+            (("degrees", "--n", over, "--partition", f"(1^{limit - 1},2)"), None, f"degrees --n {over}"),
+            (("scan", "--n-min", over, "--n-max", over), None, f"scan --n-max {over}"),
+            (("scan", "--n-min", "9", "--n-max", "10" * 30), over, f"scan --n-max {over}"),
+        ):
+            if env is not None:
+                patch.setenv("BLOCKWITNESS_SCAN_MAX", env)
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"usage-error: {refusal} {sieve}; the limit is n <= {limit}\n", argv
+    # the limit itself is accepted, and the scan limit reads the capped --n-max
+    monkeypatch.setattr(cli_module, "SIEVE_MAX_N", 12)
+    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "12")
+    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "10" * 30)[0] == 0
+    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX")
+    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "13")[:2] == (2, "")
+    assert invoke(capsys, "witness", "--n", "12", "--p", "3", "--q", "2")[0] == 0
+    assert invoke(capsys, "witness", "--n", "13", "--p", "3", "--q", "2")[:2] == (2, "")
+    assert invoke(capsys, "degrees", "--n", "12", "--partition", "(1^10,2)")[0] == 0
+    assert invoke(capsys, "degrees", "--n", "13", "--partition", "(1^11,2)")[:2] == (2, "")
+
+
 def test_degrees_single(capsys):
     code, out, _ = invoke(
         capsys, "degrees", "--n", "9", "--partition", "[2,1,1,1,1,1,1,1]"

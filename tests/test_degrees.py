@@ -11,17 +11,17 @@ import blockwitness.degrees as degrees_module
 from blockwitness.degrees import FIELD, degree, packed_degree
 from blockwitness.factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.partitions import from_parts, partitions_of
 from blockwitness.witness import VerificationFailure, Witness, candidates, verify_candidate
 
 
 def P(*parts):
-    return Partition(tuple(parts))
+    return from_parts(parts)
 
 
 def test_degree_examples():
     for n in (1, 4, 12):
-        assert degree(Partition((n,)).runs).to_decimal() == "1"
+        assert degree(from_parts((n,)).runs).to_decimal() == "1"
     assert degree(P(2, 1).runs).factors == ((2, 1),)
     hook_partition = P(2, 1, 1, 1, 1, 1, 1, 1)
     # standard-tableau counting oracle for the n = 9 hook shape
@@ -37,7 +37,7 @@ def test_degree_matches_tableau_count_small():
 
 def test_degree_valuation_examples():
     for n, p in ((5, 2), (9, 3), (20, 7)):
-        assert degree_valuation(Partition((n,)), p) == 0
+        assert degree_valuation(from_parts((n,)), p) == 0
     hook_partition = P(2, 1, 1, 1, 1, 1, 1, 1)
     assert degree_valuation(hook_partition, 3) == 0
     assert degree_valuation(hook_partition, 2) == 3
@@ -222,17 +222,17 @@ def test_degree_matches_hook_product_random_shapes():
     rng = random.Random(20260)
     for n in list(range(0, 301, 7)) + [300] * 20:
         parts = oracle.random_partition(rng, n)
-        assert degree(Partition(parts).runs).to_int() == oracle.hook_product_degree(parts), parts
+        assert degree(from_parts(parts).runs).to_int() == oracle.hook_product_degree(parts), parts
 
 
 def test_degree_edge_shapes():
-    assert degree(Partition(()).runs) == FactoredNatural()
+    assert degree(from_parts(()).runs) == FactoredNatural()
     for n in (1, 2, 9, 40):
-        assert degree(Partition((n,)).runs) == FactoredNatural()
-        assert degree(Partition((1,) * n).runs) == FactoredNatural()
+        assert degree(from_parts((n,)).runs) == FactoredNatural()
+        assert degree(from_parts((1,) * n).runs) == FactoredNatural()
     for k in (1, 2, 3, 5, 8):
         square = (k,) * k
-        assert degree(Partition(square).runs).to_int() == oracle.hook_product_degree(square)
+        assert degree(from_parts(square).runs).to_int() == oracle.hook_product_degree(square)
     # the 3 x 3 square: 9! / (5 * 4^2 * 3^3 * 2^2 * 1) = 42
     assert degree(P(3, 3, 3).runs).factors == ((2, 1), (3, 1), (7, 1))
 

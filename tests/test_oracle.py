@@ -16,12 +16,12 @@ from blockwitness.oracle import (
     prime_pairs,
 )
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import AscendingSpec, Partition, partitions_of
+from blockwitness.partitions import AscendingSpec, from_parts, partitions_of
 from blockwitness.witness import WitnessCandidate, _construct
 
 
 def P(*parts):
-    return Partition(tuple(parts))
+    return from_parts(parts)
 
 
 def test_witness_sets_examples():

@@ -1,18 +1,19 @@
 import random
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from _all_partitions import conjugate, p_quotient, weight
-from blockwitness.blocks import principal_p_prime_partitions
+from blockwitness.blocks import _one_hook_lifts, principal_p_prime_partitions
 from blockwitness.factored import DigitLimitExceeded, primes_up_to
 from blockwitness.partitions import (
     AscendingSpec,
     NonMonotoneSpec,
     Partition,
     from_core_and_quotients,
+    from_parts,
     parse_partition_text,
     partitions_of,
     runner_counts,
@@ -22,23 +23,30 @@ from blockwitness.partitions import (
 
 
 def P(*parts):
-    return Partition(tuple(parts))
+    return from_parts(parts)
 
 
 partitions_strategy = st.lists(
     st.integers(min_value=1, max_value=12), min_size=0, max_size=12
-).map(lambda xs: Partition(tuple(sorted(xs, reverse=True))))
+).map(lambda xs: from_parts(sorted(xs, reverse=True)))
 
 
 def test_partition_validation():
-    # outside parts enter through the parser; the constructor takes its parts as given
+    # outside parts enter through the parser; the constructor takes its runs as given
     for text, size in (("[1,2]", 3), ("[3,0]", 3), ("[2,,1]", 3)):
         with pytest.raises(ValueError):
             parse_partition_text(text, size)
     with pytest.raises(ValueError, match=r"weakly decreasing: '\[1,2\]'"):
         parse_partition_text("[1,2]", 3)
-    assert P().size == 0
-    assert P(3, 1).size == 4
+    assert P().size == P().length == 0
+    assert (P(3, 1).size, P(3, 1).length) == (4, 2)
+    assert P(2, 2, 1) == Partition(((2, 2), (1, 1)))
+    # runs that are not canonical expand to canonical parts, yet name another
+    # value, so only canonical runs may be built
+    assert Partition(((2, 1), (2, 1))).parts == (2, 2) and Partition(((2, 1), (2, 1))) != P(2, 2)
+    assert not oracle.is_canonical_runs(((2, 1), (2, 1)), 4)
+    for bad in (((1, 0),), ((0, 1),), ((1, 2), (2, 1)), [(2, 1)], ((2, True),), ((3, 1),)):
+        assert not oracle.is_canonical_runs(bad, 2), bad
 
 
 def test_partitions_of_examples():
@@ -51,18 +59,20 @@ def test_partitions_of_examples():
 
 
 def test_partitions_of_order_and_counts():
-    # in order against the recursive oracle, and each partition made with the
-    # runs and size its parts give (the empty partition stores nothing)
+    # in order against the recursive oracle, each made of canonical runs; the
+    # partitions of one n sort by runs as they sort by parts
     for n in range(0, 26):
         made = list(partitions_of(n))
         seen = [lam.parts for lam in made]
         assert seen == list(oracle.enumerate_partitions(n))
         assert seen == sorted(seen, reverse=True)
         assert len(seen) == len(set(seen)) == oracle.partition_count_oracle(n)
-        for lam in made if n else ():
-            runs = tuple((v, len(list(run))) for v, run in groupby(lam.parts))
-            assert (vars(lam)["runs"], vars(lam)["size"]) == (runs, sum(lam.parts)), lam
-            assert lam.size == n
+        for lam in made:
+            assert oracle.is_canonical_runs(lam.runs, n), lam
+            assert lam == from_parts(lam.parts)
+        shuffled = random.Random(n).sample(made, len(made))
+        by_runs = sorted(shuffled, key=lambda lam: lam.runs)
+        assert by_runs == sorted(shuffled, key=lambda lam: lam.parts)
 
 
 def test_generator_count_spot_60():
@@ -75,14 +85,14 @@ def test_from_ascending_spec_examples():
     )
     assert AscendingSpec(((1, 2), (3, 1), (4, 1))).to_partition().parts == (4, 3, 1, 1)
     assert AscendingSpec(((1, 0), (5, 1))).to_partition().parts == (5,)
-    # built without a check, so it must already be canonical, and the runs
-    # and size it stores must be the ones its parts give
+    # built without a check from the spec's runs, so they must already be canonical
     for blocks in (((1, 0), (2, 3)), ((1, 3), (1, 2), (4, 2)), ((2, 1), (2, 1), (7, 3))):
         spec = AscendingSpec(blocks)
         lam = spec.to_partition()
-        assert oracle.is_canonical_partition(lam.parts, spec.total)
-        fresh = Partition(lam.parts)
-        assert (vars(lam)["runs"], vars(lam)["size"]) == (fresh.runs, fresh.size)
+        total = sum(v * m for v, m in blocks)
+        assert oracle.is_canonical_runs(lam.runs, total)
+        assert oracle.is_canonical_partition(lam.parts, total)
+        assert lam == from_parts(lam.parts)
 
 
 def test_ascending_spec_rejections():
@@ -104,7 +114,7 @@ def test_ascending_spec_rejections():
 def test_ascending_spec_parse_and_str():
     spec = AscendingSpec(((1, 7), (2, 1)))
     assert str(spec) == "(1^7,2)"
-    assert spec.total == 9
+    assert spec.to_partition().size == 9
     assert parse_partition_text("(1^7,2)", 9) == spec.to_partition() == P(2, 1, 1, 1, 1, 1, 1, 1)
     assert parse_partition_text("(5)", 5) == P(5)
     assert parse_partition_text("(1^0, 5)", 5) == P(5)
@@ -152,11 +162,18 @@ def test_internal_partitions_are_canonical():
     # the constructor checks nothing, so every generator's output is checked here
     for n in range(0, 21):
         for lam in partitions_of(n):
+            assert oracle.is_canonical_runs(lam.runs, n), lam
             assert oracle.is_canonical_partition(lam.parts, n), lam
     for n in range(1, 41):
         for p in primes_up_to(n):
             for lam in principal_p_prime_partitions(n, p):
+                assert oracle.is_canonical_runs(lam.runs, n), (n, p, lam)
                 assert oracle.is_canonical_partition(lam.parts, n), (n, p, lam)
+    # the closed-form weight-1 lift, at every core (b) of every p < 40
+    for p in primes_up_to(40):
+        for b in range(p):
+            for lam in _one_hook_lifts(b, p):
+                assert oracle.is_canonical_runs(lam.runs, b + p), (b, p, lam)
 
 
 def test_beta_set_examples():
@@ -170,7 +187,7 @@ def test_beta_set_examples():
 def test_beta_set_strictly_decreasing():
     rng = random.Random(5)
     for _ in range(200):
-        lam = Partition(oracle.random_partition(rng, rng.randint(0, 25)))
+        lam = from_parts(oracle.random_partition(rng, rng.randint(0, 25)))
         length = len(lam.parts) + rng.randint(0, 5)
         beta = oracle.beta_set(lam.parts, length)
         assert all(a > b for a, b in zip(beta, beta[1:]))
@@ -180,7 +197,7 @@ def test_p_core_examples():
     # a core is fixed by its runner counts at the partition's own length
     for parts, p, core in (((4,), 3, (1,)), ((2, 1), 3, ()), ((2, 1, 1, 1, 1, 1, 1, 1), 3, ())):
         assert oracle.exhaustive_cores(parts, p) == frozenset({core})
-        lam = Partition(parts)
+        lam = from_parts(parts)
         assert runner_counts(lam.runs, p) == oracle.residue_counts(
             oracle.beta_set(core, len(parts)), p
         )
@@ -192,7 +209,7 @@ def test_p_core_matches_exhaustive_stripping():
             for p in (2, 3, 5, 7):
                 cores = oracle.exhaustive_cores(lam.parts, p)
                 assert len(cores) == 1, f"order-dependent core for {lam.parts}, p={p}"
-                core = Partition(next(iter(cores)))
+                core = from_parts(next(iter(cores)))
                 expected = oracle.residue_counts(oracle.beta_set(core.parts, len(lam.parts)), p)
                 assert list(accumulate(runner_steps(lam.runs, p))) == expected
                 assert runner_counts(lam.runs, p) == expected
@@ -207,10 +224,10 @@ def test_p_core_properties():
     # the exhaustive core has no p-hook, and the p-weight counts the p-hooks removed
     rng = random.Random(7)
     for _ in range(400):
-        lam = Partition(oracle.random_partition(rng, rng.randint(0, 35)))
+        lam = from_parts(oracle.random_partition(rng, rng.randint(0, 35)))
         p = rng.choice((2, 3, 5, 7, 11))
         (core,) = oracle.exhaustive_cores(lam.parts, p)
-        core = Partition(core)
+        core = from_parts(core)
         assert runner_counts(core.runs, p) == oracle.residue_counts(
             oracle.beta_set(core.parts, len(core.parts)), p
         )
@@ -232,7 +249,7 @@ def test_p_quotient_examples():
 def test_core_quotient_size_identity():
     rng = random.Random(3)
     for _ in range(300):
-        lam = Partition(oracle.random_partition(rng, rng.randint(0, 30)))
+        lam = from_parts(oracle.random_partition(rng, rng.randint(0, 30)))
         p = rng.choice((2, 3, 5, 7))
         comps = p_quotient(lam, p)
         assert len(comps) == p
@@ -248,20 +265,21 @@ def test_core_and_quotient_round_trip():
     cases = 0
     for e in (2, 3, 5, 7, 4, 8, 9):
         cores = [
-            Partition(s)
+            from_parts(s)
             for size in range(9)
             for s in oracle.enumerate_partitions(size)
             if oracle.exhaustive_cores(s, e) == {s}
         ]
         for size in range(3):
             quotients = [
-                tuple(Partition(mu) for mu in quotient)
+                tuple(from_parts(mu) for mu in quotient)
                 for quotient in oracle.multipartitions(e, size)
             ]
             for core in cores:
                 members = from_core_and_quotients(core, quotients, e)
                 assert len(members) == len(quotients)
                 for lam, components in zip(members, quotients):
+                    assert oracle.is_canonical_runs(lam.runs, core.size + e * size), lam
                     assert p_quotient(lam, e) == components, (core, components, e)
                     assert runner_counts(lam.runs, e) == oracle.residue_counts(
                         oracle.beta_set(core.parts, len(lam.parts)), e
@@ -353,7 +371,8 @@ PARSED = [
 def test_partition_text_rejects_lax_integers(text, size, outcome):
     # every outcome of the one parser for outside text is pinned exactly
     if not (outcome and isinstance(outcome[0], type)):
-        assert parse_partition_text(text, size).parts == outcome
+        lam = parse_partition_text(text, size)
+        assert oracle.is_canonical_runs(lam.runs, size) and lam.parts == outcome
         return
     kind, message = outcome
     with pytest.raises(kind) as info:

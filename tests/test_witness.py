@@ -8,7 +8,7 @@ from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError
 from blockwitness.oracle import prime_pairs
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import AscendingSpec, Partition
+from blockwitness.partitions import AscendingSpec, from_parts
 from blockwitness.witness import (
     CaseTreeFalsified,
     SpecSumMismatch,
@@ -154,7 +154,7 @@ def test_case_ids_closed():
             for candidate in candidates(derive_case_parameters(n, p, q)):
                 assert candidate.case_id in CASE_IDS
                 assert {candidate.host_prime, candidate.divisor_prime} == {p, q}
-                assert candidate.spec.total == n
+                assert candidate.spec.to_partition().size == n
 
 
 def test_routing_is_total_and_deterministic():
@@ -350,18 +350,16 @@ def test_runs_drop_the_empty_ones_block():
 
 def test_candidate_partitions_are_canonical_on_grid():
     # every candidate the constructor may verify, n <= 128, tried or not: its
-    # partition is built unchecked, and the runs and size it keeps must be
-    # the ones its parts give
+    # partition is built unchecked from the spec's runs, so they must be canonical
     for n in range(9, 129):
         for p, q in prime_pairs(n):
             if n // p <= 1:
                 continue
             for candidate in candidates(derive_case_parameters(n, p, q)):
                 lam = candidate.spec.to_partition()
+                assert oracle.is_canonical_runs(lam.runs, n), candidate
                 assert oracle.is_canonical_partition(lam.parts, n), candidate
-                fresh = Partition(lam.parts)
-                kept = (vars(lam)["runs"], vars(lam)["size"])
-                assert kept == (fresh.runs, fresh.size), candidate
+                assert lam == from_parts(lam.parts), candidate
 
 
 def test_runs_longer_than_p_and_p_above_length():
