@@ -276,10 +276,10 @@ def _cmd_export_table(args) -> int:
     n = _bounded("export-table --n", args.n, ENUMERATION_MAX_N, _PARTITIONS)
     if args.primes is None:
         primes = tuple(primes_up_to(n))
-    elif args.primes.strip() == "":
+    elif args.primes == "":
         primes = ()
     else:
-        primes = tuple(parse_decimal(tok.strip()) for tok in args.primes.split(","))
+        primes = tuple(parse_decimal(tok) for tok in args.primes.split(","))
     summary = tables.build_sn_summary(n, primes)
     sys.stdout.writelines(tables.table_lines(summary))
     return EXIT_OK

@@ -6,6 +6,14 @@ the two primes (the host), has degree coprime to the host, degree divisible
 by the other prime (the divisor), and is not self-conjugate, so the same
 character witnesses the alternating group by restriction.
 
+Each witness certifies conjectures B and C (as :mod:`blockwitness.tables`
+labels them) for S_n and for A_n at its tuple.  B: it lies in
+Irr_h'(B_0), h the host, and the divisor divides its degree, so the two
+primes' sets differ.  C: its degree is cross-divisible, and no Sylow p- and
+q-subgroups of S_n or A_n commute, by the proof in
+:func:`blockwitness.tables.build_sn_summary`.  Its restriction to A_n has
+the same degree and lies in B_0(A_n), the one block that B_0(S_n) covers.
+
 The construction is a case split on the parameter record; a fallback row
 names a tuple (n, p, q) at which the tests see it win:
 

@@ -74,13 +74,17 @@ def test_usage_errors(capsys):
         (["degrees", "--n", "4", "--partition", "(1^+1,3)"], None),
         (["export-table", "--n", "9", "--primes", "２, 3"], None),
         (["export-table", "--n", "9", "--primes", "2,+3"], None),
+        (["export-table", "--n", "9", "--primes", " 2,3 "], None),
+        (["export-table", "--n", "9", "--primes", "2, 3"], None),
+        (["export-table", "--n", "9", "--primes", "  "], None),
         (["export-table", "--n", "1_0"], None),
     ],
     ids=[
         "underscore-n", "plus-sign-p", "fullwidth-n", "leading-space-n",
         "scan-underscore-n-max", "env-cap-underscore", "env-cap-negative",
         "partition-literal", "ascending-spec", "primes-fullwidth",
-        "primes-plus-sign", "export-underscore-n",
+        "primes-plus-sign", "primes-padded", "primes-space-after-comma",
+        "primes-blank", "export-underscore-n",
     ],
 )
 def test_lax_integers_are_usage_errors(capsys, monkeypatch, argv, env):

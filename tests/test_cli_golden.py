@@ -12,41 +12,31 @@ current code only after an intended change of output:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
-from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from blockwitness.cli import SCAN_MAX_ENV, run
+from blockwitness.cli import SCAN_MAX_ENV
+from golden_runs import capture, export_table
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
-
-
-def _capture(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = run(argv)
-    return code, out.getvalue()
 
 
 def replay(case: dict, workdir: Path) -> tuple[int, str]:
     """Exit code and stdout of one golden case."""
     argv = case["argv"]
     if "table" in case:
-        code, table = _capture(case["table"])
-        assert code == 0, f"table export {case['table']} exited {code}"
         path = workdir / "golden.table"
-        path.write_text(table, encoding="utf-8")
+        export_table(case["table"], path)
         argv = [str(path) if arg == "{table}" else arg for arg in argv]
     with mock.patch.dict(os.environ):
         os.environ.pop(SCAN_MAX_ENV, None)
         os.environ.update(case.get("env", {}))
-        return _capture(argv)
+        return capture(argv)
 
 
 def _sha256(text: str) -> str:

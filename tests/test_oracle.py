@@ -17,7 +17,7 @@ from blockwitness.oracle import (
 )
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import AscendingSpec, from_parts, partitions_of
-from blockwitness.witness import WitnessCandidate, _construct
+from blockwitness.witness import WitnessCandidate, _construct, construct_witness
 
 
 def P(*parts):
@@ -144,6 +144,29 @@ def test_oracle_and_blocks_agree_on_sets():
                     report = check_conjC(n, p, q, kind)
                     got = [report.witnesses_p_block, report.witnesses_q_block]
                     assert [{lam.parts for lam in s} for s in got] == expected, (n, p, q, kind)
+
+
+def test_every_witness_certifies_conjecture_C():
+    # a witness lies in B_0 of its host, has degree prime to the host and
+    # divisible by the other prime, and is not self-conjugate, so check_conjC
+    # lists it on the host's side for S_n and for A_n
+    tuples = 0
+    for n in range(9, 41):
+        for p, q in prime_pairs(n):
+            w = construct_witness(n, p, q)
+            if w is None:
+                continue
+            tuples += 1
+            for kind in ("sn", "an"):
+                report = check_conjC(n, p, q, kind)
+                assert report.condition_holds, (n, p, q, kind)
+                side = (
+                    report.witnesses_p_block
+                    if w.candidate.host_prime == p
+                    else report.witnesses_q_block
+                )
+                assert w.partition in side, (n, p, q, kind)
+    assert tuples == 389
 
 
 def test_cross_validate_validates_once(monkeypatch):
