@@ -32,10 +32,10 @@ here is while m is below about 3 * 10**9) borrows into bit 63 of its field,
 so the sum is checked in O(1) big-int operations: it must be below
 2^(64 pi(n)) (a negative sum shifts to -1) and clear of SIGNS(n), the mask
 of bit 63 of every field.  Only a sum that fails is decoded with signs, to
-name the fault.  A verifier reads the exponents it needs from the sum by
-shift and mask and decodes it (:func:`unpack_degree`) only for the
-candidate that becomes the witness; :func:`degree` is the sum and that
-decode.
+name the fault.  A verifier reads the exponents it needs from the sum
+with :func:`packed_exponent`, the one reader of a field, and decodes it
+(:func:`unpack_degree`) only for the candidate that becomes the witness;
+:func:`degree` is the sum and that decode.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Sequence
 
-from .factored import FactoredNatural, NotDivisible, primes_up_to
+from .factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from .partitions import runs_literal
 
 # At most 1024 entries, the one for m holding 8 * pi(m) bytes of fields in
@@ -76,7 +76,7 @@ def _superfactorial_valuations(m: int) -> int:
 
 
 # one field of a packed degree
-FIELD = (1 << 64) - 1
+_FIELD = (1 << 64) - 1
 
 
 @lru_cache(maxsize=1024)
@@ -84,7 +84,7 @@ def _sign_bits(n: int) -> tuple[int, int]:
     # (64 pi(n), SIGNS(n)): the width of the fields of a degree of S_n, and
     # the mask with bit 63 of each field set
     width = 64 * len(primes_up_to(n))
-    return width, ((1 << width) - 1) // FIELD << 63
+    return width, ((1 << width) - 1) // _FIELD << 63
 
 
 def packed_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
@@ -132,6 +132,11 @@ def packed_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
             f" more often than {n}!"
         )
     return packed
+
+
+def packed_exponent(packed: int, p: int) -> int:
+    """The exponent of the prime ``p`` in a checked sum of :func:`packed_degree`."""
+    return (packed >> 64 * prime_index(p)) & _FIELD
 
 
 def unpack_degree(packed: int, n: int) -> FactoredNatural:

@@ -100,6 +100,7 @@ def in_principal_block(lam: Partition, p: int) -> bool:
     return [flat + sum(tally[t::p]) for t in range(p)] == [w + (t < b) for t in range(p)]
 
 
+# An lru_cache under this name, because perfbench/tracing.py reads its cache_info.
 @lru_cache(maxsize=32)
 def _prime_view(n: int, r: int) -> frozenset[Partition]:
     # B_r = Irr_r'(B_0(S_n)); 32 entries hold every prime <= n for n < 137
@@ -112,6 +113,7 @@ def _divided(n: int, r: int, s: int) -> frozenset[Partition]:
     return frozenset(lam for lam in _prime_view(n, r) if divides(lam, s))
 
 
+# An lru_cache under this name, because perfbench/tracing.py reads its cache_info.
 @lru_cache(maxsize=32)
 def _scan(n: int, r: int) -> frozenset[int]:
     # the primes s != r that divide the degree of some member of B_r, each

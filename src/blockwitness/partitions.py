@@ -284,27 +284,28 @@ def partitions_of(n: int) -> Iterator[Partition]:
 def parse_partition_text(text: str, size: int) -> Partition:
     """A partition of ``size`` from a '[3,1]' literal or a '(1^2,3)' spec.
 
-    The one way in for partition text: anything else raises ``ValueError``.
+    The one way in for partition text: every integer is read by
+    :func:`parse_decimal`, so the text carries no spaces, and anything else
+    raises ``ValueError``.
     A spec becomes its runs and is never expanded to parts, so a huge one
     costs no memory.
     """
-    body = text.strip()
-    inner = body[1:-1].strip()
-    tokens = [token.strip() for token in inner.split(",")] if inner else []
-    if body.startswith("("):
-        if not body.endswith(")"):
-            raise ValueError(f"ascending spec must look like (1^k,a,b): {body!r}")
+    inner = text[1:-1]
+    tokens = inner.split(",") if inner else []
+    if text.startswith("("):
+        if not text.endswith(")"):
+            raise ValueError(f"ascending spec must look like (1^k,a,b): {text!r}")
         spec = AscendingSpec(tuple(
-            (parse_decimal(head.strip()), parse_decimal(tail.strip()) if power else 1)
+            (parse_decimal(head), parse_decimal(tail) if power else 1)
             for head, power, tail in (token.partition("^") for token in tokens)
         ))
         lam, shown = spec.to_partition(), str(spec)
     else:
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"partition literal must look like [a,b,...]: {body!r}")
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ValueError(f"partition literal must look like [a,b,...]: {text!r}")
         parts = tuple(map(parse_decimal, tokens))
         if 0 in parts or any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"parts must be positive and weakly decreasing: {body!r}")
+            raise ValueError(f"parts must be positive and weakly decreasing: {text!r}")
         lam, shown = from_parts(parts), ""
     if lam.size != size:
         raise ValueError(

@@ -39,8 +39,9 @@ deciding both shapes against principal cores built once per length (see
 :mod:`blockwitness.blocks`); the partner's are kept under the runs of the
 partner still to come (at most one entry per row, dropped on return), and
 rows with equal flags share one tuple, as parsed rows with one flag tail
-do.  A summary's per-prime id sets and Sylow facts are cached properties,
-built once on first use and never carried over by ``dataclasses.replace``.
+do.  A summary's Sylow facts are one read-only mapping from (p, q),
+p < q, to the fact; its per-prime id sets are a cached property, built
+once on first use and never carried over by ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -87,16 +88,12 @@ class CharacterTableSummary:
     primes: tuple[int, ...]
     trivial_id: str
     complete: bool
-    sylow_commute: tuple[tuple[int, int, bool], ...]
+    sylow_commute: MappingProxyType[tuple[int, int], bool]  # (p, q), p < q -> fact
     rows: tuple[CharacterRow, ...]
-
-    @cached_property
-    def _sylow_facts(self) -> dict[tuple[int, int], bool]:
-        return {(a, b): value for a, b, value in reversed(self.sylow_commute)}  # first one wins
 
     def sylow_fact(self, p: int, q: int) -> bool | None:
         """The recorded commuting-Sylow fact for {p, q}, if any."""
-        return self._sylow_facts.get((min(p, q), max(p, q)))
+        return self.sylow_commute.get((min(p, q), max(p, q)))
 
     @cached_property
     def principal_p_prime_ids(self) -> MappingProxyType[int, frozenset[str]]:
@@ -147,8 +144,8 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
 
 def _close_header(
     line_no: int, lines: dict[str, int], order: int, primes: tuple[int, ...], sylow_raw: _RawSylow
-) -> tuple[tuple[int, int, bool], ...]:
-    """Check the finished header; return its sylow_commute facts, sorted."""
+) -> MappingProxyType[tuple[int, int], bool]:
+    """Check the finished header; return its sylow_commute facts."""
     for directive in _HEADER_DIRECTIVES:
         if directive not in lines:
             raise ParseError(line_no, f"missing '{directive}' directive in header")
@@ -168,7 +165,7 @@ def _close_header(
         if key in facts:
             raise ParseError(sline, f"duplicate sylow_commute pair {key}")
         facts[key] = value
-    return tuple(sorted((p, q, value) for (p, q), value in facts.items()))
+    return MappingProxyType(facts)
 
 
 def _tail_flags(line_no: int, tail: str, primes: tuple[int, ...]) -> tuple[bool, ...]:
@@ -334,7 +331,7 @@ def table_lines(summary: CharacterTableSummary) -> Iterator[str]:
     yield "primes" + "".join(f" {p}" for p in summary.primes) + "\n"
     yield f"trivial {summary.trivial_id}\n"
     yield f"complete {'true' if summary.complete else 'false'}\n"
-    for p, q, value in summary.sylow_commute:
+    for (p, q), value in sorted(summary.sylow_commute.items()):
         yield f"sylow_commute {p} {q} {'true' if value else 'false'}\n"
     tails: dict[tuple[bool, ...], str] = {}  # flags -> rendered tail, one per distinct flags
     for row in summary.rows:
@@ -396,7 +393,7 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
         else:
             value, flags = known
         rows.append(CharacterRow(lam.to_literal(), value, shared.setdefault(flags, flags)))
-    facts = tuple((p, q, False) for p, q in combinations(sorted(primes), 2))
+    facts = MappingProxyType(dict.fromkeys(combinations(sorted(primes), 2), False))
     return CharacterTableSummary(
         group_name=f"S{n}", order=math.factorial(n), primes=primes, trivial_id=f"[{n}]",
         complete=True, sylow_commute=facts, rows=tuple(rows),

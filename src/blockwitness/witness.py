@@ -48,9 +48,10 @@ outcome records it, and no check lists its n parts: each run is
 an interval of beads of the beta-set, which gives its share of the abacus
 runner counts in O(1) steps; the degree comes from the rectangles
 between the runs, as one packed exponent sum whose sign-mask check is
-O(1) and from which the host and divisor exponents are read by shift and
-mask, decoded into factored form only for the candidate that wins; and a
-shape whose length differs from its first part is not self-conjugate.
+O(1) and from which :func:`blockwitness.degrees.packed_exponent` reads
+the host and divisor exponents, decoded into factored form only for the
+candidate that wins; and a shape whose length differs from its first
+part is not self-conjugate.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.
 
@@ -103,8 +104,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .blocks import principal_block_contains
-from .degrees import FIELD, packed_degree, unpack_degree
-from .factored import FactoredNatural, InternalInvariantError, prime_index
+from .degrees import packed_degree, packed_exponent, unpack_degree
+from .factored import FactoredNatural, InternalInvariantError
 from .parameters import CaseParameters, derive_case_parameters
 from .partitions import AscendingSpec, NonMonotoneSpec, Partition
 
@@ -237,9 +238,10 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
     first; its size, membership, the degree and self-conjugacy are all
     computed from those runs.  The degree is one checked packed sum
     (:func:`blockwitness.degrees.packed_degree`): the host and divisor
-    exponents are its fields at those primes' indices, read by shift and
-    mask, and the sum is decoded into a :class:`FactoredNatural` once,
-    after all four checks pass, for the witness.
+    exponents are its fields at those primes, read by
+    :func:`blockwitness.degrees.packed_exponent`, and the sum is decoded
+    into a :class:`FactoredNatural` once, after all four checks pass, for
+    the witness.
     """
     lam = candidate.spec.to_partition()
     if lam.size != n:
@@ -251,9 +253,9 @@ def verify_candidate(candidate: WitnessCandidate, n: int) -> Witness | Verificat
     if not principal_block_contains(lam, host):
         return VerificationFailure(candidate, lam, f"outside the principal {host}-block")
     packed = packed_degree(lam.runs, n)
-    if (packed >> 64 * prime_index(host)) & FIELD:
+    if packed_exponent(packed, host):
         return VerificationFailure(candidate, lam, f"degree divisible by host prime {host}")
-    if not (packed >> 64 * prime_index(divisor)) & FIELD:
+    if not packed_exponent(packed, divisor):
         return VerificationFailure(candidate, lam, f"degree not divisible by {divisor}")
     if lam.is_self_conjugate():
         return VerificationFailure(candidate, lam, "self-conjugate")

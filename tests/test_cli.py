@@ -72,6 +72,9 @@ def test_usage_errors(capsys):
         (["scan", "--n-min", "9", "--n-max", "40"], "-1"),
         (["degrees", "--n", "4", "--partition", "[３,+1]"], None),
         (["degrees", "--n", "4", "--partition", "(1^+1,3)"], None),
+        (["degrees", "--n", "4", "--partition", " [3,1]"], None),
+        (["degrees", "--n", "4", "--partition", "[ 3,1]"], None),
+        (["degrees", "--n", "4", "--partition", "(1^1, 3)"], None),
         (["export-table", "--n", "9", "--primes", "２, 3"], None),
         (["export-table", "--n", "9", "--primes", "2,+3"], None),
         (["export-table", "--n", "9", "--primes", " 2,3 "], None),
@@ -82,7 +85,8 @@ def test_usage_errors(capsys):
     ids=[
         "underscore-n", "plus-sign-p", "fullwidth-n", "leading-space-n",
         "scan-underscore-n-max", "env-cap-underscore", "env-cap-negative",
-        "partition-literal", "ascending-spec", "primes-fullwidth",
+        "partition-literal", "ascending-spec", "partition-padded",
+        "partition-space-in-bracket", "spec-space-after-comma", "primes-fullwidth",
         "primes-plus-sign", "primes-padded", "primes-space-after-comma",
         "primes-blank", "export-underscore-n",
     ],
@@ -149,6 +153,14 @@ def test_verify_c(capsys):
         capsys, "verify-c", "--n", "9", "--p", "3", "--q", "2", "--group", "an"
     )
     assert code == 0 and "group=an" in out
+    # in B_0(2) of S_5 the odd degrees are 1 and 5, none divisible by 3, so the
+    # q side is empty and prints "-"
+    code, out, _ = invoke(capsys, "verify-c", "--n", "5", "--p", "3", "--q", "2")
+    assert code == 0
+    assert out == (
+        "conjecture-c n=5 p=3 q=2 group=sn holds=true p_witnesses=1 q_witnesses=0"
+        " example_p=[2,1,1,1] example_q=-\n"
+    )
 
 
 def test_verify_b(capsys):

@@ -8,7 +8,7 @@ import pytest
 import _oracles as oracle
 from _all_partitions import conjugate, degree_valuation
 import blockwitness.degrees as degrees_module
-from blockwitness.degrees import FIELD, degree, packed_degree
+from blockwitness.degrees import degree, packed_degree, packed_exponent
 from blockwitness.factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import from_parts, partitions_of
@@ -82,11 +82,6 @@ def _fields(packed, count):
     return list(array("q", packed.to_bytes(8 * count, sys.byteorder, signed=True)))
 
 
-def _exponent(packed, prime):
-    # the field verification reads for ``prime``
-    return (packed >> 64 * prime_index(prime)) & FIELD
-
-
 def test_packed_fields_match_hook_product_all_partitions():
     # every partition with n <= 25, every prime <= n: each field of the checked
     # sum is the exponent of the hook-product degree, and no field lies beyond
@@ -96,9 +91,9 @@ def test_packed_fields_match_hook_product_all_partitions():
             packed = packed_degree(lam.runs, n)
             hook_degree = oracle.hook_product_degree(lam.parts)
             for prime in primes:
-                assert _exponent(packed, prime) == oracle.padic_valuation(hook_degree, prime)
+                assert packed_exponent(packed, prime) == oracle.padic_valuation(hook_degree, prime)
             assert packed >> 64 * len(primes) == 0
-            assert _fields(packed, len(primes)) == [_exponent(packed, p) for p in primes]
+            assert _fields(packed, len(primes)) == [packed_exponent(packed, p) for p in primes]
 
 
 def test_prime_index_is_the_position_in_the_prime_table():
@@ -203,7 +198,7 @@ def test_degree_matches_hook_product_on_construction_grid():
                     assert degree(lam.runs).to_int() == hook_degree, lam
                     packed = packed_degree(lam.runs, n)
                     for prime in primes:
-                        assert _exponent(packed, prime) == oracle.padic_valuation(
+                        assert packed_exponent(packed, prime) == oracle.padic_valuation(
                             hook_degree, prime
                         ), (lam, prime)
                     outcome = verify_candidate(candidate, n)
@@ -263,7 +258,7 @@ def test_planted_fault_below_the_divisor_raises_in_verification(monkeypatch):
     assert isinstance(outcome, VerificationFailure)
     assert outcome.reason == "degree not divisible by 3"
     packed = packed_degree(outcome.partition.runs, 17)
-    assert (_exponent(packed, 2), _exponent(packed, 3)) == (4, 0)
+    assert (packed_exponent(packed, 2), packed_exponent(packed, 3)) == (4, 0)
     with monkeypatch.context() as patch:
         _planted(patch, 17, -5)
         with pytest.raises(NotDivisible) as caught:

@@ -56,6 +56,8 @@ def test_partitions_of_examples():
     assert len(four) == 5
     count_30 = sum(1 for _ in partitions_of(30))
     assert count_30 == oracle.partition_count_oracle(30) == 5604
+    with pytest.raises(ValueError, match="cannot partition -1"):
+        next(partitions_of(-1))
 
 
 def test_partitions_of_order_and_counts():
@@ -117,7 +119,7 @@ def test_ascending_spec_parse_and_str():
     assert spec.to_partition().size == 9
     assert parse_partition_text("(1^7,2)", 9) == spec.to_partition() == P(2, 1, 1, 1, 1, 1, 1, 1)
     assert parse_partition_text("(5)", 5) == P(5)
-    assert parse_partition_text("(1^0, 5)", 5) == P(5)
+    assert parse_partition_text("(1^0,5)", 5) == P(5)
 
 
 def test_conjugate_examples():
@@ -316,11 +318,9 @@ _LITERAL_SHAPE = "partition literal must look like [a,b,...]: "
 
 # (text, size, outcome): the parts, or the exception's exact type and message
 PARSED = [
-    # both notations, with the spaces they may carry
+    # both notations
     ("[3,1]", 4, (3, 1)),
-    (" [ 2 , 2 ] ", 4, (2, 2)),
     ("(1^2,3)", 5, (3, 1, 1)),
-    ("(1 ^ 2, 3)", 5, (3, 1, 1)),
     ("[]", 0, ()),
     ("(1^0,5)", 5, (5,)),
     ("(1^0)", 0, ()),
@@ -352,9 +352,14 @@ PARSED = [
     ("(1^-1,2)", 4, (ValueError, _DIGITS + "'-1'")),
     ("(1^)", 1, (ValueError, _DIGITS + "''")),
     ("(1^2^3)", 8, (ValueError, _DIGITS + "'2^3'")),
+    # a space is no part of an integer, nor of the brackets
+    (" [ 2 , 2 ] ", 4, (ValueError, _LITERAL_SHAPE + "' [ 2 , 2 ] '")),
+    ("[3, 1]", 5, (ValueError, _DIGITS + "' 1'")),
+    ("(1 ^ 2, 3)", 5, (ValueError, _DIGITS + "'1 '")),
+    ("(1 ^ 2,3)", 4, (ValueError, _DIGITS + "'1 '")),
     # a size mismatch names the normalized text
-    ("[3, 1]", 5, (ValueError, "partition [3,1] has size 4, expected 5")),
-    ("(1 ^ 2,3)", 4, (ValueError, "partition (1^2,3) has size 5, expected 4")),
+    ("[2,2]", 5, (ValueError, "partition [2,2] has size 4, expected 5")),
+    ("(1^1,3)", 5, (ValueError, "partition (1,3) has size 4, expected 5")),
     (
         "(1^" + "9" * 5000 + ",2)",
         4,

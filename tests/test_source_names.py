@@ -18,6 +18,8 @@ import ast
 import builtins
 from pathlib import Path
 
+from line_counts import COLUMNS, count_lines
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "blockwitness"
 
 # read only from outside src/, each for the reason given
@@ -155,3 +157,13 @@ def test_the_exception_guard_sees_an_uncaught_class(tmp_path):
         encoding="utf-8",
     )
     assert uncaught_exception_classes(tmp_path) == ["a.Raised", "a.Deeper"]
+
+
+def test_line_count_columns_sum_to_each_module():
+    # docstring, comment, blank and code lines part each module's wc -l count
+    for path in sorted(SRC.glob("*.py")):
+        counts = count_lines(path.read_text(encoding="utf-8"))
+        assert counts["lines"] == path.read_bytes().count(b"\n"), path.name
+        assert sum(counts[column] for column in COLUMNS[1:]) == counts["lines"], path.name
+    text = '"""Module.\n\nMore."""\n\n# note\nX = """not a\n# docstring"""\n\n\ndef f():\n    """One."""\n'
+    assert count_lines(text) == {"lines": 11, "docstring": 4, "comment": 1, "blank": 3, "code": 3}

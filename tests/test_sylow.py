@@ -105,7 +105,7 @@ def test_sylow_subgroups_of_distinct_primes_never_commute():
         # the export records exactly these facts for S_n
         primes = (2, 3, 5)[: 2 if n < 5 else 3]
         facts = build_sn_summary(n, primes).sylow_commute
-        assert facts == tuple((p, q, False) for p, q in combinations(primes, 2)), n
+        assert facts == {pair: False for pair in combinations(primes, 2)}, n
     # S_3, S_4 and A_4 one pair each; S_5, A_5, S_6 and A_6 three each; A_3 none
     assert checked == 15
 

@@ -353,7 +353,7 @@ def test_export_s4():
     assert degrees == [1, 1, 2, 3, 3]
     assert sum(d * d for d in degrees) == 24 == summary.order
     assert summary.trivial_id == "[4]"
-    assert summary.sylow_commute == ((2, 3, False),)
+    assert summary.sylow_commute == {(2, 3): False}
     parsed = parse_table(serialize_table(build_sn_summary(4, (2, 3))))
     assert parsed == summary
 
@@ -626,11 +626,9 @@ def test_sylow_facts_are_read_per_summary():
     summary = parse_table(MINIMAL)
     assert summary.sylow_fact(2, 3) is summary.sylow_fact(3, 2) is False
     assert summary.sylow_fact(2, 5) is None
-    # a replaced summary reads its own facts; the first listed for a pair wins
-    (finding,) = audit(replace(summary, sylow_commute=()), "C")
+    # a replaced summary reads its own facts
+    (finding,) = audit(replace(summary, sylow_commute={}), "C")
     assert finding.verdict == "indeterminate"
-    twice = replace(summary, sylow_commute=((2, 3, True), (2, 3, False)))
-    assert twice.sylow_fact(3, 2) is True
 
 
 def test_audit_rejects_unknown():
