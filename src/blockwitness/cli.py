@@ -177,14 +177,19 @@ def _cmd_verify_b(args) -> int:
 
 def _cmd_scan(args) -> int:
     n_min, n_max = args.n_min, args.n_max
+    capped = ""
     cap = os.environ.get(SCAN_MAX_ENV)
     if cap is not None:
         try:
-            n_max = min(n_max, parse_decimal(cap))
+            limit = parse_decimal(cap)
         except ValueError as exc:
             raise ValueError(f"{SCAN_MAX_ENV}: {exc}") from None
-    if n_min < 1 or n_max < n_min:
-        raise ValueError(f"empty scan range [{n_min}, {n_max}]")
+        if limit < n_max:
+            n_max, capped = limit, f"; {SCAN_MAX_ENV}={limit} caps --n-max {args.n_max}"
+    if n_min < 1:
+        raise ValueError(f"scan --n-min must be >= 1, got {n_min}")
+    if n_max < n_min:
+        raise ValueError(f"empty scan range [{n_min}, {n_max}]{capped}")
     audit = args.cross_validate
     if audit:
         _bounded("scan --cross-validate --n-max", n_max, ENUMERATION_MAX_N, _P_PRIME_CHARACTERS)

@@ -2,15 +2,15 @@
 
 A partition is stored in one form: its descending ``(value, multiplicity)``
 runs of equal parts, values strictly decreasing and >= 1, multiplicities
->= 1.  Its size, its length (the number of parts) and its parts are derived
-from the runs on first use.  The constructor takes its runs as given, and
-:func:`from_parts` is the one converter from weakly decreasing positive
-parts; every partition built here is canonical by construction, and
-partition text from outside the program comes in through
-:func:`parse_partition_text`, which checks it.  :func:`partitions_of`
-enumerates the runs themselves, a constant number of edits per step.  The
-ascending block notation used to write down candidate partitions, e.g.
-``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
+>= 1.  Its size and its length (the number of parts) are summed once, when
+the partition is built; its parts are expanded from the runs on first use.
+The constructor takes its runs as given, and :func:`from_parts` is the one
+converter from weakly decreasing positive parts; every partition built here
+is canonical by construction, and partition text from outside the program
+comes in through :func:`parse_partition_text`, which checks it.
+:func:`partitions_of` enumerates the runs themselves, a constant number of
+edits per step.  The ascending block notation used to write down candidate
+partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
 :class:`AscendingSpec` boundary, whose runs are the partition's.
 
 Everything about ``e``-cores is read off one kernel, :func:`runner_steps`,
@@ -39,7 +39,7 @@ quotients of one core, at any ``e >= 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import mul, sub
@@ -54,18 +54,24 @@ class NonMonotoneSpec(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """Descending ``(value, multiplicity)`` runs of equal parts, taken unchecked."""
+    """Descending ``(value, multiplicity)`` runs of equal parts, taken unchecked.
+
+    ``size`` and ``length`` (the number of parts) are summed once, in one
+    pass over the runs, when the partition is built; ``==``, ``hash`` and
+    ``repr`` see the runs alone.
+    """
 
     runs: tuple[tuple[int, int], ...] = ()
+    size: int = field(init=False, repr=False, compare=False)
+    length: int = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def size(self) -> int:
-        return sum(v * m for v, m in self.runs)
-
-    @cached_property
-    def length(self) -> int:
-        """The number of parts."""
-        return sum(m for _, m in self.runs)
+    def __post_init__(self) -> None:
+        size = length = 0
+        for value, mult in self.runs:
+            size += value * mult
+            length += mult
+        object.__setattr__(self, "size", size)  # the record is frozen
+        object.__setattr__(self, "length", length)
 
     @cached_property
     def parts(self) -> tuple[int, ...]:

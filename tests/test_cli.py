@@ -516,6 +516,25 @@ def test_scan_disagreement_exits_1_and_empty_range_exits_2(capsys, monkeypatch):
     assert "usage-error: empty scan range [10, 9]" in err
 
 
+def test_scan_range_errors_name_the_bound_at_fault(capsys, monkeypatch):
+    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
+    code, out, err = invoke(capsys, "scan", "--n-min", "0", "--n-max", "10")
+    assert (code, out) == (2, "")
+    assert err == "usage-error: scan --n-min must be >= 1, got 0\n"
+    code, out, err = invoke(capsys, "scan", "--n-min", "10", "--n-max", "9")
+    assert (code, out, err) == (2, "", "usage-error: empty scan range [10, 9]\n")
+    # a cap above --n-max is not named, since it did not set the bound
+    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "50")
+    code, out, err = invoke(capsys, "scan", "--n-min", "10", "--n-max", "9")
+    assert (code, out, err) == (2, "", "usage-error: empty scan range [10, 9]\n")
+    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "5")
+    code, out, err = invoke(capsys, "scan", "--n-min", "9", "--n-max", "10")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage-error: empty scan range [9, 5]; BLOCKWITNESS_SCAN_MAX=5 caps --n-max 10\n"
+    )
+
+
 def test_witness_and_scan_validate_once(capsys, monkeypatch):
     import blockwitness.parameters as parameters_module
     from blockwitness.oracle import prime_pairs

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import accumulate
 
@@ -176,6 +177,47 @@ def test_internal_partitions_are_canonical():
         for b in range(p):
             for lam in _one_hook_lifts(b, p):
                 assert oracle.is_canonical_runs(lam.runs, b + p), (b, p, lam)
+
+
+def _built_partitions():
+    # every producer's output at small n
+    for n in range(13):
+        for lam in partitions_of(n):
+            yield lam
+            yield from_parts(lam.parts)
+            yield parse_partition_text(lam.to_literal(), n)
+            if lam.runs:
+                spec = AscendingSpec(tuple(reversed(lam.runs)))
+                yield spec.to_partition()
+                yield parse_partition_text(str(spec), n)
+    for e in (2, 3, 4):
+        quotients = [
+            tuple(from_parts(mu) for mu in quotient) for quotient in oracle.multipartitions(e, 2)
+        ]
+        for core in (P(), P(1), P(2, 1), P(3, 1, 1)):
+            if not weight(core, e):
+                yield from from_core_and_quotients(core, quotients, e)
+    for p in primes_up_to(13):
+        for b in range(p):
+            yield from _one_hook_lifts(b, p)
+
+
+def test_partition_record_sums_runs_once_and_keys_on_runs_alone():
+    built = 0
+    for lam in _built_partitions():
+        assert (lam.size, lam.length) == (sum(lam.parts), len(lam.parts)), lam
+        assert hash(lam) == hash((lam.runs,)), lam
+        assert repr(lam) == f"Partition(runs={lam.runs!r})"
+        built += 1
+    assert built > 1000
+    assert Partition.__match_args__ == ("runs",)
+    lam = P(3, 1, 1)
+    assert (lam.size, lam.length) == (5, 3)
+    for runs in ((), ((4, 2), (1, 3)), ((7, 1),)):
+        moved = dataclasses.replace(lam, runs=runs)
+        assert moved == Partition(runs) and moved.runs == runs
+        assert (moved.size, moved.length) == (sum(v * m for v, m in runs), sum(m for _, m in runs))
+    assert (lam.size, lam.length) == (5, 3)
 
 
 def test_beta_set_examples():
