@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 from typing import Sequence
@@ -28,8 +27,6 @@ EXIT_CONDITION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
-
 # largest n whose partitions `degrees` and `export-table` list one by one,
 # p(60) = 966,467, and whose principal p'-degree sets `verify-c`, `verify-b`
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
@@ -41,11 +38,16 @@ SCAN_MAX_ENV = "BLOCKWITNESS_SCAN_MAX"
 # flags is 37-38% of the build
 ENUMERATION_MAX_N = 60
 
-# largest n whose primes `witness --n`, `degrees --n --partition` and `scan`'s
-# effective `--n-max` sieve (2n bytes); at the cap `witness --n 10000000 --p 3
+# largest n whose primes `witness --n`, `degrees --n --partition` and
+# `scan --n-max` sieve (2n bytes); at the cap `witness --n 10000000 --p 3
 # --q 2` takes 1.7 s and 134 MB peak RSS, `degrees` on (1^(n-2),2) 1.4 s and
 # 208 MB, on a shared 2-core Xeon host
 SIEVE_MAX_N = 10**7
+
+# most bytes `check-table` reads from its file; the largest table the program
+# writes, `export-table --n 60`, is 151,609,328 bytes, and `check-table` on it
+# takes about 2.5 s and 749 MB peak RSS on a shared 2-core Xeon host
+TABLE_MAX_BYTES = 256 * 2**20
 
 _DEFERRAL_MESSAGES = {
     "small-n": "small-n: deferred to table methods",
@@ -177,19 +179,10 @@ def _cmd_verify_b(args) -> int:
 
 def _cmd_scan(args) -> int:
     n_min, n_max = args.n_min, args.n_max
-    capped = ""
-    cap = os.environ.get(SCAN_MAX_ENV)
-    if cap is not None:
-        try:
-            limit = parse_decimal(cap)
-        except ValueError as exc:
-            raise ValueError(f"{SCAN_MAX_ENV}: {exc}") from None
-        if limit < n_max:
-            n_max, capped = limit, f"; {SCAN_MAX_ENV}={limit} caps --n-max {args.n_max}"
     if n_min < 1:
         raise ValueError(f"scan --n-min must be >= 1, got {n_min}")
     if n_max < n_min:
-        raise ValueError(f"empty scan range [{n_min}, {n_max}]{capped}")
+        raise ValueError(f"empty scan range [{n_min}, {n_max}]")
     audit = args.cross_validate
     if audit:
         _bounded("scan --cross-validate --n-max", n_max, ENUMERATION_MAX_N, _P_PRIME_CHARACTERS)
@@ -261,9 +254,11 @@ def _cmd_degrees(args) -> int:
 def _cmd_check_table(args) -> int:
     try:
         with open(args.file, "rb") as handle:
-            data = handle.read()
+            data = handle.read(TABLE_MAX_BYTES + 1)
     except OSError as exc:
         raise ValueError(f"cannot read {args.file}: {exc}") from None
+    if len(data) > TABLE_MAX_BYTES:
+        raise ValueError(f"check-table reads at most {TABLE_MAX_BYTES} bytes; {args.file} is longer")
     summary = tables.parse_table(data)
     findings = tables.audit(summary, args.conjecture)
     worst = EXIT_OK

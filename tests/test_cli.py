@@ -61,41 +61,35 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["witness", "--n", "1_0", "--p", "5", "--q", "2"], None),
-        (["witness", "--n", "10", "--p", "+5", "--q", "2"], None),
-        (["verify-c", "--n", "１０", "--p", "5", "--q", "2"], None),
-        (["verify-b", "--n", " 10", "--p", "5", "--q", "2"], None),
-        (["scan", "--n-min", "9", "--n-max", "1_0"], None),
-        (["scan", "--n-min", "9", "--n-max", "40"], "1_0"),
-        (["scan", "--n-min", "9", "--n-max", "40"], "-1"),
-        (["degrees", "--n", "4", "--partition", "[３,+1]"], None),
-        (["degrees", "--n", "4", "--partition", "(1^+1,3)"], None),
-        (["degrees", "--n", "4", "--partition", " [3,1]"], None),
-        (["degrees", "--n", "4", "--partition", "[ 3,1]"], None),
-        (["degrees", "--n", "4", "--partition", "(1^1, 3)"], None),
-        (["export-table", "--n", "9", "--primes", "２, 3"], None),
-        (["export-table", "--n", "9", "--primes", "2,+3"], None),
-        (["export-table", "--n", "9", "--primes", " 2,3 "], None),
-        (["export-table", "--n", "9", "--primes", "2, 3"], None),
-        (["export-table", "--n", "9", "--primes", "  "], None),
-        (["export-table", "--n", "1_0"], None),
+        ["witness", "--n", "1_0", "--p", "5", "--q", "2"],
+        ["witness", "--n", "10", "--p", "+5", "--q", "2"],
+        ["verify-c", "--n", "１０", "--p", "5", "--q", "2"],
+        ["verify-b", "--n", " 10", "--p", "5", "--q", "2"],
+        ["scan", "--n-min", "9", "--n-max", "1_0"],
+        ["degrees", "--n", "4", "--partition", "[３,+1]"],
+        ["degrees", "--n", "4", "--partition", "(1^+1,3)"],
+        ["degrees", "--n", "4", "--partition", " [3,1]"],
+        ["degrees", "--n", "4", "--partition", "[ 3,1]"],
+        ["degrees", "--n", "4", "--partition", "(1^1, 3)"],
+        ["export-table", "--n", "9", "--primes", "２, 3"],
+        ["export-table", "--n", "9", "--primes", "2,+3"],
+        ["export-table", "--n", "9", "--primes", " 2,3 "],
+        ["export-table", "--n", "9", "--primes", "2, 3"],
+        ["export-table", "--n", "9", "--primes", "  "],
+        ["export-table", "--n", "1_0"],
     ],
     ids=[
         "underscore-n", "plus-sign-p", "fullwidth-n", "leading-space-n",
-        "scan-underscore-n-max", "env-cap-underscore", "env-cap-negative",
+        "scan-underscore-n-max",
         "partition-literal", "ascending-spec", "partition-padded",
         "partition-space-in-bracket", "spec-space-after-comma", "primes-fullwidth",
         "primes-plus-sign", "primes-padded", "primes-space-after-comma",
         "primes-blank", "export-underscore-n",
     ],
 )
-def test_lax_integers_are_usage_errors(capsys, monkeypatch, argv, env):
-    if env is None:
-        monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
-    else:
-        monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", env)
+def test_lax_integers_are_usage_errors(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -208,13 +202,6 @@ def test_scan_deterministic(capsys):
     assert first == second
 
 
-def test_scan_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "9")
-    code, out, _ = invoke(capsys, "scan", "--n-min", "9", "--n-max", "40")
-    assert code == 0
-    assert "n=10" not in out
-
-
 def test_degrees_table(capsys):
     code, out, _ = invoke(capsys, "degrees", "--n", "4")
     assert code == 0
@@ -245,7 +232,6 @@ def test_enumeration_is_bounded(capsys, monkeypatch):
     # verify-c, verify-b and scan --cross-validate generate Irr_p'(B_0(S_n))
     import blockwitness.cli as cli_module
 
-    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
     limit = cli_module.ENUMERATION_MAX_N
     partitions = "lists every partition of n"
     characters = "lists the p'-degree characters of S_n"
@@ -283,38 +269,33 @@ def test_enumeration_is_bounded(capsys, monkeypatch):
 
 
 def test_sieve_is_bounded(capsys, monkeypatch):
-    # witness --n, degrees --n with --partition and scan's effective --n-max
-    # each sieve the primes up to n; past the limit they refuse before any sieve
+    # witness --n, degrees --n with --partition and scan --n-max each sieve
+    # the primes up to n; past the limit they refuse before any sieve
     import blockwitness.cli as cli_module
     from blockwitness import degrees, factored, oracle
 
     def sieve_called(k):
         raise AssertionError(f"sieved the primes up to {k}")
 
-    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
     limit = cli_module.SIEVE_MAX_N
     over = str(limit + 1)
     sieve = "sieves the primes up to n"
     with monkeypatch.context() as patch:
         for module in (factored, degrees, oracle, cli_module):
             patch.setattr(module, "primes_up_to", sieve_called)
-        for argv, env, refusal in (
-            (("witness", "--n", over, "--p", "3", "--q", "2"), None, f"witness --n {over}"),
-            (("witness", "--n", over, "--p", "3", "--q", "2", "--json"), None, f"witness --n {over}"),
-            (("degrees", "--n", over, "--partition", f"(1^{limit - 1},2)"), None, f"degrees --n {over}"),
-            (("scan", "--n-min", over, "--n-max", over), None, f"scan --n-max {over}"),
-            (("scan", "--n-min", "9", "--n-max", "10" * 30), over, f"scan --n-max {over}"),
+        for argv, refusal in (
+            (("witness", "--n", over, "--p", "3", "--q", "2"), f"witness --n {over}"),
+            (("witness", "--n", over, "--p", "3", "--q", "2", "--json"), f"witness --n {over}"),
+            (("degrees", "--n", over, "--partition", f"(1^{limit - 1},2)"), f"degrees --n {over}"),
+            (("scan", "--n-min", over, "--n-max", over), f"scan --n-max {over}"),
+            (("scan", "--n-min", "9", "--n-max", "10" * 30), f"scan --n-max {'10' * 30}"),
         ):
-            if env is not None:
-                patch.setenv("BLOCKWITNESS_SCAN_MAX", env)
             code, out, err = invoke(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err == f"usage-error: {refusal} {sieve}; the limit is n <= {limit}\n", argv
-    # the limit itself is accepted, and the scan limit reads the capped --n-max
+    # the limit itself is accepted
     monkeypatch.setattr(cli_module, "SIEVE_MAX_N", 12)
-    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "12")
-    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "10" * 30)[0] == 0
-    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX")
+    assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "12")[0] == 0
     assert invoke(capsys, "scan", "--n-min", "9", "--n-max", "13")[:2] == (2, "")
     assert invoke(capsys, "witness", "--n", "12", "--p", "3", "--q", "2")[0] == 0
     assert invoke(capsys, "witness", "--n", "13", "--p", "3", "--q", "2")[:2] == (2, "")
@@ -388,6 +369,27 @@ def test_check_table_bad_flag_on_last_row(capsys, tmp_path):
 def test_check_table_missing_file(capsys):
     code, _, err = invoke(capsys, "check-table", "/no/such/file", "--conjecture", "a")
     assert code == 2
+
+
+def test_check_table_reads_a_bounded_file(capsys, monkeypatch, tmp_path):
+    import blockwitness.cli as cli_module
+
+    table = (
+        "group fake\norder 30\nprimes 2 3\ntrivial e\ncomplete true\n"
+        "char e 1 2:1 3:1\nchar y 5 2:1 3:1\nchar z 2 2:0 3:0\n"
+    ).encode("ascii")
+    monkeypatch.setattr(cli_module, "TABLE_MAX_BYTES", len(table))
+    # a file exactly at the limit is parsed and audited
+    path = tmp_path / "at-limit.table"
+    path.write_bytes(table)
+    code, out, _ = invoke(capsys, "check-table", str(path), "--conjecture", "b")
+    assert code == 1 and "violation" in out
+    # one byte over is refused before parsing, naming the limit
+    path = tmp_path / "over-limit.table"
+    path.write_bytes(table + b"#")
+    code, out, err = invoke(capsys, "check-table", str(path), "--conjecture", "b")
+    assert (code, out) == (2, "")
+    assert err == f"usage-error: check-table reads at most {len(table)} bytes; {path} is longer\n"
 
 
 def test_outputs_are_reproducible(capsys):
@@ -516,23 +518,12 @@ def test_scan_disagreement_exits_1_and_empty_range_exits_2(capsys, monkeypatch):
     assert "usage-error: empty scan range [10, 9]" in err
 
 
-def test_scan_range_errors_name_the_bound_at_fault(capsys, monkeypatch):
-    monkeypatch.delenv("BLOCKWITNESS_SCAN_MAX", raising=False)
+def test_scan_range_errors_name_the_bound_at_fault(capsys):
     code, out, err = invoke(capsys, "scan", "--n-min", "0", "--n-max", "10")
     assert (code, out) == (2, "")
     assert err == "usage-error: scan --n-min must be >= 1, got 0\n"
     code, out, err = invoke(capsys, "scan", "--n-min", "10", "--n-max", "9")
     assert (code, out, err) == (2, "", "usage-error: empty scan range [10, 9]\n")
-    # a cap above --n-max is not named, since it did not set the bound
-    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "50")
-    code, out, err = invoke(capsys, "scan", "--n-min", "10", "--n-max", "9")
-    assert (code, out, err) == (2, "", "usage-error: empty scan range [10, 9]\n")
-    monkeypatch.setenv("BLOCKWITNESS_SCAN_MAX", "5")
-    code, out, err = invoke(capsys, "scan", "--n-min", "9", "--n-max", "10")
-    assert (code, out) == (2, "")
-    assert err == (
-        "usage-error: empty scan range [9, 5]; BLOCKWITNESS_SCAN_MAX=5 caps --n-max 10\n"
-    )
 
 
 def test_witness_and_scan_validate_once(capsys, monkeypatch):

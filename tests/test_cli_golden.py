@@ -2,9 +2,8 @@
 
 Every case in ``golden/cli_stdout.json`` is replayed through ``cli.run``.
 A case with a ``table`` entry first runs that ``export-table`` invocation
-and passes the exported file where its argv says ``{table}``; ``env`` sets
-environment variables for the one case.  Re-record the hashes from the
-current code only after an intended change of output:
+and passes the exported file where its argv says ``{table}``.  Re-record
+the hashes from the current code only after an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -13,14 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from blockwitness.cli import SCAN_MAX_ENV
 from golden_runs import capture, export_table
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
@@ -33,10 +29,7 @@ def replay(case: dict, workdir: Path) -> tuple[int, str]:
         path = workdir / "golden.table"
         export_table(case["table"], path)
         argv = [str(path) if arg == "{table}" else arg for arg in argv]
-    with mock.patch.dict(os.environ):
-        os.environ.pop(SCAN_MAX_ENV, None)
-        os.environ.update(case.get("env", {}))
-        return capture(argv)
+    return capture(argv)
 
 
 def _sha256(text: str) -> str:

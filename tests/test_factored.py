@@ -10,6 +10,7 @@ from blockwitness.factored import (
     FactoredNatural,
     factor,
     is_prime,
+    prime_index,
     primes_up_to,
 )
 from blockwitness.partitions import partitions_of
@@ -137,6 +138,17 @@ def test_one_prime_table(monkeypatch):
     for n in range(0, 13):
         for lam in partitions_of(n):
             assert degree(lam.runs).to_int() == oracle.hook_product_degree(lam.parts), lam
+
+
+def test_prime_index_grows_the_table(monkeypatch):
+    # a prime past the table's last one sieves further before it is looked up;
+    # 7919 and 104729 are the 1,000th and 10,000th primes
+    import blockwitness.factored as factored_module
+
+    for p, index in ((7919, 999), (104729, 9999)):
+        monkeypatch.setattr(factored_module, "_PRIMES", [2])
+        assert prime_index(p) == index
+        assert primes_up_to(p).index(p) == index
 
 
 def test_primes_up_to():

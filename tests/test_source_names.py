@@ -159,6 +159,58 @@ def test_the_exception_guard_sees_an_uncaught_class(tmp_path):
     assert uncaught_exception_classes(tmp_path) == ["a.Raised", "a.Deeper"]
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "putenv"}
+
+
+def environment_reads(src: Path = SRC) -> list[str]:
+    """``module:line`` of each import of an environment accessor from ``os``
+    and of each ``os.<accessor>`` in ``src``, under any name ``os`` is bound to."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {"os"} | {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "os"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and node.level == 0:
+                hit = any(alias.name in ENVIRONMENT for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = node.value.id in bound and node.attr in ENVIRONMENT
+            else:
+                continue
+            if hit:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_src_reads_no_environment():
+    # output depends on argv and input files alone, so a new cap is a constant
+    assert environment_reads() == []
+
+
+def test_the_environment_guard_sees_every_accessor(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n"
+        "import os as system\n"
+        "from os import getenv\n"
+        "from os import path, environb as raw\n\n\n"
+        "def f():\n"
+        "    return os.environ.get('X'), system.putenv, os.path.join, os.sep\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from os import path\n\n\n"
+        "def g(args):\n"
+        "    return args.environ, path.sep\n",
+        encoding="utf-8",
+    )
+    assert environment_reads(tmp_path) == ["a:3", "a:4", "a:8", "a:8"]
+
+
 def test_line_count_columns_sum_to_each_module():
     # docstring, comment, blank and code lines part each module's wc -l count
     for path in sorted(SRC.glob("*.py")):
