@@ -5,13 +5,16 @@ found, 2 usage or parse error, 3 internal fault (an InternalInvariantError:
 a falsified case tree, a malformed candidate spec, a non-integral degree
 quotient), printed on stdout as ``internal-error: <Type>: <message>``.  A
 scan prints that line for each faulting tuple and goes on; its summary's
-``falsified`` counts every tuple that ended in an internal fault.
+``falsified`` counts every tuple that ended in an internal fault.  Exit code
+141, the status a shell reports for a SIGPIPE death, means the reader closed
+stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Sequence
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONDITION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_STDOUT = 141
 
 # largest n whose partitions `degrees` and `export-table` list one by one,
 # p(60) = 966,467, and whose principal p'-degree sets `verify-c`, `verify-b`
@@ -286,6 +290,10 @@ def _cmd_export_table(args) -> int:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    # integers read from outside are bounded by factored.DECIMAL_MAX_DIGITS, so the
+    # interpreter's own int/str limit is lifted and cannot decide any output
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
@@ -298,8 +306,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal-error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:
-    sys.exit(run())
-
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; pointing fd 1 at devnull keeps the
+        # interpreter's exit flush from raising a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)

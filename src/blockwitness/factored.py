@@ -17,7 +17,6 @@ constructor takes its pairs as given and re-tests none.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,8 +102,13 @@ def prime_index(p: int) -> int:
     return bisect_left(_PRIMES, p)
 
 
+# longest decimal text read from outside: CPython's default int/str limit, and
+# no table or CLI integer needs more
+DECIMAL_MAX_DIGITS = 4300
+
+
 class DigitLimitExceeded(ValueError):
-    """Decimal text longer than the interpreter's int/str digit limit."""
+    """Decimal text longer than the package's bound, :data:`DECIMAL_MAX_DIGITS`."""
 
 
 def parse_decimal(text: str) -> int:
@@ -112,20 +116,17 @@ def parse_decimal(text: str) -> int:
 
     ``int`` also takes signs, underscores, surrounding whitespace and
     non-ASCII digits, so text from outside the program is read through here
-    and anything else raises ``ValueError``.  Text longer than the
-    interpreter's digit limit (4300 by default) raises
-    :class:`DigitLimitExceeded` before any conversion work is done.
+    and anything else raises ``ValueError``.  Text of more than
+    :data:`DECIMAL_MAX_DIGITS` digits raises :class:`DigitLimitExceeded`
+    before any conversion work is done, whatever the interpreter's limit.
     """
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII decimal digits, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        # ASCII digits fail only on the digit limit, which exists from 3.10.7 on
+    if len(text) > DECIMAL_MAX_DIGITS:
         raise DigitLimitExceeded(
-            f"integer of {len(text)} digits exceeds the"
-            f" {sys.get_int_max_str_digits()}-digit limit"
-        ) from None
+            f"integer of {len(text)} digits exceeds the {DECIMAL_MAX_DIGITS}-digit limit"
+        )
+    return int(text)
 
 
 @dataclass(frozen=True)

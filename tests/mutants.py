@@ -1,0 +1,126 @@
+"""Mutants of ``src/blockwitness`` and what the tests must do with each, as data.
+
+Run them with ``python3 tests/run_mutants.py``.  Each entry names a module of
+``src/blockwitness``, a snippet of its text that occurs there exactly once,
+the replacement for it, the test files run against the mutated copy, and an
+outcome: ``killed`` (some named test must fail), or ``equivalent``, with the
+reason no test can tell the mutant from the original.  A change that moves
+or rewrites a snippet has to update or retire its entry: the tier-1 test
+``tests/test_mutants.py`` checks that every snippet still matches once.
+
+A change that quotes mutants killed by its tests adds them here.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/blockwitness
+    snippet: str  # occurs in the module exactly once
+    replacement: str
+    tests: tuple[str, ...]  # paths relative to the repository root
+    outcome: str  # "killed" or "equivalent"
+    reason: str = ""  # why an equivalent mutant cannot be told apart
+
+
+MUTANTS = (
+    Mutant(
+        "digit-bound-inclusive",
+        "factored.py",
+        "if len(text) > DECIMAL_MAX_DIGITS:",
+        "if len(text) >= DECIMAL_MAX_DIGITS:",
+        ("tests/test_factored.py",),
+        "killed",
+    ),
+    Mutant(
+        "run-keeps-interpreter-limit",
+        "cli.py",
+        "    sys.set_int_max_str_digits(0)\n",
+        "    pass\n",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "run-leaves-limit-lifted",
+        "cli.py",
+        "        sys.set_int_max_str_digits(limit)\n",
+        "        pass\n",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "closed-stdout-exits-1",
+        "cli.py",
+        "EXIT_CLOSED_STDOUT = 141",
+        "EXIT_CLOSED_STDOUT = 1",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "closed-stdout-no-devnull",
+        "cli.py",
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "        pass\n",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "ii-c-alt-check-deleted",
+        "witness.py",
+        "                if alt and b1p != p:\n"
+        "                    raise InternalInvariantError(\n"
+        '                        f"p = b+1 and p | m-1 must force the lowest base-p"\n'
+        '                        f" summand to be p at n={n}, p={p}, q={q}"\n'
+        "                    )\n",
+        "",
+        ("tests/test_witness.py",),
+        "killed",
+    ),
+    Mutant(
+        "digit-lift-count-dropped",
+        "blocks.py",
+        "            expected *= _multipartition_count(e, a)\n",
+        "",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "digit-lift-power-under-elif",
+        "blocks.py",
+        "            expected *= _multipartition_count(e, a)\n        e *= p\n",
+        "            expected *= _multipartition_count(e, a)\n            e *= p\n",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "column-core-length-strict",
+        "blocks.py",
+        "if length >= b else None",
+        "if length > b else None",
+        ("tests/test_blocks.py",),
+        "killed",
+    ),
+    Mutant(
+        "sieve-only-past-last-prime",
+        "factored.py",
+        "    if k >= _PRIMES[-1]:\n",
+        "    if k > _PRIMES[-1]:\n",
+        ("tests/test_factored.py",),
+        "equivalent",
+        "at k == _PRIMES[-1] the table already holds every prime <= k, so the slice"
+        " is the same; only the growth of the table is put off to a later call",
+    ),
+    Mutant(
+        "content-row-mod-p",
+        "oracle.py",
+        "        row += mult\n",
+        "        row += mult % p\n",
+        ("tests/test_oracle.py",),
+        "equivalent",
+        "row is read only through (1 - row - rows) % p, so adding mult mod p"
+        " leaves every row start, and so the tally, the same",
+    ),
+)

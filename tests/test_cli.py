@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from blockwitness.cli import run
+import blockwitness
+from blockwitness.cli import main, run
 
 
 def invoke(capsys, *argv):
@@ -566,3 +571,117 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("case=I.a partition=[2,1,1,1,1,1,1,1]")
+
+
+# the tree the imported package comes from, so a subprocess runs the same code
+PACKAGE_ROOT = str(Path(blockwitness.__file__).resolve().parent.parent)
+
+
+def module_env(int_max_str_digits: str | None = None) -> dict[str, str]:
+    """The environment for ``python -m blockwitness``, with the interpreter's
+    digit limit set from ``int_max_str_digits`` or left at its default."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = PACKAGE_ROOT
+    if int_max_str_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = int_max_str_digits
+    return env
+
+
+def _long_integer_tables(tmp_path):
+    order = tmp_path / "long-order.table"
+    order.write_text(
+        "group toy\norder " + "6" * 1000 + "\nprimes 2 3\ntrivial e\ncomplete false\n"
+        "char e 1 2:1 3:1\n",
+        encoding="utf-8",
+    )
+    degree = tmp_path / "long-degree.table"
+    degree.write_text(
+        "group toy\norder 6\nprimes 2 3\ntrivial e\ncomplete true\nchar e 1 2:1 3:1\n"
+        "char x 1" + "0" * 2200 + " 2:0 3:0\n",
+        encoding="utf-8",
+    )
+    return order, degree
+
+
+def test_output_ignores_the_interpreters_digit_limit(tmp_path):
+    order, degree = _long_integer_tables(tmp_path)
+    invocations = {
+        "digit-limit": ["witness", "--n", "1" * 5000, "--p", "3", "--q", "2"],
+        "sieve-cap": ["witness", "--n", "1" * 1000, "--p", "3", "--q", "2"],
+        "long-order": ["check-table", str(order), "--conjecture", "a"],
+        "long-degree": ["check-table", str(degree), "--conjecture", "a"],
+    }
+    seen = {}
+    for name, argv in invocations.items():
+        shown = set()
+        for setting in (None, "0", "640"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "blockwitness", *argv],
+                env=module_env(setting), capture_output=True, text=True, timeout=60,
+            )
+            shown.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(shown) == 1, name
+        (seen[name],) = shown
+    assert seen["digit-limit"] == (
+        2, "", "usage-error: argument --n: integer of 5000 digits exceeds the 4300-digit limit\n"
+    )
+    assert seen["sieve-cap"] == (
+        2, "",
+        f"usage-error: witness --n {'1' * 1000} sieves the primes up to n;"
+        " the limit is n <= 10000000\n",
+    )
+    assert seen["long-order"] == (
+        0, 'finding A 2 3 indeterminate "trivial intersection on an incomplete table"\n', ""
+    )
+    # the squares sum to 1 + (10^2200)^2, 4,401 digits
+    assert seen["long-degree"] == (
+        2, "", "parse-error: line 5: degree squares sum to 1" + "0" * 4399 + "1, order is 6\n"
+    )
+
+
+def test_run_restores_the_interpreters_digit_limit(capsys, tmp_path):
+    order, _ = _long_integer_tables(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # a 1,000-digit order parses even though the caller's limit is 640
+        assert invoke(capsys, "check-table", str(order), "--conjecture", "a")[0] == 0
+        assert sys.get_int_max_str_digits() == 640
+        code, out, err = invoke(capsys, "witness", "--n", "1" * 5000, "--p", "3", "--q", "2")
+        assert (code, out) == (2, "")
+        assert "exceeds the 4300-digit limit" in err
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["degrees", "--n", "30"], ["scan", "--n-min", "9", "--n-max", "60"]],
+    ids=["degrees", "scan"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # each prints well over a 64 KiB pipe buffer, so it writes after the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blockwitness", *argv],
+        env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith((b"degree ", b"result "))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_closed_stdout_leaves_the_exit_flush_harmless(monkeypatch):
+    # stdout is a pipe whose reader is gone; after main's handler the stream's
+    # descriptor writes to the null device, so a later flush cannot raise again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["blockwitness", "degrees", "--n", "12"])
+        with pytest.raises(SystemExit) as info:
+            main()
+        assert info.value.code == 141
+        stdout.write("after the handler\n")
+        stdout.flush()

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from blockwitness.degrees import degree
 from blockwitness.factored import (
+    DECIMAL_MAX_DIGITS,
+    DigitLimitExceeded,
     FactoredNatural,
     factor,
     is_prime,
+    parse_decimal,
     prime_index,
     primes_up_to,
 )
@@ -55,6 +59,21 @@ def test_to_decimal_examples():
     assert FactoredNatural(oracle.factorial_factors(12)).to_decimal() == "479001600"
     # beyond the interpreter's 4300-digit int/str limit
     assert fn({2: 5000, 5: 5000}).to_decimal() == "1" + "0" * 5000
+
+
+def test_parse_decimal_bound_is_the_packages_own():
+    assert DECIMAL_MAX_DIGITS == 4300
+    limit = sys.get_int_max_str_digits()
+    try:
+        # CPython's default limit, and none at all, as in a CLI call
+        for interpreter_limit in (4300, 0):
+            sys.set_int_max_str_digits(interpreter_limit)
+            assert parse_decimal("9" * 4300) == 10**4300 - 1
+            with pytest.raises(DigitLimitExceeded) as info:
+                parse_decimal("1" * 4301)
+            assert str(info.value) == "integer of 4301 digits exceeds the 4300-digit limit"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_factored_str():

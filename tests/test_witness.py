@@ -4,10 +4,11 @@ import pytest
 
 import _oracles as oracle
 from blockwitness.blocks import principal_block_contains
+from blockwitness.cli import run
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError
 from blockwitness.oracle import prime_pairs
-from blockwitness.parameters import derive_case_parameters
+from blockwitness.parameters import CaseParameters, derive_case_parameters
 from blockwitness.partitions import AscendingSpec, from_parts
 from blockwitness.witness import (
     CaseTreeFalsified,
@@ -129,6 +130,34 @@ def test_violated_ic_bound_is_a_program_fault():
         _construct(params)
     assert "malformed candidate spec" in str(info.value)
     assert "weakly increasing" in str(info.value)
+
+
+def test_violated_ii_c_alt_invariant_is_a_program_fault(monkeypatch, capsys):
+    # (68, 3, 2): b = a1q = 2 and p = b + 1 divides m - 1 = 21, so II.c-alt is
+    # listed, and the lowest base-p summand of mp = 66 is p = 3
+    params = derive_case_parameters(68, 3, 2)
+    assert [c.case_id for c in candidates(params)] == ["II.c", "II.c-alt", "II.c-alt-q2"]
+    assert _construct(params).candidate.case_id == "II.c-alt"
+    low_p_part = CaseParameters.low_p_part.fget
+
+    def broken(record):
+        return 9 if (record.n, record.p, record.q) == (68, 3, 2) else low_p_part(record)
+
+    monkeypatch.setattr(CaseParameters, "low_p_part", property(broken))
+    message = (
+        "p = b+1 and p | m-1 must force the lowest base-p summand to be p"
+        " at n=68, p=3, q=2"
+    )
+    with pytest.raises(InternalInvariantError) as info:
+        next(candidates(params))
+    assert str(info.value) == message
+    assert run(["scan", "--n-min", "68", "--n-max", "68"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"internal-error: InternalInvariantError: {message}"
+    # every other pair of n = 68 still prints its row, and the fault is counted
+    assert len(lines) == len(list(prime_pairs(68))) + 1
+    assert all(line.startswith("result n=68 ") for line in lines[1:-1])
+    assert lines[-1].endswith(" falsified=1")
 
 
 def test_witness_facts_recompute():
