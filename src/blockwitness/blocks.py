@@ -21,7 +21,17 @@ conjugate correspond, and the conjugate's p-core is the conjugate of the
 shape's.  So the conjugate of ``lam`` lies in the principal block exactly
 when the p-core of ``lam`` is (1^b), the runs ((1, b), (0, L - b)), which a
 shape of fewer than b parts cannot have: removing hooks never adds a part.
-One runner-step pass per prime decides both rows of a table.
+At most one runner-step pass per prime decides both rows of a table.
+
+Most shapes need no pass at most primes.  The multiset of cell contents
+(column - row) mod p is the same for every member of a p-block (James and
+Kerber, 2.7 again: a p-hook's cells have p consecutive contents, one of
+each residue, and the members share a core and a weight).  So the content
+sum S(lam) = sum (j - i) of a member of the principal block is congruent
+mod p to that of its member (n), n(n - 1)/2.  Conjugation negates every
+content, so the conjugate can be a member only if -S(lam) = n(n - 1)/2
+(mod p).  When neither congruence holds, both flags are false and no
+runner step is taken.
 
 The partitions of p'-degree are generated, not searched for.  With
 n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
@@ -70,12 +80,18 @@ def principal_flag_pairs(
 
     The returned function maps ``lam`` to the flags of ``lam`` and of its
     conjugate, each in the order of ``primes`` and each as
-    :func:`principal_block_contains` decides it, from one
-    :func:`blockwitness.partitions.runner_steps` pass per prime against the
-    cores (b) and (1^b) (see the module docstring); the empty partition, its
-    own conjugate, is in every principal block.  The cores' steps are built
-    once per length and prime, and live as long as the returned function.
+    :func:`principal_block_contains` decides it.  A flag whose content-sum
+    congruence fails is false: S(lam) = n(n - 1)/2 (mod p) for ``lam``,
+    -S(lam) = n(n - 1)/2 for its conjugate (see the module docstring).  A
+    prime where either holds takes one
+    :func:`blockwitness.partitions.runner_steps` pass, compared against the
+    cores (b) and (1^b); the empty partition, its own conjugate, is in every
+    principal block.  S(lam) is summed once per call, O(1) per run
+    (:func:`_content_sum`).  The cores' steps are built once per length and
+    prime, and live as long as the returned function.
     """
+    half = n * (n - 1) // 2  # the content sum of (n)
+    # length -> (p, steps of (b), steps of (1^b) or None) per prime
     cores: dict[int, list[tuple[int, list[int], list[int] | None]]] = {}
 
     def decide(lam: Partition) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
@@ -91,14 +107,28 @@ def principal_flag_pairs(
                 column = runner_steps(((1, b), (0, length - b)), p) if length >= b else None
                 at_length.append((p, row, column))
         runs = lam.runs
+        content = _content_sum(runs)
         own, partner = [], []
         for p, row, column in at_length:
-            steps = runner_steps(runs, p)
-            own.append(steps == row)
-            partner.append(steps == column)
+            own_sum = (content - half) % p == 0
+            partner_sum = (content + half) % p == 0
+            steps = runner_steps(runs, p) if own_sum or partner_sum else None
+            own.append(own_sum and steps == row)
+            partner.append(partner_sum and steps == column)
         return tuple(own), tuple(partner)
 
     return decide
+
+
+def _content_sum(runs: Sequence[tuple[int, int]]) -> int:
+    # sum of column - row over the cells of the shape with descending runs:
+    # the m rows of length v from row r add m v(v - 1)/2 - v (r m + m(m - 1)/2),
+    # which is m v (v - m - 2r)/2
+    content = top = 0
+    for value, mult in runs:
+        content += mult * value * (value - mult - 2 * top) // 2
+        top += mult
+    return content
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:

@@ -34,12 +34,14 @@ row's text after its degree) is checked once per table, at most one
 remembered entry per row.  Writing mirrors that: :func:`table_lines` renders
 each distinct flags tuple once per call, line by line, so an export is
 written as it is rendered.  The symmetric-group export computes one degree
-and one set of flags per conjugate pair, one runner-step pass per prime
-deciding both shapes against principal cores built once per length (see
-:mod:`blockwitness.blocks`); the partner's are kept under the runs of the
-partner still to come (at most one entry per row, dropped on return), and
-rows with equal flags share one tuple, as parsed rows with one flag tail
-do.  A summary's Sylow facts are one read-only mapping from (p, q),
+and one set of flags per conjugate pair (see :mod:`blockwitness.blocks`).
+A prime p rules both shapes out when the shape's content sum S has neither
+S nor -S congruent to n(n - 1)/2 mod p, which every principal member's is;
+any other prime takes one runner-step pass deciding both shapes against
+principal cores built once per length.  The partner's are kept under the
+runs of the partner still to come (at most one entry per row, dropped on
+return), and rows with equal flags share one tuple, as parsed rows with
+one flag tail do.  A summary's Sylow facts are one read-only mapping from (p, q),
 p < q, to the fact; its per-prime id sets are a cached property, built
 once on first use and never carried over by ``dataclasses.replace``.
 """
@@ -55,7 +57,7 @@ from typing import Iterator, NamedTuple
 
 from .blocks import principal_flag_pairs
 from .degrees import degree
-from .factored import DigitLimitExceeded, is_prime, parse_decimal
+from .factored import DigitLimitExceeded, decimal_str, is_prime, parse_decimal
 from .parameters import check_primes
 from .partitions import conjugate_runs, partitions_of
 
@@ -151,7 +153,9 @@ def _close_header(
             raise ParseError(line_no, f"missing '{directive}' directive in header")
     for p in primes:
         if order % p != 0:
-            raise ParseError(lines["primes"], f"prime {p} does not divide order {order}")
+            raise ParseError(
+                lines["primes"], f"prime {p} does not divide order {decimal_str(order)}"
+            )
     facts: dict[tuple[int, int], bool] = {}
     for sline, tokens in sylow_raw:
         p = _parse_int(sline, tokens[0], "sylow prime")
@@ -310,14 +314,17 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     if trivial_row is None:
         raise ParseError(end, f"trivial id {trivial!r} has no char row")
     if trivial_row.degree != 1:
-        raise ParseError(end, f"trivial character must have degree 1, got {trivial_row.degree}")
+        raise ParseError(
+            end, f"trivial character must have degree 1, got {decimal_str(trivial_row.degree)}"
+        )
     if not all(trivial_row.flags):
         raise ParseError(end, "trivial character must lie in every principal block")
     if complete:
         square_sum = sum(row.degree**2 for row in rows.values())
         if square_sum != order:
             raise ParseError(
-                lines["complete"], f"degree squares sum to {square_sum}, order is {order}"
+                lines["complete"],
+                f"degree squares sum to {decimal_str(square_sum)}, order is {decimal_str(order)}",
             )
     return CharacterTableSummary(
         group, order, primes, trivial, complete, sylow, tuple(rows.values())
@@ -356,7 +363,10 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     pair: a conjugate's hook multiset is the transpose, and the first shape
     of a pair decides its partner's flags from its own runner steps
     (:func:`blockwitness.blocks.principal_flag_pairs`, cores held for this
-    call only).  A false Sylow fact is recorded for every pair of primes,
+    call only).  The steps are taken only at the primes p where the shape's
+    content sum S, or -S for the partner, is congruent to n(n - 1)/2 mod p:
+    every member of the principal block is, since its cell contents mod p
+    are those of (n).  A false Sylow fact is recorded for every pair of primes,
     since no Sylow p- and q-subgroups of S_n, or of A_n, commute elementwise.
 
     Proof.  One of the primes, say p, is odd, so a Sylow p-subgroup P of S_n

@@ -104,6 +104,30 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "partner-content-sign-flipped",
+        "blocks.py",
+        "partner_sum = (content + half) % p == 0",
+        "partner_sum = (content - half) % p == 0",
+        ("tests/test_blocks.py",),
+        "killed",
+    ),
+    Mutant(
+        "content-sum-row-term-dropped",
+        "blocks.py",
+        "content += mult * value * (value - mult - 2 * top) // 2",
+        "content += mult * value * (value - mult) // 2",
+        ("tests/test_blocks.py",),
+        "killed",
+    ),
+    Mutant(
+        "content-filter-bypassed",
+        "blocks.py",
+        "steps = runner_steps(runs, p) if own_sum or partner_sum else None",
+        "steps = runner_steps(runs, p)",
+        ("tests/test_blocks.py",),
+        "killed",
+    ),
+    Mutant(
         "sieve-only-past-last-prime",
         "factored.py",
         "    if k >= _PRIMES[-1]:\n",

@@ -1,6 +1,7 @@
 """Run every ``killed`` mutant of ``tests/mutants.py`` against its tests.
 
-Run ``python3 tests/run_mutants.py``.  For each mutant, ``src/`` is copied
+Run ``python3 tests/run_mutants.py [NAME ...]``: every mutant, or only the
+named ones (an unknown name exits 2).  For each mutant, ``src/`` is copied
 to a temporary directory and the snippet in the copy is replaced; the
 snippet must occur exactly once.  A fresh interpreter must then import
 ``blockwitness`` from the copy, not from an installed tree, and
@@ -66,10 +67,14 @@ def run_mutant(mutant: Mutant) -> str:
     return f"killed by {failed[0] if failed else '?'}"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = set(names) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {' '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
     faults = 0
     for mutant in MUTANTS:
-        if mutant.outcome != "killed":
+        if mutant.outcome != "killed" or (names and mutant.name not in names):
             continue
         start = time.perf_counter()
         try:
@@ -84,4 +89,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -14,6 +14,7 @@ from blockwitness.factored import InternalInvariantError, primes_up_to
 from blockwitness.oracle import _prime_view, divides, in_principal_block, prime_pairs
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import from_core_and_quotients, from_parts, partitions_of
+from blockwitness.tables import build_sn_summary
 from blockwitness.witness import candidates
 
 
@@ -73,9 +74,11 @@ def test_membership_of_every_candidate_at_n_1000():
 
 
 def test_flag_pairs_equal_membership_of_both_conjugates():
-    # one runner-step pass per prime decides a shape and its conjugate, the
-    # conjugate through the core (1^b) of the shape, which a shape of fewer
-    # than b parts lacks; primes above n, where every shape is a core, included
+    # at most one runner-step pass per prime decides a shape and its
+    # conjugate, and none is taken where neither S nor -S, for the shape's
+    # content sum S, is n(n - 1)/2 mod p; the conjugate is decided through
+    # the core (1^b) of the shape, which a shape of fewer than b parts
+    # lacks; primes above n, where every shape is a core, included
     shorter = 0
     for n in range(0, 31):
         primes = primes_up_to(n + 2)
@@ -88,6 +91,49 @@ def test_flag_pairs_equal_membership_of_both_conjugates():
             assert partner == expected, lam.parts
             shorter += sum(lam.length < n % p for p in primes)
     assert shorter > 0
+
+
+def cell_contents(parts):
+    return sum(j - i for i, row in enumerate(parts) for j in range(row))
+
+
+def test_content_sum_closed_form_equals_cell_by_cell_sum():
+    for n in range(0, 21):
+        for lam in partitions_of(n):
+            assert blocks._content_sum(lam.runs) == cell_contents(lam.parts), lam.parts
+
+
+def test_principal_members_satisfy_the_content_congruence():
+    # cell contents mod p are constant on a block, so every member's sum is
+    # that of (n), n(n - 1)/2; the filter has bite only if non-members fail it
+    ruled_out = 0
+    for n in range(0, 31):
+        primes = primes_up_to(n + 2)
+        for lam in partitions_of(n):
+            content = cell_contents(lam.parts)
+            for p in primes:
+                congruent = (content - n * (n - 1) // 2) % p == 0
+                if principal_block_contains(lam, p):
+                    assert congruent, (lam.parts, p)
+                ruled_out += not congruent
+    assert ruled_out > 0
+
+
+def test_flag_pairs_skip_the_kernel_off_the_congruence(monkeypatch):
+    # the S_22 table at every prime up to 22: 161 passes build the cores and
+    # 1,213 decide the shapes whose content sum passes, where one pass per
+    # prime and conjugate pair would be 4,040
+    calls = 0
+    kernel = blocks.runner_steps
+
+    def counted(runs, e):
+        nonlocal calls
+        calls += 1
+        return kernel(runs, e)
+
+    monkeypatch.setattr(blocks, "runner_steps", counted)
+    build_sn_summary(22, primes_up_to(22))
+    assert calls == 161 + 1213
 
 
 def test_principal_block_contains_examples():

@@ -65,8 +65,9 @@ def test_parse_decimal_bound_is_the_packages_own():
     assert DECIMAL_MAX_DIGITS == 4300
     limit = sys.get_int_max_str_digits()
     try:
-        # CPython's default limit, and none at all, as in a CLI call
-        for interpreter_limit in (4300, 0):
+        # CPython's default limit, none at all, as in a CLI call, and one
+        # lowered below the package's bound by a library caller
+        for interpreter_limit in (4300, 0, 640):
             sys.set_int_max_str_digits(interpreter_limit)
             assert parse_decimal("9" * 4300) == 10**4300 - 1
             with pytest.raises(DigitLimitExceeded) as info:

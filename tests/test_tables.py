@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from dataclasses import replace
 from unittest import mock
@@ -142,6 +143,33 @@ def test_parse_rejections(mutation, fragment):
     with pytest.raises(ParseError) as err:
         parse_table(mutation(MINIMAL))
     assert fragment in str(err.value)
+
+
+def test_parse_ignores_the_interpreters_digit_limit():
+    # a library call, outside cli.run's lifted limit: the square sum of a
+    # 2,201-digit degree has 4,401 digits, and under a limit of 640 every
+    # integer here has more digits than the interpreter converts or prints
+    ones = 2 * (10**1000 - 1) // 3  # the 1,000-digit order 66...6
+    head = "group toy\norder {}\nprimes 2 3\ntrivial e\ncomplete {}\nchar e {} 2:1 3:1\n"
+    cases = {
+        head.format(6, "true", 1) + "char x 1" + "0" * 2200 + " 2:0 3:0\n":
+            "line 5: degree squares sum to 1" + "0" * 4399 + "1, order is 6",
+        head.format("7" * 1000, "false", 1):
+            "line 3: prime 2 does not divide order " + "7" * 1000,
+        head.format(6, "false", "1" + "0" * 1000):
+            "line 7: trivial character must have degree 1, got 1" + "0" * 1000,
+    }
+    limit = sys.get_int_max_str_digits()
+    try:
+        for interpreter_limit in (4300, 640):
+            sys.set_int_max_str_digits(interpreter_limit)
+            assert parse_table(head.format("6" * 1000, "false", 1)).order == ones
+            for text, message in cases.items():
+                with pytest.raises(ParseError) as info:
+                    parse_table(text)
+                assert str(info.value) == message
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_large_header_prime_parses_quickly():
