@@ -1,11 +1,17 @@
-"""Symmetric-group character degrees from superfactorial valuations, in factored form.
+"""Symmetric-group character degrees over rectangle blocks of hooks, two ways.
 
 The degree attached to a partition of n is n! divided by the product of all
 hook lengths of its diagram.  The hooks are never listed cell by cell: the
 diagram splits into rectangles, one per pair of a row group (rows of equal
 length) and a column group (columns of equal length) that meet, and inside
-a rectangle the hook lengths run down by one per step right or down.  A
-rectangle with corner hook c, R rows and C columns has hook product
+a rectangle the hook lengths run down by one per step right or down, to the
+corner hook c.  That one decomposition is evaluated two ways, and each
+caller takes the one it needs.  :func:`exact_degree` multiplies the
+rectangles out and divides n! by the product: one int, for a table (n at
+most 60).  :func:`packed_degree` gives the exponents of every prime, which
+the verifier and the ``degrees`` command need at n up to 10**7, where n!
+has tens of millions of digits.  For those, a rectangle with corner hook
+c, R rows and C columns has hook product
 
     sf(c+R+C-2) * sf(c-2) / (sf(c+R-2) * sf(c+C-2)),
 
@@ -25,7 +31,7 @@ four points per rectangle and two for n!.  Q_p(m) = sum_{k >= 1}
 G_{p^k}(m + 1), where G_e(N) = sum_{x < N} floor(x / e) = e t(t-1)/2 + t u
 for N = t e + u, since nu_p(i!) = sum_k floor(i / p^k).
 
-A degree is one packed sum, :func:`packed_degree`, whose 64-bit field i
+A factored degree is one packed sum, :func:`packed_degree`, whose 64-bit field i
 holds the exponent of the i-th prime <= n.  Each true exponent lies in
 [0, nu_p(n!)], and a negative one of size below 2^62 (as every sum of Q
 here is while m is below about 3 * 10**9) borrows into bit 63 of its field,
@@ -40,6 +46,7 @@ with :func:`packed_exponent`, the one reader of a field, and decodes it
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from functools import lru_cache
@@ -150,3 +157,42 @@ def degree(runs: Sequence[tuple[int, int]]) -> FactoredNatural:
     """Character degree n! / (product of hooks) of the partition with runs ``runs``."""
     n = sum(value * mult for value, mult in runs)
     return unpack_degree(packed_degree(runs, n), n)
+
+
+# (corner, R, C): the tables that call this stop at n = 60, whose partitions
+# hold 2,511 distinct rectangles, and each product is below 60! < 2^273, so
+# a full cache holds under 1 MB.
+@lru_cache(maxsize=4096)
+def _hook_product(corner: int, rows: int, cols: int) -> int:
+    short, long = (rows, cols) if rows <= cols else (cols, rows)
+    product = 1
+    for i in range(corner, corner + short):
+        product *= math.perm(i + long - 1, long)
+    return product
+
+
+def exact_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
+    """n! / (product of hooks) for the partition of n with runs ``runs``, as an int.
+
+    The rectangles are those of :func:`packed_degree`, each multiplied out:
+    the hooks of row i (from the bottom) of a rectangle with corner hook c
+    and C columns are c + i .. c + i + C - 1, so the row's product is
+    perm(c + i + C - 1, C), and a column's likewise; each rectangle's
+    product is taken along its shorter side and cached, since the shapes
+    of one n share most rectangles.  A nonzero remainder (``runs`` not a
+    partition of n) raises :class:`NotDivisible`.
+    """
+    product = 1
+    columns = []  # (v_b + E_b, v_b - v_{b+1}) of each column group seen
+    below = last = 0
+    for value, rows in reversed(runs):
+        top = value + below
+        columns.append((top, value - last))
+        for key, cols in columns:
+            product *= _hook_product(top - key + 1, rows, cols)
+        below += rows
+        last = value
+    quotient, remainder = divmod(math.factorial(n), product)
+    if remainder:
+        raise NotDivisible(f"the hook product of {runs_literal(runs)} does not divide {n}!")
+    return quotient

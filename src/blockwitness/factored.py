@@ -5,7 +5,8 @@ interesting range starts, and every question asked of them here is about
 prime parts.  Values therefore live as maps prime -> exponent; conversion to
 decimal happens only at output boundaries.  The one exact quotient taken
 in this package is a degree, n! over the hook product
-(:func:`blockwitness.degrees.degree`); it is asserted integral, and a
+(:func:`blockwitness.degrees.degree`, or as a plain int for a table,
+:func:`blockwitness.degrees.exact_degree`); it is asserted integral, and a
 non-integral one means a transcription bug that must surface loudly as
 :class:`NotDivisible`.  That error, like every fault of the program itself
 rather than of its input, derives from :class:`InternalInvariantError`.

@@ -33,8 +33,11 @@ rows that follow are split at most four ways, and each distinct flag tail (a
 row's text after its degree) is checked once per table, at most one
 remembered entry per row.  Writing mirrors that: :func:`table_lines` renders
 each distinct flags tuple once per call, line by line, so an export is
-written as it is rendered.  The symmetric-group export computes one degree
-and one set of flags per conjugate pair (see :mod:`blockwitness.blocks`).
+written as it is rendered, and ``str`` gives way to the limit-free
+:func:`blockwitness.factored.decimal_str` only for a number the
+interpreter's digit limit refuses.  The symmetric-group export computes one
+degree, an exact int (:func:`blockwitness.degrees.exact_degree`), and one set
+of flags per conjugate pair (see :mod:`blockwitness.blocks`).
 A prime p rules both shapes out when the shape's content sum S has neither
 S nor -S congruent to n(n - 1)/2 mod p, which every principal member's is;
 any other prime takes one runner-step pass deciding both shapes against
@@ -56,7 +59,7 @@ from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .blocks import principal_flag_pairs
-from .degrees import degree
+from .degrees import exact_degree
 from .factored import DigitLimitExceeded, decimal_str, is_prime, parse_decimal
 from .parameters import check_primes
 from .partitions import conjugate_runs, partitions_of
@@ -331,10 +334,19 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     )
 
 
+def _decimal(value: int) -> str:
+    # str, or factored.decimal_str where the interpreter's digit limit refuses
+    # str: that imports decimal, which no table within the limit needs
+    try:
+        return str(value)
+    except ValueError:
+        return decimal_str(value)
+
+
 def table_lines(summary: CharacterTableSummary) -> Iterator[str]:
     """Render a summary line by line, each ending in LF, in canonical directive order."""
     yield f"group {summary.group_name}\n"
-    yield f"order {summary.order}\n"
+    yield f"order {_decimal(summary.order)}\n"
     yield "primes" + "".join(f" {p}" for p in summary.primes) + "\n"
     yield f"trivial {summary.trivial_id}\n"
     yield f"complete {'true' if summary.complete else 'false'}\n"
@@ -347,7 +359,11 @@ def table_lines(summary: CharacterTableSummary) -> Iterator[str]:
             tail = tails[row.flags] = "".join(
                 f" {p}:{1 if flag else 0}" for p, flag in zip(summary.primes, row.flags)
             ) + "\n"
-        yield f"char {row.id} {row.degree}{tail}"
+        try:  # _decimal, inlined: the try is free per row, a call is not
+            line = f"char {row.id} {row.degree}{tail}"
+        except ValueError:
+            line = f"char {row.id} {decimal_str(row.degree)}{tail}"
+        yield line
 
 
 def serialize_table(summary: CharacterTableSummary) -> bytes:
@@ -359,9 +375,11 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     """Summary of the symmetric group on n letters for the given primes.
 
     Rows are partition literals in enumeration order; flags come from the
-    core criterion and degrees from hook lengths, both once per conjugate
-    pair: a conjugate's hook multiset is the transpose, and the first shape
-    of a pair decides its partner's flags from its own runner steps
+    core criterion and degrees from n! over the hook product, multiplied out
+    rectangle by rectangle (:func:`blockwitness.degrees.exact_degree`), both
+    once per conjugate pair: a conjugate's hook multiset is the transpose,
+    and the first shape of a pair decides its partner's flags from its own
+    runner steps
     (:func:`blockwitness.blocks.principal_flag_pairs`, cores held for this
     call only).  The steps are taken only at the primes p where the shape's
     content sum S, or -S for the partner, is congruent to n(n - 1)/2 mod p:
@@ -395,7 +413,7 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
         runs = lam.runs
         known = awaited.pop(runs, None)
         if known is None:
-            value = degree(runs).to_int()
+            value = exact_degree(runs, n)
             flags, partner = decide(lam)
             conjugate = conjugate_runs(runs)
             if conjugate != runs:

@@ -128,6 +128,23 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "exact-degree-remainder-unchecked",
+        "degrees.py",
+        "    if remainder:\n"
+        '        raise NotDivisible(f"the hook product of {runs_literal(runs)} does not divide {n}!")\n',
+        "",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
+        "exact-degree-corner-off-by-one",
+        "degrees.py",
+        "_hook_product(top - key + 1, rows, cols)",
+        "_hook_product(top - key + 2, rows, cols)",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
         "sieve-only-past-last-prime",
         "factored.py",
         "    if k >= _PRIMES[-1]:\n",
@@ -146,5 +163,15 @@ MUTANTS = (
         "equivalent",
         "row is read only through (1 - row - rows) % p, so adding mult mod p"
         " leaves every row start, and so the tally, the same",
+    ),
+    Mutant(
+        "exact-degree-side-swapped",
+        "degrees.py",
+        "if rows <= cols else",
+        "if rows > cols else",
+        ("tests/test_degrees.py",),
+        "equivalent",
+        "a rectangle's hook product is the same taken row by row or column by"
+        " column, so walking the longer side multiplies more terms to the same product",
     ),
 )

@@ -8,7 +8,7 @@ import pytest
 import _oracles as oracle
 from _all_partitions import conjugate, degree_valuation
 import blockwitness.degrees as degrees_module
-from blockwitness.degrees import degree, packed_degree, packed_exponent
+from blockwitness.degrees import degree, exact_degree, packed_degree, packed_exponent
 from blockwitness.factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import from_parts, partitions_of
@@ -72,7 +72,9 @@ def test_degree_matches_hook_product_all_partitions():
     shapes = 0
     for n in range(0, 26):
         for lam in partitions_of(n):
-            assert degree(lam.runs).to_int() == oracle.hook_product_degree(lam.parts), lam
+            hook_degree = oracle.hook_product_degree(lam.parts)
+            assert degree(lam.runs).to_int() == hook_degree, lam
+            assert exact_degree(lam.runs, n) == hook_degree, lam
             shapes += 1
     assert shapes == 9_296
 
@@ -217,19 +219,35 @@ def test_degree_matches_hook_product_random_shapes():
     rng = random.Random(20260)
     for n in list(range(0, 301, 7)) + [300] * 20:
         parts = oracle.random_partition(rng, n)
-        assert degree(from_parts(parts).runs).to_int() == oracle.hook_product_degree(parts), parts
+        runs = from_parts(parts).runs
+        hook_degree = oracle.hook_product_degree(parts)
+        assert degree(runs).to_int() == hook_degree, parts
+        assert exact_degree(runs, n) == hook_degree, parts
 
 
 def test_degree_edge_shapes():
     assert degree(from_parts(()).runs) == FactoredNatural()
+    assert exact_degree(from_parts(()).runs, 0) == 1
     for n in (1, 2, 9, 40):
-        assert degree(from_parts((n,)).runs) == FactoredNatural()
-        assert degree(from_parts((1,) * n).runs) == FactoredNatural()
+        for parts in ((n,), (1,) * n):
+            assert degree(from_parts(parts).runs) == FactoredNatural()
+            assert exact_degree(from_parts(parts).runs, n) == 1
     for k in (1, 2, 3, 5, 8):
         square = (k,) * k
-        assert degree(from_parts(square).runs).to_int() == oracle.hook_product_degree(square)
+        hook_degree = oracle.hook_product_degree(square)
+        assert degree(from_parts(square).runs).to_int() == hook_degree
+        assert exact_degree(from_parts(square).runs, k * k) == hook_degree
     # the 3 x 3 square: 9! / (5 * 4^2 * 3^3 * 2^2 * 1) = 42
     assert degree(P(3, 3, 3).runs).factors == ((2, 1), (3, 1), (7, 1))
+    assert exact_degree(P(3, 3, 3).runs, 9) == 42
+
+
+def test_degree_of_runs_summing_to_another_n_raises():
+    # [3] is no partition of 2: its hook product 6 does not divide 2!, and
+    # neither the exact nor the packed degree returns a value
+    for compute in (exact_degree, packed_degree):
+        with pytest.raises(NotDivisible):
+            compute(((3, 1),), 2)
 
 
 def test_planted_negative_sum_fails_the_sign_check(monkeypatch):

@@ -172,6 +172,24 @@ def test_parse_ignores_the_interpreters_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_serialize_ignores_the_interpreters_digit_limit():
+    # a library call, outside cli.run's lifted limit: a 1,000-digit order and
+    # degree print the same bytes whether the interpreter's limit admits them
+    # (4,300) or not (640)
+    text = (
+        "group toy\norder " + "6" * 1000 + "\nprimes 2 3\ntrivial e\ncomplete false\n"
+        "char e 1 2:1 3:1\nchar x 1" + "0" * 999 + " 2:0 3:1\n"
+    )
+    summary = parse_table(text)
+    limit = sys.get_int_max_str_digits()
+    try:
+        for interpreter_limit in (4300, 640):
+            sys.set_int_max_str_digits(interpreter_limit)
+            assert serialize_table(summary) == text.encode("utf-8")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_large_header_prime_parses_quickly():
     prime = 2**61 - 1
     text = (
