@@ -36,16 +36,21 @@ EXIT_CLOSED_STDOUT = 141
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
 # members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 0.7 s and
 # 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17.  At the cap
-# `export-table --n 60` takes about 26 s and 365 MB peak RSS on a shared 2-core
-# Xeon host (n = 50: 4.9 s, 90 MB), the built summary being the peak because
-# lines are written as they are rendered; at n = 50, deciding principal-block
-# flags is 37-38% of the build
+# `export-table --n 60` takes about 16-17 s and 363 MB peak RSS on a shared
+# 2-core Xeon host (n = 50: 3.1-3.2 s, 89 MB), the built summary being the peak
+# because lines are written as they are rendered; at n = 50, deciding
+# principal-block flags is about 27% of the build
 ENUMERATION_MAX_N = 60
 
 # largest n whose primes `witness --n`, `degrees --n --partition` and
 # `scan --n-max` sieve (2n bytes); at the cap `witness --n 10000000 --p 3
 # --q 2` takes 1.7 s and 134 MB peak RSS, `degrees` on (1^(n-2),2) 1.4 s and
-# 208 MB, on a shared 2-core Xeon host
+# 208 MB, on a shared 2-core Xeon host.  It does not bound the work of
+# `degrees --partition`: a staircase of 320 runs (n = 51,360) takes 1.06 s and
+# one of 640 runs (n = 205,120) 22.0 s, about x20 per doubling of the runs;
+# the hook (1^1500000,1500000) at n = 3*10^6 takes 20.1 s and 71 MB, most of
+# it multiplying out and rendering 903,087 digits, quadratic in n (2.5 s at
+# n = 10^6)
 SIEVE_MAX_N = 10**7
 
 # most bytes `check-table` reads from its file; the largest table the program

@@ -3,9 +3,10 @@
 Character degrees of symmetric groups outgrow machine words long before the
 interesting range starts, and every question asked of them here is about
 prime parts.  Values therefore live as maps prime -> exponent; conversion to
-decimal happens only at output boundaries.  The one exact quotient taken
-in this package is a degree, n! over the hook product
-(:func:`blockwitness.degrees.degree`, or as a plain int for a table,
+decimal happens only at output boundaries, through :func:`decimal_str`, the
+one renderer of an integer that may exceed the interpreter's digit limit.
+The one exact quotient taken in this package is a degree, n! over the hook
+product (:func:`blockwitness.degrees.degree`, or as a plain int for a table,
 :func:`blockwitness.degrees.exact_degree`); it is asserted integral, and a
 non-integral one means a transcription bug that must surface loudly as
 :class:`NotDivisible`.  That error, like every fault of the program itself
@@ -139,12 +140,16 @@ def parse_decimal(text: str) -> int:
 
 
 def decimal_str(value: int) -> str:
-    """Exact base-10 rendering of a natural number, whatever the interpreter's digit limit."""
-    # imported here: only output boundaries render, and importing decimal
-    # adds about 2 ms and 0.4 MB to every process start
-    from decimal import Decimal
+    """Exact base-10 rendering of a natural number, whatever the interpreter's digit limit.
 
-    return str(Decimal(value))
+    ``str`` renders it; ``Decimal`` only where that limit refuses ``str``.
+    """
+    try:
+        return str(value)
+    except ValueError:  # importing decimal adds about 2 ms and 0.4 MB to a process
+        from decimal import Decimal
+
+        return str(Decimal(value))
 
 
 @dataclass(frozen=True)

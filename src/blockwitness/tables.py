@@ -33,9 +33,9 @@ rows that follow are split at most four ways, and each distinct flag tail (a
 row's text after its degree) is checked once per table, at most one
 remembered entry per row.  Writing mirrors that: :func:`table_lines` renders
 each distinct flags tuple once per call, line by line, so an export is
-written as it is rendered, and ``str`` gives way to the limit-free
-:func:`blockwitness.factored.decimal_str` only for a number the
-interpreter's digit limit refuses.  The symmetric-group export computes one
+written as it is rendered; every integer written, and every long one a
+message echoes, goes through :func:`blockwitness.factored.decimal_str`, free
+of the interpreter's digit limit.  The symmetric-group export computes one
 degree, an exact int (:func:`blockwitness.degrees.exact_degree`), and one set
 of flags per conjugate pair (see :mod:`blockwitness.blocks`).
 A prime p rules both shapes out when the shape's content sum S has neither
@@ -167,7 +167,8 @@ def _close_header(
         if p == q:
             raise ParseError(sline, "sylow_commute primes must be distinct")
         if p not in primes or q not in primes:
-            raise ParseError(sline, f"sylow_commute prime pair ({p}, {q}) not in header primes")
+            pair = f"({decimal_str(p)}, {decimal_str(q)})"
+            raise ParseError(sline, f"sylow_commute prime pair {pair} not in header primes")
         key = (min(p, q), max(p, q))
         if key in facts:
             raise ParseError(sline, f"duplicate sylow_commute pair {key}")
@@ -184,7 +185,7 @@ def _tail_flags(line_no: int, tail: str, primes: tuple[int, ...]) -> tuple[bool,
         prime_text, bit_text = token.split(":", 1)
         p = _parse_int(line_no, prime_text, "flag prime")
         if p not in primes:
-            raise ParseError(line_no, f"flag prime {p} not in header primes", token)
+            raise ParseError(line_no, f"flag prime {decimal_str(p)} not in header primes", token)
         if p in flag_map:
             raise ParseError(line_no, f"duplicate flag for prime {p}", token)
         if bit_text not in ("0", "1"):
@@ -219,12 +220,10 @@ def _parse_rows(
         row_id = tokens[1]
         if row_id in rows:
             raise ParseError(line_no, "duplicate character id", row_id)
-        try:  # _parse_int's two messages, without a call per row
+        try:  # no call on success; on failure _parse_int names the fault and raises
             degree_value = parse_decimal(tokens[2])
-        except DigitLimitExceeded as exc:
-            raise ParseError(line_no, f"degree: {exc}") from None
         except ValueError:
-            raise ParseError(line_no, "malformed integer for degree", tokens[2]) from None
+            degree_value = _parse_int(line_no, tokens[2], "degree")
         if degree_value < 1:
             raise ParseError(line_no, f"degree must be positive, got {degree_value}")
         tail = tokens[3] if len(tokens) == 4 else ""
@@ -288,7 +287,7 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
                     message = "too large for an exact primality test"
                     raise ParseError(line_no, message, token) from None
                 if not prime:
-                    raise ParseError(line_no, f"{p} is not prime", token)
+                    raise ParseError(line_no, f"{decimal_str(p)} is not prime", token)
                 if p in primes:
                     raise ParseError(line_no, f"duplicate prime {p}", token)
                 primes += (p,)
@@ -334,19 +333,10 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     )
 
 
-def _decimal(value: int) -> str:
-    # str, or factored.decimal_str where the interpreter's digit limit refuses
-    # str: that imports decimal, which no table within the limit needs
-    try:
-        return str(value)
-    except ValueError:
-        return decimal_str(value)
-
-
 def table_lines(summary: CharacterTableSummary) -> Iterator[str]:
     """Render a summary line by line, each ending in LF, in canonical directive order."""
     yield f"group {summary.group_name}\n"
-    yield f"order {_decimal(summary.order)}\n"
+    yield f"order {decimal_str(summary.order)}\n"
     yield "primes" + "".join(f" {p}" for p in summary.primes) + "\n"
     yield f"trivial {summary.trivial_id}\n"
     yield f"complete {'true' if summary.complete else 'false'}\n"
@@ -359,11 +349,7 @@ def table_lines(summary: CharacterTableSummary) -> Iterator[str]:
             tail = tails[row.flags] = "".join(
                 f" {p}:{1 if flag else 0}" for p, flag in zip(summary.primes, row.flags)
             ) + "\n"
-        try:  # _decimal, inlined: the try is free per row, a call is not
-            line = f"char {row.id} {row.degree}{tail}"
-        except ValueError:
-            line = f"char {row.id} {decimal_str(row.degree)}{tail}"
-        yield line
+        yield f"char {row.id} {decimal_str(row.degree)}{tail}"
 
 
 def serialize_table(summary: CharacterTableSummary) -> bytes:

@@ -145,6 +145,136 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "packed-range-check-dropped",
+        "degrees.py",
+        "if packed >> width or packed & signs:",
+        "if False:",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
+        "packed-sign-mask-dropped",
+        "degrees.py",
+        "if packed >> width or packed & signs:",
+        "if packed >> width:",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
+        "packed-width-check-as-sign",
+        "degrees.py",
+        "if packed >> width or packed & signs:",
+        "if packed < 0 or packed & signs:",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
+        "table-degree-zero-accepted",
+        "tables.py",
+        "if degree_value < 1:",
+        "if degree_value < 0:",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "table-order-zero-accepted",
+        "tables.py",
+        "if order < 1:",
+        "if order < 0:",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "audit-c-last-verdict-consistent",
+        "tables.py",
+        'return "violation", "no cross-divisible degrees although Sylow subgroups never commute"',
+        'return "consistent", "no cross-divisible degrees although Sylow subgroups never commute"',
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "audit-c-last-fact-negated",
+        "tables.py",
+        "    if fact:\n"
+        '        return "consistent", "no cross-divisible degrees and a commuting Sylow pair"\n',
+        "    if not fact:\n"
+        '        return "consistent", "no cross-divisible degrees and a commuting Sylow pair"\n',
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "scan-disagreement-exit-dropped",
+        "cli.py",
+        "if disagreements:",
+        "if False:",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "scan-disagreement-not-counted",
+        "cli.py",
+        "disagreements += 1",
+        "disagreements += 0",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "witness-sieve-unbounded",
+        "cli.py",
+        '    _bounded("witness --n", args.n, SIEVE_MAX_N, _SIEVE)\n',
+        "",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "degrees-sieve-unbounded",
+        "cli.py",
+        '        _bounded("degrees --n", args.n, SIEVE_MAX_N, _SIEVE)\n',
+        "",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "scan-sieve-unbounded",
+        "cli.py",
+        '    _bounded("scan --n-max", n_max, SIEVE_MAX_N, _SIEVE)\n',
+        "",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "existence-search-q-side-dropped",
+        "oracle.py",
+        " or q in _scan(n, p) or p in _scan(n, q)",
+        " or q in _scan(n, p)",
+        ("tests/test_oracle.py",),
+        "killed",
+    ),
+    Mutant(
+        "decimal-str-no-fallback",
+        "factored.py",
+        "        return str(Decimal(value))\n",
+        "        raise\n",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "decimal-str-always-decimal",
+        "factored.py",
+        "        return str(value)\n",
+        "        raise ValueError\n",
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "sylow-pair-message-bare",
+        "tables.py",
+        'pair = f"({decimal_str(p)}, {decimal_str(q)})"',
+        'pair = f"({p}, {q})"',
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
         "sieve-only-past-last-prime",
         "factored.py",
         "    if k >= _PRIMES[-1]:\n",

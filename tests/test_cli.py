@@ -639,6 +639,23 @@ def test_output_ignores_the_interpreters_digit_limit(tmp_path):
     )
 
 
+def test_degrees_within_the_limit_render_without_decimal():
+    # a fresh interpreter, as another test may have imported decimal already
+    script = (
+        "import sys\n"
+        "from blockwitness.cli import run\n"
+        "run(['witness', '--n', '9', '--p', '3', '--q', '2'])\n"
+        "run(['degrees', '--n', '12'])\n"
+        "print('decimal' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=module_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert " degree=8 " in proc.stdout and " decimal=11 " in proc.stdout
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, "False", "")
+
+
 def test_run_restores_the_interpreters_digit_limit(capsys, tmp_path):
     order, _ = _long_integer_tables(tmp_path)
     limit = sys.get_int_max_str_digits()

@@ -59,6 +59,14 @@ def test_to_decimal_examples():
     assert FactoredNatural(oracle.factorial_factors(12)).to_decimal() == "479001600"
     # beyond the interpreter's 4300-digit int/str limit
     assert fn({2: 5000, 5: 5000}).to_decimal() == "1" + "0" * 5000
+    limit = sys.get_int_max_str_digits()
+    try:
+        # CPython's default limit, and one lowered below it by a library caller
+        for interpreter_limit in (4300, 640):
+            sys.set_int_max_str_digits(interpreter_limit)
+            assert fn({2: 4400, 3: 1, 5: 4400}).to_decimal() == "3" + "0" * 4400
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_decimal_bound_is_the_packages_own():

@@ -151,7 +151,15 @@ def test_parse_ignores_the_interpreters_digit_limit():
     # integer here has more digits than the interpreter converts or prints
     ones = 2 * (10**1000 - 1) // 3  # the 1,000-digit order 66...6
     head = "group toy\norder {}\nprimes 2 3\ntrivial e\ncomplete {}\nchar e {} 2:1 3:1\n"
+    small = head.format(6, "false", 1)
+    even = "2" * 1000  # composite, and no header prime
     cases = {
+        small.replace("primes 2 3", f"primes 2 3 {even}"):
+            f"line 3: {even} is not prime (token '{even}')",
+        small.replace("3:1\n", f"3:1 {even}:1\n"):
+            f"line 6: flag prime {even} not in header primes (token '{even}:1')",
+        small.replace("char", f"sylow_commute 2 {even} true\nchar"):
+            f"line 6: sylow_commute prime pair (2, {even}) not in header primes",
         head.format(6, "true", 1) + "char x 1" + "0" * 2200 + " 2:0 3:0\n":
             "line 5: degree squares sum to 1" + "0" * 4399 + "1, order is 6",
         head.format("7" * 1000, "false", 1):
