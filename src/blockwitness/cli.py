@@ -44,18 +44,19 @@ ENUMERATION_MAX_N = 60
 
 # largest n whose primes `witness --n`, `degrees --n --partition` and
 # `scan --n-max` sieve (2n bytes); at the cap `witness --n 10000000 --p 3
-# --q 2` takes 1.7 s and 134 MB peak RSS, `degrees` on (1^(n-2),2) 1.4 s and
-# 208 MB, on a shared 2-core Xeon host.  It does not bound the work of
-# `degrees --partition`: a staircase of 320 runs (n = 51,360) takes 1.06 s and
-# one of 640 runs (n = 205,120) 22.0 s, about x20 per doubling of the runs;
-# the hook (1^1500000,1500000) at n = 3*10^6 takes 20.1 s and 71 MB, most of
-# it multiplying out and rendering 903,087 digits, quadratic in n (2.5 s at
-# n = 10^6)
+# --q 2` takes 1.7 s and 134 MB peak RSS, `--p 5 --q 3` (the hook
+# (1^9999998,2)) 2.1-2.3 s and 207 MB (2.5-2.9 s and 360 MB when text output
+# expanded the parts), `degrees` on (1^(n-2),2) 1.4 s and 208 MB, on a shared
+# 2-core Xeon host.  It does not bound the work of `degrees --partition`: a
+# staircase of 320 runs (n = 51,360) takes 1.06 s and one of 640 runs
+# (n = 205,120) 22.0 s, about x20 per doubling of the runs; the hook
+# (1^1500000,1500000) at n = 3*10^6 takes 15.2 s and 71 MB, most of it
+# rendering 903,087 digits, quadratic in n (1.9 s at n = 10^6)
 SIEVE_MAX_N = 10**7
 
 # most bytes `check-table` reads from its file; the largest table the program
 # writes, `export-table --n 60`, is 151,609,328 bytes, and `check-table` on it
-# takes about 2.5 s and 749 MB peak RSS on a shared 2-core Xeon host
+# takes about 4.6 s and 605 MB peak RSS on a shared 2-core Xeon host
 TABLE_MAX_BYTES = 256 * 2**20
 
 _DEFERRAL_MESSAGES = {
@@ -141,7 +142,7 @@ def _cmd_witness(args) -> int:
     host, divisor = found.candidate.host_prime, found.candidate.divisor_prime
     facts = {
         "case": found.candidate.case_id,
-        "partition": list(found.partition.parts),
+        "partition": found.partition.parts if args.json else found.partition.to_literal(),
         "host": host,
         "divisor": divisor,
         "degree": found.degree.to_decimal(),
@@ -152,7 +153,6 @@ def _cmd_witness(args) -> int:
     if args.json:
         print(json.dumps(facts, sort_keys=True))
     else:
-        facts["partition"] = found.partition.to_literal()
         print(" ".join(f"{key}={value}" for key, value in facts.items()))
     return EXIT_OK
 

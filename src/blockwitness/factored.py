@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 
 class InternalInvariantError(RuntimeError):
@@ -172,10 +172,10 @@ class FactoredNatural:
         return 0
 
     def to_int(self) -> int:
-        value = 1
-        for p, e in self.factors:
-            value *= p**e
-        return value
+        values = [p**e for p, e in self.factors]
+        while len(values) > 1:  # pairwise, so each product joins operands of like size
+            values = [prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+        return prod(values)
 
     def to_decimal(self) -> str:
         """Exact base-10 rendering of the represented integer (:func:`decimal_str`)."""

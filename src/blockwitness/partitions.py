@@ -215,14 +215,18 @@ class AscendingSpec:
     A zero multiplicity is tolerated only for a leading 1-block, because the
     candidate shapes degenerate to zero ones at boundary parameters; any
     other zero or a decreasing value sequence raises :class:`NonMonotoneSpec`.
+    The pass that checks the blocks builds :attr:`runs`, the descending runs
+    (equal values merged, the empty block dropped); ``==`` sees blocks alone.
     """
 
     blocks: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         if not self.blocks:
             raise NonMonotoneSpec("spec needs at least one block")
+        runs: list[tuple[int, int]] = []
         for index, (value, mult) in enumerate(self.blocks):
             if type(value) is not int or type(mult) is not int:
                 raise TypeError(f"block values must be int, got {(value, mult)!r}")
@@ -236,21 +240,11 @@ class AscendingSpec:
                 raise NonMonotoneSpec(
                     f"block values must be weakly increasing, got {self.blocks}"
                 )
-
-    @property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """Descending ``(value, multiplicity)`` runs of the partition's parts.
-
-        Equal values are merged and the empty leading 1-block is dropped, so
-        these are the canonical runs :meth:`to_partition` keeps.
-        """
-        runs: list[tuple[int, int]] = []
-        for value, mult in reversed(self.blocks):
             if runs and runs[-1][0] == value:
                 runs[-1] = (value, runs[-1][1] + mult)
             elif mult:
                 runs.append((value, mult))
-        return tuple(runs)
+        object.__setattr__(self, "runs", tuple(reversed(runs)))
 
     def to_partition(self) -> Partition:
         """The partition of :attr:`runs`, canonical since the blocks were checked."""

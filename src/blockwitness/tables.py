@@ -259,6 +259,7 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     lines: dict[str, int] = {}
     sylow_raw: _RawSylow = []
     text_lines = text.splitlines()
+    del text  # the lines hold all of it; keeping both would hold the table twice
     end = len(text_lines) + 1
 
     for line_no, raw in enumerate(text_lines, start=1):

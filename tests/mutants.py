@@ -275,6 +275,80 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "row-split-three-ways",
+        "tables.py",
+        "tokens = raw.split(None, 3)",
+        "tokens = raw.split(None, 2)",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "row-comment-kept",
+        "tables.py",
+        '        if "#" in raw:\n'
+        '            raw = raw.partition("#")[0]\n',
+        "",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "row-directive-unchecked",
+        "tables.py",
+        'if tokens[0] != "char":',
+        "if False:",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "row-degree-optional",
+        "tables.py",
+        "if len(tokens) < 3:",
+        "if len(tokens) < 2:",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "divides-squares-power",
+        "oracle.py",
+        "        e *= s\n",
+        "        e *= s * s\n",
+        ("tests/test_oracle.py",),
+        "killed",
+    ),
+    Mutant(
+        "flag-core-hook-shifted",
+        "blocks.py",
+        "((1, b), (0, length - b))",
+        "((1, b - 1), (0, length - b + 1))",
+        ("tests/test_blocks.py",),
+        "killed",
+    ),
+    Mutant(
+        "spec-runs-unmerged",
+        "partitions.py",
+        "                runs[-1] = (value, runs[-1][1] + mult)\n",
+        "                runs.append((value, mult))\n",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "witness-text-from-parts",
+        "cli.py",
+        "found.partition.parts if args.json else found.partition.to_literal()",
+        'found.partition.parts if args.json else "[" + ",".join(map(str, found.partition.parts))'
+        ' + "]"',
+        ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        "to-int-drops-odd-last",
+        "factored.py",
+        "for i in range(0, len(values), 2)",
+        "for i in range(0, len(values) - 1, 2)",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
         "sieve-only-past-last-prime",
         "factored.py",
         "    if k >= _PRIMES[-1]:\n",

@@ -42,6 +42,24 @@ def test_witness_json_matches_plain(capsys):
         assert f"{key}={facts[key]}" in plain
 
 
+def test_witness_text_never_expands_parts(capsys, monkeypatch):
+    # the hook (1^38,2): text mode renders its literal from runs, --json lists parts
+    from blockwitness.partitions import Partition
+
+    argv = ("witness", "--n", "40", "--p", "5", "--q", "3")
+    code, plain, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert plain.startswith("case=I.a partition=[2" + ",1" * 38 + "] host=")
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["partition"] == [2] + [1] * 38
+
+    def expanded(self):
+        raise AssertionError("parts expanded")
+
+    monkeypatch.setattr(Partition, "parts", property(expanded))
+    assert invoke(capsys, *argv) == (0, plain, "")
+
+
 def test_witness_small_n(capsys):
     code, out, _ = invoke(capsys, "witness", "--n", "8", "--p", "3", "--q", "2")
     assert code == 1

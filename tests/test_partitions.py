@@ -190,6 +190,8 @@ def _built_partitions():
                 spec = AscendingSpec(tuple(reversed(lam.runs)))
                 yield spec.to_partition()
                 yield parse_partition_text(str(spec), n)
+                # one block per part, so every run comes from merging equal blocks
+                yield AscendingSpec(tuple((v, 1) for v in reversed(lam.parts))).to_partition()
     for e in (2, 3, 4):
         quotients = [
             tuple(from_parts(mu) for mu in quotient) for quotient in oracle.multipartitions(e, 2)
@@ -206,6 +208,7 @@ def test_partition_record_sums_runs_once_and_keys_on_runs_alone():
     built = 0
     for lam in _built_partitions():
         assert (lam.size, lam.length) == (sum(lam.parts), len(lam.parts)), lam
+        assert oracle.is_canonical_runs(lam.runs, lam.size), lam
         assert hash(lam) == hash((lam.runs,)), lam
         assert repr(lam) == f"Partition(runs={lam.runs!r})"
         built += 1
