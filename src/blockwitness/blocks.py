@@ -21,7 +21,8 @@ conjugate correspond, and the conjugate's p-core is the conjugate of the
 shape's.  So the conjugate of ``lam`` lies in the principal block exactly
 when the p-core of ``lam`` is (1^b), the runs ((1, b), (0, L - b)), which a
 shape of fewer than b parts cannot have: removing hooks never adds a part.
-At most one runner-step pass per prime decides both rows of a table.
+At most one runner-step pass per prime decides both rows of a table, on
+the shape's runs alone, so the table path builds no ``Partition``.
 
 Most shapes need no pass at most primes.  The multiset of cell contents
 (column - row) mod p is the same for every member of a p-block (James and
@@ -75,29 +76,30 @@ def principal_block_contains(lam: Partition, p: int) -> bool:
 
 def principal_flag_pairs(
     n: int, primes: Sequence[int]
-) -> Callable[[Partition], tuple[tuple[bool, ...], tuple[bool, ...]]]:
+) -> Callable[[Sequence[tuple[int, int]]], tuple[tuple[bool, ...], tuple[bool, ...]]]:
     """Decide a partition of n and its conjugate in each prime's principal block.
 
-    The returned function maps ``lam`` to the flags of ``lam`` and of its
-    conjugate, each in the order of ``primes`` and each as
-    :func:`principal_block_contains` decides it.  A flag whose content-sum
-    congruence fails is false: S(lam) = n(n - 1)/2 (mod p) for ``lam``,
-    -S(lam) = n(n - 1)/2 for its conjugate (see the module docstring).  A
-    prime where either holds takes one
+    The returned function maps the descending runs of a partition ``lam``
+    to the flags of ``lam`` and of its conjugate, each in the order of
+    ``primes`` and each as :func:`principal_block_contains` decides it.  A
+    flag whose content-sum congruence fails is false: S(lam) = n(n - 1)/2
+    (mod p) for ``lam``, -S(lam) = n(n - 1)/2 for its conjugate (see the
+    module docstring).  A prime where either holds takes one
     :func:`blockwitness.partitions.runner_steps` pass, compared against the
     cores (b) and (1^b); the empty partition, its own conjugate, is in every
-    principal block.  S(lam) is summed once per call, O(1) per run
-    (:func:`_content_sum`).  The cores' steps are built once per length and
-    prime, and live as long as the returned function.
+    principal block.  S(lam) and the length of ``lam`` are summed once per
+    call, in one pass of O(1) per run (:func:`_content_sum`).  The cores'
+    steps are built once per length and prime, and live as long as the
+    returned function.
     """
     half = n * (n - 1) // 2  # the content sum of (n)
     # length -> (p, steps of (b), steps of (1^b) or None) per prime
     cores: dict[int, list[tuple[int, list[int], list[int] | None]]] = {}
 
-    def decide(lam: Partition) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-        length = lam.length
-        if not length:
+    def decide(runs: Sequence[tuple[int, int]]) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        if not runs:
             return (True,) * len(primes), (True,) * len(primes)
+        content, length = _content_sum(runs)
         at_length = cores.get(length)
         if at_length is None:
             at_length = cores[length] = []
@@ -106,8 +108,6 @@ def principal_flag_pairs(
                 row = runner_steps(((b, 1), (0, length - 1)), p)
                 column = runner_steps(((1, b), (0, length - b)), p) if length >= b else None
                 at_length.append((p, row, column))
-        runs = lam.runs
-        content = _content_sum(runs)
         own, partner = [], []
         for p, row, column in at_length:
             own_sum = (content - half) % p == 0
@@ -120,15 +120,15 @@ def principal_flag_pairs(
     return decide
 
 
-def _content_sum(runs: Sequence[tuple[int, int]]) -> int:
-    # sum of column - row over the cells of the shape with descending runs:
-    # the m rows of length v from row r add m v(v - 1)/2 - v (r m + m(m - 1)/2),
-    # which is m v (v - m - 2r)/2
+def _content_sum(runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    # sum of column - row over the cells of the shape with descending runs,
+    # and its number of rows: the m rows of length v from row r add
+    # m v(v - 1)/2 - v (r m + m(m - 1)/2), which is m v (v - m - 2r)/2
     content = top = 0
     for value, mult in runs:
         content += mult * value * (value - mult - 2 * top) // 2
         top += mult
-    return content
+    return content, top
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:

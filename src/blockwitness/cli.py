@@ -22,7 +22,7 @@ from typing import Sequence
 from . import oracle, tables, witness
 from .factored import InternalInvariantError, parse_decimal, primes_up_to
 from .parameters import CaseParameters, check_primes, derive_case_parameters
-from .partitions import Partition, parse_partition_text, partitions_of
+from .partitions import Partition, parse_partition_text, partition_runs, runs_literal
 from .degrees import degree
 
 EXIT_OK = 0
@@ -36,10 +36,10 @@ EXIT_CLOSED_STDOUT = 141
 # and `scan --cross-validate` generate: the largest at n <= 60 has 16,384
 # members (n = 60, p = 2; `verify-c --n 60 --p 2 --q 3` takes about 0.7 s and
 # 33 MB on one Xeon core), against 185,172,670 at n = 200, p = 17.  At the cap
-# `export-table --n 60` takes about 16-17 s and 363 MB peak RSS on a shared
-# 2-core Xeon host (n = 50: 3.1-3.2 s, 89 MB), the built summary being the peak
+# `export-table --n 60` takes about 13-14 s and 361 MB peak RSS on a shared
+# 2-core Xeon host (n = 50: 2.5-2.6 s, 89 MB), the built summary being the peak
 # because lines are written as they are rendered; at n = 50, deciding
-# principal-block flags is about 27% of the build
+# principal-block flags is about 35% of the build
 ENUMERATION_MAX_N = 60
 
 # largest n whose primes `witness --n`, `degrees --n --partition` and
@@ -247,14 +247,14 @@ def _bounded(option: str, n: int, limit: int, work: str) -> int:
 
 def _cmd_degrees(args) -> int:
     if args.partition is None:
-        shapes = partitions_of(_bounded("degrees --n", args.n, ENUMERATION_MAX_N, _PARTITIONS))
+        shapes = partition_runs(_bounded("degrees --n", args.n, ENUMERATION_MAX_N, _PARTITIONS))
     else:
         _bounded("degrees --n", args.n, SIEVE_MAX_N, _SIEVE)
-        shapes = [parse_partition_text(args.partition, args.n)]
-    for lam in shapes:
-        deg = degree(lam.runs)
+        shapes = [parse_partition_text(args.partition, args.n).runs]
+    for runs in shapes:
+        deg = degree(runs)
         print(
-            f"degree partition={lam.to_literal()}"
+            f"degree partition={runs_literal(runs)}"
             f" decimal={deg.to_decimal()} factored={deg.factored_str()}"
         )
     return EXIT_OK

@@ -8,10 +8,13 @@ The constructor takes its runs as given, and :func:`from_parts` is the one
 converter from weakly decreasing positive parts; every partition built here
 is canonical by construction, and partition text from outside the program
 comes in through :func:`parse_partition_text`, which checks it.
-:func:`partitions_of` enumerates the runs themselves, a constant number of
-edits per step.  The ascending block notation used to write down candidate
-partitions, e.g. ``(1^7, 2)`` for ``(2,1,1,1,1,1,1,1)``, exists only at the
-:class:`AscendingSpec` boundary, whose runs are the partition's.
+:func:`partition_runs` enumerates the runs themselves, a constant number of
+edits per step, and :func:`partitions_of` wraps each in a :class:`Partition`.
+The character-table export reads the runs alone (:func:`runs_literal`,
+:func:`conjugate_runs`) and builds no :class:`Partition`.  The ascending
+block notation used to write down candidate partitions, e.g. ``(1^7, 2)``
+for ``(2,1,1,1,1,1,1,1)``, exists only at the :class:`AscendingSpec`
+boundary, whose runs are the partition's.
 
 Everything about ``e``-cores is read off one kernel, :func:`runner_steps`,
 and no beta-set is listed.  The beta-set is laid out on ``e`` runners, bead
@@ -97,10 +100,13 @@ def from_parts(parts: Iterable[int]) -> Partition:
 def runs_literal(runs: Sequence[tuple[int, int]]) -> str:
     """Literal of the partition with descending ``runs``, e.g. '[2,1,1]'.
 
-    Each run is rendered once and repeated, so the cost is one ``str`` per
-    run rather than one per part.
+    Each run is rendered once, as its value and a comma repeated, and the
+    last comma is trimmed, so no list of parts is built.
     """
-    return "[" + ",".join([",".join([str(v)] * m) for v, m in runs]) + "]"
+    text = ""
+    for value, mult in runs:
+        text += f"{value}," * mult
+    return f"[{text[:-1]}]"
 
 
 def runner_steps(runs: Sequence[tuple[int, int]], e: int) -> list[int]:
@@ -197,14 +203,21 @@ def from_core_and_quotients(
 
 
 def conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The conjugate's descending runs, in O(len(runs)).
+    """The conjugate's descending runs, in one pass over ``runs``.
 
     Run a, m_a parts equal to v_a, becomes v_a - v_{a+1} parts equal to
-    m_1 + ... + m_a, with v_{d+1} = 0; the last run gives the largest.
+    m_1 + ... + m_a, with v_{d+1} = 0; the last run gives the largest, so
+    each run's is put in front of those before it once the next value is
+    known.
     """
-    values = [v for v, _ in runs]
-    depths = accumulate(m for _, m in runs)
-    return tuple(reversed(list(zip(depths, map(sub, values, values[1:] + [0])))))
+    conjugate = ()
+    depth = above = 0
+    for value, mult in runs:
+        if depth:
+            conjugate = ((depth, above - value),) + conjugate
+        depth += mult
+        above = value
+    return ((depth, above),) + conjugate if depth else ()
 
 
 @dataclass(frozen=True)
@@ -254,8 +267,8 @@ class AscendingSpec:
         return "(" + ",".join(f"{v}^{m}" if m != 1 else f"{v}" for v, m in self.blocks) + ")"
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n, in lexicographically decreasing part order.
+def partition_runs(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The runs of every partition of n, in lexicographically decreasing part order.
 
     Each step pops the trailing run of ones, takes one copy off the last
     run, of value v > 1, and deals out the ones and v again as
@@ -264,11 +277,11 @@ def partitions_of(n: int) -> Iterator[Partition]:
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n == 0:
-        yield Partition(())
+        yield ()
         return
     runs = [(n, 1)]
     while True:
-        yield Partition(tuple(runs))
+        yield tuple(runs)
         ones = runs.pop()[1] if runs[-1][0] == 1 else 0
         if not runs:
             return
@@ -279,6 +292,11 @@ def partitions_of(n: int) -> Iterator[Partition]:
         runs.append((value - 1, full))
         if rest:
             runs.append((rest, 1))
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """The :class:`Partition` of each of :func:`partition_runs`, in its order."""
+    yield from map(Partition, partition_runs(n))
 
 
 def parse_partition_text(text: str, size: int) -> Partition:

@@ -35,9 +35,11 @@ remembered entry per row.  Writing mirrors that: :func:`table_lines` renders
 each distinct flags tuple once per call, line by line, so an export is
 written as it is rendered; every integer written, and every long one a
 message echoes, goes through :func:`blockwitness.factored.decimal_str`, free
-of the interpreter's digit limit.  The symmetric-group export computes one
-degree, an exact int (:func:`blockwitness.degrees.exact_degree`), and one set
-of flags per conjugate pair (see :mod:`blockwitness.blocks`).
+of the interpreter's digit limit.  The symmetric-group export walks each
+partition's runs (:func:`blockwitness.partitions.partition_runs`) and builds
+no ``Partition``; it computes one degree, an exact int
+(:func:`blockwitness.degrees.exact_degree`), and one set of flags per
+conjugate pair (see :mod:`blockwitness.blocks`).
 A prime p rules both shapes out when the shape's content sum S has neither
 S nor -S congruent to n(n - 1)/2 mod p, which every principal member's is;
 any other prime takes one runner-step pass deciding both shapes against
@@ -62,7 +64,7 @@ from .blocks import principal_flag_pairs
 from .degrees import exact_degree
 from .factored import DigitLimitExceeded, decimal_str, is_prime, parse_decimal
 from .parameters import check_primes
-from .partitions import conjugate_runs, partitions_of
+from .partitions import conjugate_runs, partition_runs, runs_literal
 
 
 class ParseError(ValueError):
@@ -396,18 +398,19 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
     # conjugate's runs -> its degree and flags
     awaited: dict[tuple[tuple[int, int], ...], tuple[int, tuple[bool, ...]]] = {}
     shared: dict[tuple[bool, ...], tuple[bool, ...]] = {}
-    for lam in partitions_of(n):
-        runs = lam.runs
+    for runs in partition_runs(n):
         known = awaited.pop(runs, None)
         if known is None:
             value = exact_degree(runs, n)
-            flags, partner = decide(lam)
+            flags, partner = decide(runs)
             conjugate = conjugate_runs(runs)
             if conjugate != runs:
                 awaited[conjugate] = value, shared.setdefault(partner, partner)
         else:
             value, flags = known
-        rows.append(CharacterRow(lam.to_literal(), value, shared.setdefault(flags, flags)))
+        # CharacterRow(...) without its extra call, as in _parse_rows
+        row = (runs_literal(runs), value, shared.setdefault(flags, flags))
+        rows.append(tuple.__new__(CharacterRow, row))
     facts = MappingProxyType(dict.fromkeys(combinations(sorted(primes), 2), False))
     return CharacterTableSummary(
         group_name=f"S{n}", order=math.factorial(n), primes=primes, trivial_id=f"[{n}]",

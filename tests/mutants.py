@@ -341,6 +341,38 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "literal-trailing-comma-kept",
+        "partitions.py",
+        'return f"[{text[:-1]}]"',
+        'return f"[{text}]"',
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "conjugate-last-width-floor-one",
+        "partitions.py",
+        "return ((depth, above),) + conjugate if depth else ()",
+        "return ((depth, above - 1),) + conjugate if depth else ()",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "flag-decider-length-off-by-one",
+        "blocks.py",
+        "    return content, top\n",
+        "    return content, top + 1\n",
+        ("tests/test_blocks.py",),
+        "killed",
+    ),
+    Mutant(
+        "enumeration-drops-last-partition",
+        "partitions.py",
+        "        yield tuple(runs)\n",
+        "        if runs != [(1, n)]:\n            yield tuple(runs)\n",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
         "to-int-drops-odd-last",
         "factored.py",
         "for i in range(0, len(values), 2)",

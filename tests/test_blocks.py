@@ -85,7 +85,7 @@ def test_flag_pairs_equal_membership_of_both_conjugates():
         decide = principal_flag_pairs(n, primes)
         for lam in partitions_of(n):
             conjugate = from_parts(oracle.conjugate(lam.parts))
-            flags, partner = decide(lam)
+            flags, partner = decide(lam.runs)
             assert flags == tuple(principal_block_contains(lam, p) for p in primes), lam.parts
             expected = tuple(principal_block_contains(conjugate, p) for p in primes)
             assert partner == expected, lam.parts
@@ -100,7 +100,8 @@ def cell_contents(parts):
 def test_content_sum_closed_form_equals_cell_by_cell_sum():
     for n in range(0, 21):
         for lam in partitions_of(n):
-            assert blocks._content_sum(lam.runs) == cell_contents(lam.parts), lam.parts
+            expected = cell_contents(lam.parts), lam.length
+            assert blocks._content_sum(lam.runs) == expected, lam.parts
 
 
 def test_principal_members_satisfy_the_content_congruence():

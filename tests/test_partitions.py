@@ -13,9 +13,11 @@ from blockwitness.partitions import (
     AscendingSpec,
     NonMonotoneSpec,
     Partition,
+    conjugate_runs,
     from_core_and_quotients,
     from_parts,
     parse_partition_text,
+    partition_runs,
     partitions_of,
     runner_counts,
     runner_steps,
@@ -52,13 +54,18 @@ def test_partition_validation():
 
 def test_partitions_of_examples():
     assert [lam.parts for lam in partitions_of(0)] == [()]
+    assert list(partition_runs(0)) == [()]
     four = [lam.parts for lam in partitions_of(4)]
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(four) == 5
     count_30 = sum(1 for _ in partitions_of(30))
     assert count_30 == oracle.partition_count_oracle(30) == 5604
-    with pytest.raises(ValueError, match="cannot partition -1"):
-        next(partitions_of(-1))
+    for enumerate_n in (partitions_of, partition_runs):
+        with pytest.raises(ValueError, match="cannot partition -1"):
+            next(enumerate_n(-1))
+    # the partitions are the runs the one enumeration yields, in its order
+    for n in range(0, 31):
+        assert list(partition_runs(n)) == [lam.runs for lam in partitions_of(n)]
 
 
 def test_partitions_of_order_and_counts():
@@ -68,6 +75,7 @@ def test_partitions_of_order_and_counts():
         made = list(partitions_of(n))
         seen = [lam.parts for lam in made]
         assert seen == list(oracle.enumerate_partitions(n))
+        assert list(partition_runs(n)) == [from_parts(parts).runs for parts in seen]
         assert seen == sorted(seen, reverse=True)
         assert len(seen) == len(set(seen)) == oracle.partition_count_oracle(n)
         for lam in made:
@@ -143,11 +151,13 @@ def test_conjugate_involution(lam):
 
 
 def test_conjugate_involution_exhaustive():
-    for n in range(0, 16):
+    for n in range(0, 21):
         for lam in partitions_of(n):
             assert conjugate(conjugate(lam)) == lam
             assert conjugate(lam).parts == oracle.conjugate(lam.parts)
             assert lam.is_self_conjugate() == (lam.parts == oracle.conjugate(lam.parts))
+    hook = ((3, 1), (1, 987))
+    assert conjugate_runs(hook) == from_parts(oracle.conjugate(Partition(hook).parts)).runs
 
 
 @settings(max_examples=300, derandomize=True)
@@ -348,9 +358,10 @@ def test_literals():
     assert P().to_literal() == "[]"
     assert runs_literal(((10, 2), (1, 3))) == "[10,10,1,1,1]"
     # rendered per run, the literal is the per-part one, also for a spec's stored runs
-    for n in range(0, 13):
-        for lam in partitions_of(n):
-            assert lam.to_literal() == "[" + ",".join(map(str, lam.parts)) + "]"
+    shapes = [lam.runs for n in range(0, 21) for lam in partitions_of(n)]
+    for runs in shapes + [((3, 1), (1, 987))]:
+        parts = Partition(runs).parts
+        assert runs_literal(runs) == "[" + ",".join(map(str, parts)) + "]", runs
     lam = AscendingSpec(((1, 0), (2, 3), (5, 1), (5, 2))).to_partition()
     assert lam.to_literal() == "[5,5,5,2,2,2]"
     # the literal a partition renders parses back to it

@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from blockwitness import tables
+from blockwitness.blocks import principal_block_contains
+from blockwitness.degrees import degree
 from blockwitness.factored import primes_up_to
 from blockwitness.oracle import _prime_view, check_conjC
+from blockwitness.partitions import Partition, partitions_of
 from blockwitness.tables import (
     CharacterRow,
     ParseError,
@@ -474,6 +477,27 @@ def test_built_rows_against_independent_oracles():
                 assert row.degree == oracle.hook_product_degree(parts), row.id
                 assert row.flags == tuple(flags[p] for p in primes), (row.id, primes)
                 assert shared.setdefault(row.flags, row.flags) is row.flags, row.id
+
+
+def test_export_builds_no_partition(monkeypatch):
+    # the export reads the enumeration's runs alone: with every Partition
+    # construction made to fail, the rows of S_12 are still those taken
+    # from each Partition
+    n, primes = 12, tuple(primes_up_to(12))
+    expected = tuple(
+        CharacterRow(
+            lam.to_literal(),
+            degree(lam.runs).to_int(),
+            tuple(principal_block_contains(lam, p) for p in primes),
+        )
+        for lam in partitions_of(n)
+    )
+
+    def refuse(self):
+        raise AssertionError(f"a Partition was built from {self.runs}")
+
+    monkeypatch.setattr(Partition, "__post_init__", refuse)
+    assert build_sn_summary(n, primes).rows == expected
 
 
 def test_serialization_round_trips_byte_for_byte():
