@@ -9,7 +9,8 @@ whose p-core is (n mod p); membership compares the first differences of the
 runner counts (the runner steps) with that core's, and no core is built.
 """
 
-from blockwitness.blocks import principal_block_contains, principal_p_prime_partitions
+from blockwitness.blocks import principal_block_contains
+from blockwitness.oracle import principal_p_prime_partitions
 from blockwitness.partitions import Partition, from_parts, partitions_of, runner_counts
 
 

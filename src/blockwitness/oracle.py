@@ -1,14 +1,23 @@
 """Ground truth for the witness conditions, independent of the case tree.
 
-For each prime r the oracle generates B_r = Irr_r'(B_0(S_n)), the partitions
-in the principal r-block whose degree r does not divide, one base-r digit of
-n at a time by Macdonald's theorem (see
-:func:`blockwitness.blocks.principal_p_prime_partitions`).  Only the core
-(n mod r) is lifted, a first digit of 1 by r shapes in closed form, and
-each set is certified by its size, which must match a count of
-multipartitions.  :func:`divides`, the one predicate on degrees, says
-whether a prime divides one, off abacus weights, with no hook lengths
-and without :mod:`blockwitness.degrees`.  Its weights come from
+For each prime p the oracle generates B_p = Irr_p'(B_0(S_n)), the partitions
+in the principal p-block whose degree p does not divide
+(:func:`principal_p_prime_partitions`); it does not search for them.  With
+n = sum a_k p^k in base p, Macdonald's theorem (I. G. Macdonald, "On the
+degrees of the irreducible representations of symmetric groups", Bull.
+London Math. Soc. 3, 1971) says the degree is prime to p exactly when
+level k of the p-core tower has total size a_k for every k.  Write
+n = a p^k + m with a = a_k > 0 the top digit, so m < p^k.  Levels k and
+up of the tower are the towers of the p^k-quotient components, and a
+component of at most a < p boxes is a p-core, so a partition of n has
+p'-degree exactly when its p^k-weight is a and its p^k-core, a partition
+of m, has p'-degree.  Removing p^k-hooks keeps the p-core, so B_p is the
+core (a_0) lifted one digit at a time by
+:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k.
+
+:func:`divides`, the one predicate on degrees, says whether a prime
+divides one, off abacus weights, with no hook lengths and without
+:mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.weight`, on abacus runner counts that the
 tests pin against exhaustive rim-hook stripping.  The witness audit reads
 block membership from cell contents instead (:func:`in_principal_block`), so
@@ -41,10 +50,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .blocks import principal_p_prime_partitions
-from .factored import primes_up_to
+from .factored import InternalInvariantError, primes_up_to
 from .parameters import CaseParameters, check_primes, derive_case_parameters
-from .partitions import Partition, weight
+from .partitions import Partition, from_core_and_quotients, from_parts, partitions_of, weight
 from .witness import Witness, _construct
 
 GROUP_KINDS = ("sn", "an")
@@ -98,6 +106,87 @@ def in_principal_block(lam: Partition, p: int) -> bool:
         row += mult
     tally = list(accumulate(accumulate(second)))
     return [flat + sum(tally[t::p]) for t in range(p)] == [w + (t < b) for t in range(p)]
+
+
+def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
+    """The partitions of n in the principal p-block whose degree p does not divide.
+
+    With n = sum a_k p^k in base p, the set starts as the principal core
+    (a_0), and each digit a_k > 0 lifts every member by the p^k-quotients of
+    weight a_k (see the module docstring) and multiplies the expected count
+    by m(p^k, a_k), the number of p^k-tuples of partitions of total size a_k.
+    A set of any other size, or with a repeated member, is a program fault.
+
+    A first digit a_1 = 1 lifts the core (b), b = a_0, by one p-hook, and
+    m(p, 1) = p.  At beta-set length p + 1 the core's beads are 0 .. p - 1,
+    one packed bead on every runner, and b + p, a second one on runner b.
+    Every runner of a p-core is packed, so adding a p-hook moves the top
+    bead of one runner up by p, and the p runners give exactly p shapes
+    (:func:`_one_hook_lifts`): runner b gives (b + p), runner b + j gives
+    (b + j, b + 1, 1^(p - b - 1 - j)) for 1 <= j <= p - b - 1, and runner
+    c - 1 gives (b, c, 1^(p - c)) for 1 <= c <= b.  No beta-set is laid out
+    and no quotient list is built.
+    """
+    if p < 2:
+        raise ValueError(f"p'-degree sets require p >= 2, got {p}")
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    rest, b = divmod(n, p)
+    members = [Partition(((b, 1),) if b else ())]
+    expected, e = 1, p
+    while rest:
+        rest, a = divmod(rest, p)
+        if e == p and a == 1:
+            members = _one_hook_lifts(b, p)
+            expected *= p
+        elif a:
+            quotients = _multipartitions(e, a)
+            members = [lam for mu in members for lam in from_core_and_quotients(mu, quotients, e)]
+            expected *= _multipartition_count(e, a)
+        e *= p
+    certified = frozenset(members)
+    if len(members) != expected or len(certified) != expected:
+        raise InternalInvariantError(
+            f"digit lift for n={n}, p={p}: {len(members)} principal members,"
+            f" {len(certified)} distinct, expected {expected}"
+        )
+    return certified
+
+
+def _one_hook_lifts(b: int, p: int) -> list[Partition]:
+    # the p partitions with p-core (b) and p-weight 1, one per runner (see
+    # principal_p_prime_partitions)
+    return [
+        Partition(((b + p, 1),)),
+        *(from_parts((b + j, b + 1) + (1,) * (p - b - 1 - j)) for j in range(1, p - b)),
+        *(from_parts((b, c) + (1,) * (p - c)) for c in range(1, b + 1)),
+    ]
+
+
+@lru_cache(maxsize=None)
+def _multipartitions(c: int, a: int) -> tuple[tuple[Partition, ...], ...]:
+    # every c-tuple of partitions of total size a: the first nonempty
+    # component, at place i, then every tuple of the c - i - 1 places after it
+    if a == 0:
+        return ((Partition(),) * c,)
+    return tuple(
+        (Partition(),) * i + (mu,) + rest
+        for i in range(c)
+        for size in range(1, a + 1)
+        for mu in partitions_of(size)
+        for rest in _multipartitions(c - i - 1, a - size)
+    )
+
+
+def _multipartition_count(c: int, a: int) -> int:
+    # c-tuples of partitions of total size a: the x^a coefficient of
+    # prod_{j >= 1} (1 - x^j)^(-c), one factor 1 / (1 - x^j) at a time
+    coeffs = [1] + [0] * a
+    for j in range(1, a + 1):
+        for _ in range(c):
+            for i in range(j, a + 1):
+                coeffs[i] += coeffs[i - j]
+    return coeffs[a]
 
 
 # An lru_cache under this name, because perfbench/tracing.py reads its cache_info.
@@ -162,10 +251,14 @@ class CrossValidation:
     """Constructor output for one triple, audited and, where needed, searched."""
 
     witness: Witness | None
-    case_id: str | None
     deferral: str | None
     oracle_agrees: bool | None
     oracle_condition_holds: bool
+
+    @property
+    def case_id(self) -> str | None:
+        """The case-tree branch that built :attr:`witness`; ``None`` without one."""
+        return self.witness and self.witness.candidate.case_id
 
 
 def audit_witness(params: CaseParameters, found: Witness | None) -> tuple[bool | None, bool]:
@@ -200,7 +293,7 @@ def cross_validate(n: int, p: int, q: int) -> CrossValidation:
     params = derive_case_parameters(n, p, q)
     found = _construct(params)
     agrees, holds = audit_witness(params, found)
-    return CrossValidation(found, found and found.candidate.case_id, params.deferral, agrees, holds)
+    return CrossValidation(found, params.deferral, agrees, holds)
 
 
 def prime_pairs(n: int) -> list[tuple[int, int]]:

@@ -28,14 +28,16 @@ tables marked incomplete are downgraded to ``indeterminate`` whenever the
 missing rows could overturn them; facts witnessed by listed rows (a
 non-trivial intersection, unequal sets, a cross-divisible degree) survive.
 Rows are :class:`CharacterRow` named tuples: immutable, hashable, positional.
-The header is read up to the first ``char`` line and checked once there; the
-rows that follow are split at most four ways, and each distinct flag tail (a
-row's text after its degree) is checked once per table, at most one
-remembered entry per row.  Writing mirrors that: :func:`table_lines` renders
-each distinct flags tuple once per call, line by line, so an export is
-written as it is rendered; every integer written, and every long one a
-message echoes, goes through :func:`blockwitness.factored.decimal_str`, free
-of the interpreter's digit limit.  The symmetric-group export walks each
+A file is parsed in one pass over its lines.  The first ``char`` line closes
+the header, which is checked once there (at the end in a file without rows),
+and any other directive after it is an error.  Every line is split at most
+four ways, so each distinct flag tail (a row's text after its degree) is one
+string, checked once per table, at most one remembered entry per row.
+Writing mirrors that: :func:`table_lines` renders each distinct flags tuple
+once per call, line by line, so an export is written as it is rendered;
+every integer written, and every long one a message echoes, goes through
+:func:`blockwitness.factored.decimal_str`, free of the interpreter's digit
+limit.  The symmetric-group export walks each
 partition's runs (:func:`blockwitness.partitions.partition_runs`) and builds
 no ``Partition``; it computes one degree, an exact int
 (:func:`blockwitness.degrees.exact_degree`), and one set of flags per
@@ -199,44 +201,6 @@ def _tail_flags(line_no: int, tail: str, primes: tuple[int, ...]) -> tuple[bool,
     return tuple(flag_map[p] for p in primes)
 
 
-def _parse_rows(
-    text_lines: list[str], first: int, primes: tuple[int, ...]
-) -> dict[str, CharacterRow]:
-    """Parse the lines from number ``first`` on, all ``char`` rows, keyed by id.
-
-    Each line is split at most four ways, so a row's text after its degree
-    stays one string; only a text not seen before is checked token by token.
-    """
-    rows: dict[str, CharacterRow] = {}
-    checked: dict[str, tuple[bool, ...]] = {}  # tail text -> its flags, at most one per row
-    for line_no, raw in enumerate(text_lines[first - 1:], start=first):
-        if "#" in raw:
-            raw = raw.partition("#")[0]
-        tokens = raw.split(None, 3)
-        if not tokens:
-            continue
-        if tokens[0] != "char":
-            raise ParseError(line_no, f"directive '{tokens[0]}' after char rows")
-        if len(tokens) < 3:
-            raise ParseError(line_no, "char row needs an id and a degree")
-        row_id = tokens[1]
-        if row_id in rows:
-            raise ParseError(line_no, "duplicate character id", row_id)
-        try:  # no call on success; on failure _parse_int names the fault and raises
-            degree_value = parse_decimal(tokens[2])
-        except ValueError:
-            degree_value = _parse_int(line_no, tokens[2], "degree")
-        if degree_value < 1:
-            raise ParseError(line_no, f"degree must be positive, got {degree_value}")
-        tail = tokens[3] if len(tokens) == 4 else ""
-        flags = checked.get(tail)
-        if flags is None:
-            flags = checked[tail] = _tail_flags(line_no, tail, primes)
-        # what CharacterRow(row_id, degree_value, flags) does, without its extra call
-        rows[row_id] = tuple.__new__(CharacterRow, (row_id, degree_value, flags))
-    return rows
-
-
 def _line_of(prefix: str) -> int:
     # number of the line that continues ``prefix``, counting \n, \r\n and \r
     return prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
@@ -260,17 +224,44 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
     complete = False
     lines: dict[str, int] = {}
     sylow_raw: _RawSylow = []
+    sylow = None  # the header's Sylow facts, set when it closes
+    rows: dict[str, CharacterRow] = {}
+    checked: dict[str, tuple[bool, ...]] = {}  # tail text -> its flags, at most one per row
     text_lines = text.splitlines()
     del text  # the lines hold all of it; keeping both would hold the table twice
     end = len(text_lines) + 1
 
     for line_no, raw in enumerate(text_lines, start=1):
-        tokens = raw.partition("#")[0].split()
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        tokens = raw.split(None, 3)
         if not tokens:
             continue
+        if tokens[0] == "char":
+            if sylow is None:  # the header ends at the first row
+                sylow = _close_header(line_no, lines, order, primes, sylow_raw)
+            if len(tokens) < 3:
+                raise ParseError(line_no, "char row needs an id and a degree")
+            row_id = tokens[1]
+            if row_id in rows:
+                raise ParseError(line_no, "duplicate character id", row_id)
+            try:  # no call on success; on failure _parse_int names the fault and raises
+                degree_value = parse_decimal(tokens[2])
+            except ValueError:
+                degree_value = _parse_int(line_no, tokens[2], "degree")
+            if degree_value < 1:
+                raise ParseError(line_no, f"degree must be positive, got {degree_value}")
+            tail = tokens[3] if len(tokens) == 4 else ""
+            flags = checked.get(tail)
+            if flags is None:  # only a tail not seen before is checked token by token
+                flags = checked[tail] = _tail_flags(line_no, tail, primes)
+            # what CharacterRow(row_id, degree_value, flags) does, without its extra call
+            rows[row_id] = tuple.__new__(CharacterRow, (row_id, degree_value, flags))
+            continue
         directive = tokens[0]
-        if directive == "char":  # the header ends at the first row
-            break
+        if sylow is not None:
+            raise ParseError(line_no, f"directive '{directive}' after char rows")
+        tokens = raw.split()  # a header line, split in full
         if directive == "sylow_commute":
             if len(tokens) != 4:
                 raise ParseError(line_no, "sylow_commute needs <p> <q> <true|false>")
@@ -308,11 +299,9 @@ def parse_table(data: bytes | str) -> CharacterTableSummary:
             trivial = token
         else:
             complete = _parse_bool(line_no, token)
-    else:
-        line_no = end  # no row: the header runs to the end
 
-    sylow = _close_header(line_no, lines, order, primes, sylow_raw)
-    rows = _parse_rows(text_lines, line_no, primes)
+    if sylow is None:  # no row: the header runs to the end
+        sylow = _close_header(end, lines, order, primes, sylow_raw)
     if not rows:
         raise ParseError(end, "table has no char rows")
     trivial_row = rows.get(trivial)

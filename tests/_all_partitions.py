@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from _oracles import beta_set, factorial_valuation
-from blockwitness import blocks
+from blockwitness import oracle
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import InternalInvariantError
 from blockwitness.partitions import Partition, conjugate_runs, from_parts, partitions_of
@@ -129,19 +129,19 @@ def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]
     groups = {core: [core] for core in partitions_of(digits[0])}
     for k, a in enumerate(digits[1:], start=1):
         if a:
-            quotients = blocks._multipartitions(p**k, a)
+            quotients = oracle._multipartitions(p**k, a)
             for core, members in groups.items():
                 groups[core] = [
                     lam
                     for mu in members
-                    for lam in blocks.from_core_and_quotients(mu, quotients, p**k)
+                    for lam in oracle.from_core_and_quotients(mu, quotients, p**k)
                 ]
     per_core = 1
     for k, a in enumerate(digits[1:], start=1):
-        per_core *= blocks._multipartition_count(p**k, a)
+        per_core *= oracle._multipartition_count(p**k, a)
     block = len(groups[from_parts((digits[0],) if digits[0] else ())])
     distinct = len({lam.parts for members in groups.values() for lam in members})
-    if block != per_core or distinct != per_core * blocks._multipartition_count(1, digits[0]):
+    if block != per_core or distinct != per_core * oracle._multipartition_count(1, digits[0]):
         raise InternalInvariantError(
             f"digit lift for p={p}, digits {digits}: {block} principal and"
             f" {distinct} partitions in all, expected {per_core} per core"

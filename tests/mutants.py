@@ -81,7 +81,7 @@ MUTANTS = (
     ),
     Mutant(
         "digit-lift-count-dropped",
-        "blocks.py",
+        "oracle.py",
         "            expected *= _multipartition_count(e, a)\n",
         "",
         ("tests/test_partitions.py",),
@@ -89,7 +89,7 @@ MUTANTS = (
     ),
     Mutant(
         "digit-lift-power-under-elif",
-        "blocks.py",
+        "oracle.py",
         "            expected *= _multipartition_count(e, a)\n        e *= p\n",
         "            expected *= _multipartition_count(e, a)\n            e *= p\n",
         ("tests/test_partitions.py",),
@@ -294,7 +294,15 @@ MUTANTS = (
     Mutant(
         "row-directive-unchecked",
         "tables.py",
-        'if tokens[0] != "char":',
+        "if sylow is not None:",
+        "if False:",
+        ("tests/test_tables.py",),
+        "killed",
+    ),
+    Mutant(
+        "header-closed-only-at-end",
+        "tables.py",
+        "if sylow is None:  # the header ends at the first row",
         "if False:",
         ("tests/test_tables.py",),
         "killed",

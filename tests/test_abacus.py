@@ -10,8 +10,9 @@ import pytest
 import _oracles as oracle
 from _all_partitions import degree_valuation, p_quotient, weight
 from blockwitness import partitions
-from blockwitness.blocks import _multipartitions, principal_block_contains
+from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import primes_up_to
+from blockwitness.oracle import _multipartitions
 from blockwitness.partitions import (
     from_core_and_quotients,
     from_parts,

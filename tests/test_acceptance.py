@@ -12,10 +12,16 @@ from functools import lru_cache
 
 import _oracles as oracle_helpers
 from _all_partitions import conjugate, degree_valuation, p_quotient, weight
-from blockwitness.blocks import _multipartition_count, principal_block_contains
+from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
-from blockwitness.oracle import _prime_view, check_conjC, cross_validate, prime_pairs
+from blockwitness.oracle import (
+    _multipartition_count,
+    _prime_view,
+    check_conjC,
+    cross_validate,
+    prime_pairs,
+)
 from blockwitness.partitions import from_parts, partitions_of, runner_counts
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness

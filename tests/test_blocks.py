@@ -3,15 +3,18 @@ import pytest
 
 import _oracles as oracle
 import blockwitness.blocks as blocks
+import blockwitness.oracle as digit_lift
 from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
-from blockwitness.blocks import (
-    principal_block_contains,
-    principal_flag_pairs,
-    principal_p_prime_partitions,
-)
+from blockwitness.blocks import principal_block_contains, principal_flag_pairs
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
-from blockwitness.oracle import _prime_view, divides, in_principal_block, prime_pairs
+from blockwitness.oracle import (
+    _prime_view,
+    divides,
+    in_principal_block,
+    prime_pairs,
+    principal_p_prime_partitions,
+)
 from blockwitness.parameters import derive_case_parameters
 from blockwitness.partitions import from_core_and_quotients, from_parts, partitions_of
 from blockwitness.tables import build_sn_summary
@@ -215,7 +218,7 @@ def test_tower_counts_certified_through_40():
             for k, a in enumerate(digits[1:], start=1):
                 count = oracle.multipartition_count(p**k, a)
                 # the count both generations certify themselves against
-                assert blocks._multipartition_count(p**k, a) == count, (p**k, a)
+                assert digit_lift._multipartition_count(p**k, a) == count, (p**k, a)
                 per_core *= count
             groups = p_prime_degree_partitions(n, p)
             block = groups[P(n % p) if n % p else P()]
@@ -238,7 +241,7 @@ def test_tower_generation_small_cases():
     # the quotients the lift assembles with, against the reference generator
     for c in range(6):
         for a in range(5):
-            tuples = blocks._multipartitions(c, a)
+            tuples = digit_lift._multipartitions(c, a)
             assert len(tuples) == oracle.multipartition_count(c, a), (c, a)
             assert {tuple(mu.parts for mu in t) for t in tuples} == set(
                 oracle.multipartitions(c, a)
@@ -257,9 +260,9 @@ def test_first_digit_one_lift_equals_general_lift():
     steps = {(n % p, p) for n in range(101) for p in primes_up_to(n) if (n // p) % p == 1}
     for b, p in sorted(steps):
         core = P(b) if b else P()
-        lifted = blocks._one_hook_lifts(b, p)
+        lifted = digit_lift._one_hook_lifts(b, p)
         assert len(lifted) == len(set(lifted)) == p, (b, p)
-        general = from_core_and_quotients(core, blocks._multipartitions(p, 1), p)
+        general = from_core_and_quotients(core, digit_lift._multipartitions(p, 1), p)
         assert set(lifted) == set(general), (b, p)
         for lam in lifted:
             assert in_principal_block(lam, p) and not divides(lam, p), (lam.parts, p)
@@ -268,22 +271,22 @@ def test_first_digit_one_lift_equals_general_lift():
 def test_weight_one_sets_build_no_multipartitions():
     # the _multipartitions cache is unbounded, and its (p, 1) entries held
     # 55 MB for 250 < p <= 500; a weight-1 set adds none of them
-    blocks._multipartitions.cache_clear()
+    digit_lift._multipartitions.cache_clear()
     for n, p in ((20, 11), (150, 101), (600, 599)):
         assert len(principal_p_prime_partitions(n, p)) == p
-        assert blocks._multipartitions.cache_info().currsize == 0, (n, p)
+        assert digit_lift._multipartitions.cache_info().currsize == 0, (n, p)
 
 
 def _corrupt_count(monkeypatch):
-    count = blocks._multipartition_count
-    monkeypatch.setattr(blocks, "_multipartition_count", lambda c, a: count(c, a) + (c == 9))
+    count = digit_lift._multipartition_count
+    monkeypatch.setattr(digit_lift, "_multipartition_count", lambda c, a: count(c, a) + (c == 9))
 
 
 def _merging_assembler(monkeypatch):
     # an assembler that merges shapes leaves too few distinct partitions
-    assemble = blocks.from_core_and_quotients
+    assemble = digit_lift.from_core_and_quotients
     monkeypatch.setattr(
-        blocks,
+        digit_lift,
         "from_core_and_quotients",
         lambda core, quotients, p: assemble(
             core, [sorted(quotient, key=lambda mu: mu.parts) for quotient in quotients], p
@@ -309,8 +312,8 @@ def test_principal_count_mismatch_is_a_fault(monkeypatch):
             principal_p_prime_partitions(20, 3)
     with monkeypatch.context() as patch:
         # a closed-form first-digit step that repeats one member
-        lift = blocks._one_hook_lifts
-        patch.setattr(blocks, "_one_hook_lifts", lambda b, p: lift(b, p)[:-1] + lift(b, p)[:1])
+        lift = digit_lift._one_hook_lifts
+        patch.setattr(digit_lift, "_one_hook_lifts", lambda b, p: lift(b, p)[:-1] + lift(b, p)[:1])
         with pytest.raises(InternalInvariantError, match="p=11"):
             principal_p_prime_partitions(20, 11)  # 20 = 1*11 + 9
     _merging_assembler(monkeypatch)

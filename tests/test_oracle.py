@@ -331,7 +331,6 @@ def test_cross_validate_matches_set_differences():
             found = _construct(params)
             expected = CrossValidation(
                 found,
-                found and found.candidate.case_id,
                 params.deferral,
                 found and found.partition in side[found.candidate.host_prime],
                 bool(side[p] or side[q]),

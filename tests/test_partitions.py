@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from _all_partitions import conjugate, p_quotient, weight
-from blockwitness.blocks import _one_hook_lifts, principal_p_prime_partitions
 from blockwitness.factored import DigitLimitExceeded, primes_up_to
+from blockwitness.oracle import _one_hook_lifts, principal_p_prime_partitions
 from blockwitness.partitions import (
     AscendingSpec,
     NonMonotoneSpec,

@@ -211,6 +211,128 @@ def test_the_environment_guard_sees_every_accessor(tmp_path):
     assert environment_reads(tmp_path) == ["a:3", "a:4", "a:8", "a:8"]
 
 
+# the oracle's p'-degree generator, which the case tree must not share
+GENERATOR = (
+    "principal_p_prime_partitions", "_one_hook_lifts", "_multipartitions", "_multipartition_count",
+)
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    # the dotted modules an import binds or reads, a relative one as if src
+    # were the package blockwitness
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0:
+        base = node.module or ""
+    else:
+        base = "blockwitness" + (f".{node.module}" if node.module else "")
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def oracle_split_faults(src: Path = SRC) -> list[str]:
+    """Each place where ``src`` lets the case tree and the oracle's generator meet.
+
+    Only ``oracle`` defines the generator's names, and it defines all of
+    them; ``witness`` and ``blocks`` import nothing from ``oracle``; and in
+    ``oracle`` a name bound from ``witness`` is read only inside
+    ``cross_validate``, which builds the witness to be audited.  An
+    annotation reads nothing.
+    """
+    faults = []
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {top.name for top in tree.body if isinstance(top, DEFINITIONS)}
+        if module == "oracle":
+            faults += [
+                f"oracle does not define {name}"
+                for name in GENERATOR
+                if name not in defined
+            ]
+        else:
+            faults += [f"{module} defines {name}" for name in GENERATOR if name in defined]
+        if module in ("witness", "blocks"):
+            faults += [
+                f"{module} imports oracle at line {node.lineno}"
+                for node in ast.walk(tree)
+                if "blockwitness.oracle" in _imported_modules(node)
+            ]
+        if module != "oracle":
+            continue
+        bound = set()  # names from witness, and witness itself
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                base = _imported_modules(node)[0]
+                bound.update(
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if "blockwitness.witness" in (base, f"{base}.{alias.name}")
+                )
+        annotations = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                parts = [arg.annotation for arg in every if arg] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                parts = [node.annotation]
+            else:
+                continue
+            annotations.update(id(inner) for part in parts if part for inner in ast.walk(part))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name == "cross_validate":
+                continue
+            faults += [
+                f"oracle reads {node.id} outside cross_validate at line {node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id in bound
+                and id(node) not in annotations
+            ]
+    return faults
+
+
+def test_the_case_tree_and_the_oracle_generator_stay_apart():
+    assert oracle_split_faults() == []
+
+
+def test_the_split_guard_sees_every_crossing(tmp_path):
+    (tmp_path / "blocks.py").write_text(
+        "def _multipartitions(c, a):\n    return ()\n\n\n"
+        "def member(lam):\n    from .oracle import divides\n    return divides(lam, 2)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "witness.py").write_text("from . import oracle\n", encoding="utf-8")
+    # annotations read nothing, and cross_validate may build a witness; a
+    # helper may not, and neither may a module-level alias
+    (tmp_path / "oracle.py").write_text(
+        "from .witness import Witness, _construct as build\n"
+        "from . import witness\n\n\n"
+        "def principal_p_prime_partitions(n, p):\n    return frozenset()\n\n\n"
+        "def _one_hook_lifts(b, p):\n    return []\n\n\n"
+        "def _multipartition_count(c, a):\n    return 1\n\n\n"
+        "class Record:\n    found: Witness | None\n\n\n"
+        "def audit(found: Witness) -> Witness:\n    return found\n\n\n"
+        "def search(params):\n    return build(params)\n\n\n"
+        "def cross_validate(params):\n    return build(params), witness.candidates(params)\n\n\n"
+        "BUILD = witness\n",
+        encoding="utf-8",
+    )
+    # only witness and blocks are barred from oracle
+    (tmp_path / "tables.py").write_text("import blockwitness.oracle\n", encoding="utf-8")
+    assert oracle_split_faults(tmp_path) == [
+        "blocks defines _multipartitions",
+        "blocks imports oracle at line 6",
+        "oracle does not define _multipartitions",
+        "oracle reads build outside cross_validate at line 26",
+        "oracle reads witness outside cross_validate at line 33",
+        "witness imports oracle at line 1",
+    ]
+
+
 def test_line_count_columns_sum_to_each_module():
     # docstring, comment, blank and code lines part each module's wc -l count
     for path in sorted(SRC.glob("*.py")):
