@@ -14,15 +14,17 @@ rather than of its input, derives from :class:`InternalInvariantError`.
 
 No value here comes from outside the program: each is built from primes
 found in this package, in increasing order with exponents >= 1, so the
-constructor takes its pairs as given and re-tests none.
+constructor takes its pairs as given and re-tests none.  A
+:class:`FactoredNatural` is a named tuple: immutable, hashable, positional,
+and equal to the plain tuple of its one field.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
+from typing import NamedTuple
 
 
 class InternalInvariantError(RuntimeError):
@@ -152,8 +154,7 @@ def decimal_str(value: int) -> str:
         return str(Decimal(value))
 
 
-@dataclass(frozen=True)
-class FactoredNatural:
+class FactoredNatural(NamedTuple):
     """A positive integer as a sorted tuple of (prime, exponent) pairs.
 
     The integer 1 is the empty tuple.  Instances are immutable and compare

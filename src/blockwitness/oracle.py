@@ -34,7 +34,9 @@ per block.  The candidate construction in
 :mod:`blockwitness.witness` is called only by :func:`cross_validate`, to
 build the witness to be audited; :func:`audit_witness`'s searches and
 :func:`check_conjC` never consult it, which is exactly what makes the audit
-meaningful.
+meaningful.  Their reports, :class:`ConjectureReport` and
+:class:`CrossValidation`, are named tuples: immutable, hashable, positional,
+and equal to the plain tuple of their fields.
 
 The alternating-group mode drops the self-conjugate partitions from the
 witness sets.  What it proves is one-sided.  A nonempty ``an`` witness set is
@@ -46,9 +48,9 @@ and its conjugate restrict to the same character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .factored import InternalInvariantError, primes_up_to
 from .parameters import CaseParameters, check_primes, derive_case_parameters
@@ -214,8 +216,7 @@ def _scan(n: int, r: int) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Outcome of one exhaustive check for a triple (n, p, q)."""
 
     condition_holds: bool
@@ -246,8 +247,7 @@ def check_conjC(n: int, p: int, q: int, group_kind: str = "sn") -> ConjectureRep
     return ConjectureReport(bool(side_p or side_q), side_p, side_q)
 
 
-@dataclass(frozen=True)
-class CrossValidation:
+class CrossValidation(NamedTuple):
     """Constructor output for one triple, audited and, where needed, searched."""
 
     witness: Witness | None

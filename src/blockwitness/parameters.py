@@ -14,11 +14,15 @@ first,
 
 the lowest summands A1 = a1*q^t (``low_q_part``) and B1 = b1*p^s
 (``low_p_part``).  The case split downstream reads only these.
+
+:class:`CaseParameters` is a named tuple of (n, p, q, m, b, w, r):
+immutable, hashable, positional, and equal to the plain tuple of its
+fields.  It is built from (n, p, q) alone, checked and derived in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .factored import is_prime
 
@@ -31,30 +35,20 @@ def _lowest_summand(x: int, base: int) -> int:
     return x % base * base**t
 
 
-@dataclass(frozen=True)
-class CaseParameters:
+class CaseParameters(namedtuple("CaseParameters", ("n", "p", "q", "m", "b", "w", "r"))):
     """Derived quantities for one (n, p, q) with 2 <= q < p <= n."""
 
-    n: int
-    p: int
-    q: int
-    m: int = field(init=False)
-    b: int = field(init=False)
-    w: int = field(init=False)
-    r: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.q < self.p <= self.n:
-            raise ValueError(
-                f"parameters must satisfy 2 <= q < p <= n, got"
-                f" n={self.n} p={self.p} q={self.q}"
-            )
-        m, b = divmod(self.n, self.p)
-        w, r = divmod(m * self.p, self.q)
-        object.__setattr__(self, "m", m)  # the record is frozen
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", r)
+    def __new__(cls, n: int, p: int, q: int) -> CaseParameters:
+        if not 2 <= q < p <= n:
+            raise ValueError(f"parameters must satisfy 2 <= q < p <= n, got n={n} p={p} q={q}")
+        m, b = divmod(n, p)
+        w, r = divmod(m * p, q)
+        return tuple.__new__(cls, (n, p, q, m, b, w, r))
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return self[:3]
 
     @property
     def mp(self) -> int:

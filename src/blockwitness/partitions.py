@@ -3,7 +3,10 @@
 A partition is stored in one form: its descending ``(value, multiplicity)``
 runs of equal parts, values strictly decreasing and >= 1, multiplicities
 >= 1.  Its size and its length (the number of parts) are summed once, when
-the partition is built; its parts are expanded from the runs on first use.
+the partition is built; its parts are expanded from the runs on each read.
+:class:`Partition` and :class:`AscendingSpec` are named tuples: immutable,
+hashable, positional, and equal to the plain tuple of their fields, which
+each one's ``__new__`` derives from its one argument.
 The constructor takes its runs as given, and :func:`from_parts` is the one
 converter from weakly decreasing positive parts; every partition built here
 is canonical by construction, and partition text from outside the program
@@ -42,8 +45,7 @@ quotients of one core, at any ``e >= 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 from itertools import accumulate, groupby
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -55,28 +57,30 @@ class NonMonotoneSpec(ValueError):
     """An ascending block spec is malformed (decreasing values, bad counts)."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", ("runs", "size", "length"))):
     """Descending ``(value, multiplicity)`` runs of equal parts, taken unchecked.
 
-    ``size`` and ``length`` (the number of parts) are summed once, in one
-    pass over the runs, when the partition is built; ``==``, ``hash`` and
-    ``repr`` see the runs alone.
+    Built from its runs alone: ``size`` and ``length`` (the number of parts)
+    are summed once, in one pass over the runs, and ``repr`` shows the runs.
     """
 
-    runs: tuple[tuple[int, int], ...] = ()
-    size: int = field(init=False, repr=False, compare=False)
-    length: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __match_args__ = ("runs",)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, runs: tuple[tuple[int, int], ...] = ()) -> Partition:
         size = length = 0
-        for value, mult in self.runs:
+        for value, mult in runs:
             size += value * mult
             length += mult
-        object.__setattr__(self, "size", size)  # the record is frozen
-        object.__setattr__(self, "length", length)
+        return tuple.__new__(cls, (runs, size, length))
 
-    @cached_property
+    def __getnewargs__(self) -> tuple:
+        return (self.runs,)
+
+    def __repr__(self) -> str:
+        return f"Partition(runs={self.runs!r})"
+
+    @property
     def parts(self) -> tuple[int, ...]:
         """The weakly decreasing parts, expanded from the runs."""
         return tuple(v for v, m in self.runs for _ in range(m))
@@ -220,27 +224,26 @@ def conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ..
     return ((depth, above),) + conjugate if depth else ()
 
 
-@dataclass(frozen=True)
-class AscendingSpec:
+class AscendingSpec(namedtuple("AscendingSpec", ("blocks", "runs"))):
     """A partition written as ascending (value, multiplicity) blocks.
 
     Mirrors the notation ``(1^k, a, b)`` with weakly increasing part values.
     A zero multiplicity is tolerated only for a leading 1-block, because the
     candidate shapes degenerate to zero ones at boundary parameters; any
     other zero or a decreasing value sequence raises :class:`NonMonotoneSpec`.
-    The pass that checks the blocks builds :attr:`runs`, the descending runs
-    (equal values merged, the empty block dropped); ``==`` sees blocks alone.
+    Built from its blocks alone: the pass that checks them builds
+    :attr:`runs`, the descending runs (equal values merged, the empty block
+    dropped).
     """
 
-    blocks: tuple[tuple[int, int], ...]
-    runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
-        if not self.blocks:
+    def __new__(cls, blocks: Iterable[Sequence[int]]) -> AscendingSpec:
+        blocks = tuple(map(tuple, blocks))
+        if not blocks:
             raise NonMonotoneSpec("spec needs at least one block")
         runs: list[tuple[int, int]] = []
-        for index, (value, mult) in enumerate(self.blocks):
+        for index, (value, mult) in enumerate(blocks):
             if type(value) is not int or type(mult) is not int:
                 raise TypeError(f"block values must be int, got {(value, mult)!r}")
             if value < 1:
@@ -249,15 +252,16 @@ class AscendingSpec:
                 raise NonMonotoneSpec(
                     f"multiplicity {mult} invalid for block {value} at index {index}"
                 )
-            if index and value < self.blocks[index - 1][0]:
-                raise NonMonotoneSpec(
-                    f"block values must be weakly increasing, got {self.blocks}"
-                )
+            if index and value < blocks[index - 1][0]:
+                raise NonMonotoneSpec(f"block values must be weakly increasing, got {blocks}")
             if runs and runs[-1][0] == value:
                 runs[-1] = (value, runs[-1][1] + mult)
             elif mult:
                 runs.append((value, mult))
-        object.__setattr__(self, "runs", tuple(reversed(runs)))
+        return tuple.__new__(cls, (blocks, tuple(reversed(runs))))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.blocks,)
 
     def to_partition(self) -> Partition:
         """The partition of :attr:`runs`, canonical since the blocks were checked."""

@@ -50,13 +50,14 @@ runs of the partner still to come (at most one entry per row, dropped on
 return), and rows with equal flags share one tuple, as parsed rows with
 one flag tail do.  A summary's Sylow facts are one read-only mapping from (p, q),
 p < q, to the fact; its per-prime id sets are a cached property, built
-once on first use and never carried over by ``dataclasses.replace``.
+once on first use and never carried over by ``_replace``: the summary
+is a named tuple that keeps that one cached entry in its ``__dict__``.
+Findings, like rows, are plain named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
@@ -88,10 +89,8 @@ class CharacterRow(NamedTuple):
     flags: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class CharacterTableSummary:
-    """Parsed table: enough data to evaluate the three audits."""
-
+class _SummaryFields(NamedTuple):
+    # the summary's fields; its subclass adds a __dict__ for the cached id sets
     group_name: str
     order: int
     primes: tuple[int, ...]
@@ -99,6 +98,10 @@ class CharacterTableSummary:
     complete: bool
     sylow_commute: MappingProxyType[tuple[int, int], bool]  # (p, q), p < q -> fact
     rows: tuple[CharacterRow, ...]
+
+
+class CharacterTableSummary(_SummaryFields):
+    """Parsed table: enough data to evaluate the three audits."""
 
     def sylow_fact(self, p: int, q: int) -> bool | None:
         """The recorded commuting-Sylow fact for {p, q}, if any."""
@@ -113,8 +116,7 @@ class CharacterTableSummary:
         })
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     """Verdict of one audit on one unordered prime pair."""
 
     conjecture: str

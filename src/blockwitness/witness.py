@@ -54,6 +54,8 @@ candidate that wins; and a shape whose length differs from its first
 part is not self-conjugate.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.
+The candidate, the witness and the failure are named tuples: immutable,
+hashable, positional, and equal to the plain tuple of their fields.
 
 Three proved facts keep the lists short.  By proof 1 the I.c list ends at
 I.c-fallback1 when r >= 2; by proof 2 II.c-alt-q2 needs no condition beyond
@@ -100,8 +102,7 @@ Proof 3 (I.a, n = mp: the hook (1+r, 1^(mp-r-1)) verifies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .blocks import principal_block_contains
 from .degrees import packed_degree, packed_exponent, unpack_degree
@@ -129,8 +130,7 @@ class CaseTreeFalsified(InternalInvariantError):
         )
 
 
-@dataclass(frozen=True)
-class WitnessCandidate:
+class WitnessCandidate(NamedTuple):
     """One candidate shape with its intended host and divisor primes."""
 
     case_id: str
@@ -139,8 +139,7 @@ class WitnessCandidate:
     divisor_prime: int
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A verified candidate; every recorded fact was recomputed, not trusted."""
 
     candidate: WitnessCandidate
@@ -148,8 +147,7 @@ class Witness:
     degree: FactoredNatural
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
+class VerificationFailure(NamedTuple):
     """A candidate that failed verification, with the violated condition."""
 
     candidate: WitnessCandidate

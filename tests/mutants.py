@@ -340,6 +340,30 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "spec-decrease-unchecked",
+        "partitions.py",
+        "if index and value < blocks[index - 1][0]:",
+        "if False:",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "partition-length-counts-runs",
+        "partitions.py",
+        "            length += mult\n",
+        "            length += 1\n",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "parameter-bound-unchecked",
+        "parameters.py",
+        "if not 2 <= q < p <= n:",
+        "if False:",
+        ("tests/test_parameters.py",),
+        "killed",
+    ),
+    Mutant(
         "witness-text-from-parts",
         "cli.py",
         "found.partition.parts if args.json else found.partition.to_literal()",

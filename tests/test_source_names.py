@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from line_counts import COLUMNS, count_lines
@@ -331,6 +334,59 @@ def test_the_split_guard_sees_every_crossing(tmp_path):
         "oracle reads witness outside cross_validate at line 33",
         "witness imports oracle at line 1",
     ]
+
+
+# prints the modules that importing the CLI, and with it every module, adds
+COLD_IMPORT = (
+    "import sys; before = set(sys.modules); import blockwitness.cli;"
+    " print(*sorted(set(sys.modules) - before))"
+)
+
+
+def test_a_cold_import_loads_no_dataclasses():
+    # every CLI call starts cold, and dataclasses brings inspect, ast, dis
+    # and tokenize with it; the records are named tuples
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    added = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "blockwitness.tables" in added
+    assert "dataclasses" not in added
+
+
+def record_rebuilds(src: Path = SRC) -> list[str]:
+    """``module:line`` of each ``._make(`` or ``._replace(`` call in ``src``.
+
+    Both build a named tuple with ``tuple.__new__``, past the record's own
+    ``__new__``, so a spec or parameter record skips its checks and a
+    partition keeps a size and length of other runs.
+    """
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_make", "_replace")
+    ]
+
+
+def test_src_builds_every_record_through_its_constructor():
+    assert record_rebuilds() == []
+
+
+def test_the_rebuild_guard_sees_make_and_replace(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(lam, params, Partition):\n"
+        "    moved = lam._replace(runs=())\n"
+        "    return Partition._make((moved.runs, 0, 0)), params._asdict(), params.replace('w', '')\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "def g(spec):\n    make = spec._make\n    return make, type(spec)._replace(spec, blocks=())\n",
+        encoding="utf-8",
+    )
+    assert record_rebuilds(tmp_path) == ["a:2", "a:3", "b:3"]
 
 
 def test_line_count_columns_sum_to_each_module():

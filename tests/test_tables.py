@@ -1,8 +1,8 @@
+import copy
 import math
 import random
 import sys
 import time
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -12,17 +12,20 @@ import _oracles as oracle
 from blockwitness import tables
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
-from blockwitness.factored import primes_up_to
-from blockwitness.oracle import _prime_view, check_conjC
-from blockwitness.partitions import Partition, partitions_of
+from blockwitness.factored import FactoredNatural, primes_up_to
+from blockwitness.oracle import _prime_view, check_conjC, cross_validate
+from blockwitness.parameters import derive_case_parameters
+from blockwitness.partitions import AscendingSpec, Partition, partitions_of
 from blockwitness.tables import (
     CharacterRow,
+    CharacterTableSummary,
     ParseError,
     audit,
     build_sn_summary,
     parse_table,
     serialize_table,
 )
+from blockwitness.witness import VerificationFailure, _construct, candidates
 
 MINIMAL = """\
 # a two-prime toy group
@@ -50,6 +53,26 @@ def test_parse_minimal():
     assert summary.rows[1] == CharacterRow("r", 2, (False, True))
 
 
+def _one_of_each_record():
+    # a fresh instance of every record type in src/, one builder per type
+    params = derive_case_parameters(40, 5, 3)
+    found = _construct(params)
+    return (
+        lambda: parse_table(MINIMAL).rows[1],
+        lambda: FactoredNatural(((2, 2), (3, 1))),
+        lambda: derive_case_parameters(40, 5, 3),
+        lambda: Partition(((3, 1), (1, 2))),
+        lambda: AscendingSpec(((1, 2), (3, 1))),
+        lambda: next(candidates(params)),
+        lambda: _construct(params),
+        lambda: VerificationFailure(found.candidate, found.partition, "self-conjugate"),
+        lambda: check_conjC(12, 3, 2),
+        lambda: cross_validate(40, 5, 3),
+        lambda: parse_table(MINIMAL),
+        lambda: audit(parse_table(MINIMAL), "C")[0],
+    )
+
+
 def test_row_record_is_immutable_and_hashable():
     row = parse_table(MINIMAL).rows[1]
     assert type(row) is CharacterRow
@@ -60,6 +83,17 @@ def test_row_record_is_immutable_and_hashable():
     assert row == CharacterRow("r", 2, (False, True))
     assert hash(row) == hash(CharacterRow("r", 2, (False, True)))
     assert len({row, CharacterRow("r", 2, (False, True))}) == 1
+    # every other record too; a summary's Sylow mapping is not hashable
+    for build in _one_of_each_record():
+        record, twin = build(), build()
+        for field in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert record == twin and record == tuple(twin), record
+        copied = copy.copy(record)
+        assert type(copied) is type(record) and copied == record, record
+        if type(record) is not CharacterTableSummary:
+            assert hash(record) == hash(twin) and len({record, twin}) == 1, record
 
 
 def test_parse_accepts_bytes_and_comments():
@@ -493,10 +527,10 @@ def test_export_builds_no_partition(monkeypatch):
         for lam in partitions_of(n)
     )
 
-    def refuse(self):
-        raise AssertionError(f"a Partition was built from {self.runs}")
+    def refuse(cls, runs=()):
+        raise AssertionError(f"a Partition was built from {runs}")
 
-    monkeypatch.setattr(Partition, "__post_init__", refuse)
+    monkeypatch.setattr(Partition, "__new__", refuse)
     assert build_sn_summary(n, primes).rows == expected
 
 
@@ -518,7 +552,7 @@ def test_serialization_round_trips_byte_for_byte():
         f"char {row.id} {row.degree} 2:{int(row.flags[0])} 3:{int(row.flags[1])}\n"
         for row in rows
     )
-    assert serialize_table(replace(summary, rows=rows)) == (header + per_row).encode()
+    assert serialize_table(summary._replace(rows=rows)) == (header + per_row).encode()
 
 
 def test_audit_s9_examples():
@@ -693,7 +727,7 @@ def test_id_sets_are_built_once_and_never_stale():
     # a summary with other rows builds its own sets: here they agree, which an
     # incomplete table cannot settle
     rows = (CharacterRow("e", 1, (True, True)), CharacterRow("r", 2, (False, False)))
-    replaced = replace(summary, rows=rows)
+    replaced = summary._replace(rows=rows)
     assert replaced.principal_p_prime_ids == {2: {"e"}, 3: {"e"}}
     (finding,) = audit(replaced, "B")
     assert finding.verdict == "indeterminate"
@@ -705,7 +739,7 @@ def test_sylow_facts_are_read_per_summary():
     assert summary.sylow_fact(2, 3) is summary.sylow_fact(3, 2) is False
     assert summary.sylow_fact(2, 5) is None
     # a replaced summary reads its own facts
-    (finding,) = audit(replace(summary, sylow_commute={}), "C")
+    (finding,) = audit(summary._replace(sylow_commute={}), "C")
     assert finding.verdict == "indeterminate"
 
 

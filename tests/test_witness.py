@@ -125,7 +125,7 @@ def test_violated_ic_bound_is_a_program_fault():
     # first I.c spec (1^r, r+1, wq-1) decreases and its check is the fault
     params = derive_case_parameters(82, 5, 3)
     assert params.b == params.r == 2
-    object.__setattr__(params, "w", 1)
+    params = params._replace(w=1)
     with pytest.raises(InternalInvariantError) as info:
         _construct(params)
     assert "malformed candidate spec" in str(info.value)
