@@ -11,7 +11,7 @@ runner counts (the runner steps) with that core's, and no core is built.
 
 from blockwitness.blocks import principal_block_contains
 from blockwitness.oracle import principal_p_prime_partitions
-from blockwitness.partitions import Partition, from_parts, partitions_of, runner_counts
+from blockwitness.partitions import Partition, from_parts, partition_runs, runner_counts
 
 
 def show_abacus(lam: Partition, p: int) -> None:
@@ -50,7 +50,7 @@ def main():
     n, p = 9, 3
     print(f"\n== principal {p}-block of S_{n} ==")
     print(f"  block core: {f'[{n % p}]' if n % p else '[]'} (the one-row partition n mod p)")
-    members = [lam for lam in partitions_of(n) if principal_block_contains(lam, p)]
+    members = [lam for lam in map(Partition, partition_runs(n)) if principal_block_contains(lam, p)]
     # B_p, the principal members of degree prime to p, by the digit lift
     coprime = principal_p_prime_partitions(n, p)
     for lam in members:

@@ -11,7 +11,7 @@ import math
 
 from blockwitness.degrees import degree
 from blockwitness.factored import FactoredNatural, primes_up_to
-from blockwitness.partitions import from_parts, partitions_of
+from blockwitness.partitions import Partition, from_parts, partition_runs
 
 
 def factorial_factored(k):
@@ -26,12 +26,12 @@ def factorial_factored(k):
 
 def main():
     print("== degrees of S_6, by hook lengths ==")
-    for lam in partitions_of(6):
+    for lam in map(Partition, partition_runs(6)):
         deg = degree(lam.runs)
         print(f"  {lam.to_literal():>15}  degree {deg.to_decimal():>2} = {deg.factored_str()}")
 
     n = 12
-    total = sum(degree(lam.runs).to_int() ** 2 for lam in partitions_of(n))
+    total = sum(degree(lam.runs).to_int() ** 2 for lam in map(Partition, partition_runs(n)))
     print(f"\n== sum of squared degrees for S_{n} ==")
     print(f"  sum = {total}")
     print(f"  {n}! = {math.factorial(n)}  (equal: {total == math.factorial(n)})")

@@ -12,8 +12,8 @@ up of the tower are the towers of the p^k-quotient components, and a
 component of at most a < p boxes is a p-core, so a partition of n has
 p'-degree exactly when its p^k-weight is a and its p^k-core, a partition
 of m, has p'-degree.  Removing p^k-hooks keeps the p-core, so B_p is the
-core (a_0) lifted one digit at a time by
-:func:`blockwitness.partitions.from_core_and_quotients` at e = p^k.
+core (a_0) lifted one digit at a time, each digit a_k adding a_k hooks of
+length p^k in every way (:func:`principal_p_prime_partitions`).
 
 :func:`divides`, the one predicate on degrees, says whether a prime
 divides one, off abacus weights, with no hook lengths and without
@@ -50,11 +50,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .factored import InternalInvariantError, primes_up_to
 from .parameters import CaseParameters, check_primes, derive_case_parameters
-from .partitions import Partition, from_core_and_quotients, from_parts, partitions_of, weight
+from .partitions import Partition, from_parts, weight
 from .witness import Witness, _construct
 
 GROUP_KINDS = ("sn", "an")
@@ -114,10 +114,26 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     """The partitions of n in the principal p-block whose degree p does not divide.
 
     With n = sum a_k p^k in base p, the set starts as the principal core
-    (a_0), and each digit a_k > 0 lifts every member by the p^k-quotients of
-    weight a_k (see the module docstring) and multiplies the expected count
-    by m(p^k, a_k), the number of p^k-tuples of partitions of total size a_k.
-    A set of any other size, or with a repeated member, is a program fault.
+    (a_0), and each digit a_k > 0 adds a_k hooks of length e = p^k to every
+    member in every way (see the module docstring) and multiplies the
+    expected count by m(e, a_k), the number of e-tuples of partitions of
+    total size a_k.  A set of any other size, or with a repeated member, is
+    a program fault.
+
+    The hooks are added in a_k rounds of :func:`_hook_lifts`, each on a
+    runner no lower than the one before (James and Kerber 1981, 2.7):
+
+    - an e-hook added on runner r is one box added to component r of the
+      e-quotient;
+    - the previous level's members are partitions of m < e, so they are
+      e-cores, and lifts of different members differ;
+    - adding boxes in non-decreasing runner order reaches every
+      multipartition, and the last runner of such a path is the highest
+      nonempty component, so each lift of a round is one dict key with one
+      value;
+    - a bead count that is a multiple of e keeps the runner labels fixed as
+      the length changes, and ``length + e`` beads let one hook add up to e
+      rows.
 
     A first digit a_1 = 1 lifts the core (b), b = a_0, by one p-hook, and
     m(p, 1) = p.  At beta-set length p + 1 the core's beads are 0 .. p - 1,
@@ -126,8 +142,8 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     bead of one runner up by p, and the p runners give exactly p shapes
     (:func:`_one_hook_lifts`): runner b gives (b + p), runner b + j gives
     (b + j, b + 1, 1^(p - b - 1 - j)) for 1 <= j <= p - b - 1, and runner
-    c - 1 gives (b, c, 1^(p - c)) for 1 <= c <= b.  No beta-set is laid out
-    and no quotient list is built.
+    c - 1 gives (b, c, 1^(p - c)) for 1 <= c <= b, and no beta-set is laid
+    out.
     """
     if p < 2:
         raise ValueError(f"p'-degree sets require p >= 2, got {p}")
@@ -142,8 +158,12 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
             members = _one_hook_lifts(b, p)
             expected *= p
         elif a:
-            quotients = _multipartitions(e, a)
-            members = [lam for mu in members for lam in from_core_and_quotients(mu, quotients, e)]
+            lifts = dict.fromkeys(members, 0)
+            for _ in range(a):
+                lifts = {
+                    lift: r for lam, first in lifts.items() for lift, r in _hook_lifts(lam, e, first)
+                }
+            members = list(lifts)
             expected *= _multipartition_count(e, a)
         e *= p
     certified = frozenset(members)
@@ -165,19 +185,16 @@ def _one_hook_lifts(b: int, p: int) -> list[Partition]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _multipartitions(c: int, a: int) -> tuple[tuple[Partition, ...], ...]:
-    # every c-tuple of partitions of total size a: the first nonempty
-    # component, at place i, then every tuple of the c - i - 1 places after it
-    if a == 0:
-        return ((Partition(),) * c,)
-    return tuple(
-        (Partition(),) * i + (mu,) + rest
-        for i in range(c)
-        for size in range(1, a + 1)
-        for mu in partitions_of(size)
-        for rest in _multipartitions(c - i - 1, a - size)
-    )
+def _hook_lifts(lam: Partition, e: int, first: int) -> Iterator[tuple[Partition, int]]:
+    # (lift, r) for each lift of lam by one e-hook on a runner r >= first: a
+    # bead x moved to a free x + e, on a beta-set whose bead count is a
+    # multiple of e and at least lam.length + e (see principal_p_prime_partitions)
+    top = -(-(lam.length + e) // e) * e - 1
+    beads = {v + top - i for i, v in enumerate(lam.parts)} | set(range(top - lam.length + 1))
+    for x in beads:
+        if x % e >= first and x + e not in beads:
+            parts = [y - top + k for k, y in enumerate(sorted(beads ^ {x, x + e}, reverse=True))]
+            yield from_parts(parts[: len(parts) - parts.count(0)]), x % e
 
 
 def _multipartition_count(c: int, a: int) -> int:

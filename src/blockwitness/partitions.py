@@ -12,7 +12,7 @@ converter from weakly decreasing positive parts; every partition built here
 is canonical by construction, and partition text from outside the program
 comes in through :func:`parse_partition_text`, which checks it.
 :func:`partition_runs` enumerates the runs themselves, a constant number of
-edits per step, and :func:`partitions_of` wraps each in a :class:`Partition`.
+edits per step.
 The character-table export reads the runs alone (:func:`runs_literal`,
 :func:`conjugate_runs`) and builds no :class:`Partition`.  The ascending
 block notation used to write down candidate partitions, e.g. ``(1^7, 2)``
@@ -37,17 +37,13 @@ closed form.
 No core is built.  A partition is compared with a core through the same
 kernel on that core's runs, padded with a run of zero parts to the
 partition's length (see :func:`blockwitness.blocks.principal_block_contains`).
-Component i of the ``e``-quotient has runner i's bead levels for its
-beta-set, on a beta-set length divisible by ``e`` so the runner order is
-well defined; :func:`from_core_and_quotients` inverts that for all
-quotients of one core, at any ``e >= 2``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, groupby
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .factored import parse_decimal
@@ -164,48 +160,6 @@ def weight(lam: Partition, e: int) -> int:
     return (lam.size + length * (length - 1) // 2 - packed) // e
 
 
-def from_core_and_quotients(
-    core: Partition, quotients: Iterable[Sequence[Partition]], e: int
-) -> list[Partition]:
-    """The partitions with ``e``-core ``core`` and each ``e``-quotient in ``quotients``.
-
-    Any ``e >= 2`` works, prime or not.  The convention is a beta-set whose
-    length is a multiple of ``e``; the core's has c_i packed beads on runner
-    i.  A quotient moves the top len(mu_i) beads of runner i to the levels
-    of the beta-set of its component mu_i of length c_i + lift, where
-    ``lift`` full rows of beads under the core let every runner hold the
-    parts of its component.  The core is checked (its ``e``-weight is 0) and
-    its counts taken once for all its quotients, and each lift's packed beads
-    are laid from the counts.  A ``core`` with an ``e``-hook, or a quotient
-    without ``e`` components, raises ``ValueError``.
-    """
-    if e < 2:
-        raise ValueError(f"quotient requires e >= 2, got {e}")
-    if weight(core, e):
-        raise ValueError(f"{core.to_literal()} is not a {e}-core")
-    length = -(-core.length // e) * e
-    counts = runner_counts(core.runs + ((0, length - core.length),), e)
-    # bases[lift]: the core's packed beads under `lift` more full rows
-    bases: dict[int, set[int]] = {}
-    members = []
-    for quotient in quotients:
-        if len(quotient) != e:
-            raise ValueError(f"a {e}-quotient has {e} components, got {len(quotient)}")
-        placed = [(i, mu.parts) for i, mu in enumerate(quotient) if mu.runs]
-        lift = max([0] + [len(parts) - counts[i] for i, parts in placed])
-        if lift not in bases:
-            bases[lift] = {i + e * level for i, c in enumerate(counts) for level in range(c + lift)}
-        beads = bases[lift].copy()
-        for i, parts in placed:
-            top = counts[i] + lift - 1
-            beads.difference_update(range(i + e * top, i + e * (top - len(parts)), -e))
-            beads.update(i + e * (a + top - j) for j, a in enumerate(parts))
-        ordered = sorted(beads, reverse=True)
-        parts = tuple(map(sub, ordered, range(len(ordered) - 1, -1, -1)))
-        members.append(from_parts(parts[: len(parts) - parts.count(0)]))
-    return members
-
-
 def conjugate_runs(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The conjugate's descending runs, in one pass over ``runs``.
 
@@ -296,11 +250,6 @@ def partition_runs(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
         runs.append((value - 1, full))
         if rest:
             runs.append((rest, 1))
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    """The :class:`Partition` of each of :func:`partition_runs`, in its order."""
-    yield from map(Partition, partition_runs(n))
 
 
 def parse_partition_text(text: str, size: int) -> Partition:

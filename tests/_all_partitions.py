@@ -1,27 +1,36 @@
 """The oracle's sets from every partition of n: the reference for the digit lift.
 
+:func:`partitions_of` is a :class:`Partition` over each of the library's
+runs of a partition of n, the enumeration every test reads.
 :func:`prime_view` enumerates the partitions of n, keeps those of p′-degree
 by abacus-weight valuations, and tests the survivors for principal-block
 membership.  It shares the library's enumeration and membership test, so it
 is independent of the digit-by-digit generation only; the fully
 independent references are in ``_oracles.py``.  The abacus weight and the
 p-quotient are read bead by bead here, as references for the library's runs
-kernel and its inverse of the quotient.  :func:`p_prime_degree_partitions`
-runs the library's lift over every p-core, not only the principal one, so
-its count certificate covers all of Irr_p'(S_n).  :func:`conjugate` is the
-partition of the library's conjugate-runs kernel, the one self-conjugacy
-reads, for the conjugation checks.
+kernel and for the quotient box each of the oracle's hook lifts adds.
+:func:`p_prime_degree_partitions` adds the oracle's p^k-hooks to every
+p-core, not only the principal one, so its count certificate covers all of
+Irr_p'(S_n).  :func:`conjugate` is the partition of the library's
+conjugate-runs kernel, the one self-conjugacy reads, for the conjugation
+checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 from _oracles import beta_set, factorial_valuation
 from blockwitness import oracle
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import InternalInvariantError
-from blockwitness.partitions import Partition, conjugate_runs, from_parts, partitions_of
+from blockwitness.partitions import Partition, conjugate_runs, from_parts, partition_runs
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """The :class:`Partition` of each of the library's runs of a partition of n, in its order."""
+    return map(Partition, partition_runs(n))
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -115,13 +124,13 @@ def base_digits(n: int, p: int) -> list[int]:
 def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]]:
     """Irr_p'(S_n) from the library's digit lift, keyed by p-core.
 
-    Every partition of a_0 = n mod p is lifted by the p^k-quotients of
-    weight a_k for each digit a_k > 0, as in the principal generation.  The
-    count is certified the same way: prod_{k >= 1} m(p^k, a_k) members for
-    the principal core and m(1, a_0) times as many in all, all distinct;
-    anything else raises ``InternalInvariantError``.  The library's count,
-    multipartitions and assembler are looked up at call time, so a test can
-    corrupt them.
+    To every partition of a_0 = n mod p, a_k hooks of length p^k are added
+    for each digit a_k > 0 by the oracle's kernel, in rounds of
+    non-decreasing runner as in the principal generation.  The count is
+    certified the same way: prod_{k >= 1} m(p^k, a_k) members for the
+    principal core and m(1, a_0) times as many in all, all distinct;
+    anything else raises ``InternalInvariantError``.  The library's count
+    and kernel are looked up at call time, so a test can corrupt them.
     """
     if p < 2:
         raise ValueError(f"p'-degree sets require p >= 2, got {p}")
@@ -129,13 +138,15 @@ def p_prime_degree_partitions(n: int, p: int) -> dict[Partition, list[Partition]
     groups = {core: [core] for core in partitions_of(digits[0])}
     for k, a in enumerate(digits[1:], start=1):
         if a:
-            quotients = oracle._multipartitions(p**k, a)
             for core, members in groups.items():
-                groups[core] = [
-                    lam
-                    for mu in members
-                    for lam in oracle.from_core_and_quotients(mu, quotients, p**k)
-                ]
+                lifts = dict.fromkeys(members, 0)
+                for _ in range(a):
+                    lifts = {
+                        lift: r
+                        for lam, first in lifts.items()
+                        for lift, r in oracle._hook_lifts(lam, p**k, first)
+                    }
+                groups[core] = list(lifts)
     per_core = 1
     for k, a in enumerate(digits[1:], start=1):
         per_core *= oracle._multipartition_count(p**k, a)

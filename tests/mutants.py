@@ -96,6 +96,40 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "hook-lift-target-unchecked",
+        "oracle.py",
+        " and x + e not in beads:",
+        ":",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "hook-lift-padding-cut",
+        "oracle.py",
+        "top = -(-(lam.length + e) // e) * e - 1",
+        "top = -(-lam.length // e) * e - 1",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "hook-lift-level-starts-at-last-runner",
+        "oracle.py",
+        "lifts = dict.fromkeys(members, 0)",
+        "lifts = dict.fromkeys(members, e - 1)",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    # the oracle's sets stay the same, since every lift is still reached and
+    # the round's dict merges the repeats; the kernel's own law tells it apart
+    Mutant(
+        "hook-lift-runner-filter-dropped",
+        "oracle.py",
+        "x % e >= first and ",
+        "",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
         "column-core-length-strict",
         "blocks.py",
         "if length >= b else None",

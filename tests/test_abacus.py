@@ -8,17 +8,11 @@ weight-based degree valuation against the hook-length formula.
 import pytest
 
 import _oracles as oracle
-from _all_partitions import degree_valuation, p_quotient, weight
+from _all_partitions import degree_valuation, partitions_of, weight
 from blockwitness import partitions
 from blockwitness.blocks import principal_block_contains
 from blockwitness.factored import primes_up_to
-from blockwitness.oracle import _multipartitions
-from blockwitness.partitions import (
-    from_core_and_quotients,
-    from_parts,
-    partitions_of,
-    runner_counts,
-)
+from blockwitness.partitions import from_parts, runner_counts
 
 
 def test_weight_counts_hooks_divisible_by_e():
@@ -35,22 +29,6 @@ def test_closed_form_weight_matches_bead_by_bead():
         for lam in partitions_of(n):
             for e in range(1, n + 3):
                 assert partitions.weight(lam, e) == weight(lam, e), (lam, e)
-
-
-def test_core_check_is_weight_zero():
-    # the assembler refuses exactly the cores with an e-hook, prime e or not,
-    # and lays each lift's beads from the core's runner counts
-    for e in (2, 3, 4, 5, 6, 9):
-        quotients = _multipartitions(e, 2)
-        for m in range(0, 12):
-            for mu in partitions_of(m):
-                if weight(mu, e):
-                    with pytest.raises(ValueError, match=f"is not a {e}-core"):
-                        from_core_and_quotients(mu, quotients, e)
-                    continue
-                members = from_core_and_quotients(mu, quotients, e)
-                assert [p_quotient(lam, e) for lam in members] == list(quotients), (mu, e)
-                assert all(lam.size == m + 2 * e for lam in members)
 
 
 def test_runner_count_membership_matches_exhaustive_cores():

@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 
 import _oracles as oracle_helpers
-from _all_partitions import conjugate, degree_valuation, p_quotient, weight
+from _all_partitions import conjugate, degree_valuation, p_quotient, partitions_of, weight
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import factor, primes_up_to
@@ -22,7 +22,7 @@ from blockwitness.oracle import (
     cross_validate,
     prime_pairs,
 )
-from blockwitness.partitions import from_parts, partitions_of, runner_counts
+from blockwitness.partitions import from_parts, runner_counts
 from blockwitness.tables import audit, build_sn_summary, parse_table, serialize_table
 from blockwitness.witness import construct_witness
 

@@ -4,7 +4,13 @@ import pytest
 import _oracles as oracle
 import blockwitness.blocks as blocks
 import blockwitness.oracle as digit_lift
-from _all_partitions import base_digits, p_prime_degree_partitions, prime_view
+from _all_partitions import (
+    base_digits,
+    p_prime_degree_partitions,
+    p_quotient,
+    partitions_of,
+    prime_view,
+)
 from blockwitness.blocks import principal_block_contains, principal_flag_pairs
 from blockwitness.degrees import degree
 from blockwitness.factored import InternalInvariantError, primes_up_to
@@ -16,7 +22,7 @@ from blockwitness.oracle import (
     principal_p_prime_partitions,
 )
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import from_core_and_quotients, from_parts, partitions_of
+from blockwitness.partitions import from_parts
 from blockwitness.tables import build_sn_summary
 from blockwitness.witness import candidates
 
@@ -238,14 +244,20 @@ def test_tower_generation_small_cases():
     assert p_prime_degree_partitions(0, 3) == {P(): [P()]}
     assert principal_p_prime_partitions(0, 3) == frozenset({P()})
     assert principal_p_prime_partitions(4, 5) == frozenset({P(4)})
-    # the quotients the lift assembles with, against the reference generator
-    for c in range(6):
-        for a in range(5):
-            tuples = digit_lift._multipartitions(c, a)
-            assert len(tuples) == oracle.multipartition_count(c, a), (c, a)
-            assert {tuple(mu.parts for mu in t) for t in tuples} == set(
-                oracle.multipartitions(c, a)
-            ), (c, a)
+    # a rounds of the hook kernel, each on a runner no lower than the last,
+    # take an e-core to each e-quotient of total size a once, against the
+    # reference generator
+    for e in range(2, 6):
+        for core in (lam for m in range(e) for lam in partitions_of(m)):
+            lifts = {core: 0}
+            for a in range(5):
+                quotients = [tuple(mu.parts for mu in p_quotient(lam, e)) for lam in lifts]
+                assert sorted(quotients) == sorted(oracle.multipartitions(e, a)), (core, e, a)
+                lifts = {
+                    lift: r
+                    for lam, first in lifts.items()
+                    for lift, r in digit_lift._hook_lifts(lam, e, first)
+                }
     for generate in (p_prime_degree_partitions, principal_p_prime_partitions):
         with pytest.raises(ValueError):
             generate(4, 1)
@@ -254,27 +266,19 @@ def test_tower_generation_small_cases():
 
 
 def test_first_digit_one_lift_equals_general_lift():
-    # the closed-form step for a_1 = 1 against the quotient assembler on the
-    # core (b), and each of its members is a principal p'-degree partition
+    # the closed-form step for a_1 = 1 against one round of the hook kernel on
+    # the core (b), and each of its members is a principal p'-degree partition
     # by cell contents and abacus weights
     steps = {(n % p, p) for n in range(101) for p in primes_up_to(n) if (n // p) % p == 1}
     for b, p in sorted(steps):
         core = P(b) if b else P()
         lifted = digit_lift._one_hook_lifts(b, p)
         assert len(lifted) == len(set(lifted)) == p, (b, p)
-        general = from_core_and_quotients(core, digit_lift._multipartitions(p, 1), p)
+        general = dict(digit_lift._hook_lifts(core, p, 0))
         assert set(lifted) == set(general), (b, p)
+        assert sorted(general.values()) == list(range(p)), (b, p)
         for lam in lifted:
             assert in_principal_block(lam, p) and not divides(lam, p), (lam.parts, p)
-
-
-def test_weight_one_sets_build_no_multipartitions():
-    # the _multipartitions cache is unbounded, and its (p, 1) entries held
-    # 55 MB for 250 < p <= 500; a weight-1 set adds none of them
-    digit_lift._multipartitions.cache_clear()
-    for n, p in ((20, 11), (150, 101), (600, 599)):
-        assert len(principal_p_prime_partitions(n, p)) == p
-        assert digit_lift._multipartitions.cache_info().currsize == 0, (n, p)
 
 
 def _corrupt_count(monkeypatch):
@@ -282,15 +286,11 @@ def _corrupt_count(monkeypatch):
     monkeypatch.setattr(digit_lift, "_multipartition_count", lambda c, a: count(c, a) + (c == 9))
 
 
-def _merging_assembler(monkeypatch):
-    # an assembler that merges shapes leaves too few distinct partitions
-    assemble = digit_lift.from_core_and_quotients
+def _lossy_kernel(monkeypatch):
+    # a hook kernel that drops its last lift leaves too few partitions
+    lifts = digit_lift._hook_lifts
     monkeypatch.setattr(
-        digit_lift,
-        "from_core_and_quotients",
-        lambda core, quotients, p: assemble(
-            core, [sorted(quotient, key=lambda mu: mu.parts) for quotient in quotients], p
-        ),
+        digit_lift, "_hook_lifts", lambda lam, e, first: list(lifts(lam, e, first))[:-1]
     )
 
 
@@ -299,7 +299,7 @@ def test_tower_count_mismatch_is_a_fault(monkeypatch):
         _corrupt_count(patch)
         with pytest.raises(InternalInvariantError, match="p=3"):
             p_prime_degree_partitions(20, 3)  # 20 = 2*9 + 0*3 + 2
-    _merging_assembler(monkeypatch)
+    _lossy_kernel(monkeypatch)
     with pytest.raises(InternalInvariantError, match="p=2"):
         p_prime_degree_partitions(6, 2)
 
@@ -316,6 +316,6 @@ def test_principal_count_mismatch_is_a_fault(monkeypatch):
         patch.setattr(digit_lift, "_one_hook_lifts", lambda b, p: lift(b, p)[:-1] + lift(b, p)[:1])
         with pytest.raises(InternalInvariantError, match="p=11"):
             principal_p_prime_partitions(20, 11)  # 20 = 1*11 + 9
-    _merging_assembler(monkeypatch)
+    _lossy_kernel(monkeypatch)
     with pytest.raises(InternalInvariantError, match="p=2"):
         principal_p_prime_partitions(6, 2)

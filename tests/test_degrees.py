@@ -6,12 +6,12 @@ from array import array
 import pytest
 
 import _oracles as oracle
-from _all_partitions import conjugate, degree_valuation
+from _all_partitions import conjugate, degree_valuation, partitions_of
 import blockwitness.degrees as degrees_module
 from blockwitness.degrees import degree, exact_degree, packed_degree, packed_exponent
 from blockwitness.factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import from_parts, partitions_of
+from blockwitness.partitions import from_parts
 from blockwitness.witness import VerificationFailure, Witness, candidates, verify_candidate
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from _all_partitions import partitions_of
 from blockwitness.degrees import degree
 from blockwitness.factored import (
     DECIMAL_MAX_DIGITS,
@@ -17,7 +18,6 @@ from blockwitness.factored import (
     prime_index,
     primes_up_to,
 )
-from blockwitness.partitions import partitions_of
 
 
 def fn(mapping):

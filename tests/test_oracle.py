@@ -16,7 +16,7 @@ from blockwitness.oracle import (
     prime_pairs,
 )
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import AscendingSpec, from_parts, partitions_of
+from blockwitness.partitions import AscendingSpec, from_parts
 from blockwitness.witness import WitnessCandidate, _construct, construct_witness
 
 
@@ -229,7 +229,7 @@ def test_divides_matches_references():
     # valuation and against plain hook-product degrees
     for n in range(0, 21):
         primes = primes_up_to(n)
-        for lam in partitions_of(n):
+        for lam in every.partitions_of(n):
             degree = ref.hook_product_degree(lam.parts)
             for s in primes:
                 got = divides(lam, s)
@@ -262,14 +262,14 @@ def test_residue_membership_matches_cores_and_cell_tally(monkeypatch):
     for module in (partitions_module, blocks_module):
         monkeypatch.setattr(module, "runner_steps", no_abacus)
     for n in range(0, 11):
-        for lam in partitions_of(n):
+        for lam in every.partitions_of(n):
             for e in (2, 3, 4, 5, 6, 7):
                 (core,) = ref.exhaustive_cores(lam.parts, e)
                 expected = core == ((n % e,) if n % e else ())
                 assert in_principal_block(lam, e) == expected, (lam.parts, e)
     verdicts = {True: 0, False: 0}
     for n in range(0, 21):
-        for lam in partitions_of(n):
+        for lam in every.partitions_of(n):
             for p in primes_up_to(n + 3):
                 w, b = divmod(n, p)
                 expected = _content_tally(lam.parts, p) == [w + (t < b) for t in range(p)]

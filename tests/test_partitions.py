@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from _all_partitions import conjugate, p_quotient, weight
+from _all_partitions import conjugate, p_quotient, partitions_of, weight
 from blockwitness.factored import DigitLimitExceeded, primes_up_to
-from blockwitness.oracle import _one_hook_lifts, principal_p_prime_partitions
+from blockwitness.oracle import _hook_lifts, _one_hook_lifts, principal_p_prime_partitions
 from blockwitness.partitions import (
     AscendingSpec,
     NonMonotoneSpec,
     Partition,
     conjugate_runs,
-    from_core_and_quotients,
     from_parts,
     parse_partition_text,
     partition_runs,
-    partitions_of,
     runner_counts,
     runner_steps,
     runs_literal,
@@ -186,6 +184,13 @@ def test_internal_partitions_are_canonical():
         for b in range(p):
             for lam in _one_hook_lifts(b, p):
                 assert oracle.is_canonical_runs(lam.runs, b + p), (b, p, lam)
+    # the hook kernel, on every partition of n <= 12, core or not
+    for n in range(13):
+        for lam in partitions_of(n):
+            for e in (2, 3, 4, 6, 9):
+                for lift, _ in _hook_lifts(lam, e, 0):
+                    assert oracle.is_canonical_runs(lift.runs, n + e), (lam, e, lift)
+                    assert oracle.is_canonical_partition(lift.parts, n + e), (lam, e, lift)
 
 
 def _built_partitions():
@@ -202,12 +207,10 @@ def _built_partitions():
                 # one block per part, so every run comes from merging equal blocks
                 yield AscendingSpec(tuple((v, 1) for v in reversed(lam.parts))).to_partition()
     for e in (2, 3, 4):
-        quotients = [
-            tuple(from_parts(mu) for mu in quotient) for quotient in oracle.multipartitions(e, 2)
-        ]
         for core in (P(), P(1), P(2, 1), P(3, 1, 1)):
-            if not weight(core, e):
-                yield from from_core_and_quotients(core, quotients, e)
+            for lam, _ in _hook_lifts(core, e, 0):
+                yield lam
+                yield from (lift for lift, _ in _hook_lifts(lam, e, 0))
     for p in primes_up_to(13):
         for b in range(p):
             yield from _one_hook_lifts(b, p)
@@ -313,43 +316,44 @@ def test_core_quotient_size_identity():
         assert lam.size == sum(core) + p * sum(c.size for c in comps)
 
 
-def test_core_and_quotient_round_trip():
-    # e-cores of size <= 8 found by rim-hook stripping (no hook to strip),
-    # every e-quotient of weight <= 2: p_quotient inverts the assembler, which
-    # keeps the core's runner counts and adds |quotient| to the weight; the
-    # composite e are the prime powers the digit lift assembles at
+def _add_one_box(quotient, r):
+    # each e-quotient with one box added to component r, from its addable
+    # corners: the end of row i when row i - 1 is longer, and a new last row
+    parts = quotient[r].parts + (0,)
+    for i, part in enumerate(parts):
+        if i == 0 or parts[i - 1] > part:
+            grown = from_parts(parts[:i] + (part + 1,) + parts[i + 1 : -1])
+            yield quotient[:r] + (grown,) + quotient[r + 1 :]
+
+
+def test_hook_lifts_add_one_box_to_the_quotient():
+    # every partition of size <= 10, e-core or not: each lift on runner r adds
+    # one box to component r of the e-quotient, keeps the e-core (runner
+    # counts of equal-length beta-sets, bead by bead) and adds e cells, and
+    # every addable box of every component is reached exactly once; with
+    # first = r0 exactly the lifts on runners >= r0 remain
     cases = 0
-    for e in (2, 3, 5, 7, 4, 8, 9):
-        cores = [
-            from_parts(s)
-            for size in range(9)
-            for s in oracle.enumerate_partitions(size)
-            if oracle.exhaustive_cores(s, e) == {s}
-        ]
-        for size in range(3):
-            quotients = [
-                tuple(from_parts(mu) for mu in quotient)
-                for quotient in oracle.multipartitions(e, size)
-            ]
-            for core in cores:
-                members = from_core_and_quotients(core, quotients, e)
-                assert len(members) == len(quotients)
-                for lam, components in zip(members, quotients):
-                    assert oracle.is_canonical_runs(lam.runs, core.size + e * size), lam
-                    assert p_quotient(lam, e) == components, (core, components, e)
-                    assert runner_counts(lam.runs, e) == oracle.residue_counts(
-                        oracle.beta_set(core.parts, len(lam.parts)), e
-                    )
-                    assert weight(lam, e) == size
-                    assert lam.size == core.size + e * size
-                    cases += 1
-    assert cases == 11_087
-    with pytest.raises(ValueError, match="not a 2-core"):
-        from_core_and_quotients(P(2), [], 2)
-    with pytest.raises(ValueError, match="has 3 components"):
-        from_core_and_quotients(P(1), [(P(), P(), P()), (P(), P())], 3)
-    with pytest.raises(ValueError):
-        from_core_and_quotients(P(), [(P(),)], 1)
+    for e in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(11):
+            for lam in partitions_of(n):
+                quotient = p_quotient(lam, e)
+                lifts = list(_hook_lifts(lam, e, 0))
+                assert len({lift for lift, _ in lifts}) == len(lifts), (lam, e)
+                assert sorted((p_quotient(lift, e), r) for lift, r in lifts) == sorted(
+                    (grown, r) for r in range(e) for grown in _add_one_box(quotient, r)
+                ), (lam, e)
+                assert len(lifts) == sum(len(mu.runs) + 1 for mu in quotient), (lam, e)
+                for lift, r in lifts:
+                    assert lift.size == n + e, (lam, e, lift)
+                    length = max(lam.length, lift.length)
+                    assert oracle.residue_counts(
+                        oracle.beta_set(lift.parts, length), e
+                    ) == oracle.residue_counts(oracle.beta_set(lam.parts, length), e), (lam, e)
+                for first in range(e):
+                    kept = [(lift, r) for lift, r in lifts if r >= first]
+                    assert list(_hook_lifts(lam, e, first)) == kept, (lam, e, first)
+                cases += len(lifts)
+    assert cases == 6022
 
 
 def test_literals():

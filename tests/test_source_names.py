@@ -216,7 +216,7 @@ def test_the_environment_guard_sees_every_accessor(tmp_path):
 
 # the oracle's p'-degree generator, which the case tree must not share
 GENERATOR = (
-    "principal_p_prime_partitions", "_one_hook_lifts", "_multipartitions", "_multipartition_count",
+    "principal_p_prime_partitions", "_one_hook_lifts", "_hook_lifts", "_multipartition_count",
 )
 
 
@@ -304,7 +304,7 @@ def test_the_case_tree_and_the_oracle_generator_stay_apart():
 
 def test_the_split_guard_sees_every_crossing(tmp_path):
     (tmp_path / "blocks.py").write_text(
-        "def _multipartitions(c, a):\n    return ()\n\n\n"
+        "def _hook_lifts(lam, e, first):\n    return iter(())\n\n\n"
         "def member(lam):\n    from .oracle import divides\n    return divides(lam, 2)\n",
         encoding="utf-8",
     )
@@ -327,9 +327,9 @@ def test_the_split_guard_sees_every_crossing(tmp_path):
     # only witness and blocks are barred from oracle
     (tmp_path / "tables.py").write_text("import blockwitness.oracle\n", encoding="utf-8")
     assert oracle_split_faults(tmp_path) == [
-        "blocks defines _multipartitions",
+        "blocks defines _hook_lifts",
         "blocks imports oracle at line 6",
-        "oracle does not define _multipartitions",
+        "oracle does not define _hook_lifts",
         "oracle reads build outside cross_validate at line 26",
         "oracle reads witness outside cross_validate at line 33",
         "witness imports oracle at line 1",
@@ -387,6 +387,88 @@ def test_the_rebuild_guard_sees_make_and_replace(tmp_path):
         encoding="utf-8",
     )
     assert record_rebuilds(tmp_path) == ["a:2", "a:3", "b:3"]
+
+
+def unbounded_caches(src: Path = SRC) -> list[str]:
+    """``module:line`` of each ``functools`` cache in ``src`` without an integer ``maxsize``.
+
+    A cache is bounded only by an ``lru_cache`` call whose ``maxsize``, by
+    position or keyword, is an ``int`` literal: a bare ``lru_cache``, one
+    called without a size, ``maxsize=None`` or any other expression is
+    flagged, and so is ``functools.cache``.  Names are resolved through the
+    module's ``functools`` imports, so an attribute of any other object reads
+    nothing.
+    """
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools" and not node.level:
+                names.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "functools")
+
+        def tool(node: ast.AST) -> str | None:
+            if isinstance(node, ast.Name):
+                return names.get(node.id)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                return node.attr if node.value.id in modules else None
+            return None
+
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and tool(node.func) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if [type(getattr(size, "value", None)) for size in sizes] == [int]:
+                    bounded.add(id(node.func))
+        found += [
+            f"{path.stem}:{line}"
+            for line in sorted(
+                node.lineno
+                for node in ast.walk(tree)
+                if tool(node) in ("lru_cache", "cache") and id(node) not in bounded
+            )
+        ]
+    return found
+
+
+def test_every_src_cache_has_an_integer_maxsize():
+    # memory must never grow without bound, so every cache names its size
+    assert unbounded_caches() == []
+
+
+def test_the_cache_guard_sees_every_unbounded_cache(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "import functools as tools\n"
+        "from functools import cache, lru_cache\n"
+        "from functools import lru_cache as memo\n\n\n"
+        "@lru_cache(maxsize=None)\n"
+        "@lru_cache\n"
+        "@lru_cache()\n"
+        "@memo(maxsize=True)\n"
+        "@cache\n"
+        "def f(n):\n"
+        "    return n\n\n\n"
+        "@lru_cache(maxsize=32)\n"
+        "@functools.lru_cache(8)\n"
+        "@tools.lru_cache(maxsize=2)\n"
+        "def g(n):\n"
+        "    return n\n\n\n"
+        "h = functools.lru_cache(maxsize=None)(g)\n"
+        "k = tools.cache(g), memo(maxsize=SIZE)(g)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "def g(args, lru_cache):\n"
+        "    return args.lru_cache(maxsize=None), args.cache, lru_cache(maxsize=None)\n",
+        encoding="utf-8",
+    )
+    assert unbounded_caches(tmp_path) == [
+        "a:7", "a:8", "a:9", "a:10", "a:11", "a:23", "a:24", "a:24",
+    ]
 
 
 def test_line_count_columns_sum_to_each_module():

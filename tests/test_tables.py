@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from _all_partitions import partitions_of
 from blockwitness import tables
 from blockwitness.blocks import principal_block_contains
 from blockwitness.degrees import degree
 from blockwitness.factored import FactoredNatural, primes_up_to
 from blockwitness.oracle import _prime_view, check_conjC, cross_validate
 from blockwitness.parameters import derive_case_parameters
-from blockwitness.partitions import AscendingSpec, Partition, partitions_of
+from blockwitness.partitions import AscendingSpec, Partition
 from blockwitness.tables import (
     CharacterRow,
     CharacterTableSummary,
