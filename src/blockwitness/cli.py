@@ -45,13 +45,12 @@ ENUMERATION_MAX_N = 60
 # largest n whose primes `witness --n`, `degrees --n --partition` and
 # `scan --n-max` sieve (2n bytes); at the cap `witness --n 10000000 --p 3
 # --q 2` takes 1.7 s and 134 MB peak RSS, `--p 5 --q 3` (the hook
-# (1^9999998,2)) 2.1-2.3 s and 207 MB (2.5-2.9 s and 360 MB when text output
-# expanded the parts), `degrees` on (1^(n-2),2) 1.4 s and 208 MB, on a shared
-# 2-core Xeon host.  It does not bound the work of `degrees --partition`: a
-# staircase of 320 runs (n = 51,360) takes 1.06 s and one of 640 runs
-# (n = 205,120) 22.0 s, about x20 per doubling of the runs; the hook
-# (1^1500000,1500000) at n = 3*10^6 takes 15.2 s and 71 MB, most of it
-# rendering 903,087 digits, quadratic in n (1.9 s at n = 10^6)
+# (1^9999998,2)) 2.1-2.3 s and 207 MB, `degrees` on (1^(n-2),2) 1.4 s and
+# 208 MB, on a shared 2-core Xeon host.  It does not bound the work of
+# `degrees --partition`: a staircase of 320 runs (n = 51,360) takes 1.06 s
+# and one of 640 runs (n = 205,120) 22.0 s, about x20 per doubling of the
+# runs; the hook (1^1500000,1500000) at n = 3*10^6 takes 15.2 s and 71 MB,
+# most of it rendering 903,087 digits, quadratic in n (1.9 s at n = 10^6)
 SIEVE_MAX_N = 10**7
 
 # most bytes `check-table` reads from its file; the largest table the program

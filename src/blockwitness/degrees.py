@@ -1,17 +1,15 @@
 """Symmetric-group character degrees over rectangle blocks of hooks, two ways.
 
 The degree attached to a partition of n is n! divided by the product of all
-hook lengths of its diagram.  The hooks are never listed cell by cell: the
-diagram splits into rectangles, one per pair of a row group (rows of equal
-length) and a column group (columns of equal length) that meet, and inside
-a rectangle the hook lengths run down by one per step right or down, to the
-corner hook c.  That one decomposition is evaluated two ways, and each
-caller takes the one it needs.  :func:`exact_degree` multiplies the
-rectangles out and divides n! by the product: one int, for a table (n at
-most 60).  :func:`packed_degree` gives the exponents of every prime, which
-the verifier and the ``degrees`` command need at n up to 10**7, where n!
-has tens of millions of digits.  For those, a rectangle with corner hook
-c, R rows and C columns has hook product
+hook lengths of its diagram.  The hooks are never listed cell by cell:
+:func:`_rectangles` splits the diagram into rectangles, each given by its
+corner hook c, R rows and C columns, and states their geometry.  That one
+decomposition is evaluated two ways, and each caller takes the one it
+needs.  :func:`exact_degree` multiplies the rectangles out and divides n!
+by the product: one int, for a table (n at most 60).  :func:`packed_degree`
+gives the exponents of every prime, which the verifier and the ``degrees``
+command need at n up to 10**7, where n! has tens of millions of digits.
+For those, a rectangle's hook product is
 
     sf(c+R+C-2) * sf(c-2) / (sf(c+R-2) * sf(c+C-2)),
 
@@ -50,8 +48,8 @@ import math
 import sys
 from array import array
 from functools import lru_cache
-from itertools import compress
-from typing import Sequence
+from itertools import compress, starmap
+from typing import Iterator, Sequence
 
 from .factored import FactoredNatural, NotDivisible, prime_index, primes_up_to
 from .partitions import runs_literal
@@ -94,33 +92,43 @@ def _sign_bits(n: int) -> tuple[int, int]:
     return width, ((1 << width) - 1) // _FIELD << 63
 
 
-def packed_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
-    """Exponents of n! / (product of hooks) for the partition of n with runs ``runs``.
+def _rectangles(runs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(c, R, C) for each rectangle of hooks of the partition with runs ``runs``.
 
-    ``runs`` lists the distinct parts v_1 > ... > v_d with their
-    multiplicities m_1 .. m_d.  Row group a (the m_a rows of length v_a)
-    meets column group b >= a (the v_b - v_{b+1} columns below which E_b
-    rows lie, with v_{d+1} = 0) in a rectangle with R = m_a rows,
-    C = v_b - v_{b+1} columns and corner hook c = v_a + E_a - v_b - E_b + 1.
-    The runs are walked once from the shortest, so every column group a
-    row group meets has been seen; the module's identity turns the degree
-    into at most 2 d(d+1) + 2 signed terms Q(m), summed as packed ints.
-    The sum is returned checked: a negative exponent, or a sum that does
-    not fit pi(n) fields, is a program fault and raises
-    :class:`NotDivisible` naming the lowest prime that went negative.
+    ``runs`` lists the distinct parts v_1 > ... > v_d with multiplicities
+    m_1 .. m_d.  Row group a (the m_a rows of length v_a, above E_a rows)
+    meets column group b >= a (the v_b - v_{b+1} columns above E_b rows,
+    with v_{d+1} = 0) in a rectangle of R = m_a rows and C = v_b - v_{b+1}
+    columns, whose bottom right cell has the hook
+    c = v_a + E_a - v_b - E_b + 1 and whose cell i rows up and j columns
+    left of it has the hook c + i + j.  The runs are walked once from the
+    shortest, so every column group a row group meets has been seen.
     """
-    sf = _superfactorial_valuations
-    packed = sf(n) - sf(n - 1)
     columns = []  # (v_b + E_b, v_b - v_{b+1}) of each column group seen
     below = last = 0
     for value, rows in reversed(runs):
         top = value + below
         columns.append((top, value - last))
         for key, cols in columns:
-            low = top - key - 1  # corner hook - 2
-            packed += sf(low + rows) + sf(low + cols) - sf(low) - sf(low + rows + cols)
+            yield top - key + 1, rows, cols
         below += rows
         last = value
+
+
+def packed_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
+    """Exponents of n! / (product of hooks) for the partition of n with runs ``runs``.
+
+    The module's identity turns the degree into four signed terms Q(m) per
+    rectangle of :func:`_rectangles` and two for n!, summed as packed ints.
+    The sum is returned checked: a negative exponent, or a sum that does
+    not fit pi(n) fields, is a program fault and raises
+    :class:`NotDivisible` naming the lowest prime that went negative.
+    """
+    sf = _superfactorial_valuations
+    packed = sf(n) - sf(n - 1)
+    for corner, rows, cols in _rectangles(runs):
+        low = corner - 2
+        packed += sf(low + rows) + sf(low + cols) - sf(low) - sf(low + rows + cols)
     width, signs = _sign_bits(n)
     if packed >> width or packed & signs:
         # the signed decode: the sum does not fit pi(n) signed fields, or one
@@ -174,24 +182,14 @@ def _hook_product(corner: int, rows: int, cols: int) -> int:
 def exact_degree(runs: Sequence[tuple[int, int]], n: int) -> int:
     """n! / (product of hooks) for the partition of n with runs ``runs``, as an int.
 
-    The rectangles are those of :func:`packed_degree`, each multiplied out:
-    the hooks of row i (from the bottom) of a rectangle with corner hook c
-    and C columns are c + i .. c + i + C - 1, so the row's product is
+    Each rectangle of :func:`_rectangles` is multiplied out: its row i from
+    the bottom has the hooks c + i .. c + i + C - 1, so the row's product is
     perm(c + i + C - 1, C), and a column's likewise; each rectangle's
     product is taken along its shorter side and cached, since the shapes
     of one n share most rectangles.  A nonzero remainder (``runs`` not a
     partition of n) raises :class:`NotDivisible`.
     """
-    product = 1
-    columns = []  # (v_b + E_b, v_b - v_{b+1}) of each column group seen
-    below = last = 0
-    for value, rows in reversed(runs):
-        top = value + below
-        columns.append((top, value - last))
-        for key, cols in columns:
-            product *= _hook_product(top - key + 1, rows, cols)
-        below += rows
-        last = value
+    product = math.prod(starmap(_hook_product, _rectangles(runs)))
     quotient, remainder = divmod(math.factorial(n), product)
     if remainder:
         raise NotDivisible(f"the hook product of {runs_literal(runs)} does not divide {n}!")

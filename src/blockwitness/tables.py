@@ -399,7 +399,7 @@ def build_sn_summary(n: int, primes: tuple[int, ...] | list[int]) -> CharacterTa
                 awaited[conjugate] = value, shared.setdefault(partner, partner)
         else:
             value, flags = known
-        # CharacterRow(...) without its extra call, as in _parse_rows
+        # CharacterRow(...) without its extra call, as in parse_table's row branch
         row = (runs_literal(runs), value, shared.setdefault(flags, flags))
         rows.append(tuple.__new__(CharacterRow, row))
     facts = MappingProxyType(dict.fromkeys(combinations(sorted(primes), 2), False))

@@ -46,12 +46,12 @@ recomputed rather than predicted by side conditions.  The partition, the
 spec's runs of equal parts (at most three here), is built once, since every
 outcome records it, and no check lists its n parts: each run is
 an interval of beads of the beta-set, which gives its share of the abacus
-runner counts in O(1) steps; the degree comes from the rectangles
-between the runs, as one packed exponent sum whose sign-mask check is
-O(1) and from which :func:`blockwitness.degrees.packed_exponent` reads
-the host and divisor exponents, decoded into factored form only for the
-candidate that wins; and a shape whose length differs from its first
-part is not self-conjugate.
+runner counts in O(1) steps; the degree comes from the rectangles of
+:func:`blockwitness.degrees._rectangles`, as one packed exponent sum whose
+sign-mask check is O(1) and from which
+:func:`blockwitness.degrees.packed_exponent` reads the host and divisor
+exponents, decoded into factored form only for the candidate that wins;
+and a shape whose length differs from its first part is not self-conjugate.
 A parameter record for which no candidate verifies raises
 :class:`CaseTreeFalsified`, which is the whole point of running the engine.
 The candidate, the witness and the failure are named tuples: immutable,

@@ -170,11 +170,21 @@ MUTANTS = (
         ("tests/test_degrees.py",),
         "killed",
     ),
+    # the corner hook that both evaluations read, so the hook-product tests
+    # of exact_degree and of packed_degree both fail
     Mutant(
         "exact-degree-corner-off-by-one",
         "degrees.py",
-        "_hook_product(top - key + 1, rows, cols)",
-        "_hook_product(top - key + 2, rows, cols)",
+        "yield top - key + 1, rows, cols",
+        "yield top - key, rows, cols",
+        ("tests/test_degrees.py",),
+        "killed",
+    ),
+    Mutant(
+        "rectangle-width-from-zero",
+        "degrees.py",
+        "columns.append((top, value - last))",
+        "columns.append((top, value))",
         ("tests/test_degrees.py",),
         "killed",
     ),

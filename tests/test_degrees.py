@@ -79,6 +79,26 @@ def test_degree_matches_hook_product_all_partitions():
     assert shapes == 9_296
 
 
+def test_rectangles_tile_the_diagram_with_its_hooks():
+    # the empty partition and every partition with n <= 18: the rectangles'
+    # cells number n, and their hooks c + i + j are the diagram's, cell by cell
+    assert list(degrees_module._rectangles(())) == []
+    shapes = 0
+    for n in range(0, 19):
+        for lam in partitions_of(n):
+            rectangles = list(degrees_module._rectangles(lam.runs))
+            assert sum(rows * cols for _, rows, cols in rectangles) == n, lam
+            hooks = [
+                corner + i + j
+                for corner, rows, cols in rectangles
+                for i in range(rows)
+                for j in range(cols)
+            ]
+            assert sorted(hooks) == sorted(oracle.hooks(lam.parts)), lam
+            shapes += 1
+    assert shapes == 1_597
+
+
 def _fields(packed, count):
     # the 64-bit fields of a packed value, lowest first
     return list(array("q", packed.to_bytes(8 * count, sys.byteorder, signed=True)))
