@@ -13,15 +13,19 @@ component of at most a < p boxes is a p-core, so a partition of n has
 p'-degree exactly when its p^k-weight is a and its p^k-core, a partition
 of m, has p'-degree.  Removing p^k-hooks keeps the p-core, so B_p is the
 core (a_0) lifted one digit at a time, each digit a_k adding a_k hooks of
-length p^k in every way (:func:`principal_p_prime_partitions`).
+length p^k in every way (:func:`principal_p_prime_partitions`).  Every lift
+is written as runs: a first digit 1 gives its p members in closed form, and
+any other hook is an edit of the runs it changes, so no member is rebuilt
+from its list of parts or its beta-set.
 
 :func:`divides`, the one predicate on degrees, says whether a prime
 divides one, off abacus weights, with no hook lengths and without
 :mod:`blockwitness.degrees`.  Its weights come from
 :func:`blockwitness.partitions.weight`, on abacus runner counts that the
 tests pin against exhaustive rim-hook stripping.  The witness audit reads
-block membership from cell contents instead (:func:`in_principal_block`), so
-the verifier's membership kernel decides no audited fact.
+block membership from cell contents instead (:func:`in_principal_block`, a
+tally of length 3p folded mod p in one pass over its three slices), so the
+verifier's membership kernel decides no audited fact.
 
 A p-block witness is a member of B_p whose degree q divides, so
 :func:`check_conjC` reads the members of B_p and B_q that pass that
@@ -54,7 +58,7 @@ from typing import Iterator, NamedTuple
 
 from .factored import InternalInvariantError, primes_up_to
 from .parameters import CaseParameters, check_primes, derive_case_parameters
-from .partitions import Partition, from_parts, weight
+from .partitions import Partition, weight
 from .witness import Witness, _construct
 
 GROUP_KINDS = ("sn", "an")
@@ -92,8 +96,9 @@ def in_principal_block(lam: Partition, p: int) -> bool:
     -r, .., v mod p - r - 1.  In a run of m rows, m // p full turns of the
     row starts add v mod p more to every residue, and the first cells of
     its top m mod p rows form a cyclic trapezoid: four +-1 entries in a
-    second-difference array of length 3p, folded mod p after two running
-    sums.  No abacus is read, so the verifier's kernel decides nothing here.
+    second-difference array of length 3p.  After two running sums the tally
+    is folded mod p in one pass that adds its three slices of length p.  No
+    abacus is read, so the verifier's kernel decides nothing here.
     """
     w, b = divmod(lam.size, p)
     flat = row = 0
@@ -107,7 +112,8 @@ def in_principal_block(lam: Partition, p: int) -> bool:
             second[start + offset] += sign
         row += mult
     tally = list(accumulate(accumulate(second)))
-    return [flat + sum(tally[t::p]) for t in range(p)] == [w + (t < b) for t in range(p)]
+    folded = [flat + x + y + z for x, y, z in zip(tally[:p], tally[p : 2 * p], tally[2 * p :])]
+    return folded == [w + (t < b) for t in range(p)]
 
 
 def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
@@ -135,6 +141,15 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
       the length changes, and ``length + e`` beads let one hook add up to e
       rows.
 
+    Each lift is a local edit.  Number the beads beta_k = lambda_k + top - k
+    in descending order.  Moving beta_i = x to a free x + e lands it at index
+    j, the number of beads above x + e, so the lift's parts are lambda_0 ..
+    lambda_{j-1}, then x + e - top + j, then lambda_j + 1 .. lambda_{i-1} + 1
+    (the at most e - 1 parts it passes), then lambda_{i+1} .. with trailing
+    zeros dropped.  The beads of a run form an interval, so
+    :func:`_hook_lifts` reads the free targets off the gaps between runs and
+    edits only the runs from j to i.
+
     A first digit a_1 = 1 lifts the core (b), b = a_0, by one p-hook, and
     m(p, 1) = p.  At beta-set length p + 1 the core's beads are 0 .. p - 1,
     one packed bead on every runner, and b + p, a second one on runner b.
@@ -142,8 +157,9 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
     bead of one runner up by p, and the p runners give exactly p shapes
     (:func:`_one_hook_lifts`): runner b gives (b + p), runner b + j gives
     (b + j, b + 1, 1^(p - b - 1 - j)) for 1 <= j <= p - b - 1, and runner
-    c - 1 gives (b, c, 1^(p - c)) for 1 <= c <= b, and no beta-set is laid
-    out.
+    c - 1 gives (b, c, 1^(p - c)) for 1 <= c <= b.  Each member's runs are
+    written directly, equal values in one run (j = 1, c = b, c = 1, b = 0),
+    with no beta-set and no list of parts.
     """
     if p < 2:
         raise ValueError(f"p'-degree sets require p >= 2, got {p}")
@@ -177,24 +193,68 @@ def principal_p_prime_partitions(n: int, p: int) -> frozenset[Partition]:
 
 def _one_hook_lifts(b: int, p: int) -> list[Partition]:
     # the p partitions with p-core (b) and p-weight 1, one per runner (see
-    # principal_p_prime_partitions)
-    return [
-        Partition(((b + p, 1),)),
-        *(from_parts((b + j, b + 1) + (1,) * (p - b - 1 - j)) for j in range(1, p - b)),
-        *(from_parts((b, c) + (1,) * (p - c)) for c in range(1, b + 1)),
-    ]
+    # principal_p_prime_partitions), each written as its runs
+    lifts = [Partition(((b + p, 1),))]
+    if not b:
+        # (j, 1^(p - j)) for 1 <= j < p, all ones at j = 1
+        lifts.append(Partition(((1, p),)))
+        lifts += [Partition(((j, 1), (1, p - j))) for j in range(2, p)]
+        return lifts
+    for j in range(1, p - b):
+        # (b + j, b + 1, 1^(p - b - 1 - j)), one run of b + 1 at j = 1
+        head = ((b + 1, 2),) if j == 1 else ((b + j, 1), (b + 1, 1))
+        lifts.append(Partition(head + ((1, p - b - 1 - j),) if j < p - b - 1 else head))
+    for c in range(1, b + 1):
+        # (b, c, 1^(p - c)), one run of b at c = b and of ones at c = 1
+        if c == 1:
+            runs = ((1, p + 1),) if b == 1 else ((b, 1), (1, p))
+        else:
+            runs = ((b, 2), (1, p - b)) if c == b else ((b, 1), (c, 1), (1, p - c))
+        lifts.append(Partition(runs))
+    return lifts
 
 
 def _hook_lifts(lam: Partition, e: int, first: int) -> Iterator[tuple[Partition, int]]:
     # (lift, r) for each lift of lam by one e-hook on a runner r >= first: a
     # bead x moved to a free x + e, on a beta-set whose bead count is a
-    # multiple of e and at least lam.length + e (see principal_p_prime_partitions)
+    # multiple of e and at least lam.length + e, edited on the runs (see
+    # principal_p_prime_partitions).  A run of m parts is an interval of
+    # beads, so only its top min(m, e) beads can move, and the free beads
+    # above it are the gaps between the runs, v' - v under a run of v'.
     top = -(-(lam.length + e) // e) * e - 1
-    beads = {v + top - i for i, v in enumerate(lam.parts)} | set(range(top - lam.length + 1))
-    for x in beads:
-        if x % e >= first and x + e not in beads:
-            parts = [y - top + k for k, y in enumerate(sorted(beads ^ {x, x + e}, reverse=True))]
-            yield from_parts(parts[: len(parts) - parts.count(0)]), x % e
+    runs = lam.runs + ((0, top + 1 - lam.length),)
+    above = 0
+    for a, (v, m) in enumerate(runs):
+        hi = v + top - above  # the bead of the run's first part
+        above += m
+        tail = lam.runs[a + 1 :]
+        # targets hi + s for max(1, e - m + 1) <= s <= e, from the gap above
+        # this run upwards, each run on the way passed by the moved bead
+        low, start, b, passed, shifted = max(1, e - m + 1), 1, a, 0, ()
+        while start <= e:
+            end = start + (runs[b - 1][0] - runs[b][0] if b else e)  # past the gap
+            head = lam.runs[:b]
+            for s in range(max(start, low), min(end, e + 1)):
+                x = hi + s - e
+                if x % e >= first:
+                    # x is the run's part d below its first; it becomes u above
+                    # the d parts over it and the passed runs, each one larger
+                    d, u = e - s, v + s - passed
+                    lead, k = head, 1
+                    if head and head[-1][0] == u:
+                        lead, k = head[:-1], head[-1][1] + 1
+                    grown = shifted + ((v + 1, d),) if d else shifted
+                    if grown and grown[0][0] == u:
+                        grown, k = grown[1:], k + grown[0][1]
+                    rest = ((v, m - d - 1),) + tail if v and m - d - 1 else tail
+                    yield Partition(lead + ((u, k),) + grown + rest), x % e
+            if not b:
+                break
+            b -= 1
+            value, mult = runs[b]
+            passed += mult
+            shifted = ((value + 1, mult),) + shifted
+            start = end + mult
 
 
 def _multipartition_count(c: int, a: int) -> int:

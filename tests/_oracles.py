@@ -3,10 +3,14 @@
 Nothing here may import from blockwitness internals beyond plain data; these
 implementations deliberately take different routes (standard-tableau counts,
 all-orders rim-hook stripping, bounded-part counting) than the library code
-they check.  The one exception is :func:`reference_parse_table`, which shares
-the header helpers and record types of ``blockwitness.tables`` and differs
-from ``parse_table`` in its rows: one loop over every line, and every flag
-token of every row checked.
+they check.  The exceptions share a record type and differ in the route:
+:func:`reference_parse_table` shares the header helpers and record types of
+``blockwitness.tables`` and differs from ``parse_table`` in its rows: one loop
+over every line, and every flag token of every row checked.
+:func:`reference_one_hook_lifts` and :func:`reference_hook_lifts` build each
+lift of the oracle's digit lift from its whole list of parts (through
+``from_parts``) or its whole beta-set, where the library writes or edits the
+runs.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 
 from blockwitness.factored import is_prime
+from blockwitness.partitions import Partition, from_parts
 from blockwitness.tables import (
     _HEADER_DIRECTIVES,
     _SINGLE_TOKEN,
@@ -179,6 +184,30 @@ def multipartitions(components: int, total: int):
         for first in enumerate_partitions(head):
             for rest in multipartitions(components - 1, total - head):
                 yield (first,) + rest
+
+
+def reference_one_hook_lifts(b: int, p: int) -> list[Partition]:
+    """The p partitions with p-core (b) and p-weight 1, from their parts, in the
+    order of ``oracle._one_hook_lifts``: (b + p), then (b + j, b + 1,
+    1^(p - b - 1 - j)) for 1 <= j <= p - b - 1, then (b, c, 1^(p - c)) for
+    1 <= c <= b."""
+    return [
+        Partition(((b + p, 1),)),
+        *(from_parts((b + j, b + 1) + (1,) * (p - b - 1 - j)) for j in range(1, p - b)),
+        *(from_parts((b, c) + (1,) * (p - c)) for c in range(1, b + 1)),
+    ]
+
+
+def reference_hook_lifts(lam: Partition, e: int, first: int):
+    """``(lift, x % e)`` for each bead x on a runner >= ``first`` that moves to a
+    free x + e, on the beta-set of ``oracle._hook_lifts``, each lift's parts read
+    off its whole sorted beta-set."""
+    top = -(-(lam.length + e) // e) * e - 1
+    beads = {v + top - i for i, v in enumerate(lam.parts)} | set(range(top - lam.length + 1))
+    for x in beads:
+        if x % e >= first and x + e not in beads:
+            parts = [y - top + k for k, y in enumerate(sorted(beads ^ {x, x + e}, reverse=True))]
+            yield from_parts(parts[: len(parts) - parts.count(0)]), x % e
 
 
 def multipartition_count(components: int, total: int) -> int:

@@ -98,8 +98,8 @@ MUTANTS = (
     Mutant(
         "hook-lift-target-unchecked",
         "oracle.py",
-        " and x + e not in beads:",
-        ":",
+        "min(end, e + 1)",
+        "min(end + 1, e + 1)",
         ("tests/test_partitions.py",),
         "killed",
     ),
@@ -124,9 +124,33 @@ MUTANTS = (
     Mutant(
         "hook-lift-runner-filter-dropped",
         "oracle.py",
-        "x % e >= first and ",
-        "",
+        "if x % e >= first:",
+        "if True:",
         ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "hook-lift-passed-parts-unshifted",
+        "oracle.py",
+        "shifted = ((value + 1, mult),) + shifted",
+        "shifted = ((value, mult),) + shifted",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "one-hook-lift-run-unmerged",
+        "oracle.py",
+        "lifts.append(Partition(((1, p),)))",
+        "lifts.append(Partition(((1, 1), (1, p - 1))))",
+        ("tests/test_partitions.py",),
+        "killed",
+    ),
+    Mutant(
+        "content-fold-third-slice-dropped",
+        "oracle.py",
+        "tally[2 * p :]",
+        "[0] * p",
+        ("tests/test_oracle.py",),
         "killed",
     ),
     Mutant(

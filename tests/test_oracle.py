@@ -276,6 +276,22 @@ def test_residue_membership_matches_cores_and_cell_tally(monkeypatch):
                 assert in_principal_block(lam, p) == expected, (lam.parts, p)
                 verdicts[expected] += 1
     assert verdicts == {True: 4467, False: 16664}
+    # a run's trapezoid reaches the last third of the length-3p tally only
+    # when its lowest row start, its rows mod p and its cells mod p sum to at
+    # least 2p + 2: never at p < 5, and first at n = 31, in (5^3, 4^4) at
+    # p = 5; so every shape of two runs with values and multiplicities below
+    # 2p, at p = 5
+    p, verdicts = 5, {True: 0, False: 0}
+    for low in range(1, 2 * p):
+        for high in range(low + 1, 2 * p):
+            for above in range(1, 2 * p):
+                for below in range(1, 2 * p):
+                    parts = (high,) * above + (low,) * below
+                    w, b = divmod(sum(parts), p)
+                    expected = _content_tally(parts, p) == [w + (t < b) for t in range(p)]
+                    assert in_principal_block(P(*parts), p) == expected, (parts, p)
+                    verdicts[expected] += 1
+    assert verdicts == {True: 920, False: 1996}
 
 
 def test_audit_refuses_a_witness_outside_the_host_block(monkeypatch):

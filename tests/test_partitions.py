@@ -356,6 +356,32 @@ def test_hook_lifts_add_one_box_to_the_quotient():
     assert cases == 6022
 
 
+def test_one_hook_lifts_equal_the_parts_reference():
+    # the runs written member by member against the parts formulas, in order,
+    # at every core (b) of every prime p < 60
+    for p in primes_up_to(59):
+        for b in range(p):
+            # a partition is the plain tuple of its runs, size and length
+            assert _one_hook_lifts(b, p) == oracle.reference_one_hook_lifts(b, p), (b, p)
+
+
+def test_hook_lifts_equal_the_beta_set_reference():
+    # the lifts edited on runs against a rebuild from the whole beta-set, as
+    # sets of (lift, runner): the reference walks a set of beads
+    cases = 0
+    for n in range(13):
+        for lam in partitions_of(n):
+            for e in (2, 3, 4, 5, 6, 9):
+                for first in range(e):
+                    lifts = list(_hook_lifts(lam, e, first))
+                    assert len(set(lifts)) == len(lifts), (lam, e, first)
+                    assert set(lifts) == set(oracle.reference_hook_lifts(lam, e, first)), (
+                        lam, e, first
+                    )
+                    cases += len(lifts)
+    assert cases == 31270
+
+
 def test_literals():
     assert P(2, 1, 1).to_literal() == "[2,1,1]"
     assert P().to_literal() == "[]"
